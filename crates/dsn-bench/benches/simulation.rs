@@ -129,50 +129,42 @@ fn bench_sim(c: &mut Criterion) {
     }
     // Saturated steady state at scale: the 256-switch trio at
     // 11 Gbit/s/host (the BENCH_sim near-saturation point) on the event
-    // engine and the sharded engine at 4 workers, flat tables, routing
-    // prebuilt. This is the row the cache-conscious SoA layout, the ring
-    // arena and the zero-alloc steady state target; sharded rows track
-    // the bounded-lag engine's overhead on the same workload.
+    // engine, flat tables, routing prebuilt. This is the row the
+    // cache-conscious SoA layout, the ring arena and the zero-alloc steady
+    // state target.
     for spec in trio(256) {
         let built = spec.build().unwrap();
         let graph = Arc::new(built.graph);
-        for (engine, workers, tag) in [
-            (EngineKind::Event, 0usize, "event"),
-            (EngineKind::Sharded, 4, "sharded_w4"),
-        ] {
-            let cfg = SimConfig {
-                engine,
-                workers,
-                routing_tables: RoutingTables::Flat,
-                warmup_cycles: 1_000,
-                measure_cycles: 4_000,
-                drain_cycles: 2_000,
-                ..SimConfig::default()
-            };
-            let routing: Arc<dyn SimRouting> =
-                Arc::new(AdaptiveEscape::new(graph.clone(), cfg.vcs));
-            routing.compiled_flat();
-            let rate = cfg.packets_per_cycle_for_gbps(11.0);
-            group.bench_with_input(
-                BenchmarkId::new(format!("sat_11gbps_{tag}"), format!("{}_n256", built.name)),
-                &graph,
-                |b, graph| {
-                    b.iter(|| {
-                        black_box(
-                            Simulator::new(
-                                graph.clone(),
-                                cfg.clone(),
-                                routing.clone(),
-                                TrafficPattern::Uniform,
-                                rate,
-                                7,
-                            )
-                            .run(),
+        let cfg = SimConfig {
+            engine: EngineKind::Event,
+            routing_tables: RoutingTables::Flat,
+            warmup_cycles: 1_000,
+            measure_cycles: 4_000,
+            drain_cycles: 2_000,
+            ..SimConfig::default()
+        };
+        let routing: Arc<dyn SimRouting> = Arc::new(AdaptiveEscape::new(graph.clone(), cfg.vcs));
+        routing.compiled_flat();
+        let rate = cfg.packets_per_cycle_for_gbps(11.0);
+        group.bench_with_input(
+            BenchmarkId::new("sat_11gbps_event", format!("{}_n256", built.name)),
+            &graph,
+            |b, graph| {
+                b.iter(|| {
+                    black_box(
+                        Simulator::new(
+                            graph.clone(),
+                            cfg.clone(),
+                            routing.clone(),
+                            TrafficPattern::Uniform,
+                            rate,
+                            7,
                         )
-                    })
-                },
-            );
-        }
+                        .run(),
+                    )
+                })
+            },
+        );
     }
     group.finish();
 

@@ -5,18 +5,12 @@
 //!
 //! Run: `cargo run --release -p dsn-bench --example perf_probe -- \
 //!       [--n 64|256] [--topo dsn|torus|random] [--gbps F] \
-//!       [--engine dense|event|sharded] [--workers N] [--phase-timing]`
+//!       [--engine dense|event] [--pre dense|event] [--phase-timing]`
 
-use dsn_bench::{take_engine_arg, take_workers_arg, trio};
-use dsn_sim::{AdaptiveEscape, SimConfig, SimRouting, Simulator, TrafficPattern};
+use dsn_bench::{take_engine_arg, take_parsed_arg, take_value_arg, trio};
+use dsn_sim::{AdaptiveEscape, EngineKind, SimConfig, SimRouting, Simulator, TrafficPattern};
 use std::sync::Arc;
 use std::time::Instant;
-
-fn take_val(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let pos = args.iter().position(|a| a == flag)?;
-    args.remove(pos);
-    Some(args.remove(pos))
-}
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -25,26 +19,25 @@ fn main() {
         // Safe: single-threaded startup, before any sim work begins.
         std::env::set_var("DSN_PHASE_TIMING", "1");
     }
-    let n: usize = take_val(&mut args, "--n")
-        .map(|v| v.parse().expect("--n"))
-        .unwrap_or(256);
-    let topo = take_val(&mut args, "--topo").unwrap_or_else(|| "dsn".into());
-    let gbps: f64 = take_val(&mut args, "--gbps")
-        .map(|v| v.parse().expect("--gbps"))
-        .unwrap_or(11.0);
-    let mut engine = take_engine_arg(&mut args);
-    let mut workers = 0;
-    if let Some(w) = take_workers_arg(&mut args) {
-        engine = dsn_sim::EngineKind::Sharded;
-        workers = w;
-    }
-
-    let pre = take_val(&mut args, "--pre");
+    let n: usize = take_parsed_arg(&mut args, "n", "a switch count").unwrap_or(256);
+    let topo =
+        take_value_arg(&mut args, "topo", "dsn | torus | random").unwrap_or_else(|| "dsn".into());
+    let gbps: f64 = take_parsed_arg(&mut args, "gbps", "a load in Gbit/s/host").unwrap_or(11.0);
+    let engine = take_engine_arg(&mut args);
+    let pre = take_value_arg(&mut args, "pre", "dense | event").map(|v| {
+        EngineKind::parse(&v).unwrap_or_else(|| {
+            eprintln!("unknown --pre engine `{v}` (expected dense | event)");
+            std::process::exit(2);
+        })
+    });
     let idx = match topo.as_str() {
         "dsn" => 0,
         "torus" => 1,
         "random" => 2,
-        other => panic!("unknown --topo {other} (dsn|torus|random)"),
+        other => {
+            eprintln!("unknown --topo `{other}` (expected dsn | torus | random)");
+            std::process::exit(2);
+        }
     };
     let built = trio(n)
         .into_iter()
@@ -55,7 +48,6 @@ fn main() {
     let graph = Arc::new(built.graph);
     let cfg = SimConfig {
         engine,
-        workers,
         warmup_cycles: 5_000,
         measure_cycles: 15_000,
         drain_cycles: 15_000,
@@ -69,12 +61,7 @@ fn main() {
         // first, reproducing the allocator state a row sees mid-way
         // through the `fig10_simulation --json` matrix.
         let pre_cfg = SimConfig {
-            engine: match pre_engine.as_str() {
-                "dense" => dsn_sim::EngineKind::Dense,
-                "event" => dsn_sim::EngineKind::Event,
-                other => panic!("unknown --pre {other}"),
-            },
-            workers: 0,
+            engine: pre_engine,
             ..cfg.clone()
         };
         let pre_start = Instant::now();
@@ -88,7 +75,8 @@ fn main() {
         )
         .run();
         println!(
-            "  (pre {pre_engine} run: {:.3}s, delivered {})",
+            "  (pre {} run: {:.3}s, delivered {})",
+            pre_engine.name(),
             pre_start.elapsed().as_secs_f64(),
             s.delivered_packets
         );
@@ -106,7 +94,7 @@ fn main() {
     let wall = start.elapsed().as_secs_f64();
     let cycles = cfg.total_cycles();
     println!(
-        "{} n={n} {} w{workers} {gbps}G: {:.0} cycles/s ({cycles} cycles, {wall:.3}s, delivered {})",
+        "{} n={n} {} {gbps}G: {:.0} cycles/s ({cycles} cycles, {wall:.3}s, delivered {})",
         built.name,
         engine.name(),
         cycles as f64 / wall,

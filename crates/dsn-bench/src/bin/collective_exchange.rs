@@ -6,30 +6,23 @@
 //! paper's router parameters.
 //!
 //! Run: `cargo run --release -p dsn-bench --bin collective_exchange \
-//!       [--engine dense|event|sharded] [--workers N] \
+//!       [--engine dense|event] \
 //!       [--routing-tables flat|dyn] [--telemetry[=WINDOW]]`
 //!
 //! `--telemetry[=WINDOW]` instruments the all-to-all run on DSN; exports
 //! go to `telemetry_collective_dsn.{json,csv}`.
 
 use dsn_bench::{
-    emit_telemetry, take_engine_arg, take_routing_tables_arg, take_telemetry_arg, take_workers_arg,
-    trio,
+    emit_telemetry, take_engine_arg, take_routing_tables_arg, take_telemetry_arg, trio,
 };
 use dsn_sim::{AdaptiveEscape, RoutingCache, SimConfig, Simulator, TelemetryConfig, Workload};
 use std::sync::Arc;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut engine = take_engine_arg(&mut args);
-    let mut workers = 0;
-    if let Some(w) = take_workers_arg(&mut args) {
-        engine = dsn_sim::EngineKind::Sharded;
-        workers = w;
-    }
+    let engine = take_engine_arg(&mut args);
     let cfg = SimConfig {
         engine,
-        workers,
         routing_tables: take_routing_tables_arg(&mut args),
         warmup_cycles: 0,
         measure_cycles: 10_000,

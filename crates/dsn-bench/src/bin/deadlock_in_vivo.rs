@@ -6,32 +6,26 @@
 //! static analysis predicts it.
 //!
 //! Run: `cargo run --release -p dsn-bench --bin deadlock_in_vivo \
-//!       [--engine dense|event|sharded] [--workers N] [--telemetry[=WINDOW]]`
+//!       [--engine dense|event] [--telemetry[=WINDOW]]`
 //!
 //! `--telemetry[=WINDOW]` adds a per-run allocation-conflict count and, for
 //! runs the watchdog flags as deadlocked, the full telemetry view (latency
 //! decomposition and heatmap — the wedged VCs show up as stalled hotspot
 //! links) with `telemetry_deadlock_<load>_<routing>.{json,csv}` exports.
 
-use dsn_bench::{emit_telemetry, take_engine_arg, take_telemetry_arg, take_workers_arg};
+use dsn_bench::{emit_telemetry, take_engine_arg, take_telemetry_arg};
 use dsn_core::dsn::Dsn;
 use dsn_sim::{SimConfig, Simulator, SourceRouted, TrafficPattern};
 use std::sync::Arc;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut engine = take_engine_arg(&mut args);
-    let mut workers = 0;
-    if let Some(w) = take_workers_arg(&mut args) {
-        engine = dsn_sim::EngineKind::Sharded;
-        workers = w;
-    }
+    let engine = take_engine_arg(&mut args);
     let telemetry = take_telemetry_arg(&mut args);
     let dsn = Arc::new(Dsn::new(60, 5).expect("dsn")); // p | n: clean instance
     let graph = Arc::new(dsn.graph().clone());
     let cfg = SimConfig {
         engine,
-        workers,
         warmup_cycles: 2_000,
         measure_cycles: 20_000,
         drain_cycles: 20_000,

@@ -7,13 +7,9 @@
 //! datacenters) emphasizes.
 //!
 //! Run: `cargo run --release -p dsn-bench --bin degraded_performance \
-//!       [--quick] [--engine dense|event|sharded] [--workers N] \
+//!       [--quick] [--engine dense|event] \
 //!       [--routing-tables flat|dyn] \
 //!       [--faults N] [--json] [--telemetry[=WINDOW]]`
-//!
-//! (Dynamic-fault runs always use the single-thread event path — fault
-//! machinery has no conservative lookahead — so `--workers` only affects
-//! the fault-free and statically-degraded rows.)
 //!
 //! `--json` additionally writes the report to `BENCH_degraded.json`
 //! (schema pinned by `tests/degraded_schema.rs`). `--telemetry[=WINDOW]`
@@ -26,20 +22,14 @@ use dsn_bench::degraded::{
     base_config, run_dynamic, run_dynamic_telemetry, run_static, DegradedMode, DegradedReport,
 };
 use dsn_bench::{
-    emit_telemetry, take_engine_arg, take_routing_tables_arg, take_telemetry_arg, take_workers_arg,
-    trio,
+    emit_telemetry, take_engine_arg, take_routing_tables_arg, take_telemetry_arg, trio,
 };
 
 fn main() {
     // Parse the CLI exactly once into one shared `SimConfig`; every trial
     // below reuses it.
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut engine = take_engine_arg(&mut args);
-    let mut workers = 0;
-    if let Some(w) = take_workers_arg(&mut args) {
-        engine = dsn_sim::EngineKind::Sharded;
-        workers = w;
-    }
+    let engine = take_engine_arg(&mut args);
     let routing_tables = take_routing_tables_arg(&mut args);
     let telemetry = take_telemetry_arg(&mut args);
     let quick = args.iter().any(|a| a == "--quick");
@@ -66,7 +56,6 @@ fn main() {
             })
         });
     let mut cfg = base_config(engine, quick);
-    cfg.workers = workers;
     cfg.routing_tables = routing_tables;
     let gbps = 4.0;
     let specs = trio(64);

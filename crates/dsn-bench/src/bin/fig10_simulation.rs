@@ -8,13 +8,9 @@
 //!
 //! Run: `cargo run --release -p dsn-bench --bin fig10_simulation \
 //!       [uniform|bitrev|neighbor|all] [--quick] \
-//!       [--engine dense|event|sharded] [--workers N] \
+//!       [--engine dense|event] \
 //!       [--routing-tables flat|dyn|algorithmic] [--telemetry[=WINDOW]] \
 //!       [--opt] [--sizes N,M,...]`
-//!
-//! `--workers N` selects the sharded parallel engine with `N` shards
-//! (0 = one per rayon worker); it is bit-identical to `--engine event`
-//! at every worker count.
 //!
 //! `--opt` adds the frontier study's searched placements (Opt-SA, Opt-ES
 //! at 64 switches, same seeds and budgets as `opt_frontier`) to the
@@ -23,8 +19,8 @@
 //!
 //! `--sizes N,M,...` runs the large-n scale rows: the saturated trio at
 //! each size (snapped down to the nearest clean DSN size, e.g. 1024 →
-//! DSN-9-1020, 2048 → DSN-10-2046) on the event engine plus a sharded
-//! DSN row, with DSN routed by the table-free algorithmic DSN-V scheme
+//! DSN-9-1020, 2048 → DSN-10-2046) on the event engine, with DSN routed
+//! by the table-free algorithmic DSN-V scheme
 //! (`RoutingTables::Algorithmic` — O(n) bytes instead of the O(n²) CSR).
 //! Without `--json` the rows print to stdout and exit (the CI smoke);
 //! with `--json` they are appended to `BENCH_sim.json`, which includes
@@ -35,18 +31,16 @@
 //! heatmap, and `telemetry_fig10_<topology>.{json,csv}` exports.
 //!
 //! `--json` switches to benchmark mode: instead of the figure sweeps it
-//! times the engines (dense, event, and sharded at 2 and 4 workers) on
-//! the trio at 64 and 256 switches (256 and 1024 hosts) at a low and a
-//! near-saturation load point and writes machine-readable rows to
-//! `BENCH_sim.json`, so CI can track the engine's perf trajectory.
-//! Every row runs in its own child process (`--bench-row N` re-exec):
-//! a fresh heap per row keeps allocator state from one row from skewing
-//! the next (in-process, late rows measurably degrade), and the child's
-//! peak-RSS high-water mark covers that row alone — including sharded
-//! rows, whose worker pools previously shared one cumulative figure.
-//! Routing is (re)built inside each child and its cost is reported
-//! separately as `routing_build_s` — `wall_s` times only the simulation
-//! proper. Inside the child the RSS mark is additionally reset after
+//! times the engines (dense and event) on the trio at 64 and 256
+//! switches (256 and 1024 hosts) at a low and a near-saturation load
+//! point and writes machine-readable rows to `BENCH_sim.json`, so CI can
+//! track the engine's perf trajectory. Every row runs in its own child
+//! process (`--bench-row N` re-exec): a fresh heap per row keeps
+//! allocator state from one row from skewing the next (in-process, late
+//! rows measurably degrade), and the child's peak-RSS high-water mark
+//! covers that row alone. Routing is (re)built inside each child and its
+//! cost is reported separately as `routing_build_s` — `wall_s` times only
+//! the simulation proper. Inside the child the RSS mark is additionally reset after
 //! construction; where the reset is impossible the row carries
 //! `"rss_is_cumulative": true` instead of a stale figure.
 //!
@@ -57,8 +51,8 @@
 
 use dsn_bench::opt::searched_placements;
 use dsn_bench::{
-    emit_telemetry, peak_rss_kb, reset_peak_rss, take_engine_arg, take_routing_tables_arg,
-    take_telemetry_arg, take_workers_arg, trio,
+    emit_telemetry, peak_rss_kb, reset_peak_rss, take_engine_arg, take_parsed_arg,
+    take_routing_tables_arg, take_telemetry_arg, take_value_arg, trio,
 };
 use dsn_core::dsn::Dsn;
 use dsn_core::graph::Graph;
@@ -136,7 +130,6 @@ fn summarize(results: &[SweepResult]) {
 /// [`bench_rows`] so a re-exec'd child resolves the same cell.
 struct BenchRow {
     engine: EngineKind,
-    workers: usize,
     /// Switch count (64/256 for the classic matrix; clean DSN sizes for
     /// the `--sizes` scale rows).
     n: usize,
@@ -150,22 +143,16 @@ struct BenchRow {
 
 /// The full matrix in emission order: engines × (trio @ 64, trio @ 256)
 /// × (low load, near-saturation load), then the `--sizes` scale rows —
-/// per size, the saturated trio on the event engine plus a sharded-w4
-/// DSN row, with DSN routed table-free.
+/// per size, the saturated trio on the event engine, with DSN routed
+/// table-free.
 fn bench_rows(sizes: &[usize]) -> Vec<BenchRow> {
     let mut rows = Vec::new();
-    for (engine, workers) in [
-        (EngineKind::Dense, 1usize),
-        (EngineKind::Event, 1),
-        (EngineKind::Sharded, 2),
-        (EngineKind::Sharded, 4),
-    ] {
+    for engine in [EngineKind::Dense, EngineKind::Event] {
         for n in [64, 256] {
             for topo_idx in 0..3 {
                 for gbps in [1.0f64, 11.0] {
                     rows.push(BenchRow {
                         engine,
-                        workers,
                         n,
                         topo_idx,
                         gbps,
@@ -183,23 +170,30 @@ fn bench_rows(sizes: &[usize]) -> Vec<BenchRow> {
         for topo_idx in 0..3 {
             rows.push(BenchRow {
                 engine: EngineKind::Event,
-                workers: 1,
                 n,
                 topo_idx,
                 gbps: 11.0,
                 algorithmic: topo_idx == 0,
             });
         }
-        rows.push(BenchRow {
-            engine: EngineKind::Sharded,
-            workers: 4,
-            n,
-            topo_idx: 0,
-            gbps: 11.0,
-            algorithmic: true,
-        });
     }
     rows
+}
+
+/// Extract `--sizes N,M,...` (or `--sizes=N,M,...`): the scale-row switch
+/// counts. Exits with a usage line on a missing value or a malformed
+/// count (`Dsn::new_clean` needs at least 8 switches).
+fn take_sizes_arg(args: &mut Vec<String>) -> Option<Vec<usize>> {
+    const USAGE: &str = "comma-separated switch counts >= 8, e.g. 1024,2048";
+    let list = take_value_arg(args, "sizes", USAGE)?;
+    let sizes: Option<Vec<usize>> = list
+        .split(',')
+        .map(|s| s.trim().parse::<usize>().ok().filter(|&n| n >= 8))
+        .collect();
+    Some(sizes.unwrap_or_else(|| {
+        eprintln!("--sizes needs {USAGE}, got `{list}`");
+        std::process::exit(2);
+    }))
 }
 
 /// Topology + routing choices for one matrix cell.
@@ -263,7 +257,6 @@ fn run_bench_row(cfg: &SimConfig, row: &BenchRow) -> String {
     };
     let cfg = SimConfig {
         engine: row.engine,
-        workers: row.workers,
         routing_tables: tables,
         ..cfg.clone()
     };
@@ -290,17 +283,18 @@ fn run_bench_row(cfg: &SimConfig, row: &BenchRow) -> String {
     let wall = start.elapsed().as_secs_f64();
     let cycles = cfg.total_cycles();
     eprintln!(
-        "  {:<7} w{} {:<14} {:>5.1}G  {:>10.0} cycles/s  (routing build {:.3}s, tables {} B)",
+        "  {:<7} {:<14} {:>5.1}G  {:>10.0} cycles/s  (routing build {:.3}s, tables {} B)",
         row.engine.name(),
-        row.workers,
         name,
         row.gbps,
         cycles as f64 / wall,
         routing_build_s,
         table_bytes,
     );
+    // Every engine runs on one thread; `"workers": 1` keeps the row schema
+    // of the committed BENCH_sim.json.
     format!(
-        "  {{\"engine\": \"{}\", \"workers\": {}, \"topology\": \"{}\", \
+        "  {{\"engine\": \"{}\", \"workers\": 1, \"topology\": \"{}\", \
          \"pattern\": \"uniform\", \"routing\": \"{scheme}\", \
          \"load_gbps\": {}, \"cycles\": {cycles}, \"wall_s\": {wall:.6}, \
          \"routing_build_s\": {routing_build_s:.6}, \"cycles_per_sec\": {:.0}, \
@@ -308,7 +302,6 @@ fn run_bench_row(cfg: &SimConfig, row: &BenchRow) -> String {
          \"peak_in_flight_packets\": {}, \"routing_table_bytes\": {table_bytes}{}, \
          \"peak_rss_kb\": {}{}}}",
         row.engine.name(),
-        row.workers,
         name,
         row.gbps,
         cycles as f64 / wall,
@@ -330,7 +323,7 @@ fn run_bench_row(cfg: &SimConfig, row: &BenchRow) -> String {
 /// (`--bench-row N` re-exec of this binary) and write `BENCH_sim.json`
 /// (hand-rolled — the workspace carries no JSON dependency). Process
 /// isolation keeps one row's allocator state from skewing the next and
-/// gives every row — sharded ones included — its own peak-RSS reading.
+/// gives every row its own peak-RSS reading.
 /// Falls back to in-process rows if the binary cannot re-exec itself.
 fn emit_bench_json(cfg: &SimConfig, sizes: &[usize]) {
     let exe = std::env::current_exe().ok();
@@ -428,28 +421,14 @@ fn main() {
         // variable also propagates into `--bench-row` children.
         std::env::set_var("DSN_PHASE_TIMING", "1");
     }
-    let bench_row = args.iter().position(|a| a == "--bench-row").map(|pos| {
-        args.remove(pos);
-        args.remove(pos).parse::<usize>().expect("--bench-row N")
-    });
-    let mut engine = take_engine_arg(&mut args);
-    let mut workers = 0;
-    if let Some(w) = take_workers_arg(&mut args) {
-        engine = EngineKind::Sharded;
-        workers = w;
-    }
+    let bench_row: Option<usize> = take_parsed_arg(&mut args, "bench-row", "a row index");
+    let engine = take_engine_arg(&mut args);
     let routing_tables = take_routing_tables_arg(&mut args);
     let telemetry = take_telemetry_arg(&mut args);
     let quick = args.iter().any(|a| a == "--quick");
     let json = args.iter().any(|a| a == "--json");
     let opt = args.iter().any(|a| a == "--opt");
-    let sizes_arg = args.iter().position(|a| a == "--sizes").map(|pos| {
-        args.remove(pos);
-        let list = args.remove(pos);
-        list.split(',')
-            .map(|s| s.trim().parse::<usize>().expect("--sizes N,M,..."))
-            .collect::<Vec<usize>>()
-    });
+    let sizes_arg = take_sizes_arg(&mut args);
     let which = args
         .iter()
         .find(|a| !a.starts_with("--"))
@@ -458,7 +437,6 @@ fn main() {
 
     let mut cfg = SimConfig {
         engine,
-        workers,
         routing_tables,
         ..SimConfig::default()
     };
@@ -481,7 +459,10 @@ fn main() {
     // JSON object to stdout and exit.
     if let Some(i) = bench_row {
         let rows = bench_rows(&sizes);
-        let row = rows.get(i).expect("--bench-row index out of range");
+        let row = rows.get(i).unwrap_or_else(|| {
+            eprintln!("--bench-row {i} is out of range (0..{})", rows.len());
+            std::process::exit(2);
+        });
         println!("{}", run_bench_row(&cfg, row));
         return;
     }
@@ -558,5 +539,28 @@ fn main() {
     );
     if let Some(window) = telemetry {
         run_telemetry_pass(&cfg, window, &topos, &cache);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(tokens: &[&str]) -> Vec<String> {
+        tokens.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn sizes_arg_space_and_eq_forms() {
+        let mut args = argv(&["--json", "--sizes", "1024,2048"]);
+        assert_eq!(take_sizes_arg(&mut args), Some(vec![1024, 2048]));
+        assert_eq!(args, argv(&["--json"]));
+
+        let mut args = argv(&["--sizes=1024, 2048", "--quick"]);
+        assert_eq!(take_sizes_arg(&mut args), Some(vec![1024, 2048]));
+        assert_eq!(args, argv(&["--quick"]));
+
+        let mut args = argv(&["--quick"]);
+        assert_eq!(take_sizes_arg(&mut args), None);
     }
 }

@@ -5,13 +5,9 @@
 //! allreduce — fault-free and with links flapping mid-run.
 //!
 //! Run: `cargo run --release -p dsn-bench --bin flow_suite \
-//!       [--quick] [--engine dense|event|sharded] [--workers N] \
+//!       [--quick] [--engine dense|event] \
 //!       [--routing-tables flat|dyn] [--sizes 64,256] [--flaps N] \
 //!       [--json] [--telemetry[=WINDOW]]`
-//!
-//! (Flap rows always use the single-thread event path — fault machinery
-//! has no conservative lookahead — so `--workers` only affects the
-//! fault-free rows.)
 //!
 //! `--json` additionally writes the report to `BENCH_flows.json` (schema
 //! pinned by `tests/flows_schema.rs`). `--telemetry[=WINDOW]` adds an
@@ -20,20 +16,14 @@
 
 use dsn_bench::flows::{flow_config, run_suite, FlowReport, FlowRow, FlowWorkloadKind, FLOW_SEED};
 use dsn_bench::{
-    emit_telemetry, take_engine_arg, take_routing_tables_arg, take_telemetry_arg, take_workers_arg,
-    trio,
+    emit_telemetry, take_engine_arg, take_routing_tables_arg, take_telemetry_arg, trio,
 };
 use dsn_sim::{AdaptiveEscape, Simulator, TelemetryConfig};
 use std::sync::Arc;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut engine = take_engine_arg(&mut args);
-    let mut workers = 0;
-    if let Some(w) = take_workers_arg(&mut args) {
-        engine = dsn_sim::EngineKind::Sharded;
-        workers = w;
-    }
+    let engine = take_engine_arg(&mut args);
     let routing_tables = take_routing_tables_arg(&mut args);
     let telemetry = take_telemetry_arg(&mut args);
     let quick = args.iter().any(|a| a == "--quick");
@@ -77,15 +67,7 @@ fn main() {
 
     let mut rows: Vec<FlowRow> = Vec::new();
     for &n in &sizes {
-        rows.extend(run_suite(
-            engine,
-            workers,
-            routing_tables,
-            &trio(n),
-            n,
-            flaps,
-            quick,
-        ));
+        rows.extend(run_suite(engine, routing_tables, &trio(n), n, flaps, quick));
     }
     let report = FlowReport { engine, rows };
     print_report(&report);
@@ -101,7 +83,6 @@ fn main() {
         let built = spec.build().expect("topology");
         let g = Arc::new(built.graph);
         let mut cfg = flow_config(engine, FlowWorkloadKind::Websearch, quick);
-        cfg.workers = workers;
         cfg.routing_tables = routing_tables;
         let hosts = n * cfg.hosts_per_switch;
         let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));

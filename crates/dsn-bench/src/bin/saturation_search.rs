@@ -8,7 +8,7 @@
 //!
 //! Run: `cargo run --release -p dsn-bench --bin saturation_search \
 //!       [--quick] [--threads N | --serial] \
-//!       [--engine dense|event|sharded] [--workers N] \
+//!       [--engine dense|event] \
 //!       [--routing-tables flat|dyn] [--telemetry[=WINDOW]] \
 //!       [--phase-timing]`
 //!
@@ -22,8 +22,7 @@
 //! plus `telemetry_sat_<topology>_<pattern>.{json,csv}` exports.
 
 use dsn_bench::{
-    emit_telemetry, take_engine_arg, take_routing_tables_arg, take_telemetry_arg, take_workers_arg,
-    trio,
+    emit_telemetry, take_engine_arg, take_routing_tables_arg, take_telemetry_arg, trio,
 };
 use dsn_core::graph::Graph;
 use dsn_core::parallel::Parallelism;
@@ -39,18 +38,12 @@ fn main() {
         // Safe: single-threaded startup, before any sim work begins.
         std::env::set_var("DSN_PHASE_TIMING", "1");
     }
-    let mut engine = take_engine_arg(&mut rest);
-    let mut workers = 0;
-    if let Some(w) = take_workers_arg(&mut rest) {
-        engine = dsn_sim::EngineKind::Sharded;
-        workers = w;
-    }
+    let engine = take_engine_arg(&mut rest);
     let routing_tables = take_routing_tables_arg(&mut rest);
     let telemetry = take_telemetry_arg(&mut rest);
     let quick = rest.iter().any(|a| a == "--quick");
     let mut cfg = SimConfig {
         engine,
-        workers,
         routing_tables,
         ..SimConfig::default()
     };

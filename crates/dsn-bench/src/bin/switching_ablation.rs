@@ -5,10 +5,10 @@
 //! so it saturates earlier — this quantifies why the paper picked VCT.
 //!
 //! Run: `cargo run --release -p dsn-bench --bin switching_ablation \
-//!       [--quick] [--engine dense|event|sharded] [--workers N] \
+//!       [--quick] [--engine dense|event] \
 //!       [--routing-tables flat|dyn]`
 
-use dsn_bench::{take_engine_arg, take_routing_tables_arg, take_workers_arg};
+use dsn_bench::{take_engine_arg, take_routing_tables_arg};
 use dsn_core::dsn::Dsn;
 use dsn_core::parallel::Parallelism;
 use dsn_sim::sweep::find_saturation_cached;
@@ -17,19 +17,13 @@ use std::sync::Arc;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut engine = take_engine_arg(&mut args);
-    let mut workers = 0;
-    if let Some(w) = take_workers_arg(&mut args) {
-        engine = dsn_sim::EngineKind::Sharded;
-        workers = w;
-    }
+    let engine = take_engine_arg(&mut args);
     let routing_tables = take_routing_tables_arg(&mut args);
     let quick = args.iter().any(|a| a == "--quick");
     let dsn = Dsn::new(64, 5).expect("dsn");
     let graph = Arc::new(dsn.into_graph());
     let mut base = SimConfig {
         engine,
-        workers,
         routing_tables,
         ..SimConfig::default()
     };

@@ -213,8 +213,7 @@ impl FlowRow {
 /// The full report: one row per (topology, workload, fault-mode) trial.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowReport {
-    /// Engine used for every trial (faulted rows fall back to the
-    /// single-thread event path like every fault run).
+    /// Engine used for every trial.
     pub engine: EngineKind,
     /// Measured cells in trial order.
     pub rows: Vec<FlowRow>,
@@ -226,7 +225,6 @@ pub struct FlowReport {
 /// adaptive tables are built once per graph.
 pub fn run_suite(
     engine: EngineKind,
-    workers: usize,
     routing_tables: dsn_sim::RoutingTables,
     specs: &[TopologySpec],
     switches: usize,
@@ -246,7 +244,6 @@ pub fn run_suite(
         for kind in FlowWorkloadKind::all() {
             for &flapped in &variants {
                 let mut cfg = flow_config(engine, kind, quick);
-                cfg.workers = workers;
                 cfg.routing_tables = routing_tables;
                 if flapped > 0 {
                     cfg.fault_plan = flap_plan(&cfg, edges, flapped);

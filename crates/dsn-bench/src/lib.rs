@@ -49,7 +49,7 @@ pub fn block_header(title: &str, columns: &[&str]) -> String {
 /// value following is an error (previously it was silently swallowed),
 /// reported through the `usage` message and `exit(2)` like every other
 /// malformed flag.
-fn take_value_arg(args: &mut Vec<String>, name: &str, usage: &str) -> Option<String> {
+pub fn take_value_arg(args: &mut Vec<String>, name: &str, usage: &str) -> Option<String> {
     let flag = format!("--{name}");
     let eq_prefix = format!("--{name}=");
     let mut value = None;
@@ -72,12 +72,27 @@ fn take_value_arg(args: &mut Vec<String>, name: &str, usage: &str) -> Option<Str
     value
 }
 
-/// Extract `--engine dense|event|sharded` (or `--engine=...`) from `args`,
+/// [`take_value_arg`] plus a `FromStr` parse: a malformed value exits with
+/// the `usage` message like a missing one.
+pub fn take_parsed_arg<T: std::str::FromStr>(
+    args: &mut Vec<String>,
+    name: &str,
+    usage: &str,
+) -> Option<T> {
+    take_value_arg(args, name, usage).map(|v| {
+        v.parse().unwrap_or_else(|_| {
+            eprintln!("--{name} needs {usage}, got `{v}`");
+            std::process::exit(2);
+        })
+    })
+}
+
+/// Extract `--engine dense|event` (or `--engine=...`) from `args`,
 /// removing the consumed tokens. Defaults to the event engine; exits with
 /// a usage message on an unknown or missing value so every simulation
 /// binary rejects typos the same way.
 pub fn take_engine_arg(args: &mut Vec<String>) -> dsn_sim::EngineKind {
-    const USAGE: &str = "dense | event | sharded";
+    const USAGE: &str = "dense | event";
     match take_value_arg(args, "engine", USAGE) {
         None => dsn_sim::EngineKind::default(),
         Some(v) => dsn_sim::EngineKind::parse(&v).unwrap_or_else(|| {
@@ -100,21 +115,6 @@ pub fn take_routing_tables_arg(args: &mut Vec<String>) -> dsn_sim::RoutingTables
             std::process::exit(2);
         }),
     }
-}
-
-/// Extract `--workers N` (or `--workers=N`) from `args`, removing the
-/// consumed tokens. Returns the shard count for the sharded engine
-/// (`0` = one shard per rayon worker), or `None` when the flag is absent.
-/// Exits with a usage message on a malformed or missing value so every
-/// simulation binary rejects typos the same way.
-pub fn take_workers_arg(args: &mut Vec<String>) -> Option<usize> {
-    const USAGE: &str = "a shard count (0 = one per rayon worker)";
-    take_value_arg(args, "workers", USAGE).map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("--workers needs {USAGE}, got `{v}`");
-            std::process::exit(2);
-        })
-    })
 }
 
 /// Window width (cycles) used when `--telemetry` is given with no value.
@@ -256,15 +256,15 @@ mod tests {
         assert_eq!(take_engine_arg(&mut args), dsn_sim::EngineKind::Dense);
         assert_eq!(args, argv(&["--load", "1.0"]), "consumed tokens removed");
 
-        let mut args = argv(&["--engine=sharded"]);
-        assert_eq!(take_engine_arg(&mut args), dsn_sim::EngineKind::Sharded);
+        let mut args = argv(&["--engine=dense"]);
+        assert_eq!(take_engine_arg(&mut args), dsn_sim::EngineKind::Dense);
         assert!(args.is_empty());
     }
 
     #[test]
     fn engine_arg_last_occurrence_wins() {
-        let mut args = argv(&["--engine=dense", "--engine", "sharded"]);
-        assert_eq!(take_engine_arg(&mut args), dsn_sim::EngineKind::Sharded);
+        let mut args = argv(&["--engine=event", "--engine", "dense"]);
+        assert_eq!(take_engine_arg(&mut args), dsn_sim::EngineKind::Dense);
         assert!(args.is_empty());
     }
 
@@ -290,17 +290,20 @@ mod tests {
     }
 
     #[test]
-    fn workers_arg_absent_space_and_eq_forms() {
-        let mut args = argv(&["--load", "1.0"]);
-        assert_eq!(take_workers_arg(&mut args), None);
+    fn parsed_arg_space_and_eq_forms() {
+        let mut args = argv(&["--bench-row", "7", "--json"]);
+        assert_eq!(
+            take_parsed_arg::<usize>(&mut args, "bench-row", "N"),
+            Some(7)
+        );
+        assert_eq!(args, argv(&["--json"]));
 
-        let mut args = argv(&["--workers", "4", "--load", "1.0"]);
-        assert_eq!(take_workers_arg(&mut args), Some(4));
-        assert_eq!(args, argv(&["--load", "1.0"]));
-
-        let mut args = argv(&["--workers=0"]);
-        assert_eq!(take_workers_arg(&mut args), Some(0));
+        let mut args = argv(&["--gbps=2.5"]);
+        assert_eq!(take_parsed_arg::<f64>(&mut args, "gbps", "F"), Some(2.5));
         assert!(args.is_empty());
+
+        let mut args = argv(&["--json"]);
+        assert_eq!(take_parsed_arg::<usize>(&mut args, "bench-row", "N"), None);
     }
 
     #[test]

@@ -18,7 +18,6 @@ fn tiny_report() -> String {
     let specs = &trio(16)[..1];
     let rows = run_suite(
         EngineKind::Event,
-        0,
         dsn_sim::RoutingTables::default(),
         specs,
         16,

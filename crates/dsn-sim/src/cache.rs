@@ -20,10 +20,6 @@
 //!   survivor state (e.g. every probe of a degraded sweep replaying one
 //!   fault schedule) reuse one rebuilt scheme instead of recomputing it
 //!   per simulation.
-//!
-//! The sharded engine is cache-neutral: every shard receives a clone of
-//! the coordinator's routing `Arc` and of its cache handle, so sharding a
-//! run adds zero builds regardless of the worker count.
 
 use crate::routing::SimRouting;
 use dsn_core::fault::EdgeMask;

@@ -24,32 +24,23 @@ pub enum EngineKind {
     /// O(work actually happening) per cycle.
     #[default]
     Event,
-    /// Sharded parallel driver over the event core: switches are
-    /// partitioned across [`SimConfig::workers`] rayon workers, each shard
-    /// advancing under a conservative bounded-lag window derived from the
-    /// cross-shard link delay, with flit arrivals and credit returns
-    /// exchanged through per-shard mailboxes at window boundaries (see
-    /// `crate::shard`). Bit-identical to `Event` for any worker count.
-    Sharded,
 }
 
 impl EngineKind {
-    /// Parse a CLI value (`dense` | `event` | `sharded`).
+    /// Parse a CLI value (`dense` | `event`).
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "dense" => Some(EngineKind::Dense),
             "event" => Some(EngineKind::Event),
-            "sharded" => Some(EngineKind::Sharded),
             _ => None,
         }
     }
 
-    /// Stable display name (`dense` | `event` | `sharded`).
+    /// Stable display name (`dense` | `event`).
     pub fn name(&self) -> &'static str {
         match self {
             EngineKind::Dense => "dense",
             EngineKind::Event => "event",
-            EngineKind::Sharded => "sharded",
         }
     }
 }
@@ -127,13 +118,6 @@ pub struct SimConfig {
     /// precompiled tables; the dynamic trait-call path is kept as a
     /// bit-identical reference).
     pub routing_tables: RoutingTables,
-    /// Shard count for [`EngineKind::Sharded`]: `0` (the default) means one
-    /// shard per rayon worker thread, any other value fixes the partition
-    /// (clamped to the switch count). Results are bit-identical to the
-    /// single-thread event engine for *every* worker count, so this only
-    /// trades parallelism against per-window synchronization overhead.
-    /// Ignored by the other engines.
-    pub workers: usize,
     /// Switching mode (paper: virtual cut-through).
     pub switching: Switching,
     /// Virtual channels per physical channel (paper: 4).
@@ -177,7 +161,6 @@ impl Default for SimConfig {
         SimConfig {
             engine: EngineKind::default(),
             routing_tables: RoutingTables::default(),
-            workers: 0,
             switching: Switching::VirtualCutThrough,
             vcs: 4,
             buffer_flits: 40,
@@ -204,7 +187,6 @@ impl SimConfig {
         SimConfig {
             engine: EngineKind::default(),
             routing_tables: RoutingTables::default(),
-            workers: 0,
             switching: Switching::VirtualCutThrough,
             vcs: 2,
             buffer_flits: 8,
@@ -337,12 +319,11 @@ mod tests {
     fn engine_kind_parses() {
         assert_eq!(EngineKind::parse("dense"), Some(EngineKind::Dense));
         assert_eq!(EngineKind::parse("event"), Some(EngineKind::Event));
-        assert_eq!(EngineKind::parse("sharded"), Some(EngineKind::Sharded));
+        assert_eq!(EngineKind::parse("sharded"), None);
         assert_eq!(EngineKind::parse("both"), None);
         assert_eq!(EngineKind::default(), EngineKind::Event);
         assert_eq!(EngineKind::Dense.name(), "dense");
         assert_eq!(EngineKind::Event.name(), "event");
-        assert_eq!(EngineKind::Sharded.name(), "sharded");
     }
 
     #[test]

@@ -48,9 +48,9 @@ pub(crate) struct Flit {
 }
 
 /// Workload-layer identity a packet carries with it. Travels inside the
-/// [`Packet`] (and with it across shard boundaries and through fault
-/// retries), so flow-completion and stage-release accounting need no
-/// shared cross-shard state: the delivering side has everything it needs.
+/// [`Packet`] (and with it through fault retries), so flow-completion and
+/// stage-release accounting need no side table: the delivering side has
+/// everything it needs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum PacketTag {
     /// Plain open-loop or closed-batch packet: no workload identity.
@@ -126,27 +126,8 @@ impl PacketSlab {
         id
     }
 
-    /// Store a copy of a packet migrating in from another shard: like
-    /// [`Self::alloc`] but without touching `total_created` or `peak_live`
-    /// — the packet was created (and counted) by its source shard, and
-    /// global peaks are reconstructed by the sharded driver's replay.
-    pub fn import(&mut self, p: Packet) -> u32 {
-        let id = match self.free.pop() {
-            Some(id) => id,
-            None => {
-                self.slots.push(None);
-                self.free.reserve(self.slots.len() - self.free.len());
-                (self.slots.len() - 1) as u32
-            }
-        };
-        debug_assert!(self.slots[id as usize].is_none());
-        self.slots[id as usize] = Some(p);
-        self.live += 1;
-        id
-    }
-
     /// Pre-reserve storage for `want` total slots (and a matching free
-    /// list) so `alloc`/`import`/`retire` stay allocation-free until the
+    /// list) so `alloc`/`retire` stay allocation-free until the
     /// all-time slot count exceeds `want`.
     pub fn reserve_slots(&mut self, want: usize) {
         if self.slots.capacity() < want {
@@ -397,11 +378,6 @@ pub struct Simulator {
     /// cycle's injection phase, so the release order is independent of the
     /// engine's ejection order).
     pub(crate) staged_ready: Vec<u32>,
-    /// The workload this simulator was built with (kept so the sharded
-    /// driver can rebuild identically-seeded per-shard copies). `Closed`
-    /// batches store an empty list here — the packets live in
-    /// `pending_batch`.
-    pub(crate) workload_spec: Workload,
 
     pub(crate) packets: PacketSlab,
 
@@ -524,16 +500,6 @@ pub struct Simulator {
     pub(crate) ev: Option<Box<crate::event::EventState>>,
     /// Fault-injection state (None when `cfg.fault_plan` is empty).
     pub(crate) fault: Option<Box<crate::fault::FaultRuntime>>,
-    /// Shard-membership context when this simulator is one shard of a
-    /// sharded run (None otherwise): cross-shard sends and credit returns
-    /// divert into mailboxes here instead of the local wheel.
-    pub(crate) shard: Option<Box<crate::shard::ShardCtx>>,
-    /// The workload RNG seed (kept so the sharded driver can rebuild
-    /// identically-seeded per-shard injectors).
-    pub(crate) seed: u64,
-    /// Open-loop injection rate (packets/cycle/host; 0.0 for closed
-    /// batches), kept for the same reason.
-    pub(crate) open_rate: f64,
 }
 
 /// Above this switch count, `RoutingTables::Flat` auto-degrades to the
@@ -615,39 +581,19 @@ impl Simulator {
         let mut flows = None;
         let mut staged = None;
         let mut staged_ready = Vec::new();
-        let workload_spec;
-        let (pattern, injector, pending_batch, closed_total, open_rate) = match workload {
+        let (pattern, injector, pending_batch, closed_total) = match workload {
             Workload::Open {
                 pattern,
                 packets_per_cycle_per_host,
-            } => {
-                workload_spec = Workload::Open {
-                    pattern: pattern.clone(),
-                    packets_per_cycle_per_host,
-                };
-                (
-                    Some(pattern),
-                    Injector::new(seed, hosts, packets_per_cycle_per_host),
-                    Vec::new(),
-                    None,
-                    packets_per_cycle_per_host,
-                )
-            }
+            } => (
+                Some(pattern),
+                Injector::new(seed, hosts, packets_per_cycle_per_host),
+                Vec::new(),
+                None,
+            ),
             Workload::Closed { packets } => {
                 let total = packets.len() as u64;
-                // The batch list lives in `pending_batch`; the spec keeps
-                // only the variant (the sharded driver re-partitions the
-                // batch itself).
-                workload_spec = Workload::Closed {
-                    packets: Vec::new(),
-                };
-                (
-                    None,
-                    Injector::new(seed, hosts, 0.0),
-                    packets,
-                    Some(total),
-                    0.0,
-                )
+                (None, Injector::new(seed, hosts, 0.0), packets, Some(total))
             }
             Workload::Flows {
                 pattern,
@@ -657,18 +603,13 @@ impl Simulator {
                 flows = Some(Box::new(crate::flow::FlowSource::new_random(
                     seed,
                     hosts,
-                    pattern.clone(),
-                    sizes.clone(),
-                    arrivals.clone(),
-                    cfg.packet_flits,
-                    cfg.flit_bits as usize,
-                )));
-                workload_spec = Workload::Flows {
                     pattern,
                     sizes,
                     arrivals,
-                };
-                (None, Injector::new(seed, hosts, 0.0), Vec::new(), None, 0.0)
+                    cfg.packet_flits,
+                    cfg.flit_bits as usize,
+                )));
+                (None, Injector::new(seed, hosts, 0.0), Vec::new(), None)
             }
             Workload::Incast {
                 fanin,
@@ -684,12 +625,7 @@ impl Simulator {
                     cfg.packet_flits,
                     cfg.flit_bits as usize,
                 )));
-                workload_spec = Workload::Incast {
-                    fanin,
-                    request_packets,
-                    wave_period,
-                };
-                (None, Injector::new(seed, hosts, 0.0), Vec::new(), None, 0.0)
+                (None, Injector::new(seed, hosts, 0.0), Vec::new(), None)
             }
             Workload::Staged(spec) => {
                 assert!(
@@ -700,14 +636,12 @@ impl Simulator {
                 let total = spec.total_packets();
                 // Stage 0 of every participant is releasable at cycle 0.
                 staged_ready = (0..spec.hosts() as u32).collect();
-                staged = Some(Box::new(crate::flow::StagedState::new(spec.clone())));
-                workload_spec = Workload::Staged(spec);
+                staged = Some(Box::new(crate::flow::StagedState::new(spec)));
                 (
                     None,
                     Injector::new(seed, hosts, 0.0),
                     Vec::new(),
                     Some(total),
-                    0.0,
                 )
             }
         };
@@ -805,7 +739,6 @@ impl Simulator {
             flows,
             staged,
             staged_ready,
-            workload_spec,
             packets: PacketSlab::default(),
             nvc,
             n_inputs,
@@ -839,9 +772,6 @@ impl Simulator {
                 .then(|| Box::new(crate::timing::PhaseTimers::default())),
             ev: None,
             fault,
-            shard: None,
-            seed,
-            open_rate,
             graph,
             cfg,
             stats,
@@ -948,8 +878,7 @@ impl Simulator {
     /// e.g. the zero-allocation steady-state test brackets the measurement
     /// phase with allocator counter reads. Repeated calls continue where
     /// the previous one stopped; finish with [`Self::finish`] (or keep
-    /// advancing to the horizon). Not supported on the sharded engine,
-    /// whose cycles advance inside its worker pool.
+    /// advancing to the horizon).
     pub fn advance_until(&mut self, target: u64) {
         let stop = target.min(self.cfg.total_cycles());
         // Crossing (or landing on) the warmup→measure boundary pre-sizes
@@ -987,9 +916,6 @@ impl Simulator {
                         break;
                     }
                 }
-            }
-            crate::config::EngineKind::Sharded => {
-                panic!("advance_until is not supported on the sharded engine")
             }
         }
     }
@@ -1035,21 +961,9 @@ impl Simulator {
     }
 
     fn run_inner(&mut self) {
-        let total = self.cfg.total_cycles();
-        match self.cfg.engine {
-            crate::config::EngineKind::Dense | crate::config::EngineKind::Event => {
-                self.advance_until(total);
-                if let Some(t) = self.phase_timers.take() {
-                    let name = match self.cfg.engine {
-                        crate::config::EngineKind::Dense => "dense",
-                        _ => "event",
-                    };
-                    eprint!("{}", t.report(name));
-                }
-            }
-            crate::config::EngineKind::Sharded => {
-                crate::shard::run(self, total);
-            }
+        self.advance_until(self.cfg.total_cycles());
+        if let Some(t) = self.phase_timers.take() {
+            eprint!("{}", t.report(self.cfg.engine.name()));
         }
     }
 
@@ -1555,9 +1469,6 @@ impl Simulator {
         let was_empty = depth == 1;
         self.buffered_flits += 1;
         self.peak_buffered_flits = self.peak_buffered_flits.max(self.buffered_flits);
-        if let Some(sc) = &mut self.shard {
-            sc.pushes += 1;
-        }
         // Network inputs only (input unit i receives channel i for
         // i < channels); injection pushes are covered by `on_inject_depth`.
         if i < self.links.len() {
@@ -1679,40 +1590,6 @@ impl Simulator {
     /// arrivals before sends, so a same-cycle send is seen one cycle later).
     fn send_flit_on_link(&mut self, ch: usize, flit: Flit, vc: u8, now: u64) {
         let t = now + self.cfg.link_delay.max(1);
-        if let Some(sc) = &mut self.shard {
-            if sc.remote_link[ch] {
-                // Cross-shard hop: divert into the outbound mailbox. A
-                // head flit also mails a copy of the packet via the payload
-                // sidecar (route state is final for this hop — `on_hop`
-                // already ran at allocation); the local copy is retired
-                // when the tail crosses.
-                let head = flit.seq == 0;
-                if head {
-                    sc.out_packets.push(self.packets.get(flit.packet).clone());
-                }
-                sc.out_links.push(crate::shard::LinkMsg {
-                    t,
-                    ch: ch as u32,
-                    vc,
-                    head,
-                    flit,
-                });
-                if head {
-                    // Log the slab handoff so telemetry replay can bind the
-                    // destination shard's slot to the same replay identity.
-                    self.telemetry.push_event(dsn_telemetry::HookEvent {
-                        now,
-                        kind: dsn_telemetry::hook_kind::EXPORT,
-                        a: ch as u32,
-                        b: vc as u32,
-                        c: 0,
-                        d: flit.packet,
-                        flag: false,
-                    });
-                }
-                return;
-            }
-        }
         match &mut self.ev {
             Some(ev) => ev.schedule_link(t, ch, flit, vc),
             None => self.links[ch].push_back((t, flit, vc)),
@@ -1723,16 +1600,6 @@ impl Simulator {
     /// credits likewise land next cycle).
     fn return_credit(&mut self, ch: usize, vc: u8, now: u64) {
         let t = now + self.cfg.credit_delay.max(1);
-        if let Some(sc) = &mut self.shard {
-            if sc.remote_credit[ch] {
-                sc.out_credits.push(crate::shard::CreditMsg {
-                    t,
-                    ch: ch as u32,
-                    vc,
-                });
-                return;
-            }
-        }
         match &mut self.ev {
             Some(ev) => ev.schedule_credit(t, ch, vc),
             None => self.credits_in_flight.push_back((t, ch, vc)),
@@ -2046,12 +1913,6 @@ impl Simulator {
                 tr.record(now, uid, TraceEvent::TailSent { at, channel: ch });
             }
             self.release_input_vc(i, v as usize, now);
-            // Tail crossed a shard boundary: the packet now lives in the
-            // destination shard's slab (imported from the head payload), so
-            // the local copy can be retired.
-            if self.shard.as_ref().is_some_and(|sc| sc.remote_link[ch]) {
-                self.packets.retire(flit.packet);
-            }
         }
     }
 
@@ -2112,8 +1973,7 @@ impl Simulator {
                     {
                         self.telemetry.on_flow_completed(
                             crate::stats::flow_class(total) as u32,
-                            fct as u32,
-                            (fct >> 32) as u32,
+                            fct,
                             now,
                         );
                     }

@@ -59,10 +59,6 @@ impl Slot {
         self.links.clear();
         self.routes.clear();
     }
-
-    fn is_empty(&self) -> bool {
-        self.credits.is_empty() && self.links.is_empty() && self.routes.is_empty()
-    }
 }
 
 /// Timing wheel: a power-of-two ring of slots indexed by `cycle & mask`.
@@ -107,16 +103,6 @@ impl Wheel {
     fn recycle(&mut self, mut s: Slot) {
         s.clear();
         self.pool.push(s);
-    }
-
-    /// Earliest cycle `>= now` holding a scheduled event (`None` when the
-    /// wheel is empty). Every pending event lies within one wheel
-    /// revolution of `now`, so a single pass over the slots suffices.
-    fn next_event_cycle(&self, now: u64) -> Option<u64> {
-        if self.pending == 0 {
-            return None;
-        }
-        (now..=now + self.mask).find(|&t| !self.slots[(t & self.mask) as usize].is_empty())
     }
 }
 
@@ -241,32 +227,6 @@ impl EventState {
         self.inj_heap.push(Reverse((t, host as u32)));
     }
 
-    /// Earliest scheduled injection cycle, if any (sharded driver's global
-    /// idle fast-forward).
-    pub(crate) fn next_injection_cycle(&self) -> Option<u64> {
-        self.inj_heap.peek().map(|&Reverse((t, _))| t)
-    }
-
-    /// Conservative lower bound on the next cycle this shard can schedule
-    /// or consume an event absent cross-shard arrivals: `now` while any
-    /// unit is active, otherwise the earlier of the wheel's next event and
-    /// the next scheduled injection (`u64::MAX` when the shard is silent
-    /// for good). The sharded driver's horizon-proven window extension
-    /// rests on no shard acting — in particular, emitting a cut-crossing
-    /// flit or credit — before this cycle.
-    pub(crate) fn activity_horizon(&self, now: u64) -> u64 {
-        if !self.alloc_pending.is_empty()
-            || !self.out_active.is_empty()
-            || !self.eject_active.is_empty()
-        {
-            return now;
-        }
-        self.wheel
-            .next_event_cycle(now)
-            .unwrap_or(u64::MAX)
-            .min(self.next_injection_cycle().unwrap_or(u64::MAX))
-    }
-
     /// Pre-reserve the wheel for a saturated steady state: every delay is
     /// fixed per event kind, so each slot vector holds events from exactly
     /// one source cycle and hard per-cycle bounds cap it for good — one
@@ -360,13 +320,6 @@ pub(crate) fn prepare(sim: &mut Simulator) {
         nvc,
     });
     for h in 0..sim.hosts() {
-        // A shard only injects from the hosts it owns; the other hosts'
-        // RNG streams exist (identical seeding) but are never drawn from.
-        if let Some(sc) = &sim.shard {
-            if !sc.local_host[h] {
-                continue;
-            }
-        }
         let t = sim.source_next_cycle(h);
         if t != crate::inject::NEVER {
             ev.inj_heap.push(Reverse((t, h as u32)));

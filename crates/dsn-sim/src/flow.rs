@@ -28,9 +28,8 @@
 //! so flow streams never collide with the Bernoulli injector streams),
 //! with a fixed draw order per arrival (destination, size, gap). A host's
 //! traffic therefore never depends on how other hosts are iterated, which
-//! is what keeps the dense, event, and sharded engines bit-identical on
-//! flow workloads: each shard rebuilds all host streams but fires only
-//! the hosts it owns.
+//! is what keeps the dense and event engines bit-identical on flow
+//! workloads.
 
 use crate::inject::{gap, mix, NEVER};
 use crate::traffic::TrafficPattern;
@@ -665,20 +664,6 @@ impl StagedSpec {
         self.send_dest.len() as u64 * self.msg_packets as u64
     }
 
-    /// Total packets injected by hosts selected by `local` (per-shard
-    /// closed-batch size).
-    pub(crate) fn total_packets_from(&self, local: impl Fn(usize) -> bool) -> u64 {
-        let stages = self.stages as usize;
-        (0..self.hosts as usize)
-            .filter(|&h| local(h))
-            .map(|h| {
-                let lo = self.send_off[h * stages] as usize;
-                let hi = self.send_off[(h + 1) * stages] as usize;
-                (hi - lo) as u64 * self.msg_packets as u64
-            })
-            .sum()
-    }
-
     /// Destinations of `host`'s stage-`s` sends.
     fn sends(&self, host: usize, stage: u32) -> &[u32] {
         let i = host * self.stages as usize + stage as usize;
@@ -893,13 +878,5 @@ mod tests {
         assert!(st.on_recv(0, 0), "expectation met exactly once");
         st.collect_releases(0, &mut out);
         assert_eq!(out, vec![(1, 1)]);
-    }
-
-    #[test]
-    fn shard_local_totals_partition_the_batch() {
-        let spec = StagedSpec::pipelined_all_to_all(6, 2);
-        let a = spec.total_packets_from(|h| h < 3);
-        let b = spec.total_packets_from(|h| h >= 3);
-        assert_eq!(a + b, spec.total_packets());
     }
 }

@@ -44,7 +44,6 @@ mod flat;
 pub mod flow;
 mod inject;
 pub mod routing;
-mod shard;
 pub mod stats;
 pub mod sweep;
 mod timing;

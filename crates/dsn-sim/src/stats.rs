@@ -35,10 +35,7 @@ pub struct StatsCollector {
     pf_delivered: u64,
     pf_latency_sum: u64,
     pf_hist: Vec<u64>,
-    /// Per-flow delivered-packet counts for flows still in flight. A
-    /// flow's packets all deliver at its destination host, so in a sharded
-    /// run each flow lives in exactly one shard's table (the merge is a
-    /// disjoint union).
+    /// Per-flow delivered-packet counts for flows still in flight.
     flow_progress: HashMap<u64, u32>,
     flows_started: u64,
     flows_started_all: u64,
@@ -180,48 +177,6 @@ impl StatsCollector {
         }
     }
 
-    /// Fold another collector (from a shard running the same config) into
-    /// this one. Every field is an integer count, sum, extremum or
-    /// histogram, so the merge is exact and order-independent — the float
-    /// math all happens once, in [`Self::finish`]. This is what makes the
-    /// sharded engine's `RunStats` bit-identical to the single-thread run.
-    pub(crate) fn merge(&mut self, other: StatsCollector) {
-        debug_assert_eq!(self.window_start, other.window_start);
-        debug_assert_eq!(self.window_end, other.window_end);
-        debug_assert_eq!(self.post_fault_from, other.post_fault_from);
-        self.offered_packets_window += other.offered_packets_window;
-        self.accepted_flits_window += other.accepted_flits_window;
-        self.measured_created += other.measured_created;
-        self.measured_delivered += other.measured_delivered;
-        self.latency_sum_cycles += other.latency_sum_cycles;
-        self.latency_max_cycles = self.latency_max_cycles.max(other.latency_max_cycles);
-        self.latency_min_cycles = self.latency_min_cycles.min(other.latency_min_cycles);
-        merge_hist(&mut self.latency_hist, &other.latency_hist);
-        self.delivered_total += other.delivered_total;
-        self.pf_delivered += other.pf_delivered;
-        self.pf_latency_sum += other.pf_latency_sum;
-        merge_hist(&mut self.pf_hist, &other.pf_hist);
-        for (id, got) in other.flow_progress {
-            // Shards partition flows by destination host, so in-flight
-            // entries never collide; summing keeps the merge exact even
-            // if a caller ever splits a single flow's stream.
-            *self.flow_progress.entry(id).or_insert(0) += got;
-        }
-        self.flows_started += other.flows_started;
-        self.flows_started_all += other.flows_started_all;
-        self.flows_completed += other.flows_completed;
-        self.flows_completed_all += other.flows_completed_all;
-        self.flow_packets_delivered += other.flow_packets_delivered;
-        self.fct_sum_cycles += other.fct_sum_cycles;
-        self.fct_max_cycles = self.fct_max_cycles.max(other.fct_max_cycles);
-        merge_hist(&mut self.fct_hist, &other.fct_hist);
-        for c in 0..FLOW_CLASSES {
-            self.class_flows[c] += other.class_flows[c];
-            self.class_fct_sum[c] += other.class_fct_sum[c];
-            merge_hist(&mut self.class_hist[c], &other.class_hist[c]);
-        }
-    }
-
     /// Finalize into a [`RunStats`].
     pub fn finish(self, cfg: &SimConfig, hosts: usize, total_packets: usize) -> RunStats {
         let window = (self.window_end - self.window_start) as f64;
@@ -310,15 +265,6 @@ fn bump(hist: &mut Vec<u64>, bin: usize) {
         hist.resize(bin + 1, 0);
     }
     hist[bin] += 1;
-}
-
-fn merge_hist(into: &mut Vec<u64>, from: &[u64]) {
-    if into.len() < from.len() {
-        into.resize(from.len(), 0);
-    }
-    for (dst, &src) in into.iter_mut().zip(from) {
-        *dst += src;
-    }
 }
 
 fn percentile(hist: &[u64], total: u64, q: f64) -> u64 {
@@ -589,73 +535,5 @@ mod tests {
         assert_eq!(r.fct_classes.len(), 1);
         assert_eq!(r.fct_classes[0].min_packets, 2);
         assert_eq!(r.fct_classes[0].flows, 1);
-    }
-
-    #[test]
-    fn flow_merge_is_bit_identical_to_whole() {
-        // Flows partitioned across shards (by destination) must merge to
-        // the same aggregates as a single collector seeing everything.
-        let c = cfg();
-        let mut whole = StatsCollector::new(&c);
-        let mut a = StatsCollector::new(&c);
-        let mut b = StatsCollector::new(&c);
-        for i in 0..40u64 {
-            let start = c.warmup_cycles + i;
-            let total = (i % 5 + 1) as u32;
-            let part = if i % 2 == 0 { &mut a } else { &mut b };
-            let measured = i % 7 != 0;
-            whole.on_flow_started(measured);
-            part.on_flow_started(measured);
-            for k in 0..total as u64 {
-                let at = start + 3 * (k + 1) + i;
-                whole.on_flow_packet(i, total, start, at, measured);
-                part.on_flow_packet(i, total, start, at, measured);
-            }
-        }
-        a.merge(b);
-        let merged = a.finish(&c, 8, 120);
-        let direct = whole.finish(&c, 8, 120);
-        assert_eq!(format!("{merged:?}"), format!("{direct:?}"));
-        assert_eq!(
-            merged.fct_avg_cycles.to_bits(),
-            direct.fct_avg_cycles.to_bits()
-        );
-        assert_eq!(merged.fct_p99_cycles, direct.fct_p99_cycles);
-    }
-
-    #[test]
-    fn merge_of_split_streams_is_bit_identical_to_whole() {
-        // The sharded engine's contract: feeding a stream of events into
-        // one collector, or splitting it across shards and merging, must
-        // produce the same RunStats down to the float bit patterns.
-        let c = cfg();
-        let mut whole = StatsCollector::new(&c);
-        let mut a = StatsCollector::new(&c);
-        let mut b = StatsCollector::new(&c);
-        for i in 0..97u64 {
-            let t0 = c.warmup_cycles + i;
-            let part = if i % 3 == 0 { &mut a } else { &mut b };
-            whole.on_offered(t0, c.packet_flits);
-            part.on_offered(t0, c.packet_flits);
-            // Uneven latencies spread deliveries over several histogram
-            // bins; every third packet is unmeasured (warmup-style).
-            let measured = i % 5 != 0;
-            whole.on_delivered(t0 + 7 * i, t0, measured, c.packet_flits);
-            part.on_delivered(t0 + 7 * i, t0, measured, c.packet_flits);
-        }
-        // Merge in shard order, as the coordinator does.
-        a.merge(b);
-        let merged = a.finish(&c, 8, 97);
-        let direct = whole.finish(&c, 8, 97);
-        assert_eq!(format!("{merged:?}"), format!("{direct:?}"));
-        assert_eq!(
-            merged.avg_latency_cycles.to_bits(),
-            direct.avg_latency_cycles.to_bits()
-        );
-        assert_eq!(
-            merged.accepted_gbps_per_host.to_bits(),
-            direct.accepted_gbps_per_host.to_bits()
-        );
-        assert_eq!(merged.p99_latency_cycles, direct.p99_latency_cycles);
     }
 }

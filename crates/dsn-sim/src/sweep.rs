@@ -12,13 +12,9 @@
 //! across *separate* sweeps of the same topology — and across the fault
 //! rebuilds inside degraded sweeps.
 //!
-//! Sweeps parallelize *across* points; the sharded engine
-//! ([`crate::config::EngineKind::Sharded`]) parallelizes *inside* one
-//! simulation. Both draw from the same rayon pool, so combining them
-//! oversubscribes it — prefer point-level parallelism for sweeps (many
-//! independent runs saturate the pool already) and reserve the sharded
-//! engine for single long runs, like the saturated Figure-10 rows or a
-//! bisection probe at one load.
+//! Sweeps parallelize *across* points: each simulation is single-threaded,
+//! so independent load points, seeds and probes are what fill the rayon
+//! pool.
 
 use crate::cache::RoutingCache;
 use crate::config::{RoutingTables, SimConfig};

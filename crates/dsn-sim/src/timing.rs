@@ -1,6 +1,5 @@
 //! Per-cycle-phase wall-time breakdown (`--phase-timing` /
-//! `DSN_PHASE_TIMING=1`), generalizing the sharded driver's
-//! `DSN_SHARD_TIMING` diagnostic to the dense and event cores.
+//! `DSN_PHASE_TIMING=1`) for the dense and event cores.
 //!
 //! When enabled, the step loops stamp an [`Instant`] between phases and
 //! accumulate the deltas here; the report is printed to stderr when the

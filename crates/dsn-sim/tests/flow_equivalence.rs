@@ -1,9 +1,8 @@
 //! Bit-equivalence and accounting gates for the flow-level workload
 //! layer (heavy-tailed open-loop flows, synchronized incast waves,
-//! dependency-staged collectives): all three engines — dense reference,
-//! event core, sharded driver at every worker count — must produce the
-//! same `RunStats` bit for bit on every new workload class, with
-//! telemetry on they must export byte-identical artifacts (the per-class
+//! dependency-staged collectives): both engines — dense reference and
+//! event core — must produce the same `RunStats` bit for bit on every new
+//! workload class, with telemetry on they must export byte-identical artifacts (the per-class
 //! `"fct"` section included), the size-CDF samplers must converge to
 //! their analytic moments, and the per-flow accounting must match
 //! hand-computed oracles.
@@ -16,10 +15,6 @@ use dsn_sim::{
 };
 use std::sync::Arc;
 
-/// Worker counts the sharded engine is checked under (one-shard fallback,
-/// an even cut, more shards than cores).
-const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
-
 /// Short-horizon config so the dense reference stays fast in debug builds.
 fn cfg() -> SimConfig {
     SimConfig {
@@ -30,10 +25,10 @@ fn cfg() -> SimConfig {
     }
 }
 
-/// Run the identical scenario on the dense reference, the event core and
-/// the sharded driver at every worker count, demanding bit-identical
-/// stats everywhere; returns them for scenario-specific assertions.
-fn assert_three_engines_agree(
+/// Run the identical scenario on the dense reference and the event core,
+/// demanding bit-identical stats; returns them for scenario-specific
+/// assertions.
+fn assert_engines_agree(
     g: Arc<Graph>,
     cfg: SimConfig,
     routing: Arc<dyn SimRouting>,
@@ -57,35 +52,17 @@ fn assert_three_engines_agree(
         "{label}: vacuous scenario"
     );
     let event = Simulator::with_workload(
-        g.clone(),
+        g,
         SimConfig {
             engine: EngineKind::Event,
-            ..cfg.clone()
+            ..cfg
         },
-        routing.clone(),
-        workload.clone(),
+        routing,
+        workload,
         seed,
     )
     .run();
     assert_eq!(dense, event, "{label}: event core diverged from dense");
-    for workers in WORKER_COUNTS {
-        let sharded = Simulator::with_workload(
-            g.clone(),
-            SimConfig {
-                engine: EngineKind::Sharded,
-                workers,
-                ..cfg.clone()
-            },
-            routing.clone(),
-            workload.clone(),
-            seed,
-        )
-        .run();
-        assert_eq!(
-            dense, sharded,
-            "{label}: sharded ({workers} workers) diverged from dense"
-        );
-    }
     dense
 }
 
@@ -106,11 +83,11 @@ fn websearch_flows(rate: f64) -> Workload {
 // ---------------------------------------------------------------- engines
 
 #[test]
-fn websearch_poisson_flows_three_engines_agree() {
+fn websearch_poisson_flows_engines_agree() {
     let g = small_dsn();
     let cfg = cfg();
     let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
-    let stats = assert_three_engines_agree(
+    let stats = assert_engines_agree(
         g,
         cfg,
         routing,
@@ -123,9 +100,9 @@ fn websearch_poisson_flows_three_engines_agree() {
 }
 
 #[test]
-fn zipf_hot_host_flows_three_engines_agree() {
+fn zipf_hot_host_flows_engines_agree() {
     // The skewed hot-host destination mix: host 0 is the hot sink, so
-    // the three engines must agree while one corner of the network
+    // the engines must agree while one corner of the network
     // carries most of the load.
     let g = small_dsn();
     let cfg = cfg();
@@ -138,14 +115,13 @@ fn zipf_hot_host_flows_three_engines_agree() {
             flows_per_cycle: 0.002,
         },
     };
-    let stats =
-        assert_three_engines_agree(g, cfg, routing, workload, 47, "dsn16 zipf hot-host flows");
+    let stats = assert_engines_agree(g, cfg, routing, workload, 47, "dsn16 zipf hot-host flows");
     assert!(stats.flows_started > 0, "window must see flow starts");
     assert!(stats.flows_completed > 0, "some flows must complete");
 }
 
 #[test]
-fn hadoop_onoff_flows_three_engines_agree() {
+fn hadoop_onoff_flows_engines_agree() {
     let g = small_dsn();
     let cfg = cfg();
     let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
@@ -158,13 +134,12 @@ fn hadoop_onoff_flows_three_engines_agree() {
             mean_burst: 4.0,
         },
     };
-    let stats =
-        assert_three_engines_agree(g, cfg, routing, workload, 43, "dsn16 hadoop on-off flows");
+    let stats = assert_engines_agree(g, cfg, routing, workload, 43, "dsn16 hadoop on-off flows");
     assert!(stats.flows_started_all_time > 0);
 }
 
 #[test]
-fn pareto_flows_three_engines_agree() {
+fn pareto_flows_engines_agree() {
     let g = small_dsn();
     let cfg = cfg();
     let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
@@ -178,7 +153,7 @@ fn pareto_flows_three_engines_agree() {
             flows_per_cycle: 0.003,
         },
     };
-    assert_three_engines_agree(
+    assert_engines_agree(
         g,
         cfg,
         routing,
@@ -189,7 +164,7 @@ fn pareto_flows_three_engines_agree() {
 }
 
 #[test]
-fn incast_three_engines_agree() {
+fn incast_engines_agree() {
     let g = small_dsn();
     let cfg = cfg();
     let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
@@ -198,12 +173,12 @@ fn incast_three_engines_agree() {
         request_packets: 3,
         wave_period: 600,
     };
-    let stats = assert_three_engines_agree(g, cfg, routing, workload, 53, "dsn16 incast 8-to-1");
+    let stats = assert_engines_agree(g, cfg, routing, workload, 53, "dsn16 incast 8-to-1");
     assert!(stats.flows_completed > 0, "incast waves must complete");
 }
 
 #[test]
-fn staged_ring_allreduce_three_engines_agree() {
+fn staged_ring_allreduce_engines_agree() {
     let g = small_dsn();
     let mut cfg = cfg();
     cfg.warmup_cycles = 0;
@@ -212,7 +187,7 @@ fn staged_ring_allreduce_three_engines_agree() {
     let hosts = 16 * cfg.hosts_per_switch;
     let spec = StagedSpec::ring_allreduce(hosts, 2);
     let total = spec.total_packets();
-    let stats = assert_three_engines_agree(
+    let stats = assert_engines_agree(
         g,
         cfg,
         routing,
@@ -228,7 +203,7 @@ fn staged_ring_allreduce_three_engines_agree() {
 }
 
 #[test]
-fn staged_recursive_doubling_three_engines_agree() {
+fn staged_recursive_doubling_engines_agree() {
     let g = small_dsn();
     let mut cfg = cfg();
     cfg.warmup_cycles = 0;
@@ -237,7 +212,7 @@ fn staged_recursive_doubling_three_engines_agree() {
     let hosts = 16 * cfg.hosts_per_switch;
     let spec = StagedSpec::recursive_doubling_allreduce(hosts, 2);
     let total = spec.total_packets();
-    let stats = assert_three_engines_agree(
+    let stats = assert_engines_agree(
         g,
         cfg,
         routing,
@@ -250,7 +225,7 @@ fn staged_recursive_doubling_three_engines_agree() {
 }
 
 #[test]
-fn staged_all_to_all_three_engines_agree() {
+fn staged_all_to_all_engines_agree() {
     let g = small_dsn();
     let mut cfg = cfg();
     cfg.warmup_cycles = 0;
@@ -258,7 +233,7 @@ fn staged_all_to_all_three_engines_agree() {
     let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
     let hosts = 16 * cfg.hosts_per_switch;
     let spec = StagedSpec::pipelined_all_to_all(hosts, 1);
-    let stats = assert_three_engines_agree(
+    let stats = assert_engines_agree(
         g,
         cfg,
         routing,
@@ -269,16 +244,15 @@ fn staged_all_to_all_three_engines_agree() {
     assert!(stats.completion_cycle.is_some(), "collective must finish");
 }
 
-/// Flow workloads under a link-flap plan with retries: fault plans fall
-/// back to the single-thread event path, which must still match the dense
-/// reference and every sharded worker count bit for bit.
+/// Flow workloads under a link-flap plan with retries: the event core must
+/// still match the dense reference bit for bit.
 #[test]
-fn faulted_flows_three_engines_agree() {
+fn faulted_flows_engines_agree() {
     let g = small_dsn();
     let mut cfg = cfg();
     cfg.fault_plan = FaultPlan::flap(3, 700, 400, 3).with_retry(RetryPolicy::new(2, 150, 50));
     let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
-    let stats = assert_three_engines_agree(
+    let stats = assert_engines_agree(
         g,
         cfg,
         routing,
@@ -291,7 +265,7 @@ fn faulted_flows_three_engines_agree() {
 
 /// With telemetry on, every engine must export byte-identical artifacts —
 /// including the new per-class `"fct"` section fed by the
-/// `FLOW_COMPLETED` hook (replayed from shard logs on the sharded path).
+/// flow-completion hook.
 #[test]
 fn flow_telemetry_byte_identical_across_engines() {
     let g = small_dsn();
@@ -322,32 +296,21 @@ fn flow_telemetry_byte_identical_across_engines() {
         "scenario must complete flows"
     );
 
-    let mut runs: Vec<(String, SimConfig)> = vec![(
-        "event".into(),
+    let (stats, rep) = Simulator::with_workload(
+        g,
         SimConfig {
             engine: EngineKind::Event,
-            ..cfg.clone()
+            ..cfg
         },
-    )];
-    for workers in WORKER_COUNTS {
-        runs.push((
-            format!("sharded/{workers}"),
-            SimConfig {
-                engine: EngineKind::Sharded,
-                workers,
-                ..cfg.clone()
-            },
-        ));
-    }
-    for (label, run_cfg) in runs {
-        let (stats, rep) =
-            Simulator::with_workload(g.clone(), run_cfg, routing.clone(), workload.clone(), 73)
-                .run_with_telemetry();
-        let rep = rep.expect("telemetry was configured");
-        assert_eq!(dense_stats, stats, "{label}: stats diverged");
-        assert_eq!(json, rep.to_json(), "{label}: JSON diverged");
-        assert_eq!(dense_rep.to_csv(), rep.to_csv(), "{label}: CSV diverged");
-    }
+        routing,
+        workload,
+        73,
+    )
+    .run_with_telemetry();
+    let rep = rep.expect("telemetry was configured");
+    assert_eq!(dense_stats, stats, "event: stats diverged");
+    assert_eq!(json, rep.to_json(), "event: JSON diverged");
+    assert_eq!(dense_rep.to_csv(), rep.to_csv(), "event: CSV diverged");
 }
 
 // ------------------------------------------------------------ accounting
@@ -554,11 +517,11 @@ fn cdf_sampling_is_seed_deterministic() {
 
 // -------------------------------------------------------------- CI smoke
 
-/// CI smoke: a 30k-cycle three-engine check of the flow layer on a
+/// CI smoke: a 30k-cycle dense-vs-event check of the flow layer on a
 /// paper-sized DSN with the paper's full-size delays, kept as one named
 /// test so the workflow can run exactly this gate.
 #[test]
-fn smoke_30k_flows_dense_vs_event_vs_sharded() {
+fn smoke_30k_flows_dense_vs_event() {
     let g = Arc::new(Dsn::new(64, 5).unwrap().into_graph());
     let cfg = SimConfig {
         warmup_cycles: 5_000,
@@ -567,7 +530,7 @@ fn smoke_30k_flows_dense_vs_event_vs_sharded() {
         ..SimConfig::default()
     };
     let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
-    let stats = assert_three_engines_agree(
+    let stats = assert_engines_agree(
         g,
         cfg,
         routing,

@@ -231,3 +231,35 @@ fn smoke_30k_dense_vs_event() {
     assert!(stats.delivered_packets > 0);
     assert!(!stats.deadlock_suspected);
 }
+
+/// The saturated steady state at scale: a 256-switch DSN at
+/// 11 Gbit/s/host (the BENCH near-saturation point) on flat tables, the
+/// regime the cache-conscious layout, word-parallel scans, batch draining
+/// and zero-alloc presizing all target. The run must actually saturate so
+/// the hot paths being gated are the ones that executed.
+#[test]
+fn saturated_256_dense_vs_event() {
+    let g = Arc::new(Dsn::new(256, 7).unwrap().into_graph());
+    let cfg = SimConfig {
+        warmup_cycles: 1_000,
+        measure_cycles: 4_000,
+        drain_cycles: 2_000,
+        routing_tables: dsn_sim::RoutingTables::Flat,
+        ..SimConfig::default()
+    };
+    let routing: Arc<dyn SimRouting> = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
+    let rate = cfg.packets_per_cycle_for_gbps(11.0);
+    let stats = assert_engines_agree(
+        g,
+        cfg,
+        routing,
+        open(TrafficPattern::Uniform, rate),
+        2024,
+        "dsn256-x7 saturated 11G",
+    );
+    assert!(stats.delivered_packets > 0);
+    assert!(
+        stats.saturated(),
+        "11G on DSN-7-256 must exercise the saturated path"
+    );
+}

@@ -3,9 +3,9 @@
 //! Bucket `0` holds the value `0`; bucket `b >= 1` holds the values in
 //! `[2^(b-1), 2^b - 1]`. Buckets are plain counters, so merging two
 //! histograms is element-wise addition — associative and order-independent
-//! by construction (pinned by a proptest) — which lets per-window or
-//! per-shard histograms be combined without any loss relative to recording
-//! into one histogram directly.
+//! by construction (pinned by a proptest) — which lets per-window
+//! histograms be combined without any loss relative to recording into one
+//! histogram directly.
 
 /// Log-bucket index of a value: `0` for `0`, else `floor(log2(v)) + 1`.
 #[inline]
