@@ -4,17 +4,14 @@
 //! and a near-saturation fig10 load point (the event core's headline is
 //! low-load speedup: idle units cost it nothing), plus a `high_load`
 //! group isolating the allocation hot path (64-switch trio at
-//! 11 Gbit/s/host, event engine, prebuilt routing, flat tables vs the
-//! dynamic trait-call path), plus a `telemetry_overhead` group pinning
-//! the zero-cost-when-off claim: `Telemetry::Off` must sit within noise
-//! of the pre-telemetry event engine, with the telemetry-on row alongside
-//! for the enabled cost.
+//! 11 Gbit/s/host, event engine, prebuilt routing and flat tables), plus
+//! a `telemetry_overhead` group pinning the zero-cost-when-off claim:
+//! `Telemetry::Off` must sit within noise of the pre-telemetry event
+//! engine, with the telemetry-on row alongside for the enabled cost.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dsn_bench::trio;
-use dsn_sim::{
-    AdaptiveEscape, EngineKind, RoutingTables, SimConfig, SimRouting, Simulator, TrafficPattern,
-};
+use dsn_sim::{AdaptiveEscape, EngineKind, SimConfig, SimRouting, Simulator, TrafficPattern};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -84,48 +81,41 @@ fn bench_sim(c: &mut Criterion) {
     // Hot-path isolation at saturation load: 64-switch trio at
     // 11 Gbit/s/host on the event engine with the routing *prebuilt* (and
     // the flat arena precompiled) outside the timed loop, so the rows
-    // compare purely the per-allocation candidate sourcing — compiled CSR
-    // rows (`flat`) vs virtual `SimRouting` calls (`dyn`).
+    // time purely the per-allocation work.
     let mut group = c.benchmark_group("high_load");
     group.sample_size(10);
     for spec in trio(64) {
         let built = spec.build().unwrap();
         let graph = Arc::new(built.graph);
-        for tables in [RoutingTables::Dyn, RoutingTables::Flat] {
-            let cfg = SimConfig {
-                engine: EngineKind::Event,
-                routing_tables: tables,
-                warmup_cycles: 1_000,
-                measure_cycles: 4_000,
-                drain_cycles: 2_000,
-                ..SimConfig::default()
-            };
-            let routing: Arc<dyn SimRouting> =
-                Arc::new(AdaptiveEscape::new(graph.clone(), cfg.vcs));
-            if tables == RoutingTables::Flat {
-                routing.compiled_flat();
-            }
-            let rate = cfg.packets_per_cycle_for_gbps(11.0);
-            group.bench_with_input(
-                BenchmarkId::new(format!("event_11gbps_{}", tables.name()), &built.name),
-                &graph,
-                |b, graph| {
-                    b.iter(|| {
-                        black_box(
-                            Simulator::new(
-                                graph.clone(),
-                                cfg.clone(),
-                                routing.clone(),
-                                TrafficPattern::Uniform,
-                                rate,
-                                7,
-                            )
-                            .run(),
+        let cfg = SimConfig {
+            engine: EngineKind::Event,
+            warmup_cycles: 1_000,
+            measure_cycles: 4_000,
+            drain_cycles: 2_000,
+            ..SimConfig::default()
+        };
+        let routing: Arc<dyn SimRouting> = Arc::new(AdaptiveEscape::new(graph.clone(), cfg.vcs));
+        routing.compiled_flat();
+        let rate = cfg.packets_per_cycle_for_gbps(11.0);
+        group.bench_with_input(
+            BenchmarkId::new("event_11gbps_flat", &built.name),
+            &graph,
+            |b, graph| {
+                b.iter(|| {
+                    black_box(
+                        Simulator::new(
+                            graph.clone(),
+                            cfg.clone(),
+                            routing.clone(),
+                            TrafficPattern::Uniform,
+                            rate,
+                            7,
                         )
-                    })
-                },
-            );
-        }
+                        .run(),
+                    )
+                })
+            },
+        );
     }
     // Saturated steady state at scale: the 256-switch trio at
     // 11 Gbit/s/host (the BENCH_sim near-saturation point) on the event
@@ -137,7 +127,6 @@ fn bench_sim(c: &mut Criterion) {
         let graph = Arc::new(built.graph);
         let cfg = SimConfig {
             engine: EngineKind::Event,
-            routing_tables: RoutingTables::Flat,
             warmup_cycles: 1_000,
             measure_cycles: 4_000,
             drain_cycles: 2_000,

@@ -6,30 +6,31 @@
 //! paper's router parameters.
 //!
 //! Run: `cargo run --release -p dsn-bench --bin collective_exchange \
-//!       [--engine dense|event] \
-//!       [--routing-tables flat|dyn] [--telemetry[=WINDOW]]`
+//!       [--engine dense|event] [--telemetry[=WINDOW]]`
 //!
 //! `--telemetry[=WINDOW]` instruments the all-to-all run on DSN; exports
 //! go to `telemetry_collective_dsn.{json,csv}`.
 
-use dsn_bench::{
-    emit_telemetry, take_engine_arg, take_routing_tables_arg, take_telemetry_arg, trio,
-};
+use dsn_bench::{emit_telemetry, reject_unknown_flags, take_engine_arg, take_telemetry_arg, trio};
 use dsn_sim::{AdaptiveEscape, RoutingCache, SimConfig, Simulator, TelemetryConfig, Workload};
 use std::sync::Arc;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let engine = take_engine_arg(&mut args);
+    let telemetry = take_telemetry_arg(&mut args);
+    reject_unknown_flags(
+        &args,
+        &[],
+        "collective_exchange [--engine dense|event] [--telemetry[=WINDOW]]",
+    );
     let cfg = SimConfig {
         engine,
-        routing_tables: take_routing_tables_arg(&mut args),
         warmup_cycles: 0,
         measure_cycles: 10_000,
         drain_cycles: 3_000_000, // horizon; batches end much earlier
         ..SimConfig::default()
     };
-    let telemetry = take_telemetry_arg(&mut args);
     let hosts = 64 * cfg.hosts_per_switch;
 
     println!(

@@ -61,8 +61,8 @@ fn main() {
     }
 
     // Each scheme is immutable during a run, so one build serves every
-    // pattern's sweep and saturation search (and, with flat tables, the
-    // compiled arena is reused too).
+    // pattern's sweep and saturation search (and the compiled flat arena,
+    // where the scheme has one, is reused too).
     let agnostic: Arc<dyn SimRouting> = Arc::new(AdaptiveEscape::new(graph.clone(), vcs));
     // The paper's actual comparison target: plain up*/down*.
     let ud_only: Arc<dyn SimRouting> = Arc::new(UpDownRouting::new(graph.clone(), vcs));

@@ -8,7 +8,6 @@
 //!
 //! Run: `cargo run --release -p dsn-bench --bin degraded_performance \
 //!       [--quick] [--engine dense|event] \
-//!       [--routing-tables flat|dyn] \
 //!       [--faults N] [--json] [--telemetry[=WINDOW]]`
 //!
 //! `--json` additionally writes the report to `BENCH_degraded.json`
@@ -22,41 +21,24 @@ use dsn_bench::degraded::{
     base_config, run_dynamic, run_dynamic_telemetry, run_static, DegradedMode, DegradedReport,
 };
 use dsn_bench::{
-    emit_telemetry, take_engine_arg, take_routing_tables_arg, take_telemetry_arg, trio,
+    emit_telemetry, reject_unknown_flags, take_engine_arg, take_parsed_arg, take_telemetry_arg,
+    trio,
 };
+
+const USAGE: &str = "degraded_performance [--quick] [--engine dense|event] [--faults N] [--json] \
+                     [--telemetry[=WINDOW]]";
 
 fn main() {
     // Parse the CLI exactly once into one shared `SimConfig`; every trial
     // below reuses it.
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let engine = take_engine_arg(&mut args);
-    let routing_tables = take_routing_tables_arg(&mut args);
     let telemetry = take_telemetry_arg(&mut args);
+    let faults: Option<usize> = take_parsed_arg(&mut args, "faults", "a link count");
+    reject_unknown_flags(&args, &["--quick", "--json"], USAGE);
     let quick = args.iter().any(|a| a == "--quick");
     let json = args.iter().any(|a| a == "--json");
-    let faults = args
-        .iter()
-        .position(|a| a == "--faults")
-        .map(|i| {
-            args.get(i + 1)
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or_else(|| {
-                    eprintln!("--faults needs a link count");
-                    std::process::exit(2);
-                })
-        })
-        .or_else(|| {
-            args.iter().find_map(|a| {
-                a.strip_prefix("--faults=").map(|v| {
-                    v.parse().unwrap_or_else(|_| {
-                        eprintln!("--faults needs a link count");
-                        std::process::exit(2);
-                    })
-                })
-            })
-        });
-    let mut cfg = base_config(engine, quick);
-    cfg.routing_tables = routing_tables;
+    let cfg = base_config(engine, quick);
     let gbps = 4.0;
     let specs = trio(64);
 

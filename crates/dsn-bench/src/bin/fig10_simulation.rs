@@ -8,9 +8,8 @@
 //!
 //! Run: `cargo run --release -p dsn-bench --bin fig10_simulation \
 //!       [uniform|bitrev|neighbor|all] [--quick] \
-//!       [--engine dense|event] \
-//!       [--routing-tables flat|dyn|algorithmic] [--telemetry[=WINDOW]] \
-//!       [--opt] [--sizes N,M,...]`
+//!       [--engine dense|event] [--telemetry[=WINDOW]] \
+//!       [--opt] [--sizes N,M,...] [--json] [--phase-timing]`
 //!
 //! `--opt` adds the frontier study's searched placements (Opt-SA, Opt-ES
 //! at 64 switches, same seeds and budgets as `opt_frontier`) to the
@@ -20,8 +19,8 @@
 //! `--sizes N,M,...` runs the large-n scale rows: the saturated trio at
 //! each size (snapped down to the nearest clean DSN size, e.g. 1024 →
 //! DSN-9-1020, 2048 → DSN-10-2046) on the event engine, with DSN routed
-//! by the table-free algorithmic DSN-V scheme
-//! (`RoutingTables::Algorithmic` — O(n) bytes instead of the O(n²) CSR).
+//! by the algorithmic DSN-V scheme, which the simulator runs table-free
+//! above 512 switches (O(n) bytes instead of the O(n²) CSR).
 //! Without `--json` the rows print to stdout and exit (the CI smoke);
 //! with `--json` they are appended to `BENCH_sim.json`, which includes
 //! sizes 1024 and 2048 by default.
@@ -51,16 +50,16 @@
 
 use dsn_bench::opt::searched_placements;
 use dsn_bench::{
-    emit_telemetry, peak_rss_kb, reset_peak_rss, take_engine_arg, take_parsed_arg,
-    take_routing_tables_arg, take_telemetry_arg, take_value_arg, trio,
+    emit_telemetry, peak_rss_kb, reject_unknown_flags, reset_peak_rss, take_engine_arg,
+    take_parsed_arg, take_sizes_arg, take_telemetry_arg, trio,
 };
 use dsn_core::dsn::Dsn;
 use dsn_core::graph::Graph;
 use dsn_core::parallel::Parallelism;
 use dsn_sim::sweep::{format_sweep, load_sweep_cached, paper_load_grid, SweepResult};
 use dsn_sim::{
-    AdaptiveEscape, DsnAlgorithmic, EngineKind, RoutingCache, RoutingTables, SimConfig, SimRouting,
-    Simulator, TrafficPattern,
+    flat_table_for, AdaptiveEscape, DsnAlgorithmic, EngineKind, RoutingCache, SimConfig,
+    SimRouting, Simulator, TrafficPattern,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -180,29 +179,12 @@ fn bench_rows(sizes: &[usize]) -> Vec<BenchRow> {
     rows
 }
 
-/// Extract `--sizes N,M,...` (or `--sizes=N,M,...`): the scale-row switch
-/// counts. Exits with a usage line on a missing value or a malformed
-/// count (`Dsn::new_clean` needs at least 8 switches).
-fn take_sizes_arg(args: &mut Vec<String>) -> Option<Vec<usize>> {
-    const USAGE: &str = "comma-separated switch counts >= 8, e.g. 1024,2048";
-    let list = take_value_arg(args, "sizes", USAGE)?;
-    let sizes: Option<Vec<usize>> = list
-        .split(',')
-        .map(|s| s.trim().parse::<usize>().ok().filter(|&n| n >= 8))
-        .collect();
-    Some(sizes.unwrap_or_else(|| {
-        eprintln!("--sizes needs {USAGE}, got `{list}`");
-        std::process::exit(2);
-    }))
-}
-
 /// Topology + routing choices for one matrix cell.
 struct RowSetup {
     graph: Arc<Graph>,
     name: String,
     routing: Arc<dyn SimRouting>,
     scheme: &'static str,
-    tables: RoutingTables,
     flat_bytes: Option<usize>,
 }
 
@@ -210,16 +192,15 @@ struct RowSetup {
 /// trailing separator). The human-readable progress line goes to stderr
 /// so a parent process can pass it through.
 fn run_bench_row(cfg: &SimConfig, row: &BenchRow) -> String {
-    // Scale DSN rows route table-free; measure the 4-context CSR the
-    // algorithmic path replaces on a throwaway instance first (compile
-    // cost and memory are returned before the run — the real row never
-    // materializes it).
+    // Scale DSN rows route table-free (above the simulator's threshold);
+    // measure the 4-context CSR the algorithmic path replaces on a
+    // throwaway instance first (compile cost and memory are returned
+    // before the run — the real row never materializes it).
     let RowSetup {
         graph,
         name,
         routing,
         scheme,
-        tables,
         flat_bytes,
     } = if row.algorithmic {
         let p = dsn_core::util::ceil_log2(row.n);
@@ -234,7 +215,6 @@ fn run_bench_row(cfg: &SimConfig, row: &BenchRow) -> String {
             name,
             routing: Arc::new(DsnAlgorithmic::new(dsn)),
             scheme: "dsn-v-algorithmic",
-            tables: RoutingTables::Algorithmic,
             flat_bytes,
         }
     } else {
@@ -251,20 +231,16 @@ fn run_bench_row(cfg: &SimConfig, row: &BenchRow) -> String {
             name: built.name,
             routing,
             scheme: "adaptive-escape",
-            tables: cfg.routing_tables,
             flat_bytes: None,
         }
     };
     let cfg = SimConfig {
         engine: row.engine,
-        routing_tables: tables,
         ..cfg.clone()
     };
     let rate = cfg.packets_per_cycle_for_gbps(row.gbps);
     let build_start = Instant::now();
-    if cfg.routing_tables == RoutingTables::Flat {
-        routing.compiled_flat();
-    }
+    flat_table_for(routing.as_ref(), graph.node_count());
     let routing_build_s = build_start.elapsed().as_secs_f64();
     let sim = Simulator::new(
         graph.clone(),
@@ -341,8 +317,6 @@ fn emit_bench_json(cfg: &SimConfig, sizes: &[usize]) {
                     "--json".to_string(),
                     "--bench-row".to_string(),
                     i.to_string(),
-                    "--routing-tables".to_string(),
-                    cfg.routing_tables.name().to_string(),
                 ];
                 if !sizes_arg.is_empty() {
                     args.push("--sizes".to_string());
@@ -413,6 +387,15 @@ fn run_telemetry_pass(
     }
 }
 
+const USAGE: &str = "fig10_simulation [uniform|bitrev|neighbor|all] [--quick] \
+                     [--engine dense|event] [--telemetry[=WINDOW]] [--opt] [--sizes N,M,...] \
+                     [--json] [--phase-timing]";
+/// Switches and pattern names left in `args` once every value flag is
+/// taken.
+const KNOWN: [&str; 7] = [
+    "--quick", "--json", "--opt", "uniform", "bitrev", "neighbor", "all",
+];
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--phase-timing") {
@@ -423,12 +406,12 @@ fn main() {
     }
     let bench_row: Option<usize> = take_parsed_arg(&mut args, "bench-row", "a row index");
     let engine = take_engine_arg(&mut args);
-    let routing_tables = take_routing_tables_arg(&mut args);
     let telemetry = take_telemetry_arg(&mut args);
+    let sizes_arg = take_sizes_arg(&mut args);
+    reject_unknown_flags(&args, &KNOWN, USAGE);
     let quick = args.iter().any(|a| a == "--quick");
     let json = args.iter().any(|a| a == "--json");
     let opt = args.iter().any(|a| a == "--opt");
-    let sizes_arg = take_sizes_arg(&mut args);
     let which = args
         .iter()
         .find(|a| !a.starts_with("--"))
@@ -437,7 +420,6 @@ fn main() {
 
     let mut cfg = SimConfig {
         engine,
-        routing_tables,
         ..SimConfig::default()
     };
     let loads = if quick || json {
@@ -506,17 +488,10 @@ fn main() {
             TrafficPattern::BitReversal,
             TrafficPattern::neighboring_paper(),
         ],
-        other => {
-            eprintln!("unknown pattern `{other}` (expected uniform | bitrev | neighbor | all)");
-            std::process::exit(2);
-        }
+        _ => unreachable!("reject_unknown_flags admits only these patterns"),
     };
 
-    println!(
-        "# engine: {} / routing tables: {}",
-        cfg.engine.name(),
-        cfg.routing_tables.name()
-    );
+    println!("# engine: {}", cfg.engine.name());
     for pattern in &patterns {
         let fig = match pattern {
             TrafficPattern::Uniform => "10(a)",
@@ -539,28 +514,5 @@ fn main() {
     );
     if let Some(window) = telemetry {
         run_telemetry_pass(&cfg, window, &topos, &cache);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn argv(tokens: &[&str]) -> Vec<String> {
-        tokens.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn sizes_arg_space_and_eq_forms() {
-        let mut args = argv(&["--json", "--sizes", "1024,2048"]);
-        assert_eq!(take_sizes_arg(&mut args), Some(vec![1024, 2048]));
-        assert_eq!(args, argv(&["--json"]));
-
-        let mut args = argv(&["--sizes=1024, 2048", "--quick"]);
-        assert_eq!(take_sizes_arg(&mut args), Some(vec![1024, 2048]));
-        assert_eq!(args, argv(&["--quick"]));
-
-        let mut args = argv(&["--quick"]);
-        assert_eq!(take_sizes_arg(&mut args), None);
     }
 }

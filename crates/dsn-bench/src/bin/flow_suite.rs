@@ -5,8 +5,7 @@
 //! allreduce — fault-free and with links flapping mid-run.
 //!
 //! Run: `cargo run --release -p dsn-bench --bin flow_suite \
-//!       [--quick] [--engine dense|event] \
-//!       [--routing-tables flat|dyn] [--sizes 64,256] [--flaps N] \
+//!       [--quick] [--engine dense|event] [--sizes 64,256] [--flaps N] \
 //!       [--json] [--telemetry[=WINDOW]]`
 //!
 //! `--json` additionally writes the report to `BENCH_flows.json` (schema
@@ -16,58 +15,29 @@
 
 use dsn_bench::flows::{flow_config, run_suite, FlowReport, FlowRow, FlowWorkloadKind, FLOW_SEED};
 use dsn_bench::{
-    emit_telemetry, take_engine_arg, take_routing_tables_arg, take_telemetry_arg, trio,
+    emit_telemetry, reject_unknown_flags, take_engine_arg, take_parsed_arg, take_sizes_arg,
+    take_telemetry_arg, trio,
 };
 use dsn_sim::{AdaptiveEscape, Simulator, TelemetryConfig};
 use std::sync::Arc;
 
+const USAGE: &str = "flow_suite [--quick] [--engine dense|event] [--sizes 64,256] [--flaps N] \
+                     [--json] [--telemetry[=WINDOW]]";
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let engine = take_engine_arg(&mut args);
-    let routing_tables = take_routing_tables_arg(&mut args);
     let telemetry = take_telemetry_arg(&mut args);
+    let sizes = take_sizes_arg(&mut args);
+    let flaps: usize = take_parsed_arg(&mut args, "flaps", "a flap count").unwrap_or(3);
+    reject_unknown_flags(&args, &["--quick", "--json"], USAGE);
     let quick = args.iter().any(|a| a == "--quick");
     let json = args.iter().any(|a| a == "--json");
-    let sizes: Vec<usize> = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--sizes="))
-        .or_else(|| {
-            args.iter()
-                .position(|a| a == "--sizes")
-                .and_then(|i| args.get(i + 1))
-                .map(|s| s.as_str())
-        })
-        .map(|v| {
-            v.split(',')
-                .map(|t| {
-                    t.parse().unwrap_or_else(|_| {
-                        eprintln!("--sizes needs a comma-separated switch-count list");
-                        std::process::exit(2);
-                    })
-                })
-                .collect()
-        })
-        .unwrap_or_else(|| if quick { vec![64] } else { vec![64, 256] });
-    let flaps: usize = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--flaps="))
-        .or_else(|| {
-            args.iter()
-                .position(|a| a == "--flaps")
-                .and_then(|i| args.get(i + 1))
-                .map(|s| s.as_str())
-        })
-        .map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("--flaps needs a flap count");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(3);
+    let sizes = sizes.unwrap_or_else(|| if quick { vec![64] } else { vec![64, 256] });
 
     let mut rows: Vec<FlowRow> = Vec::new();
     for &n in &sizes {
-        rows.extend(run_suite(engine, routing_tables, &trio(n), n, flaps, quick));
+        rows.extend(run_suite(engine, &trio(n), n, flaps, quick));
     }
     let report = FlowReport { engine, rows };
     print_report(&report);
@@ -82,8 +52,7 @@ fn main() {
         let spec = &trio(n)[0];
         let built = spec.build().expect("topology");
         let g = Arc::new(built.graph);
-        let mut cfg = flow_config(engine, FlowWorkloadKind::Websearch, quick);
-        cfg.routing_tables = routing_tables;
+        let cfg = flow_config(engine, FlowWorkloadKind::Websearch, quick);
         let hosts = n * cfg.hosts_per_switch;
         let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
         let (stats, tel) = Simulator::with_workload(

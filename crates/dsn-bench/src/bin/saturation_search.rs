@@ -8,9 +8,7 @@
 //!
 //! Run: `cargo run --release -p dsn-bench --bin saturation_search \
 //!       [--quick] [--threads N | --serial] \
-//!       [--engine dense|event] \
-//!       [--routing-tables flat|dyn] [--telemetry[=WINDOW]] \
-//!       [--phase-timing]`
+//!       [--engine dense|event] [--telemetry[=WINDOW]] [--phase-timing]`
 //!
 //! `--phase-timing` turns on the engine's per-phase wall-clock breakdown
 //! (wheel-drain / inject / route / arbitrate / eject, reported to stderr
@@ -21,9 +19,7 @@
 //! vs credit-stall decomposition and the hotspot links on the heatmap —
 //! plus `telemetry_sat_<topology>_<pattern>.{json,csv}` exports.
 
-use dsn_bench::{
-    emit_telemetry, take_engine_arg, take_routing_tables_arg, take_telemetry_arg, trio,
-};
+use dsn_bench::{emit_telemetry, reject_unknown_flags, take_engine_arg, take_telemetry_arg, trio};
 use dsn_core::graph::Graph;
 use dsn_core::parallel::Parallelism;
 use dsn_sim::sweep::find_saturation_cached;
@@ -39,12 +35,16 @@ fn main() {
         std::env::set_var("DSN_PHASE_TIMING", "1");
     }
     let engine = take_engine_arg(&mut rest);
-    let routing_tables = take_routing_tables_arg(&mut rest);
     let telemetry = take_telemetry_arg(&mut rest);
+    reject_unknown_flags(
+        &rest,
+        &["--quick"],
+        "saturation_search [--quick] [--threads N | --serial] [--engine dense|event] \
+         [--telemetry[=WINDOW]] [--phase-timing]",
+    );
     let quick = rest.iter().any(|a| a == "--quick");
     let mut cfg = SimConfig {
         engine,
-        routing_tables,
         ..SimConfig::default()
     };
     if quick {

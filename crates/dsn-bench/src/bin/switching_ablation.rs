@@ -5,10 +5,9 @@
 //! so it saturates earlier — this quantifies why the paper picked VCT.
 //!
 //! Run: `cargo run --release -p dsn-bench --bin switching_ablation \
-//!       [--quick] [--engine dense|event] \
-//!       [--routing-tables flat|dyn]`
+//!       [--quick] [--engine dense|event]`
 
-use dsn_bench::{take_engine_arg, take_routing_tables_arg};
+use dsn_bench::{reject_unknown_flags, take_engine_arg};
 use dsn_core::dsn::Dsn;
 use dsn_core::parallel::Parallelism;
 use dsn_sim::sweep::find_saturation_cached;
@@ -18,13 +17,16 @@ use std::sync::Arc;
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let engine = take_engine_arg(&mut args);
-    let routing_tables = take_routing_tables_arg(&mut args);
+    reject_unknown_flags(
+        &args,
+        &["--quick"],
+        "switching_ablation [--quick] [--engine dense|event]",
+    );
     let quick = args.iter().any(|a| a == "--quick");
     let dsn = Dsn::new(64, 5).expect("dsn");
     let graph = Arc::new(dsn.into_graph());
     let mut base = SimConfig {
         engine,
-        routing_tables,
         ..SimConfig::default()
     };
     if quick {

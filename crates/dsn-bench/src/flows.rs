@@ -225,7 +225,6 @@ pub struct FlowReport {
 /// adaptive tables are built once per graph.
 pub fn run_suite(
     engine: EngineKind,
-    routing_tables: dsn_sim::RoutingTables,
     specs: &[TopologySpec],
     switches: usize,
     flaps: usize,
@@ -244,7 +243,6 @@ pub fn run_suite(
         for kind in FlowWorkloadKind::all() {
             for &flapped in &variants {
                 let mut cfg = flow_config(engine, kind, quick);
-                cfg.routing_tables = routing_tables;
                 if flapped > 0 {
                     cfg.fault_plan = flap_plan(&cfg, edges, flapped);
                 }

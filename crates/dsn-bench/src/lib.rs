@@ -102,18 +102,30 @@ pub fn take_engine_arg(args: &mut Vec<String>) -> dsn_sim::EngineKind {
     }
 }
 
-/// Extract `--routing-tables flat|dyn|algorithmic` (or
-/// `--routing-tables=...`) from `args`, removing the consumed tokens.
-/// Defaults to flat tables; exits with a usage message on an unknown or
-/// missing value so every simulation binary rejects typos the same way.
-pub fn take_routing_tables_arg(args: &mut Vec<String>) -> dsn_sim::RoutingTables {
-    const USAGE: &str = "flat | dyn | algorithmic";
-    match take_value_arg(args, "routing-tables", USAGE) {
-        None => dsn_sim::RoutingTables::default(),
-        Some(v) => dsn_sim::RoutingTables::parse(&v).unwrap_or_else(|| {
-            eprintln!("unknown routing tables `{v}` (expected {USAGE})");
-            std::process::exit(2);
-        }),
+/// Extract `--sizes N,M,...` (or `--sizes=N,M,...`): switch counts of
+/// the rows to run. Exits with a usage line on a missing value or a
+/// malformed count (the trio and `Dsn::new_clean` need at least 8
+/// switches).
+pub fn take_sizes_arg(args: &mut Vec<String>) -> Option<Vec<usize>> {
+    const USAGE: &str = "comma-separated switch counts >= 8, e.g. 64,256";
+    let list = take_value_arg(args, "sizes", USAGE)?;
+    let sizes: Option<Vec<usize>> = list
+        .split(',')
+        .map(|s| s.trim().parse::<usize>().ok().filter(|&n| n >= 8))
+        .collect();
+    Some(sizes.unwrap_or_else(|| {
+        eprintln!("--sizes needs {USAGE}, got `{list}`");
+        std::process::exit(2);
+    }))
+}
+
+/// Exit with `usage` and status 2 when `args` (what is left after every
+/// value flag was taken) holds a token outside `known`, so a misspelt or
+/// retired flag fails loudly instead of being ignored.
+pub fn reject_unknown_flags(args: &[String], known: &[&str], usage: &str) {
+    if let Some(bad) = args.iter().find(|a| !known.contains(&a.as_str())) {
+        eprintln!("unknown argument `{bad}`\nusage: {usage}");
+        std::process::exit(2);
     }
 }
 
@@ -269,24 +281,17 @@ mod tests {
     }
 
     #[test]
-    fn routing_tables_arg_defaults_and_parses() {
-        let mut args = argv(&[]);
-        assert_eq!(
-            take_routing_tables_arg(&mut args),
-            dsn_sim::RoutingTables::Flat
-        );
-        let mut args = argv(&["--routing-tables", "dyn", "-n", "64"]);
-        assert_eq!(
-            take_routing_tables_arg(&mut args),
-            dsn_sim::RoutingTables::Dyn
-        );
-        assert_eq!(args, argv(&["-n", "64"]));
-        let mut args = argv(&["--routing-tables=flat"]);
-        assert_eq!(
-            take_routing_tables_arg(&mut args),
-            dsn_sim::RoutingTables::Flat
-        );
-        assert!(args.is_empty());
+    fn sizes_arg_space_and_eq_forms() {
+        let mut args = argv(&["--json", "--sizes", "1024,2048"]);
+        assert_eq!(take_sizes_arg(&mut args), Some(vec![1024, 2048]));
+        assert_eq!(args, argv(&["--json"]));
+
+        let mut args = argv(&["--sizes=1024, 2048", "--quick"]);
+        assert_eq!(take_sizes_arg(&mut args), Some(vec![1024, 2048]));
+        assert_eq!(args, argv(&["--quick"]));
+
+        let mut args = argv(&["--quick"]);
+        assert_eq!(take_sizes_arg(&mut args), None);
     }
 
     #[test]

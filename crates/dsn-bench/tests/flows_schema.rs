@@ -16,14 +16,7 @@ const GOLDEN: &str = include_str!("golden/flows_schema.json");
 /// allreduce rows, the faulted variants, and the null makespan encoding.
 fn tiny_report() -> String {
     let specs = &trio(16)[..1];
-    let rows = run_suite(
-        EngineKind::Event,
-        dsn_sim::RoutingTables::default(),
-        specs,
-        16,
-        1,
-        true,
-    );
+    let rows = run_suite(EngineKind::Event, specs, 16, 1, true);
     FlowReport {
         engine: EngineKind::Event,
         rows,

@@ -5,26 +5,19 @@
 //! Usage: `cargo build --release -p dsn-sim --example profile_high_load`
 //! then point your profiler at the binary, e.g.
 //! `gprofng collect app target/release/examples/profile_high_load [reps]`.
-//! Pass `dyn` as a second argument to profile the dynamic routing path
-//! instead of the flat tables.
 
 use dsn_core::dsn::Dsn;
-use dsn_sim::{
-    AdaptiveEscape, EngineKind, RoutingTables, SimConfig, SimRouting, Simulator, TrafficPattern,
-};
+use dsn_sim::{AdaptiveEscape, EngineKind, SimConfig, SimRouting, Simulator, TrafficPattern};
 use std::sync::Arc;
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let reps: u32 = args.next().and_then(|a| a.parse().ok()).unwrap_or(10);
-    let tables = match args.next().as_deref() {
-        Some("dyn") => RoutingTables::Dyn,
-        _ => RoutingTables::Flat,
-    };
+    let reps: u32 = std::env::args()
+        .nth(1)
+        .and_then(|a| a.parse().ok())
+        .unwrap_or(10);
     let g = Arc::new(Dsn::new(64, 5).unwrap().into_graph());
     let cfg = SimConfig {
         engine: EngineKind::Event,
-        routing_tables: tables,
         warmup_cycles: 5_000,
         measure_cycles: 15_000,
         drain_cycles: 10_000,
@@ -49,8 +42,7 @@ fn main() {
     }
     let wall = start.elapsed().as_secs_f64();
     println!(
-        "{reps} reps ({} tables): {delivered} delivered, {:.0} cycles/s",
-        tables.name(),
+        "{reps} reps: {delivered} delivered, {:.0} cycles/s",
         reps as f64 * cfg.total_cycles() as f64 / wall
     );
 }

@@ -1,9 +1,9 @@
 //! Shared routing-table cache for sweeps and fault runs.
 //!
 //! Building a routing scheme is the dominant per-point setup cost of a load
-//! sweep: an up*/down* forest, an all-pairs distance table, and (with
-//! [`crate::config::RoutingTables::Flat`]) the flattened candidate arena
-//! are all recomputed per simulation even though every point of a sweep
+//! sweep: an up*/down* forest, an all-pairs distance table, and (when
+//! [`crate::engine::flat_table_for`] selects one) the flattened candidate
+//! arena are all recomputed per simulation even though every point of a sweep
 //! shares one topology. A [`RoutingCache`] memoizes built schemes by
 //! `(topology, scheme key, fault epoch)` so each table is built exactly
 //! once per sweep and shared (via `Arc`) across the parallel probes.

@@ -45,50 +45,6 @@ impl EngineKind {
     }
 }
 
-/// Whether the engine draws routing candidates from precompiled flat
-/// tables ([`crate::routing::FlatRouting`]) or calls the `Arc<dyn
-/// SimRouting>` virtual interface on every allocation attempt. Both paths
-/// are bit-identical in their [`crate::RunStats`] output (enforced by
-/// `tests/flat_equivalence.rs`); schemes that cannot be tabulated
-/// (source-routed paths) silently stay on the dynamic path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RoutingTables {
-    /// Compile per-`(switch, dest)` candidate rows into one CSR arena at
-    /// simulator construction and serve allocation attempts from it.
-    #[default]
-    Flat,
-    /// Call `SimRouting::candidates` / `on_hop` dynamically every time.
-    /// Kept as the equivalence oracle for the flat tables.
-    Dyn,
-    /// Table-free: schemes that can compute their next hop algorithmically
-    /// (`SimRouting::algorithmic`) skip table compilation entirely and run
-    /// on the dynamic path with O(n) memory; everything else falls back to
-    /// `Flat`. `Flat` itself auto-degrades to this above
-    /// [`crate::engine::ALGORITHMIC_AUTO_THRESHOLD`] switches.
-    Algorithmic,
-}
-
-impl RoutingTables {
-    /// Parse a CLI value (`flat` | `dyn` | `algorithmic`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "flat" => Some(RoutingTables::Flat),
-            "dyn" => Some(RoutingTables::Dyn),
-            "algorithmic" => Some(RoutingTables::Algorithmic),
-            _ => None,
-        }
-    }
-
-    /// Stable display name (`flat` | `dyn` | `algorithmic`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            RoutingTables::Flat => "flat",
-            RoutingTables::Dyn => "dyn",
-            RoutingTables::Algorithmic => "algorithmic",
-        }
-    }
-}
-
 /// Switching mode of the routers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Switching {
@@ -114,10 +70,6 @@ pub struct SimConfig {
     /// Scheduling core (default: the event-driven engine; the dense scan
     /// is kept as a bit-identical reference).
     pub engine: EngineKind,
-    /// Candidate source for the allocation hot path (default: flat
-    /// precompiled tables; the dynamic trait-call path is kept as a
-    /// bit-identical reference).
-    pub routing_tables: RoutingTables,
     /// Switching mode (paper: virtual cut-through).
     pub switching: Switching,
     /// Virtual channels per physical channel (paper: 4).
@@ -160,7 +112,6 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             engine: EngineKind::default(),
-            routing_tables: RoutingTables::default(),
             switching: Switching::VirtualCutThrough,
             vcs: 4,
             buffer_flits: 40,
@@ -186,7 +137,6 @@ impl SimConfig {
     pub fn test_small() -> Self {
         SimConfig {
             engine: EngineKind::default(),
-            routing_tables: RoutingTables::default(),
             switching: Switching::VirtualCutThrough,
             vcs: 2,
             buffer_flits: 8,
@@ -324,21 +274,6 @@ mod tests {
         assert_eq!(EngineKind::default(), EngineKind::Event);
         assert_eq!(EngineKind::Dense.name(), "dense");
         assert_eq!(EngineKind::Event.name(), "event");
-    }
-
-    #[test]
-    fn routing_tables_parses() {
-        assert_eq!(RoutingTables::parse("flat"), Some(RoutingTables::Flat));
-        assert_eq!(RoutingTables::parse("dyn"), Some(RoutingTables::Dyn));
-        assert_eq!(
-            RoutingTables::parse("algorithmic"),
-            Some(RoutingTables::Algorithmic)
-        );
-        assert_eq!(RoutingTables::parse("virtual"), None);
-        assert_eq!(RoutingTables::default(), RoutingTables::Flat);
-        assert_eq!(RoutingTables::Flat.name(), "flat");
-        assert_eq!(RoutingTables::Dyn.name(), "dyn");
-        assert_eq!(RoutingTables::Algorithmic.name(), "algorithmic");
     }
 
     #[test]

@@ -425,10 +425,9 @@ pub struct Simulator {
     /// stays in original channel-id order (observable: channels at one
     /// switch contend for shared input ports in ascending-id order), so
     /// the permutation is a pure memory relayout — bit-identical results.
-    /// Default is *switch-major* (channels stably sorted by source switch,
-    /// clustering each switch's out-channels that the allocation scan
-    /// touches together); `DSN_SOA_LAYOUT=channel` keeps the graph's
-    /// edge-major order for A/B timing.
+    /// The layout is *switch-major*: channels stably sorted by source
+    /// switch, clustering each switch's out-channels that the allocation
+    /// scan touches together.
     pub(crate) ch_slot: Vec<u32>,
     /// Per-channel source switch (denormalized from the graph for the
     /// wake-up dirty marks).
@@ -445,9 +444,8 @@ pub struct Simulator {
     /// cut-through, 1 for wormhole) — fixed per run.
     pub(crate) alloc_need: u32,
 
-    /// Compiled flat candidate tables (None = dynamic trait-call path,
-    /// either by `cfg.routing_tables` or because the scheme is not
-    /// tabulable).
+    /// Compiled flat candidate tables (None = dynamic trait-call path;
+    /// see [`flat_table_for`]).
     pub(crate) flat: Option<Arc<crate::flat::FlatRouting>>,
     /// Shared routing/rebuild cache, when the caller threads one through
     /// ([`Simulator::with_routing_cache`]) — lets catch-up fault rebuilds
@@ -502,41 +500,25 @@ pub struct Simulator {
     pub(crate) fault: Option<Box<crate::fault::FaultRuntime>>,
 }
 
-/// Above this switch count, `RoutingTables::Flat` auto-degrades to the
-/// table-free path for schemes that advertise
-/// [`SimRouting::algorithmic`]: the O(ctxs · n²) CSR offsets alone would
-/// dwarf the simulator's working set (≈ 67 MB at n = 2046 for the
-/// 4-context DSN-V table), while the algorithmic path serves the same
-/// candidates from O(n) LUTs. `RoutingTables::Dyn` and explicit
-/// `Algorithmic` are unaffected by the threshold.
+/// Above this switch count, schemes that advertise
+/// [`SimRouting::algorithmic`] run table-free: the O(ctxs · n²) CSR
+/// offsets alone would dwarf the simulator's working set (≈ 67 MB at
+/// n = 2046 for the 4-context DSN-V table), while the algorithmic path
+/// serves the same candidates from O(n) LUTs.
 pub const ALGORITHMIC_AUTO_THRESHOLD: usize = 512;
 
-/// Flat-table selection shared by construction and post-fault refresh.
-/// `Algorithmic` skips compilation for algorithmic schemes and falls back
-/// to the compiled table for everything else (so the mode is safe to set
-/// globally across a mixed-scheme sweep); `Flat` consults the auto
-/// threshold.
-fn select_flat(
-    mode: crate::config::RoutingTables,
-    n: usize,
-    routing: &dyn SimRouting,
-) -> Option<Arc<crate::routing::FlatRouting>> {
-    match mode {
-        crate::config::RoutingTables::Flat => {
-            if routing.algorithmic() && n > ALGORITHMIC_AUTO_THRESHOLD {
-                None
-            } else {
-                routing.compiled_flat()
-            }
-        }
-        crate::config::RoutingTables::Dyn => None,
-        crate::config::RoutingTables::Algorithmic => {
-            if routing.algorithmic() {
-                None
-            } else {
-                routing.compiled_flat()
-            }
-        }
+/// The flat candidate table a simulation of `routing` on `n` switches
+/// serves hops from: the scheme's compiled table (built and memoized on
+/// first call), or `None` for the dynamic path — when the scheme cannot be
+/// tabulated, or when it is algorithmic and `n` exceeds
+/// [`ALGORITHMIC_AUTO_THRESHOLD`]. Both paths give bit-identical
+/// [`RunStats`]. The one selection rule: engine construction, the
+/// post-fault refresh and sweep warm-ups all call it.
+pub fn flat_table_for(routing: &dyn SimRouting, n: usize) -> Option<Arc<crate::flat::FlatRouting>> {
+    if routing.algorithmic() && n > ALGORITHMIC_AUTO_THRESHOLD {
+        None
+    } else {
+        routing.compiled_flat()
     }
 }
 
@@ -675,25 +657,14 @@ impl Simulator {
         // Storage permutation for the per-channel/per-output-VC arrays.
         // The graph numbers channels edge-major (2e, 2e+1 = the two
         // directions of edge e), scattering a switch's out-channels; the
-        // default switch-major layout clusters them so the allocation
-        // scan's candidate probes share cache lines. `DSN_SOA_LAYOUT`
-        // selects the layout for A/B timing; results are identical either
-        // way (iteration order never changes).
-        let switch_major = !matches!(
-            std::env::var("DSN_SOA_LAYOUT").as_deref(),
-            Ok("channel") | Ok("edge")
-        );
+        // switch-major layout clusters them so the allocation scan's
+        // candidate probes share cache lines. Results do not depend on it
+        // (iteration order never changes).
+        let mut order: Vec<u32> = (0..channels as u32).collect();
+        order.sort_by_key(|&c| ch_src[c as usize]);
         let mut ch_slot = vec![0u32; channels];
-        if switch_major {
-            let mut order: Vec<u32> = (0..channels as u32).collect();
-            order.sort_by_key(|&c| ch_src[c as usize]);
-            for (slot, &c) in order.iter().enumerate() {
-                ch_slot[c as usize] = slot as u32;
-            }
-        } else {
-            for (c, s) in ch_slot.iter_mut().enumerate() {
-                *s = c as u32;
-            }
+        for (slot, &c) in order.iter().enumerate() {
+            ch_slot[c as usize] = slot as u32;
         }
         let alloc_need = match cfg.switching {
             crate::config::Switching::VirtualCutThrough => cfg.packet_flits as u32,
@@ -713,7 +684,7 @@ impl Simulator {
                 &cfg.fault_plan,
             )))
         };
-        let flat = select_flat(cfg.routing_tables, n, routing.as_ref());
+        let flat = flat_table_for(routing.as_ref(), n);
         // Pre-size every buffer the steady state touches so a saturated
         // measure-phase cycle performs no heap allocation (asserted by
         // `tests/zero_alloc.rs`): network input buffers are bounded by the
@@ -793,11 +764,7 @@ impl Simulator {
     /// Recompute `self.flat` for the current `self.routing` (after a fault
     /// rebuild swapped the scheme).
     pub(crate) fn refresh_flat(&mut self) {
-        self.flat = select_flat(
-            self.cfg.routing_tables,
-            self.graph.node_count(),
-            self.routing.as_ref(),
-        );
+        self.flat = flat_table_for(self.routing.as_ref(), self.graph.node_count());
     }
 
     /// Resident bytes of the routing structures this run serves hops from:

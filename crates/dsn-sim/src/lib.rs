@@ -51,12 +51,12 @@ pub mod traffic;
 pub mod workload;
 
 pub use cache::RoutingCache;
-pub use config::{EngineKind, RoutingTables, SimConfig, Switching};
+pub use config::{EngineKind, SimConfig, Switching};
 pub use dsn_telemetry::{
     PacketTracer, Telemetry, TelemetryConfig, TelemetryReport, TraceEvent, TraceRecord,
 };
 pub use engine::Simulator;
-pub use engine::ALGORITHMIC_AUTO_THRESHOLD;
+pub use engine::{flat_table_for, ALGORITHMIC_AUTO_THRESHOLD};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, RetryPolicy, SalvagePolicy};
 pub use flow::{FlowArrivals, FlowSizeDist, StagedSpec};
 pub use routing::{

@@ -102,10 +102,10 @@ pub trait SimRouting: Send + Sync {
 
     /// Whether this scheme computes its next hop *algorithmically* in
     /// O(levels) time and O(n) memory — i.e. the dynamic path needs no
-    /// per-(switch, dest) table at all. Under
-    /// [`RoutingTables::Algorithmic`](crate::config::RoutingTables) (or
-    /// `Flat` above the auto threshold) the engine skips flat compilation
-    /// for such schemes.
+    /// per-(switch, dest) table at all. Above
+    /// [`ALGORITHMIC_AUTO_THRESHOLD`](crate::engine::ALGORITHMIC_AUTO_THRESHOLD)
+    /// switches the engine skips flat compilation for such schemes
+    /// ([`flat_table_for`](crate::engine::flat_table_for)).
     fn algorithmic(&self) -> bool {
         false
     }

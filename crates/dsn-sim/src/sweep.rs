@@ -5,9 +5,9 @@
 //! Every sweep point of one invocation shares a single routing instance:
 //! `make_routing` is called **exactly once** per sweep (the schemes are
 //! immutable during a run, and fault rebuilds replace the `Arc` per
-//! simulation), and with [`crate::config::RoutingTables::Flat`] the
-//! flattened candidate table is compiled once before the fan-out so no
-//! rayon worker pays the compile. The `_cached` variants additionally pull
+//! simulation), and the flat candidate table the engine will select
+//! ([`crate::engine::flat_table_for`]) is compiled once before the
+//! fan-out so no rayon worker pays the compile. The `_cached` variants additionally pull
 //! the scheme from a shared [`RoutingCache`], which deduplicates builds
 //! across *separate* sweeps of the same topology — and across the fault
 //! rebuilds inside degraded sweeps.
@@ -17,8 +17,8 @@
 //! pool.
 
 use crate::cache::RoutingCache;
-use crate::config::{RoutingTables, SimConfig};
-use crate::engine::Simulator;
+use crate::config::SimConfig;
+use crate::engine::{flat_table_for, Simulator};
 use crate::routing::SimRouting;
 use crate::stats::RunStats;
 use crate::traffic::TrafficPattern;
@@ -83,7 +83,6 @@ impl SweepResult {
 /// parallel fan-out, so workers share it instead of racing to build it.
 fn sweep_routing(
     graph: &Arc<Graph>,
-    cfg: &SimConfig,
     cache: Option<(&Arc<RoutingCache>, &str)>,
     make_routing: impl FnOnce() -> Arc<dyn SimRouting>,
 ) -> Arc<dyn SimRouting> {
@@ -92,21 +91,8 @@ fn sweep_routing(
         None => make_routing(),
     };
     // Warm exactly the table the engine will select (memoized per
-    // instance), *before* the parallel fan-out, so workers share it
-    // instead of racing to build it. Algorithmic-capable schemes above
-    // the auto threshold (or under explicit `Algorithmic` mode) never
-    // compile one.
-    let wants_flat = match cfg.routing_tables {
-        RoutingTables::Flat => {
-            !(routing.algorithmic()
-                && graph.node_count() > crate::engine::ALGORITHMIC_AUTO_THRESHOLD)
-        }
-        RoutingTables::Dyn => false,
-        RoutingTables::Algorithmic => !routing.algorithmic(),
-    };
-    if wants_flat {
-        routing.compiled_flat();
-    }
+    // instance).
+    flat_table_for(routing.as_ref(), graph.node_count());
     routing
 }
 
@@ -148,7 +134,7 @@ pub fn load_sweep_with(
     seed: u64,
     par: &Parallelism,
 ) -> SweepResult {
-    let routing = sweep_routing(&graph, cfg, None, make_routing);
+    let routing = sweep_routing(&graph, None, make_routing);
     run_sweep_points(
         label.into(),
         graph,
@@ -180,7 +166,7 @@ pub fn load_sweep_cached(
     seed: u64,
     par: &Parallelism,
 ) -> SweepResult {
-    let routing = sweep_routing(&graph, cfg, Some((cache, scheme_key)), make_routing);
+    let routing = sweep_routing(&graph, Some((cache, scheme_key)), make_routing);
     run_sweep_points(
         label.into(),
         graph,
@@ -296,7 +282,7 @@ pub fn find_saturation_with(
     seed: u64,
     par: &Parallelism,
 ) -> f64 {
-    let routing = sweep_routing(&graph, cfg, None, make_routing);
+    let routing = sweep_routing(&graph, None, make_routing);
     saturation_search(graph, cfg, routing, None, pattern, lo, hi, tol, seed, par)
 }
 
@@ -316,7 +302,7 @@ pub fn find_saturation_cached(
     seed: u64,
     par: &Parallelism,
 ) -> f64 {
-    let routing = sweep_routing(&graph, cfg, Some((cache, scheme_key)), make_routing);
+    let routing = sweep_routing(&graph, Some((cache, scheme_key)), make_routing);
     saturation_search(
         graph,
         cfg,

@@ -3,8 +3,8 @@
 //! DSN level structure, and must be indistinguishable — every `RunStats`
 //! counter and float — from
 //!
-//! 1. its own 4-context compiled flat table (`RoutingTables::Flat` vs
-//!    `Algorithmic` vs `Dyn`),
+//! 1. its own 4-context compiled flat table (the engine's automatic
+//!    choice below the table-free threshold vs the [`NoTables`] oracle),
 //! 2. the materialized-path [`SourceRouted::dsn_custom`] scheme it
 //!    replaces (same candidate sequence by construction), and
 //! 3. itself across engines and mid-run fault rebuilds (where it falls
@@ -18,10 +18,13 @@
 use dsn_core::dsn::Dsn;
 use dsn_core::graph::Graph;
 use dsn_sim::{
-    DsnAlgorithmic, EngineKind, FaultPlan, RetryPolicy, RoutingTables, RunStats, SimConfig,
+    flat_table_for, DsnAlgorithmic, EngineKind, FaultPlan, RetryPolicy, RunStats, SimConfig,
     SimRouting, Simulator, SourceRouted, TrafficPattern, Workload, ALGORITHMIC_AUTO_THRESHOLD,
 };
 use std::sync::Arc;
+
+mod common;
+use common::NoTables;
 
 /// Short-horizon config so the matrix stays fast in debug builds. DSN-V
 /// needs the paper's 4 VCs.
@@ -46,7 +49,6 @@ fn run_one(
     g: &Arc<Graph>,
     cfg: &SimConfig,
     engine: EngineKind,
-    tables: RoutingTables,
     routing: Arc<dyn SimRouting>,
     workload: &Workload,
     seed: u64,
@@ -55,7 +57,6 @@ fn run_one(
         g.clone(),
         SimConfig {
             engine,
-            routing_tables: tables,
             ..cfg.clone()
         },
         routing,
@@ -65,10 +66,10 @@ fn run_one(
     .run()
 }
 
-/// Run the identical scenario under all three table modes (dynamic,
-/// compiled 4-context flat, table-free algorithmic) on both engines and
-/// demand bit-identical stats.
-fn assert_all_modes_agree(
+/// Run the identical scenario with the engine's own table choice and with
+/// the dynamic-path oracle, on both engines, and demand bit-identical
+/// stats.
+fn assert_auto_matches_oracle(
     g: Arc<Graph>,
     cfg: SimConfig,
     routing: Arc<dyn SimRouting>,
@@ -78,31 +79,27 @@ fn assert_all_modes_agree(
 ) -> RunStats {
     let mut last = None;
     for engine in [EngineKind::Dense, EngineKind::Event] {
-        let dynamic = run_one(
+        let oracle = run_one(
             &g,
             &cfg,
             engine,
-            RoutingTables::Dyn,
-            routing.clone(),
+            NoTables::wrap(routing.clone()),
             &workload,
             seed,
         );
         assert!(
-            dynamic.total_packets_all_time > 0,
+            oracle.total_packets_all_time > 0,
             "{label} [{}]: vacuous scenario",
             engine.name()
         );
-        for tables in [RoutingTables::Flat, RoutingTables::Algorithmic] {
-            let other = run_one(&g, &cfg, engine, tables, routing.clone(), &workload, seed);
-            assert_eq!(
-                dynamic,
-                other,
-                "{label} [{} / {}]: diverged from the dynamic path",
-                engine.name(),
-                tables.name()
-            );
-        }
-        last = Some(dynamic);
+        let auto = run_one(&g, &cfg, engine, routing.clone(), &workload, seed);
+        assert_eq!(
+            oracle,
+            auto,
+            "{label} [{}]: diverged from the dynamic path",
+            engine.name()
+        );
+        last = Some(oracle);
     }
     last.unwrap()
 }
@@ -115,7 +112,7 @@ fn algorithmic_modes_agree_across_sizes() {
         let dsn = Arc::new(Dsn::new(n, dsn_core::util::ceil_log2(n) - 1).unwrap());
         let g = Arc::new(dsn.graph().clone());
         let routing = Arc::new(DsnAlgorithmic::new(dsn));
-        assert_all_modes_agree(
+        assert_auto_matches_oracle(
             g,
             cfg(),
             routing,
@@ -141,20 +138,11 @@ fn algorithmic_matches_source_routed_paths() {
             &g,
             &cfg,
             engine,
-            RoutingTables::Dyn,
-            algorithmic.clone(),
+            NoTables::wrap(algorithmic.clone()),
             &workload,
             31,
         );
-        let s = run_one(
-            &g,
-            &cfg,
-            engine,
-            RoutingTables::Dyn,
-            source.clone(),
-            &workload,
-            31,
-        );
+        let s = run_one(&g, &cfg, engine, source.clone(), &workload, 31);
         assert_eq!(
             a,
             s,
@@ -168,14 +156,14 @@ fn algorithmic_matches_source_routed_paths() {
 #[test]
 fn fault_rebuild_falls_back_gracefully() {
     // Mid-run link death: the rebuild swaps in the ring-detour scheme
-    // (EdgeMask survivors), which is not algorithmic — all three table
-    // modes must converge on the same dynamic fallback, bit-identically.
+    // (EdgeMask survivors), which is not algorithmic — the flat and the
+    // oracle run must converge on the same dynamic fallback, bit-identically.
     let dsn = Arc::new(Dsn::new(64, 5).unwrap());
     let g = Arc::new(dsn.graph().clone());
     let mut cfg = cfg();
     cfg.fault_plan = FaultPlan::single_link(5, 900).with_retry(RetryPolicy::new(2, 150, 50));
     let routing = Arc::new(DsnAlgorithmic::new(dsn));
-    let stats = assert_all_modes_agree(
+    let stats = assert_auto_matches_oracle(
         g,
         cfg,
         routing,
@@ -193,7 +181,7 @@ fn fault_flap_algorithmic() {
     let mut cfg = cfg();
     cfg.fault_plan = FaultPlan::flap(6, 600, 400, 3).with_retry(RetryPolicy::new(4, 100, 50));
     let routing = Arc::new(DsnAlgorithmic::new(dsn));
-    assert_all_modes_agree(
+    assert_auto_matches_oracle(
         g,
         cfg,
         routing,
@@ -219,50 +207,22 @@ fn table_bytes_ratio_and_auto_threshold() {
         routing.table_bytes()
     );
 
-    // Below the threshold, Flat mode compiles the table...
-    let sim = Simulator::with_workload(
-        g.clone(),
-        SimConfig {
-            routing_tables: RoutingTables::Flat,
-            ..cfg()
-        },
-        routing.clone(),
-        open(0.004),
-        1,
-    );
+    // Below the threshold the engine compiles the table...
+    assert!(flat_table_for(routing.as_ref(), g.node_count()).is_some());
+    let sim = Simulator::with_workload(g.clone(), cfg(), routing.clone(), open(0.004), 1);
     assert_eq!(
         sim.routing_table_bytes(),
         flat.table_bytes() + routing.table_bytes()
     );
-    // ...and explicit Algorithmic mode never does.
-    let sim = Simulator::with_workload(
-        g.clone(),
-        SimConfig {
-            routing_tables: RoutingTables::Algorithmic,
-            ..cfg()
-        },
-        routing.clone(),
-        open(0.004),
-        1,
-    );
-    assert_eq!(sim.routing_table_bytes(), routing.table_bytes());
 
-    // Above the threshold, plain Flat auto-degrades to table-free.
+    // ...and above it, it runs table-free.
     let dsn = Arc::new(Dsn::new_clean(1024).unwrap());
     let n = dsn.n();
     assert!(n > ALGORITHMIC_AUTO_THRESHOLD);
     let g = Arc::new(dsn.graph().clone());
     let routing = Arc::new(DsnAlgorithmic::new(dsn));
-    let sim = Simulator::with_workload(
-        g,
-        SimConfig {
-            routing_tables: RoutingTables::Flat,
-            ..cfg()
-        },
-        routing.clone(),
-        open(0.001),
-        1,
-    );
+    assert!(flat_table_for(routing.as_ref(), n).is_none());
+    let sim = Simulator::with_workload(g, cfg(), routing.clone(), open(0.001), 1);
     assert_eq!(sim.routing_table_bytes(), routing.table_bytes());
     assert_eq!(routing.table_bytes(), 3 * n * std::mem::size_of::<u32>());
 }
@@ -281,7 +241,6 @@ fn smoke_1020_dense_vs_event() {
         measure_cycles: 900,
         drain_cycles: 1_000,
         vcs: 4,
-        routing_tables: RoutingTables::Algorithmic,
         ..SimConfig::test_small()
     };
     let workload = open(0.004);
@@ -290,20 +249,11 @@ fn smoke_1020_dense_vs_event() {
         &g,
         &cfg,
         EngineKind::Dense,
-        RoutingTables::Algorithmic,
         routing.clone(),
         &workload,
         seed,
     );
     assert!(dense.delivered_packets > 0, "vacuous 1020 smoke");
-    let event = run_one(
-        &g,
-        &cfg,
-        EngineKind::Event,
-        RoutingTables::Algorithmic,
-        routing,
-        &workload,
-        seed,
-    );
+    let event = run_one(&g, &cfg, EngineKind::Event, routing, &workload, seed);
     assert_eq!(dense, event, "dsn1020: event diverged from dense");
 }

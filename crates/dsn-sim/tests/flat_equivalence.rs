@@ -1,7 +1,7 @@
-//! Bit-equivalence gate for the flattened routing tables: with
-//! `RoutingTables::Flat` the engine serves allocation candidates from the
-//! compiled CSR arena instead of calling the `SimRouting` trait object,
-//! and the two paths must produce *identical* `RunStats` — every counter
+//! Bit-equivalence gate for the flattened routing tables: the engine
+//! serves allocation candidates from the compiled CSR arena instead of
+//! calling the `SimRouting` trait object (which the [`NoTables`] oracle
+//! forces), and the two paths must produce *identical* `RunStats` — every counter
 //! and every float — across topologies, schemes (including the
 //! adaptive-with-escape-residue and the untabulable source-routed ones),
 //! both engines, and mid-run fault rebuilds. Any divergence means a
@@ -13,11 +13,13 @@ use dsn_core::dsn::Dsn;
 use dsn_core::graph::Graph;
 use dsn_core::torus::Torus;
 use dsn_sim::{
-    AdaptiveEscape, EngineKind, FaultPlan, MinimalAdaptiveDsn, RetryPolicy, RoutingTables,
-    RunStats, SimConfig, SimRouting, Simulator, SourceRouted, TrafficPattern, UpDownRouting,
-    Workload,
+    AdaptiveEscape, EngineKind, FaultPlan, MinimalAdaptiveDsn, RetryPolicy, RunStats, SimConfig,
+    SimRouting, Simulator, SourceRouted, TrafficPattern, UpDownRouting, Workload,
 };
 use std::sync::Arc;
+
+mod common;
+use common::NoTables;
 
 /// Short-horizon config so the dense engine stays fast in debug builds.
 fn cfg() -> SimConfig {
@@ -48,22 +50,21 @@ fn assert_flat_matches_dyn(
 ) -> RunStats {
     let mut last = None;
     for engine in [EngineKind::Dense, EngineKind::Event] {
-        let run = |tables: RoutingTables| {
+        let run = |routing: Arc<dyn SimRouting>| {
             Simulator::with_workload(
                 g.clone(),
                 SimConfig {
                     engine,
-                    routing_tables: tables,
                     ..cfg.clone()
                 },
-                routing.clone(),
+                routing,
                 workload.clone(),
                 seed,
             )
             .run()
         };
-        let dynamic = run(RoutingTables::Dyn);
-        let flat = run(RoutingTables::Flat);
+        let dynamic = run(NoTables::wrap(routing.clone()));
+        let flat = run(routing.clone());
         assert_eq!(
             dynamic,
             flat,
@@ -133,8 +134,8 @@ fn dln_adaptive_uniform() {
 
 #[test]
 fn torus_dor_stays_dynamic() {
-    // Source-routed schemes are untabulable: `Flat` must silently fall
-    // back to the dynamic path rather than change behavior.
+    // Source-routed schemes are untabulable: the engine must silently
+    // stay on the dynamic path rather than change behavior.
     let torus = Arc::new(Torus::new(&[4, 4]).unwrap());
     let g = Arc::new(torus.graph().clone());
     let routing = Arc::new(SourceRouted::torus_dor(torus));
@@ -194,6 +195,19 @@ fn fault_rebuild_refreshes_flat_tables() {
     let mut cfg = cfg();
     cfg.fault_plan = FaultPlan::single_link(5, 900).with_retry(RetryPolicy::new(2, 150, 50));
     let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
+    // The oracle must stay table-free across the rebuild, or the post-fault
+    // half of the run would compare flat against flat.
+    let mut mask = dsn_core::EdgeMask::fully_alive(&g);
+    mask.set_edge_admin(&g, 5, false);
+    let rebuilt = NoTables::wrap(routing.clone())
+        .rebuild(&g, &mask)
+        .expect("adaptive escape reroutes");
+    assert!(rebuilt.compiled_flat().is_none());
+    assert!(routing
+        .rebuild(&g, &mask)
+        .unwrap()
+        .compiled_flat()
+        .is_some());
     let stats = assert_flat_matches_dyn(
         g,
         cfg,

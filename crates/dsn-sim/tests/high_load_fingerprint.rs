@@ -12,7 +12,7 @@
 //! (the failing assertions print the measured values).
 
 use dsn_core::dsn::Dsn;
-use dsn_sim::{AdaptiveEscape, EngineKind, RoutingTables, SimConfig, Simulator, TrafficPattern};
+use dsn_sim::{AdaptiveEscape, EngineKind, SimConfig, Simulator, TrafficPattern};
 use std::sync::Arc;
 
 const SEED: u64 = 2024;
@@ -34,7 +34,6 @@ fn high_load_event_flat_matches_pinned_fingerprint() {
     let g = Arc::new(Dsn::new(64, 5).unwrap().into_graph());
     let cfg = SimConfig {
         engine: EngineKind::Event,
-        routing_tables: RoutingTables::Flat,
         warmup_cycles: 5_000,
         measure_cycles: 15_000,
         drain_cycles: 10_000,

@@ -244,7 +244,6 @@ fn saturated_256_dense_vs_event() {
         warmup_cycles: 1_000,
         measure_cycles: 4_000,
         drain_cycles: 2_000,
-        routing_tables: dsn_sim::RoutingTables::Flat,
         ..SimConfig::default()
     };
     let routing: Arc<dyn SimRouting> = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));

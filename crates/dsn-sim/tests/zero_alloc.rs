@@ -20,9 +20,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dsn_core::dsn::Dsn;
-use dsn_sim::{
-    AdaptiveEscape, EngineKind, RoutingTables, SimConfig, SimRouting, Simulator, TrafficPattern,
-};
+use dsn_sim::{AdaptiveEscape, EngineKind, SimConfig, SimRouting, Simulator, TrafficPattern};
 
 /// Counts every allocator entry point while armed; delegates to `System`.
 struct CountingAlloc;
@@ -74,7 +72,6 @@ fn saturated_measure_phase_allocates_nothing() {
     let g = Arc::new(Dsn::new(64, 5).unwrap().into_graph());
     let cfg = SimConfig {
         engine: EngineKind::Event,
-        routing_tables: RoutingTables::Flat,
         warmup_cycles: 5_000,
         measure_cycles: 15_000,
         drain_cycles: 10_000,
