@@ -1,43 +1,40 @@
 //! Targeted single-row perf probe: run exactly one (topology, engine,
 //! load) cell of the BENCH_sim matrix and print cycles/s — the quickest
-//! way to iterate on hot-path changes or read a `--phase-timing`
+//! way to iterate on hot-path changes or read a `DSN_PHASE_TIMING=1`
 //! breakdown without sweeping the whole `fig10_simulation --json` matrix.
 //!
 //! Run: `cargo run --release -p dsn-bench --example perf_probe -- \
 //!       [--n 64|256] [--topo dsn|torus|random] [--gbps F] \
-//!       [--engine dense|event] [--pre dense|event] [--phase-timing]`
+//!       [--engine dense|event] [--pre dense|event]`
 
-use dsn_bench::{take_engine_arg, take_parsed_arg, take_value_arg, trio};
+use dsn_bench::{trio, RunArgs};
 use dsn_sim::{AdaptiveEscape, EngineKind, SimConfig, SimRouting, Simulator, TrafficPattern};
 use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--phase-timing") {
-        args.retain(|a| a != "--phase-timing");
-        // Safe: single-threaded startup, before any sim work begins.
-        std::env::set_var("DSN_PHASE_TIMING", "1");
-    }
-    let n: usize = take_parsed_arg(&mut args, "n", "a switch count").unwrap_or(256);
-    let topo =
-        take_value_arg(&mut args, "topo", "dsn | torus | random").unwrap_or_else(|| "dsn".into());
-    let gbps: f64 = take_parsed_arg(&mut args, "gbps", "a load in Gbit/s/host").unwrap_or(11.0);
-    let engine = take_engine_arg(&mut args);
-    let pre = take_value_arg(&mut args, "pre", "dense | event").map(|v| {
+    let args = RunArgs::parse(
+        "perf_probe [--n 64|256] [--topo dsn|torus|random] [--gbps F] \
+         [--engine dense|event] [--pre dense|event]",
+        "--n --topo --gbps --engine --pre",
+    );
+    let n: usize = args.value("--n").unwrap_or(256);
+    let gbps: f64 = args.value("--gbps").unwrap_or(11.0);
+    let engine = args.engine;
+    let pre = args.value::<String>("--pre").map(|v| {
         EngineKind::parse(&v).unwrap_or_else(|| {
-            eprintln!("unknown --pre engine `{v}` (expected dense | event)");
-            std::process::exit(2);
+            args.fail(format!(
+                "unknown --pre engine `{v}` (expected dense | event)"
+            ))
         })
     });
-    let idx = match topo.as_str() {
+    let idx = match args.value::<String>("--topo").as_deref().unwrap_or("dsn") {
         "dsn" => 0,
         "torus" => 1,
         "random" => 2,
-        other => {
-            eprintln!("unknown --topo `{other}` (expected dsn | torus | random)");
-            std::process::exit(2);
-        }
+        other => args.fail(format!(
+            "unknown --topo `{other}` (expected dsn | torus | random)"
+        )),
     };
     let built = trio(n)
         .into_iter()

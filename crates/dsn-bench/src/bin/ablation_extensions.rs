@@ -13,6 +13,7 @@ use dsn_core::dsn_ext::{DsnD, DsnE, FlexibleDsn};
 use dsn_metrics::{path_stats, TopologyReport};
 
 fn main() {
+    dsn_bench::RunArgs::parse("ablation_extensions", "");
     let n = 1020usize; // multiple of p = 10: complete super nodes
     let p = dsn_core::util::ceil_log2(n);
 

@@ -11,21 +11,17 @@
 //! `--telemetry[=WINDOW]` instruments the all-to-all run on DSN; exports
 //! go to `telemetry_collective_dsn.{json,csv}`.
 
-use dsn_bench::{emit_telemetry, reject_unknown_flags, take_engine_arg, take_telemetry_arg, trio};
+use dsn_bench::{emit_telemetry, trio, RunArgs};
 use dsn_sim::{AdaptiveEscape, RoutingCache, SimConfig, Simulator, TelemetryConfig, Workload};
 use std::sync::Arc;
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let engine = take_engine_arg(&mut args);
-    let telemetry = take_telemetry_arg(&mut args);
-    reject_unknown_flags(
-        &args,
-        &[],
+    let args = RunArgs::parse(
         "collective_exchange [--engine dense|event] [--telemetry[=WINDOW]]",
+        "--engine --telemetry",
     );
     let cfg = SimConfig {
-        engine,
+        engine: args.engine,
         warmup_cycles: 0,
         measure_cycles: 10_000,
         drain_cycles: 3_000_000, // horizon; batches end much earlier
@@ -73,7 +69,7 @@ fn main() {
         "\n(batch enqueued at cycle 0; makespan = last tail-flit delivery; DNF = horizon hit)"
     );
 
-    if let Some(window) = telemetry {
+    if let Some(window) = args.telemetry {
         let spec = &trio(64)[0];
         let built = spec.build().expect("topology");
         let graph = Arc::new(built.graph);

@@ -8,6 +8,7 @@
 //!
 //! Run: `cargo run --release -p dsn-bench --bin custom_vs_agnostic [--quick]`
 
+use dsn_bench::{search_horizons, RunArgs};
 use dsn_core::dsn::Dsn;
 use dsn_sim::sweep::{find_saturation, load_sweep};
 use dsn_sim::{
@@ -17,18 +18,9 @@ use dsn_sim::{
 use std::sync::Arc;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = RunArgs::parse("custom_vs_agnostic [--quick]", "--quick").quick;
     let mut cfg = SimConfig::default();
-    if quick {
-        cfg.warmup_cycles = 3_000;
-        cfg.measure_cycles = 8_000;
-        cfg.drain_cycles = 8_000;
-    } else {
-        cfg.warmup_cycles = 8_000;
-        cfg.measure_cycles = 20_000;
-        cfg.drain_cycles = 20_000;
-    }
-    let tol = if quick { 2.0 } else { 1.0 };
+    let tol = search_horizons(&mut cfg, quick);
 
     let dsn = Arc::new(Dsn::new(64, 5).expect("dsn"));
     let graph = Arc::new(dsn.graph().clone());

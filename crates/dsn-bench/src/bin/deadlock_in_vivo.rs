@@ -13,19 +13,20 @@
 //! decomposition and heatmap — the wedged VCs show up as stalled hotspot
 //! links) with `telemetry_deadlock_<load>_<routing>.{json,csv}` exports.
 
-use dsn_bench::{emit_telemetry, take_engine_arg, take_telemetry_arg};
+use dsn_bench::{emit_telemetry, RunArgs};
 use dsn_core::dsn::Dsn;
 use dsn_sim::{SimConfig, Simulator, SourceRouted, TrafficPattern};
 use std::sync::Arc;
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let engine = take_engine_arg(&mut args);
-    let telemetry = take_telemetry_arg(&mut args);
+    let args = RunArgs::parse(
+        "deadlock_in_vivo [--engine dense|event] [--telemetry[=WINDOW]]",
+        "--engine --telemetry",
+    );
     let dsn = Arc::new(Dsn::new(60, 5).expect("dsn")); // p | n: clean instance
     let graph = Arc::new(dsn.graph().clone());
     let cfg = SimConfig {
-        engine,
+        engine: args.engine,
         warmup_cycles: 2_000,
         measure_cycles: 20_000,
         drain_cycles: 20_000,
@@ -67,7 +68,7 @@ fn main() {
                 rate,
                 0xDEAD,
             );
-            if let Some(window) = telemetry {
+            if let Some(window) = args.telemetry {
                 sim = sim.with_telemetry(cfg.standard_telemetry(window));
             }
             let (stats, report) = sim.run_with_telemetry();

@@ -20,10 +20,7 @@
 use dsn_bench::degraded::{
     base_config, run_dynamic, run_dynamic_telemetry, run_static, DegradedMode, DegradedReport,
 };
-use dsn_bench::{
-    emit_telemetry, reject_unknown_flags, take_engine_arg, take_parsed_arg, take_telemetry_arg,
-    trio,
-};
+use dsn_bench::{emit_telemetry, trio, RunArgs};
 
 const USAGE: &str = "degraded_performance [--quick] [--engine dense|event] [--faults N] [--json] \
                      [--telemetry[=WINDOW]]";
@@ -31,14 +28,9 @@ const USAGE: &str = "degraded_performance [--quick] [--engine dense|event] [--fa
 fn main() {
     // Parse the CLI exactly once into one shared `SimConfig`; every trial
     // below reuses it.
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let engine = take_engine_arg(&mut args);
-    let telemetry = take_telemetry_arg(&mut args);
-    let faults: Option<usize> = take_parsed_arg(&mut args, "faults", "a link count");
-    reject_unknown_flags(&args, &["--quick", "--json"], USAGE);
-    let quick = args.iter().any(|a| a == "--quick");
-    let json = args.iter().any(|a| a == "--json");
-    let cfg = base_config(engine, quick);
+    let args = RunArgs::parse(USAGE, "--quick --engine --faults --json --telemetry");
+    let faults: Option<usize> = args.value("--faults");
+    let cfg = base_config(args.engine, args.quick);
     let gbps = 4.0;
     let specs = trio(64);
 
@@ -47,12 +39,12 @@ fn main() {
         None => run_static(&cfg, &specs, &[0, 2, 5, 10], gbps),
     };
     print_report(&report);
-    if json {
+    if args.json {
         let path = "BENCH_degraded.json";
         std::fs::write(path, report.to_json()).expect("write JSON report");
         println!("\n# wrote {path}");
     }
-    if let Some(window) = telemetry {
+    if let Some(window) = args.telemetry {
         // Instrumented dynamic-fault run on DSN (first trio entry), windows
         // tagged pre-fault / post-fault.
         let (stats, tel) =

@@ -9,7 +9,7 @@
 //! Run: `cargo run --release -p dsn-bench --bin fig10_simulation \
 //!       [uniform|bitrev|neighbor|all] [--quick] \
 //!       [--engine dense|event] [--telemetry[=WINDOW]] \
-//!       [--opt] [--sizes N,M,...] [--json] [--phase-timing]`
+//!       [--opt] [--sizes N,M,...] [--json]`
 //!
 //! `--opt` adds the frontier study's searched placements (Opt-SA, Opt-ES
 //! at 64 switches, same seeds and budgets as `opt_frontier`) to the
@@ -43,15 +43,14 @@
 //! construction; where the reset is impossible the row carries
 //! `"rss_is_cumulative": true` instead of a stale figure.
 //!
-//! `--phase-timing` (with `--json` or the figure sweeps) turns on the
+//! `DSN_PHASE_TIMING=1` (with `--json` or the figure sweeps) turns on the
 //! engine's per-phase wall-clock breakdown (wheel-drain / inject / route
-//! / arbitrate / eject, reported to stderr at the end of each run), the
-//! same diagnostic as the `DSN_PHASE_TIMING=1` environment variable.
+//! / arbitrate / eject, reported to stderr at the end of each run); the
+//! `--bench-row` children inherit it.
 
 use dsn_bench::opt::searched_placements;
 use dsn_bench::{
-    emit_telemetry, peak_rss_kb, reject_unknown_flags, reset_peak_rss, take_engine_arg,
-    take_parsed_arg, take_sizes_arg, take_telemetry_arg, trio,
+    emit_telemetry, json_row, peak_rss_kb, reset_peak_rss, trio, trio_graphs, Json, RunArgs,
 };
 use dsn_core::dsn::Dsn;
 use dsn_core::graph::Graph;
@@ -63,18 +62,6 @@ use dsn_sim::{
 };
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Build the trio once so every pattern/engine/load pass shares the same
-/// `Arc<Graph>` instances — the identity the [`RoutingCache`] keys on.
-fn build_topos(n: usize) -> Vec<(String, Arc<Graph>)> {
-    trio(n)
-        .into_iter()
-        .map(|spec| {
-            let built = spec.build().expect("topology");
-            (built.name, Arc::new(built.graph))
-        })
-        .collect()
-}
 
 fn run_pattern(
     pattern: &TrafficPattern,
@@ -269,30 +256,32 @@ fn run_bench_row(cfg: &SimConfig, row: &BenchRow) -> String {
     );
     // Every engine runs on one thread; `"workers": 1` keeps the row schema
     // of the committed BENCH_sim.json.
-    format!(
-        "  {{\"engine\": \"{}\", \"workers\": 1, \"topology\": \"{}\", \
-         \"pattern\": \"uniform\", \"routing\": \"{scheme}\", \
-         \"load_gbps\": {}, \"cycles\": {cycles}, \"wall_s\": {wall:.6}, \
-         \"routing_build_s\": {routing_build_s:.6}, \"cycles_per_sec\": {:.0}, \
-         \"delivered_packets\": {}, \
-         \"peak_in_flight_packets\": {}, \"routing_table_bytes\": {table_bytes}{}, \
-         \"peak_rss_kb\": {}{}}}",
-        row.engine.name(),
-        name,
-        row.gbps,
-        cycles as f64 / wall,
-        stats.delivered_packets,
-        stats.peak_in_flight_packets,
-        flat_bytes
-            .map(|b| format!(", \"flat_table_bytes\": {b}"))
-            .unwrap_or_default(),
-        peak_rss_kb().unwrap_or(0),
-        if rss_fresh {
-            ""
-        } else {
-            ", \"rss_is_cumulative\": true"
-        },
-    )
+    let mut fields: Vec<(&str, Json)> = vec![
+        ("engine", row.engine.name().into()),
+        ("workers", 1u32.into()),
+        ("topology", name.as_str().into()),
+        ("pattern", "uniform".into()),
+        ("routing", scheme.into()),
+        ("load_gbps", row.gbps.into()),
+        ("cycles", cycles.into()),
+        ("wall_s", Json::fixed(wall, 6)),
+        ("routing_build_s", Json::fixed(routing_build_s, 6)),
+        ("cycles_per_sec", Json::fixed(cycles as f64 / wall, 0)),
+        ("delivered_packets", stats.delivered_packets.into()),
+        (
+            "peak_in_flight_packets",
+            stats.peak_in_flight_packets.into(),
+        ),
+        ("routing_table_bytes", table_bytes.into()),
+    ];
+    if let Some(b) = flat_bytes {
+        fields.push(("flat_table_bytes", b.into()));
+    }
+    fields.push(("peak_rss_kb", peak_rss_kb().unwrap_or(0).into()));
+    if !rss_fresh {
+        fields.push(("rss_is_cumulative", true.into()));
+    }
+    format!("  {}", json_row(&fields))
 }
 
 /// Benchmark mode: run every [`bench_rows`] cell in its own child process
@@ -308,7 +297,7 @@ fn emit_bench_json(cfg: &SimConfig, sizes: &[usize]) {
         .map(|n| n.to_string())
         .collect::<Vec<_>>()
         .join(",");
-    let mut rows = String::new();
+    let mut rows = Vec::new();
     for (i, row) in bench_rows(sizes).iter().enumerate() {
         let json = exe
             .as_deref()
@@ -339,12 +328,9 @@ fn emit_bench_json(cfg: &SimConfig, sizes: &[usize]) {
                 }
             })
             .unwrap_or_else(|| run_bench_row(cfg, row));
-        if !rows.is_empty() {
-            rows.push_str(",\n");
-        }
-        rows.push_str(&json);
+        rows.push(json);
     }
-    let json = format!("[\n{rows}\n]\n");
+    let json = format!("[\n{}\n]\n", rows.join(",\n"));
     std::fs::write("BENCH_sim.json", &json).expect("write BENCH_sim.json");
     println!("wrote BENCH_sim.json");
 }
@@ -389,37 +375,34 @@ fn run_telemetry_pass(
 
 const USAGE: &str = "fig10_simulation [uniform|bitrev|neighbor|all] [--quick] \
                      [--engine dense|event] [--telemetry[=WINDOW]] [--opt] [--sizes N,M,...] \
-                     [--json] [--phase-timing]";
-/// Switches and pattern names left in `args` once every value flag is
-/// taken.
-const KNOWN: [&str; 7] = [
-    "--quick", "--json", "--opt", "uniform", "bitrev", "neighbor", "all",
-];
+                     [--json]";
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--phase-timing") {
-        args.retain(|a| a != "--phase-timing");
-        // Safe: single-threaded startup, before any sim work begins. The
-        // variable also propagates into `--bench-row` children.
-        std::env::set_var("DSN_PHASE_TIMING", "1");
-    }
-    let bench_row: Option<usize> = take_parsed_arg(&mut args, "bench-row", "a row index");
-    let engine = take_engine_arg(&mut args);
-    let telemetry = take_telemetry_arg(&mut args);
-    let sizes_arg = take_sizes_arg(&mut args);
-    reject_unknown_flags(&args, &KNOWN, USAGE);
-    let quick = args.iter().any(|a| a == "--quick");
-    let json = args.iter().any(|a| a == "--json");
-    let opt = args.iter().any(|a| a == "--opt");
-    let which = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .unwrap_or("all");
+    let args = RunArgs::parse_with_positionals(
+        USAGE,
+        "--quick --json --opt --engine --telemetry --sizes --bench-row",
+    );
+    let (quick, json, telemetry) = (args.quick, args.json, args.telemetry);
+    let bench_row: Option<usize> = args.value("--bench-row");
+    let which = match args.positionals.as_slice() {
+        [] => "all",
+        [which] => which.as_str(),
+        _ => args.fail("at most one pattern"),
+    };
+    let patterns: Vec<TrafficPattern> = match which {
+        "uniform" => vec![TrafficPattern::Uniform],
+        "bitrev" => vec![TrafficPattern::BitReversal],
+        "neighbor" => vec![TrafficPattern::neighboring_paper()],
+        "all" => vec![
+            TrafficPattern::Uniform,
+            TrafficPattern::BitReversal,
+            TrafficPattern::neighboring_paper(),
+        ],
+        other => args.fail(format!("unknown pattern `{other}`")),
+    };
 
     let mut cfg = SimConfig {
-        engine,
+        engine: args.engine,
         ..SimConfig::default()
     };
     let loads = if quick || json {
@@ -433,7 +416,8 @@ fn main() {
 
     // Scale sizes: explicit `--sizes` wins; `--json` without it defaults
     // to the first large-n rungs (snapped to DSN-9-1020 / DSN-10-2046).
-    let sizes = sizes_arg
+    let sizes = args
+        .sizes
         .clone()
         .unwrap_or_else(|| if json { vec![1024, 2048] } else { Vec::new() });
 
@@ -452,7 +436,7 @@ fn main() {
     if json {
         emit_bench_json(&cfg, &sizes);
         if let Some(window) = telemetry {
-            let topos = build_topos(64);
+            let topos = trio_graphs(64);
             let cache = Arc::new(RoutingCache::new());
             run_telemetry_pass(&cfg, window, &topos, &cache);
         }
@@ -461,7 +445,7 @@ fn main() {
 
     // `--sizes` without `--json`: run just the scale rows in-process (the
     // CI large-n smoke) and exit.
-    if let Some(sizes) = &sizes_arg {
+    if let Some(sizes) = &args.sizes {
         let base = bench_rows(&[]).len();
         for row in &bench_rows(sizes)[base..] {
             println!("{}", run_bench_row(&cfg, row));
@@ -469,8 +453,8 @@ fn main() {
         return;
     }
 
-    let mut topos = build_topos(64);
-    if opt {
+    let mut topos = trio_graphs(64);
+    if args.flag("--opt") {
         // The frontier study's searched placements, swept like any other
         // topology (ROADMAP item 2's missing last step).
         for (name, g) in searched_placements(64, quick, Parallelism::auto()) {
@@ -478,18 +462,6 @@ fn main() {
         }
     }
     let cache = Arc::new(RoutingCache::new());
-
-    let patterns: Vec<TrafficPattern> = match which {
-        "uniform" => vec![TrafficPattern::Uniform],
-        "bitrev" => vec![TrafficPattern::BitReversal],
-        "neighbor" => vec![TrafficPattern::neighboring_paper()],
-        "all" => vec![
-            TrafficPattern::Uniform,
-            TrafficPattern::BitReversal,
-            TrafficPattern::neighboring_paper(),
-        ],
-        _ => unreachable!("reject_unknown_flags admits only these patterns"),
-    };
 
     println!("# engine: {}", cfg.engine.name());
     for pattern in &patterns {

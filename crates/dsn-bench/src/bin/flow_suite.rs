@@ -14,10 +14,7 @@
 //! `"fct"` section; exports go to `telemetry_flows_dsn.{json,csv}`.
 
 use dsn_bench::flows::{flow_config, run_suite, FlowReport, FlowRow, FlowWorkloadKind, FLOW_SEED};
-use dsn_bench::{
-    emit_telemetry, reject_unknown_flags, take_engine_arg, take_parsed_arg, take_sizes_arg,
-    take_telemetry_arg, trio,
-};
+use dsn_bench::{emit_telemetry, trio, RunArgs};
 use dsn_sim::{AdaptiveEscape, Simulator, TelemetryConfig};
 use std::sync::Arc;
 
@@ -25,15 +22,13 @@ const USAGE: &str = "flow_suite [--quick] [--engine dense|event] [--sizes 64,256
                      [--json] [--telemetry[=WINDOW]]";
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let engine = take_engine_arg(&mut args);
-    let telemetry = take_telemetry_arg(&mut args);
-    let sizes = take_sizes_arg(&mut args);
-    let flaps: usize = take_parsed_arg(&mut args, "flaps", "a flap count").unwrap_or(3);
-    reject_unknown_flags(&args, &["--quick", "--json"], USAGE);
-    let quick = args.iter().any(|a| a == "--quick");
-    let json = args.iter().any(|a| a == "--json");
-    let sizes = sizes.unwrap_or_else(|| if quick { vec![64] } else { vec![64, 256] });
+    let args = RunArgs::parse(USAGE, "--quick --engine --sizes --flaps --json --telemetry");
+    let (engine, quick) = (args.engine, args.quick);
+    let flaps: usize = args.value("--flaps").unwrap_or(3);
+    let sizes = args
+        .sizes
+        .clone()
+        .unwrap_or_else(|| if quick { vec![64] } else { vec![64, 256] });
 
     let mut rows: Vec<FlowRow> = Vec::new();
     for &n in &sizes {
@@ -41,12 +36,12 @@ fn main() {
     }
     let report = FlowReport { engine, rows };
     print_report(&report);
-    if json {
+    if args.json {
         let path = "BENCH_flows.json";
         std::fs::write(path, report.to_json()).expect("write JSON report");
         println!("\n# wrote {path}");
     }
-    if let Some(window) = telemetry {
+    if let Some(window) = args.telemetry {
         // Instrumented web-search run on DSN at the first size.
         let n = sizes[0];
         let spec = &trio(n)[0];

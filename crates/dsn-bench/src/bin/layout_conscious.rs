@@ -8,17 +8,23 @@
 //!
 //! Run: `cargo run --release -p dsn-bench --bin layout_conscious [n]`
 
-use dsn_bench::RANDOM_SEED;
+use dsn_bench::{RunArgs, RANDOM_SEED};
 use dsn_core::dln::{DlnRandom, DlnRandomCapped};
 use dsn_core::dsn::Dsn;
 use dsn_layout::{cable_stats, CableModel, LinearPlacement};
 use dsn_metrics::path_stats;
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(1024);
+    let args = RunArgs::parse_with_positionals("layout_conscious [N >= 8]", "");
+    let n: usize = match args.positionals.as_slice() {
+        [] => 1024,
+        [n] => n
+            .parse()
+            .ok()
+            .filter(|&n| n >= 8)
+            .unwrap_or_else(|| args.fail(format!("malformed switch count `{n}`"))),
+        _ => args.fail("at most one switch count"),
+    };
     let p = dsn_core::util::ceil_log2(n);
     let model = CableModel::default();
     let placement = LinearPlacement::new(n, model.switches_per_cabinet);

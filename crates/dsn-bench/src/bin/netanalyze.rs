@@ -12,27 +12,19 @@
 //! `kleinberg:<side>:<q>[:<seed>]`, `hypercube:<dim>`, `ccc:<dim>`,
 //! `debruijn:<base>:<dim>`.
 
+use dsn_bench::RunArgs;
 use dsn_core::export::to_dot;
 use dsn_core::topology::TopologySpec;
 use dsn_layout::{cable_stats, CableModel, LinearPlacement};
 use dsn_metrics::{edge_connectivity, estimate_bisection, TopologyReport};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        eprintln!("usage: netanalyze [--dot FILE] <spec> [<spec> ...]   (see --help in source)");
-        std::process::exit(2);
+    let args =
+        RunArgs::parse_with_positionals("netanalyze [--dot FILE] <spec> [<spec> ...]", "--dot");
+    if args.positionals.is_empty() {
+        args.fail("no topology spec given");
     }
-    let mut dot_path: Option<String> = None;
-    let mut specs: Vec<String> = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        if a == "--dot" {
-            dot_path = it.next();
-        } else {
-            specs.push(a);
-        }
-    }
+    let dot_path: Option<String> = args.value("--dot");
 
     println!(
         "{} {:>9} {:>9} {:>8}",
@@ -41,7 +33,7 @@ fn main() {
         "edgeconn",
         "bisect"
     );
-    for spec in &specs {
+    for spec in &args.positionals {
         let parsed = match TopologySpec::parse(spec) {
             Ok(p) => p,
             Err(e) => {

@@ -21,36 +21,23 @@
 //! smoke relies on that.
 
 use dsn_bench::opt::{run_frontier, FrontierConfig, OptRow};
-use dsn_core::Parallelism;
+use dsn_bench::RunArgs;
 
 fn main() {
-    let (par, rest) = Parallelism::from_args(std::env::args().skip(1));
-    let quick = rest.iter().any(|a| a == "--quick");
-    let json = rest.iter().any(|a| a == "--json");
+    let args = RunArgs::parse(
+        "opt_frontier [--quick] [--sat | --no-sat] [--sizes 64,256,1020] [--json] \
+         [--serial | --threads N]",
+        "--quick --sat --no-sat --sizes --json --serial --threads",
+    );
+    let (par, quick) = (args.par, args.quick);
     let sat = if quick {
-        rest.iter().any(|a| a == "--sat")
+        args.flag("--sat")
     } else {
-        !rest.iter().any(|a| a == "--no-sat")
+        !args.flag("--no-sat")
     };
-    let sizes: Vec<usize> = rest
-        .iter()
-        .find_map(|a| a.strip_prefix("--sizes="))
-        .or_else(|| {
-            rest.iter()
-                .position(|a| a == "--sizes")
-                .and_then(|i| rest.get(i + 1))
-                .map(|s| s.as_str())
-        })
-        .map(|v| {
-            v.split(',')
-                .map(|t| {
-                    t.parse().unwrap_or_else(|_| {
-                        eprintln!("--sizes needs a comma-separated switch-count list");
-                        std::process::exit(2);
-                    })
-                })
-                .collect()
-        })
+    let sizes = args
+        .sizes
+        .clone()
         .unwrap_or_else(|| if quick { vec![64] } else { vec![64, 256] });
 
     let report = run_frontier(&FrontierConfig {
@@ -133,7 +120,7 @@ fn main() {
         );
     }
 
-    if json {
+    if args.json {
         let path = "BENCH_opt.json";
         std::fs::write(path, report.to_json()).expect("write JSON report");
         println!("\n# wrote {path}");

@@ -10,6 +10,7 @@ use dsn_core::topology::TopologySpec;
 use dsn_metrics::TopologyReport;
 
 fn main() {
+    dsn_bench::RunArgs::parse("related_work", "");
     println!("Related-work landscape (Section III): diameter-and-degree");
     println!("{}", TopologyReport::header());
     let specs = [

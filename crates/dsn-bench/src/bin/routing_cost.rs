@@ -10,6 +10,7 @@ use dsn_core::torus::Torus;
 use dsn_route::cost::{adaptive_escape_cost, dor_cost, dsn_custom_cost, updown_cost};
 
 fn main() {
+    dsn_bench::RunArgs::parse("routing_cost", "");
     println!("Per-switch routing state (bits) vs network size");
     println!(
         "  {:>6} {:>14} {:>14} {:>18} {:>12}",

@@ -8,66 +8,40 @@
 //!
 //! Run: `cargo run --release -p dsn-bench --bin saturation_search \
 //!       [--quick] [--threads N | --serial] \
-//!       [--engine dense|event] [--telemetry[=WINDOW]] [--phase-timing]`
+//!       [--engine dense|event] [--telemetry[=WINDOW]]`
 //!
-//! `--phase-timing` turns on the engine's per-phase wall-clock breakdown
-//! (wheel-drain / inject / route / arbitrate / eject, reported to stderr
-//! at the end of each run), the same diagnostic as `DSN_PHASE_TIMING=1`.
+//! `DSN_PHASE_TIMING=1` turns on the engine's per-phase wall-clock
+//! breakdown (wheel-drain / inject / route / arbitrate / eject, reported
+//! to stderr at the end of each run).
 //!
 //! `--telemetry[=WINDOW]` instruments the near-saturation re-run (90% of
 //! the found saturation point) and prints where the cycles go — queueing
 //! vs credit-stall decomposition and the hotspot links on the heatmap —
 //! plus `telemetry_sat_<topology>_<pattern>.{json,csv}` exports.
 
-use dsn_bench::{emit_telemetry, reject_unknown_flags, take_engine_arg, take_telemetry_arg, trio};
-use dsn_core::graph::Graph;
-use dsn_core::parallel::Parallelism;
+use dsn_bench::{emit_telemetry, search_horizons, trio_graphs, RunArgs};
 use dsn_sim::sweep::find_saturation_cached;
 use dsn_sim::{AdaptiveEscape, RoutingCache, SimConfig, Simulator, TrafficPattern};
 use std::sync::Arc;
 
 fn main() {
-    let (par, mut rest) = Parallelism::from_args(std::env::args().skip(1));
-    par.install();
-    if rest.iter().any(|a| a == "--phase-timing") {
-        rest.retain(|a| a != "--phase-timing");
-        // Safe: single-threaded startup, before any sim work begins.
-        std::env::set_var("DSN_PHASE_TIMING", "1");
-    }
-    let engine = take_engine_arg(&mut rest);
-    let telemetry = take_telemetry_arg(&mut rest);
-    reject_unknown_flags(
-        &rest,
-        &["--quick"],
+    let args = RunArgs::parse(
         "saturation_search [--quick] [--threads N | --serial] [--engine dense|event] \
-         [--telemetry[=WINDOW]] [--phase-timing]",
+         [--telemetry[=WINDOW]]",
+        "--quick --serial --threads --engine --telemetry",
     );
-    let quick = rest.iter().any(|a| a == "--quick");
+    let (par, quick, telemetry) = (args.par, args.quick, args.telemetry);
+    par.install();
     let mut cfg = SimConfig {
-        engine,
+        engine: args.engine,
         ..SimConfig::default()
     };
-    if quick {
-        cfg.warmup_cycles = 3_000;
-        cfg.measure_cycles = 8_000;
-        cfg.drain_cycles = 8_000;
-    } else {
-        cfg.warmup_cycles = 8_000;
-        cfg.measure_cycles = 20_000;
-        cfg.drain_cycles = 20_000;
-    }
-    let tol = if quick { 2.0 } else { 1.0 };
+    let tol = search_horizons(&mut cfg, quick);
 
     // Build each topology once, outside the pattern loop: the routing cache
     // keys on the Arc<Graph> identity, so all three patterns' searches (and
     // the near-saturation re-runs) share one routing build per topology.
-    let topos: Vec<(String, Arc<Graph>)> = trio(64)
-        .into_iter()
-        .map(|spec| {
-            let built = spec.build().expect("topology");
-            (built.name, Arc::new(built.graph))
-        })
-        .collect();
+    let topos = trio_graphs(64);
     let cache = Arc::new(RoutingCache::new());
     let key = AdaptiveEscape::key_for(cfg.vcs);
 

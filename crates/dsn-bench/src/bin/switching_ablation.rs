@@ -7,7 +7,7 @@
 //! Run: `cargo run --release -p dsn-bench --bin switching_ablation \
 //!       [--quick] [--engine dense|event]`
 
-use dsn_bench::{reject_unknown_flags, take_engine_arg};
+use dsn_bench::{search_horizons, RunArgs};
 use dsn_core::dsn::Dsn;
 use dsn_core::parallel::Parallelism;
 use dsn_sim::sweep::find_saturation_cached;
@@ -15,30 +15,18 @@ use dsn_sim::{AdaptiveEscape, RoutingCache, SimConfig, Simulator, Switching, Tra
 use std::sync::Arc;
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let engine = take_engine_arg(&mut args);
-    reject_unknown_flags(
-        &args,
-        &["--quick"],
+    let args = RunArgs::parse(
         "switching_ablation [--quick] [--engine dense|event]",
+        "--quick --engine",
     );
-    let quick = args.iter().any(|a| a == "--quick");
+    let quick = args.quick;
     let dsn = Dsn::new(64, 5).expect("dsn");
     let graph = Arc::new(dsn.into_graph());
     let mut base = SimConfig {
-        engine,
+        engine: args.engine,
         ..SimConfig::default()
     };
-    if quick {
-        base.warmup_cycles = 3_000;
-        base.measure_cycles = 8_000;
-        base.drain_cycles = 8_000;
-    } else {
-        base.warmup_cycles = 8_000;
-        base.measure_cycles = 20_000;
-        base.drain_cycles = 20_000;
-    }
-    let tol = if quick { 2.0 } else { 1.0 };
+    let tol = search_horizons(&mut base, quick);
 
     // Routing is independent of the switching mode and buffer size, so one
     // cached build serves all six cases (and every probe inside each

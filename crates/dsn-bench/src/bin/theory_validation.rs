@@ -14,18 +14,21 @@
 //!
 //! Run: `cargo run --release -p dsn-bench --bin theory_validation [--threads N | --serial]`
 
-use dsn_bench::RANDOM_SEED;
+use dsn_bench::{RunArgs, RANDOM_SEED};
 use dsn_core::dln::DlnRandom;
 use dsn_core::dsn::Dsn;
 use dsn_core::dsn_ext::DsnE;
-use dsn_core::parallel::Parallelism;
 use dsn_layout::ring_layout_stats;
 use dsn_metrics::path_stats_with;
 use dsn_route::deadlock::{dsne_cdg, dsne_group_dependencies, dsnv_cdg};
 use dsn_route::routing_stats_with;
 
 fn main() {
-    let (par, _rest) = Parallelism::from_args(std::env::args().skip(1));
+    let par = RunArgs::parse(
+        "theory_validation [--threads N | --serial]",
+        "--serial --threads",
+    )
+    .par;
     par.install();
     println!("Theory validation: measured vs proven bounds");
     println!("# parallelism: {par}");

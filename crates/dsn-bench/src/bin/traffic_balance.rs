@@ -23,6 +23,7 @@ fn row(name: &str, s: &LoadStats) -> String {
 }
 
 fn main() {
+    dsn_bench::RunArgs::parse("traffic_balance", "");
     println!("Traffic balance under all-to-all traffic (Section VII.B)");
     println!(
         "    {:<22} {:>8} {:>8} {:>9} {:>8} {:>8}",

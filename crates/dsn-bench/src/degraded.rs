@@ -14,6 +14,8 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::sync::Arc;
 
+use crate::{json_report, json_row, Json};
+
 /// Schema tag written into the JSON report; bump on breaking changes.
 pub const SCHEMA: &str = "dsn-bench/degraded/v1";
 
@@ -264,40 +266,36 @@ impl DegradedReport {
     /// Serialize with a fixed key order and fixed float formatting — the
     /// golden-file test compares this string byte for byte.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
-        s.push_str(&format!("  \"engine\": \"{}\",\n", self.engine.name()));
-        s.push_str(&format!(
-            "  \"gbps_per_host\": {:.3},\n",
-            self.gbps_per_host
-        ));
-        s.push_str(&format!("  \"mode\": \"{}\",\n", self.mode.name()));
-        s.push_str("  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"topology\": \"{}\", \"dead_links\": {}, \"split\": {}, \
-                 \"saturated\": {}, \"avg_latency_ns\": {:.3}, \"delivery_ratio\": {:.4}, \
-                 \"dropped\": {}, \"retried\": {}, \"salvaged\": {}, \"abandoned\": {}, \
-                 \"post_fault_delivered\": {}, \"post_fault_avg_latency_cycles\": {:.3}, \
-                 \"post_fault_p99_latency_cycles\": {}}}{}\n",
-                r.topology,
-                r.dead_links,
-                r.split,
-                r.saturated,
-                r.avg_latency_ns,
-                r.delivery_ratio,
-                r.dropped,
-                r.retried,
-                r.salvaged,
-                r.abandoned,
-                r.post_fault_delivered,
-                r.post_fault_avg_latency_cycles,
-                r.post_fault_p99_latency_cycles,
-                if i + 1 == self.rows.len() { "" } else { "," }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        json_report(
+            SCHEMA,
+            &[
+                ("engine", self.engine.name().into()),
+                ("gbps_per_host", Json::fixed(self.gbps_per_host, 3)),
+                ("mode", self.mode.name().into()),
+            ],
+            self.rows.iter().map(|r| {
+                json_row(&[
+                    ("topology", r.topology.as_str().into()),
+                    ("dead_links", r.dead_links.into()),
+                    ("split", r.split.into()),
+                    ("saturated", r.saturated.into()),
+                    ("avg_latency_ns", Json::fixed(r.avg_latency_ns, 3)),
+                    ("delivery_ratio", Json::fixed(r.delivery_ratio, 4)),
+                    ("dropped", r.dropped.into()),
+                    ("retried", r.retried.into()),
+                    ("salvaged", r.salvaged.into()),
+                    ("abandoned", r.abandoned.into()),
+                    ("post_fault_delivered", r.post_fault_delivered.into()),
+                    (
+                        "post_fault_avg_latency_cycles",
+                        Json::fixed(r.post_fault_avg_latency_cycles, 3),
+                    ),
+                    (
+                        "post_fault_p99_latency_cycles",
+                        r.post_fault_p99_latency_cycles.into(),
+                    ),
+                ])
+            }),
+        )
     }
 }

@@ -12,6 +12,8 @@ use dsn_sim::{
 };
 use std::sync::Arc;
 
+use crate::{json_report, json_row, Json};
+
 /// Schema tag written into the JSON report; bump on breaking changes.
 pub const SCHEMA: &str = "dsn-bench/flows/v1";
 
@@ -276,42 +278,28 @@ impl FlowReport {
     /// Serialize with a fixed key order and fixed float formatting — the
     /// golden-file test compares this string byte for byte.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
-        s.push_str(&format!("  \"engine\": \"{}\",\n", self.engine.name()));
-        s.push_str("  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            let makespan = match r.makespan_cycles {
-                Some(c) => c.to_string(),
-                None => "null".to_string(),
-            };
-            s.push_str(&format!(
-                "    {{\"topology\": \"{}\", \"workload\": \"{}\", \"switches\": {}, \
-                 \"flapped_links\": {}, \"flows_started\": {}, \"flows_completed\": {}, \
-                 \"flow_packets_delivered\": {}, \"fct_avg_cycles\": {:.3}, \
-                 \"fct_p50_cycles\": {}, \"fct_p99_cycles\": {}, \"fct_p999_cycles\": {}, \
-                 \"makespan_cycles\": {}, \"delivery_ratio\": {:.4}, \"dropped\": {}, \
-                 \"retried\": {}}}{}\n",
-                r.topology,
-                r.workload,
-                r.switches,
-                r.flapped_links,
-                r.flows_started,
-                r.flows_completed,
-                r.flow_packets_delivered,
-                r.fct_avg_cycles,
-                r.fct_p50_cycles,
-                r.fct_p99_cycles,
-                r.fct_p999_cycles,
-                makespan,
-                r.delivery_ratio,
-                r.dropped,
-                r.retried,
-                if i + 1 == self.rows.len() { "" } else { "," }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        json_report(
+            SCHEMA,
+            &[("engine", self.engine.name().into())],
+            self.rows.iter().map(|r| {
+                json_row(&[
+                    ("topology", r.topology.as_str().into()),
+                    ("workload", r.workload.as_str().into()),
+                    ("switches", r.switches.into()),
+                    ("flapped_links", r.flapped_links.into()),
+                    ("flows_started", r.flows_started.into()),
+                    ("flows_completed", r.flows_completed.into()),
+                    ("flow_packets_delivered", r.flow_packets_delivered.into()),
+                    ("fct_avg_cycles", Json::fixed(r.fct_avg_cycles, 3)),
+                    ("fct_p50_cycles", r.fct_p50_cycles.into()),
+                    ("fct_p99_cycles", r.fct_p99_cycles.into()),
+                    ("fct_p999_cycles", r.fct_p999_cycles.into()),
+                    ("makespan_cycles", r.makespan_cycles.into()),
+                    ("delivery_ratio", Json::fixed(r.delivery_ratio, 4)),
+                    ("dropped", r.dropped.into()),
+                    ("retried", r.retried.into()),
+                ])
+            }),
+        )
     }
 }

@@ -12,7 +12,7 @@ use dsn_sim::{RoutingCache, SimConfig, TrafficPattern};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::RANDOM_SEED;
+use crate::{json_report, json_row, Json, RANDOM_SEED};
 
 /// Schema tag written into the JSON report; bump on breaking changes.
 pub const SCHEMA: &str = "dsn-bench/opt/v1";
@@ -336,47 +336,33 @@ impl OptReport {
     /// Serialize with a fixed key order and fixed float formatting — the
     /// golden-file test compares this string byte for byte.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
-        s.push_str(&format!(
-            "  \"sizes\": [{}],\n",
-            self.sizes
-                .iter()
-                .map(|n| n.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        s.push_str(&format!("  \"sat\": {},\n", self.sat));
-        s.push_str("  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            let sat = match r.sat_gbps {
-                Some(v) => format!("{v:.2}"),
-                None => "null".to_string(),
-            };
-            s.push_str(&format!(
-                "    {{\"topology\": \"{}\", \"family\": \"{}\", \"n\": {}, \
-                 \"aspl\": {:.4}, \"diameter\": {}, \"cable_total_m\": {:.1}, \
-                 \"budget_m\": {:.1}, \"within_budget\": {}, \"sat_gbps\": {}, \
-                 \"fingerprint\": \"{:#018x}\", \"wall_s\": {:.3}, \
-                 \"on_frontier\": {}}}{}\n",
-                r.topology,
-                r.family,
-                r.n,
-                r.aspl,
-                r.diameter,
-                r.cable_total_m,
-                r.budget_m,
-                r.within_budget,
-                sat,
-                r.fingerprint,
-                r.wall_s,
-                r.on_frontier,
-                if i + 1 == self.rows.len() { "" } else { "," }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        let sizes: Vec<String> = self.sizes.iter().map(|n| n.to_string()).collect();
+        json_report(
+            SCHEMA,
+            &[
+                ("sizes", Json::raw(format!("[{}]", sizes.join(", ")))),
+                ("sat", self.sat.into()),
+            ],
+            self.rows.iter().map(|r| {
+                json_row(&[
+                    ("topology", r.topology.as_str().into()),
+                    ("family", r.family.into()),
+                    ("n", r.n.into()),
+                    ("aspl", Json::fixed(r.aspl, 4)),
+                    ("diameter", r.diameter.into()),
+                    ("cable_total_m", Json::fixed(r.cable_total_m, 1)),
+                    ("budget_m", Json::fixed(r.budget_m, 1)),
+                    ("within_budget", r.within_budget.into()),
+                    ("sat_gbps", r.sat_gbps.map(|v| Json::fixed(v, 2)).into()),
+                    (
+                        "fingerprint",
+                        format!("{:#018x}", r.fingerprint).as_str().into(),
+                    ),
+                    ("wall_s", Json::fixed(r.wall_s, 3)),
+                    ("on_frontier", r.on_frontier.into()),
+                ])
+            }),
+        )
     }
 }
 

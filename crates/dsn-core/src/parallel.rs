@@ -7,9 +7,9 @@
 //! (see `vendor/rayon` for the determinism contract). The config therefore
 //! only chooses *how fast* an answer arrives, never *which* answer.
 //!
-//! The figure binaries in `dsn-bench` parse `--serial` / `--threads N`
-//! into a `Parallelism` via [`Parallelism::from_args`] and pass it down;
-//! the `DSN_THREADS` environment variable supplies a default.
+//! The `dsn-bench` binaries parse `--serial` / `--threads N` into a
+//! `Parallelism` (`dsn_bench::RunArgs`) and pass it down; without either
+//! flag the config is automatic, so `RAYON_NUM_THREADS` applies.
 
 use std::fmt;
 
@@ -67,53 +67,6 @@ impl Parallelism {
         }
     }
 
-    /// Default from the environment: `DSN_THREADS=N` requests `N` workers
-    /// (`0` or unset = automatic, `1` = serial).
-    pub fn from_env() -> Self {
-        match std::env::var("DSN_THREADS") {
-            Ok(v) => match v.trim().parse::<usize>() {
-                Ok(0) | Err(_) => Parallelism::auto(),
-                Ok(1) => Parallelism::serial(),
-                Ok(n) => Parallelism::threads(n),
-            },
-            Err(_) => Parallelism::auto(),
-        }
-    }
-
-    /// Parse `--serial` and `--threads N` / `--threads=N` out of a
-    /// command-line argument stream, starting from the [`from_env`]
-    /// default. Returns the config plus the arguments it did not consume,
-    /// so binaries keep their own flags.
-    ///
-    /// [`from_env`]: Parallelism::from_env
-    pub fn from_args(args: impl IntoIterator<Item = String>) -> (Self, Vec<String>) {
-        let mut par = Parallelism::from_env();
-        let mut rest = Vec::new();
-        let mut args = args.into_iter();
-        while let Some(a) = args.next() {
-            if a == "--serial" {
-                par = Parallelism::serial();
-            } else if a == "--threads" {
-                match args.next().and_then(|v| v.parse::<usize>().ok()) {
-                    Some(0) => par = Parallelism::auto(),
-                    Some(1) => par = Parallelism::serial(),
-                    Some(n) => par = Parallelism::threads(n),
-                    None => rest.push(a),
-                }
-            } else if let Some(v) = a.strip_prefix("--threads=") {
-                match v.parse::<usize>() {
-                    Ok(0) => par = Parallelism::auto(),
-                    Ok(1) => par = Parallelism::serial(),
-                    Ok(n) => par = Parallelism::threads(n),
-                    Err(_) => rest.push(a),
-                }
-            } else {
-                rest.push(a);
-            }
-        }
-        (par, rest)
-    }
-
     /// Install this config as the global rayon worker count, so code that
     /// calls the parameterless kernels (`routing_stats`, `path_stats`,
     /// `load_sweep`, …) inherits it too.
@@ -151,28 +104,6 @@ mod tests {
         assert_eq!(Parallelism::threads(4).effective_threads(), 4);
         assert!(Parallelism::auto().effective_threads() >= 1);
         assert_eq!(Parallelism::default(), Parallelism::auto());
-    }
-
-    #[test]
-    fn arg_parsing_consumes_only_its_flags() {
-        let (par, rest) =
-            Parallelism::from_args(["--quick", "--threads", "3", "--verbose"].map(String::from));
-        assert_eq!(par, Parallelism::threads(3));
-        assert_eq!(rest, vec!["--quick".to_string(), "--verbose".to_string()]);
-
-        let (par, rest) = Parallelism::from_args(["--serial"].map(String::from));
-        assert!(par.is_serial());
-        assert!(rest.is_empty());
-
-        let (par, _) = Parallelism::from_args(["--threads=2"].map(String::from));
-        assert_eq!(par, Parallelism::threads(2));
-
-        let (par, _) = Parallelism::from_args(["--threads=1"].map(String::from));
-        assert!(par.is_serial());
-
-        let (par, rest) = Parallelism::from_args(["--threads"].map(String::from));
-        assert_eq!(par, Parallelism::from_env());
-        assert_eq!(rest, vec!["--threads".to_string()]);
     }
 
     #[test]

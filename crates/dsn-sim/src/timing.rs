@@ -1,5 +1,5 @@
-//! Per-cycle-phase wall-time breakdown (`--phase-timing` /
-//! `DSN_PHASE_TIMING=1`) for the dense and event cores.
+//! Per-cycle-phase wall-time breakdown (`DSN_PHASE_TIMING=1`) for the
+//! dense and event cores.
 //!
 //! When enabled, the step loops stamp an [`Instant`] between phases and
 //! accumulate the deltas here; the report is printed to stderr when the
@@ -95,8 +95,8 @@ pub(crate) enum Phase {
 }
 
 /// Whether the `DSN_PHASE_TIMING` environment switch is on (any value but
-/// `0`); `--phase-timing` on the bench binaries sets it for the process so
-/// sims constructed deep inside sweeps inherit it.
+/// `0`). It is read at each simulator's construction, so sims built deep
+/// inside sweeps, and child processes, inherit it.
 pub(crate) fn env_enabled() -> bool {
     std::env::var_os("DSN_PHASE_TIMING").is_some_and(|v| v != *"0")
 }

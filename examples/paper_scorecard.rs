@@ -147,7 +147,7 @@ fn main() {
     );
 
     println!(
-        "\n{} checks passed, {} failed (full-scale regenerators: cargo run -p dsn-bench --bin fig7_diameter, ...)",
+        "\n{} checks passed, {} failed (full-scale regenerators: cargo run -p dsn-bench --bin paper_figures, ...)",
         card.passed, card.failed
     );
     if card.failed > 0 {
