@@ -15,7 +15,7 @@
 
 use dsn_bench::{emit_telemetry, RunArgs};
 use dsn_core::dsn::Dsn;
-use dsn_sim::{SimConfig, Simulator, SourceRouted, TrafficPattern};
+use dsn_sim::{DsnAlgorithmic, SimConfig, Simulator, TrafficPattern};
 use std::sync::Arc;
 
 fn main() {
@@ -33,13 +33,11 @@ fn main() {
         ..SimConfig::default()
     };
 
-    // Source-routed path tables are load-independent: build each variant
-    // once and share the Arc across every load point instead of recomputing
-    // all-pairs shortest paths per run.
-    let safe_routing: Arc<dyn dsn_sim::SimRouting> =
-        Arc::new(SourceRouted::dsn_custom(dsn.clone()));
+    // The routings are load-independent: build each variant once and
+    // share the Arc (and its compiled table) across every load point.
+    let safe_routing: Arc<dyn dsn_sim::SimRouting> = Arc::new(DsnAlgorithmic::new(dsn.clone()));
     let unsafe_routing: Arc<dyn dsn_sim::SimRouting> =
-        Arc::new(SourceRouted::dsn_basic_single_vc(dsn.clone()));
+        Arc::new(DsnAlgorithmic::basic_single_vc(dsn.clone()));
 
     println!("Dynamic deadlock check on DSN-5-60 (60 switches, complete super nodes)");
     println!("# engine: {}", cfg.engine.name());

@@ -43,7 +43,6 @@ fn main() {
         other => args.fail(format!("unknown figure `{other}`")),
     };
     let par = args.par;
-    par.install();
     let paths: Vec<(usize, [PathStats; 3])> = if figures.contains(&7) || figures.contains(&8) {
         paper_sizes()
             .into_iter()

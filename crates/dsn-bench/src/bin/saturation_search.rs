@@ -31,7 +31,6 @@ fn main() {
         "--quick --serial --threads --engine --telemetry",
     );
     let (par, quick, telemetry) = (args.par, args.quick, args.telemetry);
-    par.install();
     let mut cfg = SimConfig {
         engine: args.engine,
         ..SimConfig::default()

@@ -29,7 +29,6 @@ fn main() {
         "--serial --threads",
     )
     .par;
-    par.install();
     println!("Theory validation: measured vs proven bounds");
     println!("# parallelism: {par}");
     println!(

@@ -109,7 +109,8 @@ pub struct RunArgs {
     /// `--sizes N,M,...`: switch counts of the rows to run, each >= 8.
     pub sizes: Option<Vec<usize>>,
     /// `--serial` or `--threads N` (`0` = automatic, `1` = serial);
-    /// automatic when neither is given.
+    /// automatic when neither is given. [`RunArgs::parse`] installs it as
+    /// the process's global worker count.
     pub par: Parallelism,
     /// The non-flag arguments, in order.
     pub positionals: Vec<String>,
@@ -139,6 +140,9 @@ impl RunArgs {
                 std::process::exit(2);
             });
         args.usage = usage;
+        // One global pool for the whole process, so the kernels that read
+        // it (`--threads N` passes no pool of its own) run on N workers.
+        args.par.install();
         args
     }
 

@@ -73,3 +73,23 @@ fn bad_input_exits_2_with_usage_before_any_work() {
         );
     }
 }
+
+/// `--threads N` sizes the worker pool the binary actually runs on: the
+/// `# parallelism:` line names the live pool whenever it differs from the
+/// request.
+#[test]
+fn threads_flag_sets_the_live_worker_count() {
+    let exe = env!("CARGO_BIN_EXE_opt_frontier");
+    let args = ["--quick", "--sizes", "8", "--threads", "3"];
+    let out = Command::new(exe).args(args).output().expect("run binary");
+    assert!(out.status.success(), "opt_frontier {args:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with("# parallelism:"))
+        .unwrap_or_else(|| panic!("no parallelism line in {stdout}"));
+    assert!(
+        line.starts_with("# parallelism: 3 threads;"),
+        "opt_frontier {args:?}: {line}"
+    );
+}

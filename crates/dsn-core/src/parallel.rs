@@ -8,8 +8,9 @@
 //! only chooses *how fast* an answer arrives, never *which* answer.
 //!
 //! The `dsn-bench` binaries parse `--serial` / `--threads N` into a
-//! `Parallelism` (`dsn_bench::RunArgs`) and pass it down; without either
-//! flag the config is automatic, so `RAYON_NUM_THREADS` applies.
+//! `Parallelism` (`dsn_bench::RunArgs`), install it as the global worker
+//! count and pass it down; without either flag the config is automatic,
+//! so `RAYON_NUM_THREADS` applies.
 
 use std::fmt;
 
@@ -84,7 +85,14 @@ impl fmt::Display for Parallelism {
         if self.serial {
             write!(f, "serial")
         } else if self.threads > 0 {
-            write!(f, "{} threads", self.threads)
+            // Name the live pool too when it differs: the request only
+            // takes effect once `install`ed.
+            write!(f, "{} threads", self.threads)?;
+            let live = rayon::current_num_threads();
+            if live != self.threads {
+                write!(f, " requested, {live} running")?;
+            }
+            Ok(())
         } else {
             write!(f, "auto ({} workers)", rayon::current_num_threads())
         }
@@ -109,7 +117,13 @@ mod tests {
     #[test]
     fn display_names_the_mode() {
         assert_eq!(Parallelism::serial().to_string(), "serial");
-        assert_eq!(Parallelism::threads(2).to_string(), "2 threads");
+        let live = rayon::current_num_threads();
+        let want = if live == 2 {
+            "2 threads".to_string()
+        } else {
+            format!("2 threads requested, {live} running")
+        };
+        assert_eq!(Parallelism::threads(2).to_string(), want);
         assert!(Parallelism::auto().to_string().starts_with("auto"));
     }
 }

@@ -354,57 +354,6 @@ pub fn dsnv_step_channel(
     Some(((g.channel_id(edge, u), hop.vc), hop.next, hop.state))
 }
 
-/// Only the FIRST hop of the DSN-V channel sequence, without materializing
-/// the whole route — O(1)-ish helper for per-cycle retry paths in the
-/// simulator (the first hop of the three-phase algorithm is determined by
-/// the PRE-WORK/MAIN decision at the source alone).
-pub fn dsnv_first_hop(dsn: &Dsn, s: NodeId, t: NodeId) -> Option<VirtualChannel> {
-    if s == t {
-        return None;
-    }
-    let g = dsn.graph();
-    let d = dsn.cw_dist(s, t);
-    let l = dsn.required_level(d);
-    let ls = dsn.level(s);
-    let p = dsn.p() as usize;
-    // Mirror the basic algorithm's first decision.
-    let (next, step, phase) = if ls > l {
-        (dsn.pred(s), RouteStep::Pred, RoutePhase::PreWork)
-    } else if d <= p || ls > dsn.x() {
-        // Straight to FINISH (forward, distance d <= p or no shortcut).
-        let back = dsn.cw_dist(t, s);
-        if d <= back {
-            (dsn.succ(s), RouteStep::Succ, RoutePhase::Finish)
-        } else {
-            (dsn.pred(s), RouteStep::Pred, RoutePhase::Finish)
-        }
-    } else if ls == l {
-        (
-            dsn.shortcut(s).expect("level <= x owns a shortcut"),
-            RouteStep::Shortcut,
-            RoutePhase::Main,
-        )
-    } else {
-        (dsn.succ(s), RouteStep::Succ, RoutePhase::Main)
-    };
-    let vc = match phase {
-        RoutePhase::PreWork => 0u8,
-        RoutePhase::Main => 1,
-        RoutePhase::Finish => {
-            // A first hop can only cross the dateline if it starts there.
-            let n = dsn.n();
-            let crossing = (s == n - 1 && next == 0) || (s == 0 && next == n - 1);
-            if crossing {
-                3
-            } else {
-                2
-            }
-        }
-    };
-    let edge = edge_for_step(g, s, next, step);
-    Some((g.channel_id(edge, s), vc))
-}
-
 /// Pick the physical edge realizing one basic-route hop.
 fn edge_for_step(g: &Graph, prev: NodeId, cur: NodeId, step: RouteStep) -> usize {
     match step {
@@ -654,25 +603,6 @@ mod tests {
                 "avoid-overshoot DSN-V CDG cyclic at n = {n}: {:?}",
                 cdg.find_cycle()
             );
-        }
-    }
-
-    #[test]
-    fn dsnv_first_hop_matches_full_route() {
-        for &n in &[30usize, 64, 100, 126] {
-            let p = dsn_core::util::ceil_log2(n);
-            let dsn = Dsn::new(n, p - 1).unwrap();
-            for s in 0..n {
-                for t in 0..n {
-                    let full = dsnv_route_channels(&dsn, s, t);
-                    let first = dsnv_first_hop(&dsn, s, t);
-                    assert_eq!(
-                        full.first().copied(),
-                        first,
-                        "n={n} {s}->{t}: fast first hop diverges from full route"
-                    );
-                }
-            }
         }
     }
 

@@ -548,6 +548,10 @@ impl Simulator {
 
     /// Build a simulator with an explicit [`Workload`] (open-loop traffic
     /// or a closed batch such as an all-to-all exchange).
+    ///
+    /// # Panics
+    /// Panics when `cfg` fails [`SimConfig::validate`] or when `routing`
+    /// emits VCs beyond `cfg.vcs` ([`SimRouting::vcs`]).
     pub fn with_workload(
         graph: Arc<Graph>,
         cfg: SimConfig,
@@ -556,6 +560,13 @@ impl Simulator {
         seed: u64,
     ) -> Self {
         cfg.validate();
+        assert!(
+            routing.vcs() <= cfg.vcs,
+            "routing '{}' spans {} VCs but the config has only {}",
+            routing.name(),
+            routing.vcs(),
+            cfg.vcs
+        );
         let n = graph.node_count();
         let channels = graph.channel_count();
         let hosts = n * cfg.hosts_per_switch;
@@ -2065,15 +2076,46 @@ mod tests {
     }
 
     #[test]
-    fn torus_with_dor_runs() {
-        let torus = Arc::new(Torus::new(&[4, 4]).unwrap());
-        let g = Arc::new(torus.graph().clone());
+    fn torus_with_updown_runs() {
+        let g = Arc::new(Torus::new(&[4, 4]).unwrap().into_graph());
         let cfg = SimConfig::test_small();
-        let routing = Arc::new(crate::routing::SourceRouted::torus_dor(torus));
+        let routing = Arc::new(crate::routing::UpDownRouting::new(g.clone(), cfg.vcs));
         let sim = Simulator::new(g, cfg, routing, TrafficPattern::Uniform, 0.005, 7);
         let stats = sim.run();
         assert!(stats.delivered_packets > 0);
         assert!(stats.delivery_ratio() > 0.9);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "routing 'dsn-algorithmic(dsn-v)' spans 4 VCs but the config has only 2"
+    )]
+    fn rejects_dsnv_on_two_vcs() {
+        let dsn = Arc::new(dsn_core::dsn::Dsn::new(16, 3).unwrap());
+        let g = Arc::new(dsn.graph().clone());
+        let routing = Arc::new(crate::routing::DsnAlgorithmic::new(dsn));
+        Simulator::new(
+            g,
+            SimConfig::test_small(),
+            routing,
+            TrafficPattern::Uniform,
+            0.01,
+            1,
+        );
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "routing 'adaptive+ud-escape(8vc)' spans 8 VCs but the config has only 4"
+    )]
+    fn rejects_adaptive_with_more_vcs_than_configured() {
+        let g = Arc::new(Ring::new(8).unwrap().into_graph());
+        let cfg = SimConfig {
+            vcs: 4,
+            ..SimConfig::test_small()
+        };
+        let routing = Arc::new(AdaptiveEscape::new(g.clone(), 8));
+        Simulator::new(g, cfg, routing, TrafficPattern::Uniform, 0.01, 1);
     }
 
     #[test]
@@ -2204,8 +2246,6 @@ mod tests {
             created: 0,
             route: RouteState {
                 ud_phase: dsn_route::updown::UdPhase::Up,
-                path: None,
-                idx: 0,
                 alg: 0,
             },
             measured: false,

@@ -14,8 +14,9 @@
 //!    yet sent a single flit and [`SalvagePolicy::Salvage`] is configured;
 //! 3. routing is rebuilt on the survivor graph
 //!    ([`crate::routing::SimRouting::rebuild`]): up*/down* recomputes its
-//!    forest via `dsn-route`, source-routed schemes (DSN custom routing)
-//!    fall back to a greedy ring detour;
+//!    forest via `dsn-route`; DSN custom routing keeps every packet on its
+//!    automaton until the next channel is dead, then detours greedily,
+//!    ring links first;
 //! 4. dropped packets may be re-sent by their source host after a timeout
 //!    with exponential backoff ([`RetryPolicy`]).
 //!
@@ -728,9 +729,10 @@ impl Simulator {
         }
     }
 
-    /// Swap in routing rebuilt for the survivor graph and reset per-packet
-    /// routing state of every live packet (slab order — identical between
-    /// engines).
+    /// Swap in routing rebuilt for the survivor graph and restart the
+    /// up*/down* phase of every live packet, so a stale escape phase does
+    /// not leak into the new forest. `RouteState::alg` is kept: DSN-V
+    /// packets stay on their automaton until it points at a dead channel.
     fn rebuild_routing(&mut self) {
         let mask = self.fault.as_ref().expect("fault runtime").mask.clone();
         let rebuilt = match &self.routing_cache {
@@ -745,9 +747,8 @@ impl Simulator {
         });
         self.routing = rebuilt;
         self.refresh_flat();
-        let routing = self.routing.clone();
         self.packets
-            .for_each_live_mut(|p| routing.reset_state(&mut p.route));
+            .for_each_live_mut(|p| p.route.ud_phase = dsn_route::updown::UdPhase::Up);
     }
 }
 

@@ -10,8 +10,8 @@
 //! identical to the dynamic path by construction; `tests/flat_equivalence.rs`
 //! pins `RunStats` byte-equality on top.
 //!
-//! Schemes with path-state-dependent escape hops (the DSN-V sojourn cache
-//! of [`MinimalAdaptiveDsn`](crate::routing::MinimalAdaptiveDsn)) tabulate
+//! Schemes with state-dependent escape hops (the DSN-V escape sojourn of
+//! [`MinimalAdaptiveDsn`](crate::routing::MinimalAdaptiveDsn)) tabulate
 //! only their adaptive candidates and keep a small dynamic residue: the
 //! engine consults `escape_candidates` only after every tabulated candidate
 //! was blocked, which scans the same concatenated preference list the
@@ -28,16 +28,16 @@ pub(crate) enum HopRule {
     /// Up*/down* phase rule: VCs below `escape_vcs` follow the precomputed
     /// per-channel up/down direction; higher VCs reset the phase to `Up`.
     /// Covers `AdaptiveEscape` (`escape_vcs = 1`) and `UpDownRouting`
-    /// (`escape_vcs = vcs`). Neither touches `path`/`idx`, so the phase is
-    /// the whole hop effect.
+    /// (`escape_vcs = vcs`). Neither touches `alg`, so the phase is the
+    /// whole hop effect.
     Phase {
         /// VCs `0..escape_vcs` are escape lanes subject to the phase rule.
         escape_vcs: u8,
         /// `up_move[ch]`: taking directed channel `ch` is an up move.
         up_move: Vec<bool>,
     },
-    /// The hop effect depends on per-packet path state — always call the
-    /// scheme's dynamic `on_hop`.
+    /// The hop effect depends on the packet's automaton state — always call
+    /// the scheme's dynamic `on_hop`.
     Dyn,
 }
 
@@ -167,8 +167,6 @@ impl FlatRouting {
     pub(crate) fn synthetic_state(ctx: usize) -> RouteState {
         RouteState {
             ud_phase: phase_of_ctx(ctx.min(1)),
-            path: None,
-            idx: 0,
             alg: alg_of_ctx(ctx),
         }
     }

@@ -5,8 +5,8 @@
 //! simulator with 4 virtual channels, ~100 ns per-hop header latency, 20 ns
 //! link delay, 33-flit packets on 96 Gbps links — plus the paper's traffic
 //! patterns (uniform, bit reversal, neighboring) and routing schemes
-//! (topology-agnostic adaptive with up*/down* escape, plus DSN custom
-//! routing and torus DOR for the custom-routing comparison).
+//! (topology-agnostic adaptive with up*/down* escape, plus table-free DSN
+//! custom routing for the custom-routing comparison).
 //!
 //! Beyond the paper's setup the simulator also provides: wormhole switching
 //! ([`config::Switching`]), closed batch workloads for collective-exchange
@@ -60,8 +60,7 @@ pub use engine::{flat_table_for, ALGORITHMIC_AUTO_THRESHOLD};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, RetryPolicy, SalvagePolicy};
 pub use flow::{FlowArrivals, FlowSizeDist, StagedSpec};
 pub use routing::{
-    AdaptiveEscape, DsnAlgorithmic, FlatRouting, MinimalAdaptiveDsn, SimRouting, SourceRouted,
-    UpDownRouting,
+    AdaptiveEscape, DsnAlgorithmic, FlatRouting, MinimalAdaptiveDsn, SimRouting, UpDownRouting,
 };
 pub use stats::{FlowClassStats, RunStats};
 pub use sweep::{

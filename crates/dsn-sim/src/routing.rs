@@ -4,42 +4,46 @@
 //! The paper's evaluation uses the topology-agnostic *adaptive* scheme of
 //! Silla & Duato: fully adaptive minimal hops on the high VCs with
 //! up*/down* *escape paths* on VC 0 (Duato's methodology). We also provide
-//! pure up*/down* and deterministic source-routed adapters (DSN custom
-//! routing with the DSN-V virtual-channel discipline, and dimension-order
-//! routing for tori), so the simulator can compare custom vs agnostic
-//! routing the way Section VII.B discusses.
+//! pure up*/down* and the DSN custom routing, computed hop by hop from
+//! switch ids by the three-phase DSN-V automaton ([`DsnAlgorithmic`], also
+//! the escape layer of [`MinimalAdaptiveDsn`]), so the simulator can
+//! compare custom vs agnostic routing the way Section VII.B discusses.
+//!
+//! Every scheme is a pure function of `(cur, dest, RouteState)`, and
+//! [`RouteState`] is two bytes: no scheme keeps a per-packet path.
 
 use crate::flat::{compile_phase_table, HopRule};
 use dsn_core::fault::EdgeMask;
 use dsn_core::graph::{Graph, LinkKind};
 use dsn_core::NodeId;
+use dsn_route::deadlock::{dsnv_step, DsnvState};
 use dsn_route::updown::{UdPhase, UpDown};
+use dsn_route::RouteStep;
 use std::sync::{Arc, OnceLock};
 
 pub use crate::flat::FlatRouting;
 
 /// Per-packet routing state carried between hops.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouteState {
     /// Up*/down* phase while the packet travels on escape channels.
     pub ud_phase: UdPhase,
-    /// Precomputed path for source-routed adapters: `(channel, vc)` hops.
-    pub path: Option<Arc<[(usize, u8)]>>,
-    /// Next hop index into `path`.
-    pub idx: usize,
-    /// Packed algorithmic-router state
-    /// ([`dsn_route::deadlock::DsnvState::to_bits`]): the
-    /// DSN-V phase (bits 0–1) plus the FINISH dateline flag (bit 2).
-    /// Only [`DsnAlgorithmic`] reads/writes it; 0 elsewhere.
+    /// Packed DSN-V automaton state ([`DsnvState::to_bits`]): the phase
+    /// (bits 0–1) plus the FINISH dateline flag (bit 2). [`DsnAlgorithmic`]
+    /// sets bit 3 once a post-fault packet leaves the automaton;
+    /// [`MinimalAdaptiveDsn`] keeps its escape sojourn here. 0 for every
+    /// other scheme.
     pub alg: u8,
 }
+
+/// [`RouteState::alg`] bit of a packet that left the DSN-V automaton at a
+/// dead channel and descends greedily for the rest of its life.
+const DETOUR: u8 = 1 << 3;
 
 impl RouteState {
     fn fresh() -> Self {
         RouteState {
             ud_phase: UdPhase::Up,
-            path: None,
-            idx: 0,
             alg: 0,
         }
     }
@@ -73,14 +77,6 @@ pub trait SimRouting: Send + Sync {
     fn rebuild(&self, graph: &Arc<Graph>, mask: &EdgeMask) -> Option<Arc<dyn SimRouting>> {
         let _ = (graph, mask);
         None
-    }
-
-    /// Reset one packet's in-flight state after a reroute, so stale
-    /// assumptions (escape phase, cached paths into the old topology) do
-    /// not leak into the new epoch. The default restarts the up*/down*
-    /// phase; cached source routes are translated by the scheme itself.
-    fn reset_state(&self, state: &mut RouteState) {
-        state.ud_phase = UdPhase::Up;
     }
 
     /// Stable identity of this scheme *configuration* (name + parameters
@@ -131,6 +127,11 @@ pub trait SimRouting: Send + Sync {
     ) {
         let _ = (cur, dest, state, out);
     }
+
+    /// How many virtual channels the candidates span (the highest VC
+    /// emitted, plus one). The simulator rejects a scheme whose span
+    /// exceeds `SimConfig::vcs`.
+    fn vcs(&self) -> u8;
 }
 
 /// Precomputed all-pairs hop distances (BFS), used for minimal-adaptive
@@ -287,6 +288,10 @@ impl SimRouting for AdaptiveEscape {
         }
     }
 
+    fn vcs(&self) -> u8 {
+        self.vcs
+    }
+
     fn rebuild(&self, graph: &Arc<Graph>, mask: &EdgeMask) -> Option<Arc<dyn SimRouting>> {
         Some(Arc::new(AdaptiveEscape {
             graph: graph.clone(),
@@ -374,6 +379,10 @@ impl SimRouting for UpDownRouting {
         state.ud_phase = if up { UdPhase::Up } else { UdPhase::Down };
     }
 
+    fn vcs(&self) -> u8 {
+        self.vcs
+    }
+
     fn rebuild(&self, graph: &Arc<Graph>, mask: &EdgeMask) -> Option<Arc<dyn SimRouting>> {
         Some(Arc::new(UpDownRouting {
             graph: graph.clone(),
@@ -420,9 +429,9 @@ impl SimRouting for UpDownRouting {
 ///
 /// Needs 8 VCs (4 escape classes + 4 adaptive).
 pub struct MinimalAdaptiveDsn {
-    dsn: Arc<dsn_core::dsn::Dsn>,
-    graph: Arc<Graph>,
     dist: DistanceTable,
+    /// The DSN-V escape layer: one lane per class, on VCs `0..4`.
+    escape: DsnAlgorithmic,
     vcs: u8,
     flat: OnceLock<Arc<FlatRouting>>,
 }
@@ -435,12 +444,11 @@ impl MinimalAdaptiveDsn {
     /// Panics if `vcs < 5`.
     pub fn new(dsn: Arc<dsn_core::dsn::Dsn>, vcs: u8) -> Self {
         assert!(vcs >= 5, "minimal-adaptive DSN needs >= 5 VCs");
-        let graph = Arc::new(dsn.graph().clone());
-        let dist = DistanceTable::new(&graph);
+        let escape = DsnAlgorithmic::new(dsn);
+        let dist = DistanceTable::new(&escape.graph);
         MinimalAdaptiveDsn {
-            dsn,
-            graph,
             dist,
+            escape,
             vcs,
             flat: OnceLock::new(),
         }
@@ -449,10 +457,11 @@ impl MinimalAdaptiveDsn {
     /// Adaptive minimal candidates on VCs `4..vcs` — the tabulable part of
     /// the preference list.
     fn adaptive_candidates(&self, cur: NodeId, dest: NodeId, out: &mut Vec<Candidate>) {
+        let g = &self.escape.graph;
         let dcur = self.dist.get(cur, dest);
-        for (u, e) in self.graph.neighbors(cur) {
+        for (u, e) in g.neighbors(cur) {
             if self.dist.get(u, dest) < dcur {
-                let ch = self.graph.channel_id(e, cur);
+                let ch = g.channel_id(e, cur);
                 for vc in 4..self.vcs {
                     out.push((ch, vc));
                 }
@@ -467,12 +476,7 @@ impl SimRouting for MinimalAdaptiveDsn {
     }
 
     fn init(&self, _src: NodeId, _dest: NodeId) -> RouteState {
-        RouteState {
-            ud_phase: dsn_route::updown::UdPhase::Up,
-            path: None,
-            idx: 0,
-            alg: 0,
-        }
+        RouteState::fresh()
     }
 
     fn candidates(&self, cur: NodeId, dest: NodeId, state: &RouteState, out: &mut Vec<Candidate>) {
@@ -487,52 +491,33 @@ impl SimRouting for MinimalAdaptiveDsn {
         state: &RouteState,
         out: &mut Vec<Candidate>,
     ) {
-        // Escape: continue the cached per-sojourn custom route when one is
-        // active at this node; otherwise the first hop of a fresh
-        // three-phase route from here. Either way the hop belongs to some
-        // complete (u, t) route, so the escape CDG stays within the
-        // machine-checked all-pairs union of `dsnv_cdg`. A plain per-hop
-        // restart would NOT work: PRE-WORK walks pred, and a fresh route
-        // from the pred node can walk succ straight back (livelock); the
-        // sojourn cache is what makes escape progress monotone.
-        let cached = state.path.as_ref().and_then(|p| {
-            p.get(state.idx)
-                .filter(|&&(ch, _)| self.graph.channel_endpoints(ch).0 == cur)
-        });
-        match cached {
-            Some(&hop) => out.push(hop),
-            None => {
-                // First hop only — O(1) per retry cycle; the full sojourn
-                // route is materialized once the hop is granted (on_hop).
-                if let Some(hop) = dsn_route::deadlock::dsnv_first_hop(&self.dsn, cur, dest) {
-                    out.push(hop);
-                }
-            }
-        }
+        // Escape: the next hop of the current escape sojourn, whose
+        // automaton state `alg` carries. An adaptive hop resets `alg` to 0,
+        // the PRE-WORK start state, so the next escape hop begins a fresh
+        // three-phase route from here. No separate "sojourn active" bit is
+        // needed: a sojourn still in PRE-WORK also reads 0, and PRE-WORK
+        // is memoryless — a fresh route from here takes the same hop.
+        // Either way the hop belongs to some complete (u, t) route, so the
+        // escape CDG stays within the machine-checked all-pairs union of
+        // `dsnv_cdg`. Restarting the route at every escape hop would NOT
+        // work: PRE-WORK walks pred, and a fresh route from the pred node
+        // can walk succ straight back (livelock); carrying the sojourn's
+        // phase keeps escape progress monotone.
+        let (ch, vc, _) = self.escape.automaton_hop(cur, dest, state.alg);
+        out.push((ch, vc));
     }
 
-    fn on_hop(&self, cur: NodeId, dest: NodeId, state: &mut RouteState, ch: usize, vc: u8) {
-        if vc >= 4 {
-            // Adaptive hop: any escape sojourn ends.
-            state.path = None;
-            state.idx = 0;
-            return;
-        }
-        // Escape hop: advance the cached sojourn, or start one from `cur`.
-        let continues = state
-            .path
-            .as_ref()
-            .and_then(|p| p.get(state.idx))
-            .is_some_and(|&(c, v)| c == ch && v == vc);
-        if continues {
-            state.idx += 1;
+    fn on_hop(&self, cur: NodeId, dest: NodeId, state: &mut RouteState, _ch: usize, vc: u8) {
+        state.alg = if vc < 4 {
+            self.escape.automaton_hop(cur, dest, state.alg).2
         } else {
-            let fresh: Arc<[(usize, u8)]> =
-                dsn_route::deadlock::dsnv_route_channels(&self.dsn, cur, dest).into();
-            debug_assert!(fresh.first().is_some_and(|&(c, v)| c == ch && v == vc));
-            state.path = Some(fresh);
-            state.idx = 1;
-        }
+            // Adaptive hop: any escape sojourn ends.
+            0
+        };
+    }
+
+    fn vcs(&self) -> u8 {
+        self.vcs
     }
 
     fn compiled_flat(&self) -> Option<Arc<FlatRouting>> {
@@ -541,10 +526,10 @@ impl SimRouting for MinimalAdaptiveDsn {
                 .get_or_init(|| {
                     // Only the adaptive candidates are a pure function of
                     // (cur, dest); the DSN-V escape depends on the packet's
-                    // sojourn cache and stays dynamic (`escape_candidates`,
+                    // sojourn state and stays dynamic (`escape_candidates`,
                     // consulted after the table blocks), as does `on_hop`.
                     Arc::new(FlatRouting::compile(
-                        self.graph.node_count(),
+                        self.escape.graph.node_count(),
                         1,
                         HopRule::Dyn,
                         true,
@@ -556,267 +541,35 @@ impl SimRouting for MinimalAdaptiveDsn {
     }
 }
 
-/// Deterministic source routing from a precomputed path provider — used for
-/// the DSN custom routing (with the DSN-V VC discipline) and torus DOR.
+/// Table-free DSN custom routing: the next hop is computed
+/// *algorithmically* from switch ids and the DSN level structure by the
+/// incremental three-phase automaton ([`dsn_route::deadlock::dsnv_step`]),
+/// in O(levels) time per hop with O(n) memory — three per-node channel
+/// LUTs instead of an O(n²) per-(context, switch, dest) table or a
+/// per-packet path. The automaton state rides in [`RouteState::alg`]
+/// (3 bits), and the hops are exactly those of
+/// [`dsn_route::deadlock::dsnv_route_channels`].
 ///
-/// The provider emits a *VC class* per hop; `lanes` physical VCs are
-/// assigned to each class (`vc = class * lanes + lane`), and the router may
-/// use any lane of the hop's class. Lane multiplication preserves the
-/// DSN-V deadlock-freedom argument: the per-class acyclicity proofs
-/// (level monotonicity for PRE-WORK/MAIN, the dateline for FINISH) do not
-/// depend on which lane inside the class a packet holds, and inter-class
-/// dependencies stay monotone.
-/// A source-routing path provider: `(src, dest) -> [(channel, vc_class)]`.
-/// Shared (`Arc`) so a post-fault rebuild can reuse the same provider.
-pub type PathProvider = Arc<dyn Fn(NodeId, NodeId) -> Vec<(usize, u8)> + Send + Sync>;
-
-/// Deterministic source routing driven by a [`PathProvider`]; see the
-/// module docs for the lane/VC-class discipline.
-pub struct SourceRouted {
-    name: String,
-    /// `provider(src, dest)` returns the `(channel, vc_class)` hop sequence.
-    provider: PathProvider,
-    lanes: u8,
-}
-
-impl SourceRouted {
-    /// Wrap a path provider with a single lane per VC class.
-    pub fn new(
-        name: impl Into<String>,
-        provider: impl Fn(NodeId, NodeId) -> Vec<(usize, u8)> + Send + Sync + 'static,
-    ) -> Self {
-        SourceRouted {
-            name: name.into(),
-            provider: Arc::new(provider),
-            lanes: 1,
-        }
-    }
-
-    /// Set the number of lanes per VC class (the simulator's `vcs` must be
-    /// at least `max_class * lanes + lanes`).
-    pub fn with_lanes(mut self, lanes: u8) -> Self {
-        assert!(lanes >= 1);
-        self.lanes = lanes;
-        self
-    }
-
-    /// DSN custom routing with the DSN-V 4-class deadlock-free discipline.
-    pub fn dsn_custom(dsn: Arc<dsn_core::dsn::Dsn>) -> Self {
-        SourceRouted::new("dsn-custom(dsn-v)", move |s, t| {
-            dsn_route::deadlock::dsnv_route_channels(&dsn, s, t)
-        })
-    }
-
-    /// The *unsafe* single-VC basic custom routing — its CDG is cyclic
-    /// (Section V.A's motivation), so under load the simulator exhibits a
-    /// genuine routing deadlock. Provided to demonstrate, in vivo, what the
-    /// static CDG analysis predicts; never use for real measurements.
-    pub fn dsn_basic_single_vc(dsn: Arc<dsn_core::dsn::Dsn>) -> Self {
-        SourceRouted::new("dsn-basic(1vc,UNSAFE)", move |s, t| {
-            dsn_route::deadlock::basic_route_channels(&dsn, s, t)
-        })
-    }
-
-    /// Dimension-order routing on a torus with dateline VCs.
-    pub fn torus_dor(torus: Arc<dsn_core::torus::Torus>) -> Self {
-        SourceRouted::new("torus-dor", move |s, t| {
-            let g = torus.graph();
-            let mut prev = s;
-            dsn_route::dor::dor_route(&torus, s, t)
-                .into_iter()
-                .map(|h| {
-                    let ch = g.channel_id(h.edge, prev);
-                    prev = h.node;
-                    (ch, h.vc)
-                })
-                .collect()
-        })
-    }
-}
-
-impl SimRouting for SourceRouted {
-    fn name(&self) -> String {
-        self.name.clone()
-    }
-
-    fn init(&self, src: NodeId, dest: NodeId) -> RouteState {
-        let path: Arc<[(usize, u8)]> = (self.provider)(src, dest).into();
-        RouteState {
-            ud_phase: UdPhase::Up,
-            path: Some(path),
-            idx: 0,
-            alg: 0,
-        }
-    }
-
-    fn candidates(
-        &self,
-        _cur: NodeId,
-        _dest: NodeId,
-        state: &RouteState,
-        out: &mut Vec<Candidate>,
-    ) {
-        let path = state
-            .path
-            .as_ref()
-            .expect("source-routed packet has a path");
-        let (ch, class) = path[state.idx];
-        for lane in 0..self.lanes {
-            out.push((ch, class * self.lanes + lane));
-        }
-    }
-
-    fn on_hop(
-        &self,
-        _cur: NodeId,
-        _dest: NodeId,
-        state: &mut RouteState,
-        _channel: usize,
-        _vc: u8,
-    ) {
-        state.idx += 1;
-    }
-
-    fn rebuild(&self, graph: &Arc<Graph>, mask: &EdgeMask) -> Option<Arc<dyn SimRouting>> {
-        Some(Arc::new(DetourSourceRouted {
-            name: format!("{}+detour", self.name),
-            base_key: self.scheme_key(),
-            provider: self.provider.clone(),
-            lanes: self.lanes,
-            graph: graph.clone(),
-            dist: DistanceTable::new_masked(graph, mask),
-            mask: mask.clone(),
-        }))
-    }
-
-    fn scheme_key(&self) -> String {
-        // Lanes change the emitted VCs, so they are part of the identity.
-        format!("{}[lanes={}]", self.name, self.lanes)
-    }
-}
-
-/// Post-fault form of [`SourceRouted`]: packets follow their planned path
-/// while its next channel is alive; when the plan hits a dead channel the
-/// packet switches permanently to a greedy masked-distance descent that
-/// prefers ring links (the "ring detour" — DSN's ring is the always-present
-/// fallback substrate). New packets still get full planned paths and only
-/// detour where the plan is broken.
+/// The DSN-V discipline puts each hop on one of 4 VC classes; `lanes`
+/// physical VCs are assigned to each class (`vc = class * lanes + lane`),
+/// and the router may use any lane of the hop's class. Lane multiplication
+/// preserves the DSN-V deadlock-freedom argument: the per-class acyclicity
+/// proofs (level monotonicity for PRE-WORK/MAIN, the dateline for FINISH)
+/// do not depend on which lane inside the class a packet holds, and
+/// inter-class dependencies stay monotone.
 ///
-/// The detour abandons the source-route VC discipline, so deadlock freedom
+/// Below the table-free threshold the scheme lowers itself into a
+/// 4-context [`FlatRouting`] table with the same candidates.
+///
+/// **Under faults** ([`SimRouting::rebuild`]) packets — in flight or new —
+/// follow the automaton while its next channel is alive. At a dead
+/// channel a packet leaves the automaton for good (bit 3 of
+/// [`RouteState::alg`]) and descends greedily on survivor-graph distance,
+/// ring links first (DSN's ring is the always-present fallback substrate),
+/// on class 0. The detour abandons the VC discipline, so deadlock freedom
 /// is no longer statically guaranteed across epochs; the simulator's stall
-/// watchdog covers this (and the differential tests keep both engines in
-/// bit-identical agreement either way).
-struct DetourSourceRouted {
-    name: String,
-    /// The pre-fault scheme's key, kept stable across epochs so the
-    /// per-(scheme, mask) rebuild cache hits on catch-up rebuild chains.
-    base_key: String,
-    provider: PathProvider,
-    lanes: u8,
-    graph: Arc<Graph>,
-    dist: DistanceTable,
-    mask: EdgeMask,
-}
-
-impl SimRouting for DetourSourceRouted {
-    fn name(&self) -> String {
-        self.name.clone()
-    }
-
-    fn init(&self, src: NodeId, dest: NodeId) -> RouteState {
-        let path: Arc<[(usize, u8)]> = (self.provider)(src, dest).into();
-        RouteState {
-            ud_phase: UdPhase::Up,
-            path: Some(path),
-            idx: 0,
-            alg: 0,
-        }
-    }
-
-    fn candidates(&self, cur: NodeId, dest: NodeId, state: &RouteState, out: &mut Vec<Candidate>) {
-        // On plan and the next planned channel is alive: stay on plan.
-        if let Some(&(ch, class)) = state.path.as_ref().and_then(|p| p.get(state.idx)) {
-            if self.graph.channel_endpoints(ch).0 == cur && self.mask.channel_alive(ch) {
-                for lane in 0..self.lanes {
-                    out.push((ch, class * self.lanes + lane));
-                }
-                return;
-            }
-        }
-        // Detour: greedy descent on survivor-graph distance, ring links
-        // first. Empty output (unreachable destination) makes the engine
-        // drop the packet as unroutable.
-        let dcur = self.dist.get(cur, dest);
-        if dcur == u16::MAX {
-            return;
-        }
-        for ring_pass in [true, false] {
-            for (u, e) in self.graph.neighbors(cur) {
-                if !self.mask.edge_alive(e) {
-                    continue;
-                }
-                if (self.graph.edge(e).kind == LinkKind::Ring) != ring_pass {
-                    continue;
-                }
-                if self.dist.get(u, dest) < dcur {
-                    let ch = self.graph.channel_id(e, cur);
-                    for lane in 0..self.lanes {
-                        out.push((ch, lane));
-                    }
-                }
-            }
-        }
-    }
-
-    fn on_hop(&self, _cur: NodeId, _dest: NodeId, state: &mut RouteState, channel: usize, _vc: u8) {
-        let on_plan = state
-            .path
-            .as_ref()
-            .and_then(|p| p.get(state.idx))
-            .is_some_and(|&(ch, _)| ch == channel);
-        if on_plan {
-            state.idx += 1;
-        } else {
-            // Left the plan: the remaining planned hops start at the wrong
-            // switch, so the packet detours greedily for the rest of its
-            // life.
-            state.path = None;
-        }
-    }
-
-    fn rebuild(&self, graph: &Arc<Graph>, mask: &EdgeMask) -> Option<Arc<dyn SimRouting>> {
-        Some(Arc::new(DetourSourceRouted {
-            name: self.name.clone(),
-            base_key: self.base_key.clone(),
-            provider: self.provider.clone(),
-            lanes: self.lanes,
-            graph: graph.clone(),
-            dist: DistanceTable::new_masked(graph, mask),
-            mask: mask.clone(),
-        }))
-    }
-
-    fn scheme_key(&self) -> String {
-        self.base_key.clone()
-    }
-}
-
-/// Table-free DSN-V routing: the next hop is computed *algorithmically*
-/// from switch ids and the DSN level structure by the incremental
-/// three-phase automaton ([`dsn_route::deadlock::dsnv_step`]), in
-/// O(levels) time per hop with O(n) memory — three per-node channel LUTs
-/// instead of the O(n²) per-(context, switch, dest) CSR arena or the
-/// per-packet materialized paths of [`SourceRouted::dsn_custom`].
-///
-/// Emits candidates bit-identical to `SourceRouted::dsn_custom` (same
-/// `(channel, vc_class * lanes + lane)` sequence, pinned by
-/// `tests/algorithmic_equivalence.rs`), carries the automaton state in
-/// [`RouteState::alg`] (3 bits), and can still lower itself into a
-/// 4-context [`FlatRouting`] table — its own tabulated twin for the
-/// flat-vs-algorithmic equivalence gate and the `routing_table_bytes`
-/// comparison. Post-fault rebuilds fall back to the same ring-detour
-/// scheme as source routing (in-flight packets, which carry no path,
-/// detour greedily from their current switch).
+/// watchdog covers this. A detour outlives the fault: once every link is
+/// back, a detoured packet keeps descending on the full graph's distances.
 pub struct DsnAlgorithmic {
     dsn: Arc<dsn_core::dsn::Dsn>,
     graph: Arc<Graph>,
@@ -827,7 +580,12 @@ pub struct DsnAlgorithmic {
     /// Channel of the owned shortcut at each node (`u32::MAX` when the
     /// node owns none).
     short_ch: Vec<u32>,
+    /// VC classes the hops use: 4 for DSN-V, 1 for the unsafe basic
+    /// routing (every hop on class 0).
+    classes: u8,
     lanes: u8,
+    /// Survivor mask and its hop distances, set on post-fault rebuilds.
+    survivors: Option<(EdgeMask, DistanceTable)>,
     flat: OnceLock<Arc<FlatRouting>>,
 }
 
@@ -874,36 +632,75 @@ impl DsnAlgorithmic {
             succ_ch,
             pred_ch,
             short_ch,
+            classes: 4,
             lanes: 1,
+            survivors: None,
             flat: OnceLock::new(),
         }
     }
 
-    /// Set the number of lanes per VC class, mirroring
-    /// [`SourceRouted::with_lanes`].
+    /// The *unsafe* basic custom routing: the same three-phase hops with
+    /// every hop on VC class 0 (the hops of
+    /// [`dsn_route::deadlock::basic_route_channels`]). Its CDG is cyclic
+    /// (Section V.A's motivation), so under load the simulator exhibits a
+    /// genuine routing deadlock. Provided to demonstrate, in vivo, what the
+    /// static CDG analysis predicts; never use for real measurements.
+    pub fn basic_single_vc(dsn: Arc<dsn_core::dsn::Dsn>) -> Self {
+        DsnAlgorithmic {
+            classes: 1,
+            ..DsnAlgorithmic::new(dsn)
+        }
+    }
+
+    /// Set the number of lanes per VC class.
     pub fn with_lanes(mut self, lanes: u8) -> Self {
         assert!(lanes >= 1);
         self.lanes = lanes;
         self
     }
 
-    /// The single next hop for a packet at `cur` with packed automaton
-    /// state `alg`.
+    /// The automaton state a packet in state `alg` follows: its own while
+    /// on the automaton, `None` while it detours. A detoured packet that
+    /// reaches an unrebuilt scheme restarts the automaton (PRE-WORK at
+    /// `cur`), as the compiled table reads its state.
     #[inline]
-    fn next_hop(&self, cur: NodeId, dest: NodeId, alg: u8) -> dsn_route::deadlock::DsnvHop {
-        dsn_route::deadlock::dsnv_step(
-            &self.dsn,
-            cur,
-            dest,
-            dsn_route::deadlock::DsnvState::from_bits(alg),
+    fn automaton_bits(&self, alg: u8) -> Option<u8> {
+        if alg & DETOUR == 0 {
+            Some(alg)
+        } else if self.survivors.is_none() {
+            Some(0)
+        } else {
+            None
+        }
+    }
+
+    /// The automaton's hop for a packet at `cur` in state `alg` (bit 3
+    /// clear): `(channel, vc class, next state bits)`.
+    #[inline]
+    fn automaton_hop(&self, cur: NodeId, dest: NodeId, alg: u8) -> (usize, u8, u8) {
+        let hop = dsnv_step(&self.dsn, cur, dest, DsnvState::from_bits(alg))
+            .expect("never called with cur == dest");
+        let ch = match hop.step {
+            RouteStep::Succ => self.succ_ch[cur],
+            RouteStep::Pred => self.pred_ch[cur],
+            RouteStep::Shortcut => self.short_ch[cur],
+        };
+        debug_assert_ne!(ch, u32::MAX, "shortcut step at a node without one");
+        (
+            ch as usize,
+            hop.vc.min(self.classes - 1),
+            hop.state.to_bits(),
         )
-        .expect("never called with cur == dest")
     }
 }
 
 impl SimRouting for DsnAlgorithmic {
     fn name(&self) -> String {
-        "dsn-algorithmic(dsn-v)".to_string()
+        if self.classes == 1 {
+            "dsn-basic(1vc,UNSAFE)".to_string()
+        } else {
+            "dsn-algorithmic(dsn-v)".to_string()
+        }
     }
 
     fn init(&self, _src: NodeId, _dest: NodeId) -> RouteState {
@@ -912,51 +709,96 @@ impl SimRouting for DsnAlgorithmic {
     }
 
     fn candidates(&self, cur: NodeId, dest: NodeId, state: &RouteState, out: &mut Vec<Candidate>) {
-        let hop = self.next_hop(cur, dest, state.alg);
-        let ch = match hop.step {
-            dsn_route::RouteStep::Succ => self.succ_ch[cur],
-            dsn_route::RouteStep::Pred => self.pred_ch[cur],
-            dsn_route::RouteStep::Shortcut => self.short_ch[cur],
-        };
-        debug_assert_ne!(ch, u32::MAX, "shortcut step at a node without one");
-        for lane in 0..self.lanes {
-            out.push((ch as usize, hop.vc * self.lanes + lane));
+        if let Some(alg) = self.automaton_bits(state.alg) {
+            let (ch, class, _) = self.automaton_hop(cur, dest, alg);
+            if self
+                .survivors
+                .as_ref()
+                .is_none_or(|(mask, _)| mask.channel_alive(ch))
+            {
+                for lane in 0..self.lanes {
+                    out.push((ch, class * self.lanes + lane));
+                }
+                return;
+            }
+        }
+        // Detour: greedy descent on survivor-graph distance, ring links
+        // first. Empty output (unreachable destination) makes the engine
+        // drop the packet as unroutable.
+        let (mask, dist) = self
+            .survivors
+            .as_ref()
+            .expect("only a rebuilt scheme detours");
+        let dcur = dist.get(cur, dest);
+        if dcur == u16::MAX {
+            return;
+        }
+        for ring_pass in [true, false] {
+            for (u, e) in self.graph.neighbors(cur) {
+                if !mask.edge_alive(e) || (self.graph.edge(e).kind == LinkKind::Ring) != ring_pass {
+                    continue;
+                }
+                if dist.get(u, dest) < dcur {
+                    let ch = self.graph.channel_id(e, cur);
+                    for lane in 0..self.lanes {
+                        out.push((ch, lane));
+                    }
+                }
+            }
         }
     }
 
-    fn on_hop(&self, cur: NodeId, dest: NodeId, state: &mut RouteState, _channel: usize, _vc: u8) {
-        state.alg = self.next_hop(cur, dest, state.alg).state.to_bits();
+    fn on_hop(&self, cur: NodeId, dest: NodeId, state: &mut RouteState, channel: usize, _vc: u8) {
+        if let Some(alg) = self.automaton_bits(state.alg) {
+            let (ch, _, next) = self.automaton_hop(cur, dest, alg);
+            if ch == channel {
+                state.alg = next;
+                return;
+            }
+        }
+        // Left the automaton at a dead channel: detour for good.
+        state.alg = DETOUR;
+    }
+
+    fn vcs(&self) -> u8 {
+        self.classes * self.lanes
     }
 
     fn rebuild(&self, graph: &Arc<Graph>, mask: &EdgeMask) -> Option<Arc<dyn SimRouting>> {
-        // Graceful fallback: same ring-detour discipline as source routing.
-        // New packets get full DSN-V planned paths (materialized once per
-        // packet); packets already in flight carry no path and detour
-        // greedily on survivor-graph distance from wherever they are.
-        let dsn = self.dsn.clone();
-        Some(Arc::new(DetourSourceRouted {
-            name: format!("{}+detour", self.name()),
-            base_key: self.scheme_key(),
-            provider: Arc::new(move |s, t| dsn_route::deadlock::dsnv_route_channels(&dsn, s, t)),
-            lanes: self.lanes,
+        Some(Arc::new(DsnAlgorithmic {
+            dsn: self.dsn.clone(),
             graph: graph.clone(),
-            dist: DistanceTable::new_masked(graph, mask),
-            mask: mask.clone(),
+            succ_ch: self.succ_ch.clone(),
+            pred_ch: self.pred_ch.clone(),
+            short_ch: self.short_ch.clone(),
+            classes: self.classes,
+            lanes: self.lanes,
+            survivors: Some((mask.clone(), DistanceTable::new_masked(graph, mask))),
+            flat: OnceLock::new(),
         }))
     }
 
-    fn reset_state(&self, state: &mut RouteState) {
-        state.ud_phase = UdPhase::Up;
-        // Restart the automaton: the new epoch's scheme re-plans from the
-        // packet's current switch.
-        state.alg = 0;
-    }
-
     fn scheme_key(&self) -> String {
-        format!("{}[lanes={}]", self.name(), self.lanes)
+        // Lanes change the emitted VCs, so they are part of the identity.
+        // A rebuild routes detoured packets by its survivor mask, so it
+        // never shares the pristine scheme's key: once a fault clears, the
+        // mask fingerprints to the pristine epoch, and the cache must not
+        // hand back the pristine entry. Every rebuild shares one key, so
+        // catch-up rebuild chains still hit.
+        let rebuilt = if self.survivors.is_some() {
+            "+rebuilt"
+        } else {
+            ""
+        };
+        format!("{}[lanes={}]{rebuilt}", self.name(), self.lanes)
     }
 
     fn compiled_flat(&self) -> Option<Arc<FlatRouting>> {
+        // A rebuilt scheme routes by the survivor mask, which no table
+        // row encodes: it stays on the dynamic path.
+        if self.survivors.is_some() {
+            return None;
+        }
         Some(
             self.flat
                 .get_or_init(|| {
@@ -987,7 +829,6 @@ impl SimRouting for DsnAlgorithmic {
 mod tests {
     use super::*;
     use dsn_core::dsn::Dsn;
-    use dsn_core::torus::Torus;
 
     #[test]
     fn distance_table_matches_bfs() {
@@ -1093,8 +934,8 @@ mod tests {
 
     #[test]
     fn minimal_adaptive_escape_only_walk_terminates() {
-        // Following ONLY the escape candidate must also reach (it is the
-        // custom route, recomputed per hop — restart semantics).
+        // Following ONLY the escape candidate must also reach: it is one
+        // DSN-V route from the source, carried hop by hop in `alg`.
         let dsn = Arc::new(Dsn::new(126, 6).unwrap());
         let g = Arc::new(dsn.graph().clone());
         let r = MinimalAdaptiveDsn::new(dsn.clone(), 8);
@@ -1116,44 +957,75 @@ mod tests {
         }
     }
 
-    #[test]
-    fn source_routed_dsn_follows_path() {
-        let dsn = Arc::new(Dsn::new(64, 5).unwrap());
-        let g = dsn.graph().clone();
-        let r = SourceRouted::dsn_custom(dsn);
-        let mut st = r.init(3, 40);
-        let path = st.path.clone().unwrap();
-        let mut cur = 3;
-        let mut out = Vec::new();
-        for _ in 0..path.len() {
+    /// Follow the first candidate from `s` until `t`, returning the
+    /// `(channel, vc)` hops taken.
+    fn walk(r: &dyn SimRouting, g: &Graph, s: NodeId, t: NodeId) -> Vec<Candidate> {
+        let mut st = r.init(s, t);
+        let (mut cur, mut hops, mut out) = (s, Vec::new(), Vec::new());
+        while cur != t {
             out.clear();
-            r.candidates(cur, 40, &st, &mut out);
-            assert_eq!(out.len(), 1);
+            r.candidates(cur, t, &st, &mut out);
             let (ch, vc) = out[0];
-            r.on_hop(cur, 40, &mut st, ch, vc);
+            r.on_hop(cur, t, &mut st, ch, vc);
+            hops.push((ch, vc));
             cur = g.channel_endpoints(ch).1;
+            assert!(hops.len() <= 4 * g.node_count(), "{s}->{t}: runaway walk");
         }
-        assert_eq!(cur, 40);
+        hops
     }
 
     #[test]
-    fn source_routed_dor_reaches_dest() {
-        let torus = Arc::new(Torus::new(&[4, 4]).unwrap());
-        let g = torus.graph().clone();
-        let r = SourceRouted::torus_dor(torus);
-        for (s, t) in [(0usize, 15usize), (7, 8)] {
-            let mut st = r.init(s, t);
-            let path = st.path.clone().unwrap();
-            let mut cur = s;
-            let mut out = Vec::new();
-            for _ in 0..path.len() {
-                out.clear();
-                r.candidates(cur, t, &st, &mut out);
-                let (ch, vc) = out[0];
-                r.on_hop(cur, t, &mut st, ch, vc);
-                cur = g.channel_endpoints(ch).1;
+    fn route_state_is_two_bytes() {
+        assert_eq!(std::mem::size_of::<RouteState>(), 2);
+    }
+
+    #[test]
+    fn algorithmic_walks_reproduce_route_channels_all_pairs() {
+        // DSN-V and the class-0 basic constructor hop for hop against the
+        // materialized channel sequences of `dsn-route`, clean and
+        // non-clean sizes.
+        use dsn_route::deadlock::{basic_route_channels, dsnv_route_channels};
+        for &n in &[30usize, 64, 100, 126] {
+            let dsn = Arc::new(Dsn::new(n, dsn_core::util::ceil_log2(n) - 1).unwrap());
+            let g = dsn.graph().clone();
+            let dsnv = DsnAlgorithmic::new(dsn.clone());
+            let basic = DsnAlgorithmic::basic_single_vc(dsn.clone());
+            assert_eq!((dsnv.vcs(), basic.vcs()), (4, 1));
+            for s in 0..n {
+                for t in (0..n).filter(|&t| t != s) {
+                    assert_eq!(walk(&dsnv, &g, s, t), dsnv_route_channels(&dsn, s, t));
+                    assert_eq!(walk(&basic, &g, s, t), basic_route_channels(&dsn, s, t));
+                }
             }
-            assert_eq!(cur, t);
+        }
+    }
+
+    #[test]
+    fn rebuilt_algorithmic_detours_around_a_dead_link() {
+        // Every pair still arrives, never over the dead link, and pairs
+        // whose DSN-V route avoids it keep that route exactly.
+        let dsn = Arc::new(Dsn::new(64, 5).unwrap());
+        let g = Arc::new(dsn.graph().clone());
+        let dead = 3;
+        let mut mask = EdgeMask::fully_alive(&g);
+        mask.set_edge_admin(&g, dead, false);
+        let r = DsnAlgorithmic::new(dsn.clone())
+            .with_lanes(2)
+            .rebuild(&g, &mask)
+            .unwrap();
+        assert_eq!(r.scheme_key(), "dsn-algorithmic(dsn-v)[lanes=2]+rebuilt");
+        assert_eq!(r.rebuild(&g, &mask).unwrap().scheme_key(), r.scheme_key());
+        assert!(r.compiled_flat().is_none());
+        for s in 0..64 {
+            for t in (0..64).filter(|&t| t != s) {
+                let hops = walk(r.as_ref(), &g, s, t);
+                assert!(hops.iter().all(|&(ch, _)| ch / 2 != dead), "{s}->{t}");
+                let plan = dsn_route::deadlock::dsnv_route_channels(&dsn, s, t);
+                if plan.iter().all(|&(ch, _)| ch / 2 != dead) {
+                    let lane0: Vec<_> = plan.iter().map(|&(ch, c)| (ch, 2 * c)).collect();
+                    assert_eq!(hops, lane0, "{s}->{t}: left a live route");
+                }
+            }
         }
     }
 }

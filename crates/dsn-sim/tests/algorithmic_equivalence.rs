@@ -5,11 +5,12 @@
 //!
 //! 1. its own 4-context compiled flat table (the engine's automatic
 //!    choice below the table-free threshold vs the [`NoTables`] oracle),
-//! 2. the materialized-path [`SourceRouted::dsn_custom`] scheme it
-//!    replaces (same candidate sequence by construction), and
-//! 3. itself across engines and mid-run fault rebuilds (where it falls
-//!    back gracefully to the ring-detour scheme on the EdgeMask
-//!    survivors).
+//!    and
+//! 2. itself across engines and mid-run fault rebuilds (where it detours
+//!    gracefully around dead channels on the EdgeMask survivors).
+//!
+//! Its runs are pinned against the materialized DSN-V routes it replaced
+//! in `tests/routing_fingerprint.rs`.
 //!
 //! Plus the large-n scale smoke: a dense (short-horizon) vs event
 //! bit-equality run on DSN-9-1020, the first rung of the paper's full
@@ -19,7 +20,7 @@ use dsn_core::dsn::Dsn;
 use dsn_core::graph::Graph;
 use dsn_sim::{
     flat_table_for, DsnAlgorithmic, EngineKind, FaultPlan, RetryPolicy, RunStats, SimConfig,
-    SimRouting, Simulator, SourceRouted, TrafficPattern, Workload, ALGORITHMIC_AUTO_THRESHOLD,
+    SimRouting, Simulator, TrafficPattern, Workload, ALGORITHMIC_AUTO_THRESHOLD,
 };
 use std::sync::Arc;
 
@@ -124,40 +125,10 @@ fn algorithmic_modes_agree_across_sizes() {
 }
 
 #[test]
-fn algorithmic_matches_source_routed_paths() {
-    // The table-free scheme must emit the exact candidate sequence of the
-    // materialized DSN-V source routes: identical stats, hop for hop.
-    let dsn = Arc::new(Dsn::new(64, 5).unwrap());
-    let g = Arc::new(dsn.graph().clone());
-    let algorithmic: Arc<dyn SimRouting> = Arc::new(DsnAlgorithmic::new(dsn.clone()));
-    let source: Arc<dyn SimRouting> = Arc::new(SourceRouted::dsn_custom(dsn));
-    let cfg = cfg();
-    let workload = open(0.008);
-    for engine in [EngineKind::Dense, EngineKind::Event] {
-        let a = run_one(
-            &g,
-            &cfg,
-            engine,
-            NoTables::wrap(algorithmic.clone()),
-            &workload,
-            31,
-        );
-        let s = run_one(&g, &cfg, engine, source.clone(), &workload, 31);
-        assert_eq!(
-            a,
-            s,
-            "[{}] algorithmic diverged from materialized source routes",
-            engine.name()
-        );
-        assert!(a.delivered_packets > 0);
-    }
-}
-
-#[test]
 fn fault_rebuild_falls_back_gracefully() {
-    // Mid-run link death: the rebuild swaps in the ring-detour scheme
-    // (EdgeMask survivors), which is not algorithmic — the flat and the
-    // oracle run must converge on the same dynamic fallback, bit-identically.
+    // Mid-run link death: the rebuilt scheme routes by the EdgeMask
+    // survivors and has no flat table — the flat and the oracle run must
+    // converge on the same dynamic path, bit-identically.
     let dsn = Arc::new(Dsn::new(64, 5).unwrap());
     let g = Arc::new(dsn.graph().clone());
     let mut cfg = cfg();

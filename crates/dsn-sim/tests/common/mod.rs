@@ -46,10 +46,6 @@ impl SimRouting for NoTables {
         self.0.rebuild(graph, mask).map(NoTables::wrap)
     }
 
-    fn reset_state(&self, state: &mut RouteState) {
-        self.0.reset_state(state)
-    }
-
     fn scheme_key(&self) -> String {
         format!("{}+no-tables", self.0.scheme_key())
     }
@@ -64,6 +60,10 @@ impl SimRouting for NoTables {
 
     fn table_bytes(&self) -> usize {
         self.0.table_bytes()
+    }
+
+    fn vcs(&self) -> u8 {
+        self.0.vcs()
     }
 
     fn escape_candidates(

@@ -11,8 +11,9 @@ use dsn_core::dsn::Dsn;
 use dsn_core::graph::Graph;
 use dsn_core::torus::Torus;
 use dsn_sim::{
-    AdaptiveEscape, EngineKind, FaultKind, FaultPlan, RetryPolicy, RunStats, SalvagePolicy,
-    SimConfig, SimRouting, Simulator, SourceRouted, TrafficPattern, UpDownRouting, Workload,
+    AdaptiveEscape, DsnAlgorithmic, EngineKind, FaultKind, FaultPlan, RetryPolicy, RoutingCache,
+    RunStats, SalvagePolicy, SimConfig, SimRouting, Simulator, TrafficPattern, UpDownRouting,
+    Workload,
 };
 use std::sync::Arc;
 
@@ -122,11 +123,11 @@ fn single_link_dsn_updown_with_retries() {
 
 #[test]
 fn single_link_dsn_custom_routing() {
-    // DSN-V custom routing: the planned source routes detour around the
-    // dead link via the greedy masked-distance ring fallback.
+    // DSN-V custom routing: packets whose automaton points at the dead
+    // link detour via the greedy masked-distance ring fallback.
     let dsn = Arc::new(Dsn::new(64, 5).unwrap());
     let g = Arc::new(dsn.graph().clone());
-    let routing = Arc::new(SourceRouted::dsn_custom(dsn));
+    let routing = Arc::new(DsnAlgorithmic::new(dsn));
     let cfg = SimConfig {
         vcs: 4,
         fault_plan: FaultPlan::single_link(3, 900).with_retry(RetryPolicy::new(2, 150, 50)),
@@ -136,15 +137,21 @@ fn single_link_dsn_custom_routing() {
 }
 
 #[test]
-fn single_link_torus_dor_detour() {
-    let torus = Arc::new(Torus::new(&[4, 4]).unwrap());
-    let g = Arc::new(torus.graph().clone());
-    let routing = Arc::new(SourceRouted::torus_dor(torus));
+fn single_link_torus_updown_salvage() {
+    let g = Arc::new(Torus::new(&[4, 4]).unwrap().into_graph());
     let cfg = SimConfig {
         fault_plan: FaultPlan::single_link(2, 700).with_salvage(SalvagePolicy::Salvage),
         ..cfg()
     };
-    assert_engines_agree(g, cfg, routing, open(0.012), 13, "torus4x4 DOR single-link");
+    let routing = Arc::new(UpDownRouting::new(g.clone(), cfg.vcs));
+    assert_engines_agree(
+        g,
+        cfg,
+        routing,
+        open(0.012),
+        13,
+        "torus4x4 up*/down* single-link",
+    );
 }
 
 #[test]
@@ -207,15 +214,58 @@ fn flap_dsn_updown() {
 }
 
 #[test]
-fn flap_torus_dor() {
-    let torus = Arc::new(Torus::new(&[4, 4]).unwrap());
-    let g = Arc::new(torus.graph().clone());
-    let routing = Arc::new(SourceRouted::torus_dor(torus));
+fn flap_dsn_custom_routing_with_and_without_cache() {
+    // Each time the flap clears, the survivor mask fingerprints to the
+    // pristine epoch while detoured packets are still in flight. A shared
+    // cache holding the pristine DSN-V entry must not hand it back: the
+    // run must match the uncached one exactly.
+    let dsn = Arc::new(Dsn::new(64, 5).unwrap());
+    let g = Arc::new(dsn.graph().clone());
+    let cfg = SimConfig {
+        vcs: 4,
+        fault_plan: FaultPlan::flap(3, 700, 400, 2).with_retry(RetryPolicy::new(2, 150, 50)),
+        ..cfg()
+    };
+    let routing: Arc<dyn SimRouting> = Arc::new(DsnAlgorithmic::new(dsn.clone()));
+    let uncached = assert_engines_agree(
+        g.clone(),
+        cfg.clone(),
+        routing.clone(),
+        open(0.03),
+        13,
+        "dsn64 DSN-V flap",
+    );
+    for engine in [EngineKind::Dense, EngineKind::Event] {
+        let cache = Arc::new(RoutingCache::new());
+        let pristine = cache.get_or_build(&g, &routing.scheme_key(), || {
+            Arc::new(DsnAlgorithmic::new(dsn.clone()))
+        });
+        let cached = Simulator::with_workload(
+            g.clone(),
+            SimConfig {
+                engine,
+                ..cfg.clone()
+            },
+            pristine,
+            open(0.03),
+            13,
+        )
+        .with_routing_cache(cache.clone())
+        .run();
+        assert_eq!(cached, uncached, "{engine:?}: cache changed the run");
+        assert!(cache.hits() >= 1, "{engine:?}: the rebuild chain never hit");
+    }
+}
+
+#[test]
+fn flap_torus_adaptive() {
+    let g = Arc::new(Torus::new(&[4, 4]).unwrap().into_graph());
     let cfg = SimConfig {
         fault_plan: FaultPlan::flap(1, 500, 300, 4).with_salvage(SalvagePolicy::Salvage),
         ..cfg()
     };
-    assert_engines_agree(g, cfg, routing, open(0.012), 31, "torus4x4 DOR flap");
+    let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
+    assert_engines_agree(g, cfg, routing, open(0.012), 31, "torus4x4 adaptive flap");
 }
 
 // ---------------------------------------------------------------------

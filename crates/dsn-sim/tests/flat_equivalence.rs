@@ -3,7 +3,7 @@
 //! calling the `SimRouting` trait object (which the [`NoTables`] oracle
 //! forces), and the two paths must produce *identical* `RunStats` — every counter
 //! and every float — across topologies, schemes (including the
-//! adaptive-with-escape-residue and the untabulable source-routed ones),
+//! adaptive-with-escape-residue one and the 4-context DSN-V table),
 //! both engines, and mid-run fault rebuilds. Any divergence means a
 //! compiled row disagrees with what the scheme would have answered
 //! dynamically, so the comparison is `assert_eq!` on the whole struct.
@@ -13,8 +13,8 @@ use dsn_core::dsn::Dsn;
 use dsn_core::graph::Graph;
 use dsn_core::torus::Torus;
 use dsn_sim::{
-    AdaptiveEscape, EngineKind, FaultPlan, MinimalAdaptiveDsn, RetryPolicy, RunStats, SimConfig,
-    SimRouting, Simulator, SourceRouted, TrafficPattern, UpDownRouting, Workload,
+    AdaptiveEscape, DsnAlgorithmic, EngineKind, FaultPlan, MinimalAdaptiveDsn, RetryPolicy,
+    RunStats, SimConfig, SimRouting, Simulator, TrafficPattern, UpDownRouting, Workload,
 };
 use std::sync::Arc;
 
@@ -133,19 +133,17 @@ fn dln_adaptive_uniform() {
 }
 
 #[test]
-fn torus_dor_stays_dynamic() {
-    // Source-routed schemes are untabulable: the engine must silently
-    // stay on the dynamic path rather than change behavior.
-    let torus = Arc::new(Torus::new(&[4, 4]).unwrap());
-    let g = Arc::new(torus.graph().clone());
-    let routing = Arc::new(SourceRouted::torus_dor(torus));
+fn torus_updown_transpose() {
+    let g = Arc::new(Torus::new(&[4, 4]).unwrap().into_graph());
+    let cfg = cfg();
+    let routing = Arc::new(UpDownRouting::new(g.clone(), cfg.vcs));
     assert_flat_matches_dyn(
         g,
-        cfg(),
+        cfg,
         routing,
         open(TrafficPattern::Transpose, 0.006),
         13,
-        "torus4x4 DOR transpose",
+        "torus4x4 up*/down* transpose",
     );
 }
 
@@ -153,7 +151,7 @@ fn torus_dor_stays_dynamic() {
 fn dsn_custom_dsnv_uniform() {
     let dsn = Arc::new(Dsn::new(64, 5).unwrap());
     let g = Arc::new(dsn.graph().clone());
-    let routing = Arc::new(SourceRouted::dsn_custom(dsn));
+    let routing = Arc::new(DsnAlgorithmic::new(dsn));
     // DSN-V levels need the paper's 4 VCs; keep the short test horizon.
     let cfg = SimConfig { vcs: 4, ..cfg() };
     assert_flat_matches_dyn(

@@ -11,7 +11,7 @@ use dsn_core::dsn::Dsn;
 use dsn_core::graph::Graph;
 use dsn_core::torus::Torus;
 use dsn_sim::{
-    AdaptiveEscape, EngineKind, RunStats, SimConfig, SimRouting, Simulator, SourceRouted,
+    AdaptiveEscape, DsnAlgorithmic, EngineKind, RunStats, SimConfig, SimRouting, Simulator,
     TrafficPattern, UpDownRouting, Workload,
 };
 use std::sync::Arc;
@@ -111,7 +111,7 @@ fn dsn_updown_transpose() {
 fn dsn_custom_routing_uniform() {
     let dsn = Arc::new(Dsn::new(64, 5).unwrap());
     let g = Arc::new(dsn.graph().clone());
-    let routing = Arc::new(SourceRouted::dsn_custom(dsn));
+    let routing = Arc::new(DsnAlgorithmic::new(dsn));
     // DSN-V levels need the paper's 4 VCs; keep the short test horizon.
     let cfg = SimConfig { vcs: 4, ..cfg() };
     assert_engines_agree(
@@ -125,21 +125,21 @@ fn dsn_custom_routing_uniform() {
 }
 
 #[test]
-fn torus_dor_uniform_and_transpose() {
-    let torus = Arc::new(Torus::new(&[4, 4]).unwrap());
-    let g = Arc::new(torus.graph().clone());
+fn torus_updown_uniform_and_transpose() {
+    let g = Arc::new(Torus::new(&[4, 4]).unwrap().into_graph());
+    let cfg = cfg();
     for (pattern, label) in [
         (TrafficPattern::Uniform, "uniform"),
         (TrafficPattern::Transpose, "transpose"),
     ] {
-        let routing = Arc::new(SourceRouted::torus_dor(torus.clone()));
+        let routing = Arc::new(UpDownRouting::new(g.clone(), cfg.vcs));
         assert_engines_agree(
             g.clone(),
-            cfg(),
+            cfg.clone(),
             routing,
             open(pattern, 0.006),
             13,
-            &format!("torus4x4 DOR {label}"),
+            &format!("torus4x4 up*/down* {label}"),
         );
     }
 }
@@ -191,7 +191,7 @@ fn seeded_deadlock_watchdog_case() {
         ..SimConfig::default()
     };
     let rate = cfg.packets_per_cycle_for_gbps(4.0);
-    let routing = Arc::new(SourceRouted::dsn_basic_single_vc(dsn));
+    let routing = Arc::new(DsnAlgorithmic::basic_single_vc(dsn));
     let stats = assert_engines_agree(
         g,
         cfg,

@@ -2,9 +2,9 @@
 //! packet tracer: virtual cut-through atomicity, pipeline latency floors,
 //! and hop accounting.
 
+use dsn_core::dsn::Dsn;
 use dsn_core::ring::Ring;
-use dsn_core::torus::Torus;
-use dsn_sim::{AdaptiveEscape, SimConfig, Simulator, SourceRouted, TraceEvent, TrafficPattern};
+use dsn_sim::{AdaptiveEscape, DsnAlgorithmic, SimConfig, Simulator, TraceEvent, TrafficPattern};
 use std::sync::Arc;
 
 fn small_cfg() -> SimConfig {
@@ -18,12 +18,16 @@ fn small_cfg() -> SimConfig {
 
 #[test]
 fn hop_count_matches_route_length_on_deterministic_routing() {
-    // On a torus with DOR source routing, each traced packet's number of
-    // VcAllocated events must equal its DOR path length exactly.
-    let torus = Arc::new(Torus::new(&[4, 4]).unwrap());
-    let g = Arc::new(torus.graph().clone());
-    let cfg = small_cfg();
-    let routing = Arc::new(SourceRouted::torus_dor(torus.clone()));
+    // Under deterministic DSN custom routing, each traced packet's number
+    // of VcAllocated events must equal its three-phase route length
+    // exactly.
+    let dsn = Arc::new(Dsn::new(32, 4).unwrap());
+    let g = Arc::new(dsn.graph().clone());
+    let cfg = SimConfig {
+        vcs: 4,
+        ..small_cfg()
+    };
+    let routing = Arc::new(DsnAlgorithmic::new(dsn.clone()));
     let sim =
         Simulator::new(g, cfg.clone(), routing, TrafficPattern::Uniform, 0.004, 13).with_tracer(1);
     let (stats, trace) = sim.run_traced();
@@ -39,7 +43,7 @@ fn hop_count_matches_route_length_on_deterministic_routing() {
         let TraceEvent::Injected { src_sw, dest_sw } = timeline[0].2 else {
             panic!("first event must be injection");
         };
-        let expected_hops = torus.hop_distance(src_sw, dest_sw);
+        let expected_hops = dsn_route::route(&dsn, src_sw, dest_sw).unwrap().hops();
         let allocs = timeline
             .iter()
             .filter(|(_, _, e)| matches!(e, TraceEvent::VcAllocated { .. }))

@@ -18,7 +18,7 @@ use dsn_core::dsn::Dsn;
 use dsn_core::graph::Graph;
 use dsn_core::torus::Torus;
 use dsn_sim::{
-    AdaptiveEscape, EngineKind, SimConfig, SimRouting, Simulator, SourceRouted, TelemetryReport,
+    AdaptiveEscape, DsnAlgorithmic, EngineKind, SimConfig, SimRouting, Simulator, TelemetryReport,
     TrafficPattern, UpDownRouting, Workload,
 };
 use std::sync::Arc;
@@ -191,7 +191,7 @@ fn dsn_updown_transpose_telemetry_matches() {
 fn dsn_custom_routing_telemetry_matches() {
     let dsn = Arc::new(Dsn::new(64, 5).unwrap());
     let g = Arc::new(dsn.graph().clone());
-    let routing = Arc::new(SourceRouted::dsn_custom(dsn));
+    let routing = Arc::new(DsnAlgorithmic::new(dsn));
     let cfg = SimConfig { vcs: 4, ..cfg_on() };
     let (stats, rep) = assert_telemetry_agrees(
         g,
@@ -205,19 +205,19 @@ fn dsn_custom_routing_telemetry_matches() {
 }
 
 #[test]
-fn torus_dor_telemetry_matches() {
-    let torus = Arc::new(Torus::new(&[4, 4]).unwrap());
-    let g = Arc::new(torus.graph().clone());
-    let routing = Arc::new(SourceRouted::torus_dor(torus));
+fn torus_updown_telemetry_matches() {
+    let g = Arc::new(Torus::new(&[4, 4]).unwrap().into_graph());
+    let cfg = cfg_on();
+    let routing = Arc::new(UpDownRouting::new(g.clone(), cfg.vcs));
     let (stats, rep) = assert_telemetry_agrees(
         g,
-        cfg_on(),
+        cfg,
         routing,
         open(TrafficPattern::Uniform, 0.006),
         13,
-        "torus4x4 DOR uniform",
+        "torus4x4 up*/down* uniform",
     );
-    assert_reconciles(&stats, &rep, "torus4x4 DOR uniform");
+    assert_reconciles(&stats, &rep, "torus4x4 up*/down* uniform");
 }
 
 #[test]

@@ -8,7 +8,7 @@
 use dsn::core::dsn::Dsn;
 use dsn::core::topology::TopologySpec;
 use dsn::sim::sweep::{format_sweep, load_sweep};
-use dsn::sim::{AdaptiveEscape, SimConfig, SourceRouted, TrafficPattern};
+use dsn::sim::{AdaptiveEscape, DsnAlgorithmic, SimConfig, TrafficPattern};
 use std::sync::Arc;
 
 fn main() {
@@ -68,7 +68,7 @@ fn main() {
         "DSN-5-64 / custom (3-phase, DSN-V VCs)",
         graph,
         &cfg,
-        move || Arc::new(SourceRouted::dsn_custom(dsn2.clone())),
+        move || Arc::new(DsnAlgorithmic::new(dsn2.clone())),
         &pattern,
         &loads,
         2,

@@ -4,7 +4,7 @@
 
 use dsn::core::dsn::Dsn;
 use dsn::route::deadlock::{basic_cdg, dsnv_cdg};
-use dsn::sim::{SimConfig, Simulator, SourceRouted, TrafficPattern};
+use dsn::sim::{DsnAlgorithmic, SimConfig, Simulator, TrafficPattern};
 use std::sync::Arc;
 
 fn cfg() -> SimConfig {
@@ -21,9 +21,9 @@ fn run(dsn: &Arc<Dsn>, unsafe_mode: bool, gbps: f64) -> dsn::sim::RunStats {
     let cfg = cfg();
     let rate = cfg.packets_per_cycle_for_gbps(gbps);
     let routing: Arc<dyn dsn::sim::SimRouting> = if unsafe_mode {
-        Arc::new(SourceRouted::dsn_basic_single_vc(dsn.clone()))
+        Arc::new(DsnAlgorithmic::basic_single_vc(dsn.clone()))
     } else {
-        Arc::new(SourceRouted::dsn_custom(dsn.clone()))
+        Arc::new(DsnAlgorithmic::new(dsn.clone()))
     };
     Simulator::new(graph, cfg, routing, TrafficPattern::Uniform, rate, 0xDEAD).run()
 }
