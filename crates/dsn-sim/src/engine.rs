@@ -432,13 +432,14 @@ pub struct Simulator {
     /// Per-channel source switch (denormalized from the graph for the
     /// wake-up dirty marks).
     pub(crate) ch_src: Vec<u32>,
-    /// Per-switch dirty bitmap for the event core's allocation wake-up
-    /// skip: a bit is set when an output VC at that switch transitioned
-    /// to grantable (credit count crossed the allocation threshold on a
-    /// free VC, or an owner released with enough credits), meaning blocked
-    /// heads there are worth re-attempting. Consumed and cleared each
-    /// allocation phase; maintained unconditionally (the dense core simply
-    /// never reads it).
+    /// Per-switch wake-up bitmap for the event core's allocation walk: a
+    /// bit is set when an output VC at that switch turned grantable (a
+    /// free VC's credit count crossed the allocation threshold in
+    /// [`Self::apply_credit`], or [`Self::release_output_vc`] freed it
+    /// with enough credits) or a fault event changed the candidate sets
+    /// (every bit), meaning blocked heads there are worth re-attempting.
+    /// Consumed by each allocation walk; maintained unconditionally (the
+    /// dense core simply never reads it).
     pub(crate) node_dirty: Vec<u64>,
     /// Credits required to grant an output VC (packet_flits for virtual
     /// cut-through, 1 for wormhole) — fixed per run.
@@ -1512,6 +1513,25 @@ impl Simulator {
         self.node_dirty[node >> 6] |= 1u64 << (node & 63);
     }
 
+    /// Release output VC `(ch, vc)` held by `owner`: clear its owner and
+    /// its owned/ready bits. Released with at least `alloc_need` credits
+    /// banked it is grantable at once, so blocked heads at the source
+    /// switch are woken. With [`Self::apply_credit`] this is the only
+    /// place an output VC turns grantable (the event core's wake
+    /// invariant).
+    pub(crate) fn release_output_vc(&mut self, ch: usize, vc: u8, owner: u32) {
+        let slot = self.ch_slot[ch] as usize;
+        let ov = slot * self.nvc + vc as usize;
+        debug_assert_eq!(ovc_owner_of(self.ovc_state[ov]), owner);
+        let s = self.ovc_state[ov] | OVC_FREE;
+        self.ovc_state[ov] = s;
+        self.chv[slot].owned &= !(1u64 << vc);
+        self.chv[slot].ready &= !(1u64 << vc);
+        if ovc_credits_of(s) >= self.alloc_need {
+            self.mark_node_dirty(self.ch_src[ch] as usize);
+        }
+    }
+
     /// Batched credit drain for one timing-wheel slot (event core): the
     /// loop lives here so [`Self::apply_credit`] inlines against field
     /// loads hoisted out of the loop.
@@ -1762,9 +1782,9 @@ impl Simulator {
             outcome = AllocOutcome::Unroutable;
         }
         if matches!(outcome, AllocOutcome::Blocked) {
-            // Countable identically on both engines: the dense scan and the
-            // event core's `alloc_pending` set visit the same eligible
-            // heads each cycle.
+            // Countable identically on both engines: the dense scan attempts
+            // every eligible head each cycle, and the event core's walk
+            // fires this hook itself for each head it skips.
             self.telemetry.on_alloc_blocked(node as u32, now);
         }
         outcome
@@ -1877,14 +1897,7 @@ impl Simulator {
             .on_flit_sent(ch as u32, flit.packet, tail, now);
         if tail {
             // tail: release ownership and input state
-            let s = self.ovc_state[ov] | OVC_FREE;
-            self.ovc_state[ov] = s;
-            self.chv[slot].owned &= !(1u64 << ovc);
-            if ovc_credits_of(s) >= self.alloc_need {
-                // Released with enough credits banked: immediately
-                // grantable, so wake blocked heads at the source switch.
-                self.mark_node_dirty(self.ch_src[ch] as usize);
-            }
+            self.release_output_vc(ch, ovc, owner_pack(i, v));
             if let Some(tr) = &mut self.tracer {
                 let at = self.input_node[i] as usize;
                 let uid = self.packets.get(flit.packet).uid;

@@ -16,6 +16,15 @@
 //! * a *calendar heap* of `(cycle, host)` pairs pops injections in the
 //!   same (cycle, host-ascending) order the dense per-cycle host scan
 //!   produces, at O(log hosts) per injection instead of O(hosts) per cycle;
+//! * the allocation phase attempts a pending head only when it is *fresh*
+//!   (its route expiry landed this cycle) or its switch was *woken*. The
+//!   wake invariant: every transition that can turn a blocked attempt
+//!   into a grant marks the head's switch in [`Simulator::node_dirty`].
+//!   Those are an output VC turning grantable
+//!   ([`Simulator::apply_credit`], [`Simulator::release_output_vc`]) and
+//!   a fault event ([`Simulator::process_faults`] wakes every switch).
+//!   Any other pending head would block again, so [`step_alloc`] skips it;
+//!   this holds under fault plans and with telemetry on alike;
 //! * when no event, injection or active unit exists the clock jumps
 //!   straight to the next injection — safe because a live packet always
 //!   keeps at least one set or wheel slot nonempty, and an idle network
@@ -183,18 +192,12 @@ pub(crate) struct EventState {
     scratch: Vec<u32>,
     /// Bitmap (same word layout as `alloc_pending`) of input VCs whose
     /// route expiry landed *this cycle*: they get their first allocation
-    /// attempt unconditionally under the wake-up skip. Cleared after each
-    /// allocation phase.
+    /// attempt unconditionally. Cleared after each allocation phase.
     fresh: Vec<u64>,
-    /// Allocation wake-up skip enabled: a pending head that is neither
-    /// fresh nor at a switch marked dirty (`Simulator::node_dirty`) is
-    /// guaranteed to block again, so the phase never attempts it. Sound
-    /// only when blocked attempts are pure no-ops: disabled under fault
-    /// plans (instant credit refunds, mask changes and routing rebuilds
-    /// alter candidate sets without credit transitions) and under
-    /// telemetry (a skipped attempt would owe its `on_alloc_blocked`
-    /// hook).
-    wake_skip: bool,
+    /// The switches woken for the current allocation walk: `node_dirty`
+    /// as it stood when the walk began (see [`step_alloc`]). All zero
+    /// outside the walk.
+    wake: Vec<u64>,
     /// VC stride for encoding `(input, vc)` pairs as a single index.
     nvc: u32,
 }
@@ -294,6 +297,13 @@ impl EventState {
     }
 }
 
+impl Simulator {
+    /// The event state of a simulator stepping on the event core.
+    fn es(&mut self) -> &mut EventState {
+        self.ev.as_mut().expect("event state")
+    }
+}
+
 /// Install the event state on a freshly constructed simulator (no flits in
 /// flight yet): empty wheel and sets, plus the injection calendar.
 pub(crate) fn prepare(sim: &mut Simulator) {
@@ -316,7 +326,7 @@ pub(crate) fn prepare(sim: &mut Simulator) {
         inj_heap: BinaryHeap::with_capacity(sim.hosts()),
         scratch: Vec::with_capacity(iv_domain),
         fresh: vec![0; iv_domain.div_ceil(64)],
-        wake_skip: sim.fault.is_none() && !sim.telemetry.enabled(),
+        wake: vec![0; sim.node_dirty.len()],
         nvc,
     });
     for h in 0..sim.hosts() {
@@ -347,7 +357,7 @@ pub(crate) fn step(sim: &mut Simulator, total: u64) {
     // pass is immaterial. The credit/link loops live in `engine.rs`
     // ([`Simulator::drain_credits`] / [`Simulator::drain_links`]) so the
     // per-event helpers inline against hoisted field loads.
-    let slot = sim.ev.as_mut().expect("event state").wheel.take_slot(now);
+    let slot = sim.es().wheel.take_slot(now);
     sim.drain_credits(&slot.credits);
     sim.drain_links(&slot.links, now);
     for &iv in &slot.routes {
@@ -361,21 +371,19 @@ pub(crate) fn step(sim: &mut Simulator, total: u64) {
         // event can never collide with a fresh arm's ready cycle
         // (old ready = T + hd with T < now < now + hd = new ready),
         // so `ivc.ready == now` is a precise validity test.
-        let valid = sim.ivc[unit].ready == now
-            && sim.ivc[unit].alloc == ALLOC_NONE
-            && sim.buf_front(unit).is_some_and(|f| f.seq == 0);
+        let valid = sim.ivc[unit].ready == now && head_eligible(sim, unit, now);
         debug_assert!(
             valid || sim.fault.is_some(),
             "stale route expiry without faults"
         );
         if valid {
-            let es = sim.ev.as_mut().expect("event state");
+            let es = sim.es();
             es.alloc_pending.insert(iv);
-            // First attempt is unconditional under the wake-up skip.
+            // The first attempt is unconditional (see `step_alloc`).
             es.fresh[(iv >> 6) as usize] |= 1u64 << (iv & 63);
         }
     }
-    sim.ev.as_mut().expect("event state").wheel.recycle(slot);
+    sim.es().wheel.recycle(slot);
     sim.phase_mark(&mut stamp, crate::timing::Phase::Wheel);
 
     // Phase 3: injection — pop the calendar in (cycle, host) order, which
@@ -390,7 +398,7 @@ pub(crate) fn step(sim: &mut Simulator, total: u64) {
     sim.inject_retries(now);
     loop {
         let host = {
-            let es = sim.ev.as_mut().expect("event state");
+            let es = sim.es();
             match es.inj_heap.peek() {
                 Some(&Reverse((t, h))) if t == now => {
                     es.inj_heap.pop();
@@ -406,17 +414,13 @@ pub(crate) fn step(sim: &mut Simulator, total: u64) {
 
     // Phase 4: allocation over the eligible input VCs in (input, vc)
     // order — the dense scan order restricted to eligible units.
-    if sim.ev.as_ref().expect("event state").wake_skip {
-        step_alloc_wake_skip(sim, now);
-    } else {
-        step_alloc_full(sim, now);
-    }
+    step_alloc(sim, now);
     sim.phase_mark(&mut stamp, crate::timing::Phase::Route);
 
     // Phase 5a: switch allocation + sends over channels with owners, in
     // channel order (ownerless channels are no-ops in the dense scan).
     let mut scratch = {
-        let es = sim.ev.as_mut().expect("event state");
+        let es = sim.es();
         let mut s = std::mem::take(&mut es.scratch);
         es.out_active.snapshot_sorted(&mut s);
         s
@@ -426,7 +430,7 @@ pub(crate) fn step(sim: &mut Simulator, total: u64) {
         // Deactivate whenever no owner remains — not only after a tail
         // send, since a fault drop can strip ownership mid-stream.
         if sim.chv[sim.ch_slot[ch as usize] as usize].owned == 0 {
-            sim.ev.as_mut().expect("event state").out_active.remove(ch);
+            sim.es().out_active.remove(ch);
         }
     }
     sim.phase_mark(&mut stamp, crate::timing::Phase::Arbitrate);
@@ -434,31 +438,23 @@ pub(crate) fn step(sim: &mut Simulator, total: u64) {
     // Phase 5b: ejection over VCs holding an eject grant, in (input, vc)
     // order — matching the dense whole-input scan restricted to grants.
     {
-        let es = sim.ev.as_mut().expect("event state");
+        let es = sim.es();
         let mut s = scratch;
         es.eject_active.snapshot_sorted(&mut s);
         scratch = s;
     }
     for &iv in &scratch {
-        let (i, v) = sim.ev.as_ref().expect("event state").iv_decode(iv);
+        let (i, v) = sim.es().iv_decode(iv);
         // A fault drop may have stripped the grant since the snapshot.
         if !alloc_is_eject(sim.ivc[iv as usize].alloc) {
-            sim.ev
-                .as_mut()
-                .expect("event state")
-                .eject_active
-                .remove(iv);
+            sim.es().eject_active.remove(iv);
             continue;
         }
         if sim.try_eject_vc(i, v, now) {
-            sim.ev
-                .as_mut()
-                .expect("event state")
-                .eject_active
-                .remove(iv);
+            sim.es().eject_active.remove(iv);
         }
     }
-    sim.ev.as_mut().expect("event state").scratch = scratch;
+    sim.es().scratch = scratch;
 
     sim.clear_used();
     sim.watchdog(now);
@@ -498,119 +494,72 @@ pub(crate) fn step(sim: &mut Simulator, total: u64) {
     }
 }
 
-/// Phase 4, reference form: attempt every pending head. Used under fault
-/// plans and telemetry, where the wake-up filter is unsound (see
-/// [`EventState::wake_skip`]).
-fn step_alloc_full(sim: &mut Simulator, now: u64) {
-    let scratch = {
-        let es = sim.ev.as_mut().expect("event state");
-        let mut s = std::mem::take(&mut es.scratch);
-        es.alloc_pending.snapshot_sorted(&mut s);
-        s
-    };
-    for &iv in &scratch {
-        let (i, v) = sim.ev.as_ref().expect("event state").iv_decode(iv);
-        // Re-check eligibility fresh: an earlier iteration's unroutable
-        // drop may have purged this entry's head or re-armed it.
-        let slot = iv as usize;
-        let eligible = sim.ivc[slot].alloc == ALLOC_NONE
-            && sim.ivc[slot].ready <= now
-            && sim.buf_front(slot).is_some_and(|f| f.seq == 0);
-        if !eligible {
-            debug_assert!(sim.fault.is_some(), "stale alloc entry without faults");
-            sim.ev
-                .as_mut()
-                .expect("event state")
-                .alloc_pending
-                .remove(iv);
-            continue;
-        }
-        match sim.try_allocate_vc(i, v, now) {
-            AllocOutcome::Blocked => {}
-            AllocOutcome::Eject => {
-                let es = sim.ev.as_mut().expect("event state");
-                es.alloc_pending.remove(iv);
-                es.eject_active.insert(iv);
-            }
-            AllocOutcome::Net(ch) => {
-                let es = sim.ev.as_mut().expect("event state");
-                es.alloc_pending.remove(iv);
-                es.out_active.insert(ch as u32);
-            }
-            AllocOutcome::Unroutable => {
-                sim.unroutable_drop(i, v, now);
-                sim.ev
-                    .as_mut()
-                    .expect("event state")
-                    .alloc_pending
-                    .remove(iv);
-            }
-        }
-    }
-    sim.ev.as_mut().expect("event state").scratch = scratch;
+/// True when input VC `unit` holds an armed, expired, unallocated head:
+/// the condition for membership in `alloc_pending`.
+fn head_eligible(sim: &Simulator, unit: usize, now: u64) -> bool {
+    sim.ivc[unit].alloc == ALLOC_NONE
+        && sim.ivc[unit].ready <= now
+        && sim.buf_front(unit).is_some_and(|f| f.seq == 0)
 }
 
-/// Phase 4 under the wake-up skip (fault-free, telemetry off): a blocked
-/// allocation attempt is a pure no-op — it records nothing and mutates
-/// nothing, and a blocked head's candidate set is fixed while it sits at
-/// one switch (routing is pure in `(cur, dest, RouteState)`, and
-/// `RouteState` only changes on a hop). The only transitions that can turn
-/// an attempt from Blocked into a grant are an output VC becoming
-/// grantable at the head's switch — a free VC's credit count crossing the
-/// allocation threshold ([`Simulator::apply_credit`]) or an owner
-/// releasing with enough credits banked ([`Simulator::grant_channel`]) —
-/// both of which mark [`Simulator::node_dirty`]. So the walk attempts only
-/// heads that are fresh (first attempt this cycle) or at a dirty switch;
-/// every skipped head would have re-blocked without side effects, and the
-/// attempted subset runs in the same ascending-iv order the full walk
-/// would visit it in, so results are bit-identical (the dense core and
-/// `tests/sim_equivalence.rs` enforce this).
-fn step_alloc_wake_skip(sim: &mut Simulator, now: u64) {
+/// Phase 4: VC allocation over the pending heads in ascending iv order,
+/// the order of the dense scan. Only fresh heads and heads at a woken
+/// switch are attempted (the wake invariant, module docs). A blocked
+/// attempt changes nothing but the `on_alloc_blocked` telemetry hook, so
+/// a skipped head fires that hook itself, and the walk is bit-identical
+/// to attempting every head (the dense core and `tests/sim_equivalence.rs`
+/// enforce this).
+///
+/// The walk begins by swapping `node_dirty` into `wake`. A mark set during
+/// the walk, by the credits an unroutable drop hands back, lands in the
+/// emptied `node_dirty`: it wakes the switch's heads later in this walk
+/// and survives into the next one, where its earlier heads get their
+/// retry. Entries go stale only through fault purges. A purge in
+/// [`Simulator::process_faults`] wakes every switch, and an unroutable
+/// drop's purge leaves only its own entry stale, which is removed on the
+/// spot. So only attempted entries need the eligibility recheck.
+fn step_alloc(sim: &mut Simulator, now: u64) {
     let nvc = sim.nvc;
-    let nwords = {
-        let es = sim.ev.as_ref().expect("event state");
-        es.alloc_pending.words.len()
+    let (mut wake, nwords) = {
+        let es = sim.es();
+        (std::mem::take(&mut es.wake), es.alloc_pending.words.len())
     };
+    std::mem::swap(&mut wake, &mut sim.node_dirty);
     for wi in 0..nwords {
         let (mut m, fresh) = {
-            let es = sim.ev.as_ref().expect("event state");
+            let es = sim.es();
             (es.alloc_pending.words[wi], es.fresh[wi])
         };
         while m != 0 {
             let bit = m & m.wrapping_neg();
             let iv = ((wi as u32) << 6) | m.trailing_zeros();
             m &= m - 1;
+            let unit = iv as usize;
             if fresh & bit == 0 {
-                let node = sim.iv_node[iv as usize] as usize;
-                if sim.node_dirty[node >> 6] & (1u64 << (node & 63)) == 0 {
+                let node = sim.iv_node[unit] as usize;
+                let (w, b) = (node >> 6, 1u64 << (node & 63));
+                if (wake[w] | sim.node_dirty[w]) & b == 0 {
+                    debug_assert!(head_eligible(sim, unit, now), "skipped a stale alloc entry");
+                    sim.telemetry.on_alloc_blocked(node as u32, now);
                     continue;
                 }
             }
-            let unit = iv as usize;
-            debug_assert!(
-                sim.ivc[unit].alloc == ALLOC_NONE
-                    && sim.ivc[unit].ready <= now
-                    && sim.buf_front(unit).is_some_and(|f| f.seq == 0),
-                "stale alloc entry without faults"
-            );
-            match sim.try_allocate_vc(unit / nvc, unit % nvc, now) {
-                AllocOutcome::Blocked => {}
-                AllocOutcome::Eject => {
-                    let es = sim.ev.as_mut().expect("event state");
-                    es.alloc_pending.remove(iv);
-                    es.eject_active.insert(iv);
+            if head_eligible(sim, unit, now) {
+                let (i, v) = (unit / nvc, unit % nvc);
+                match sim.try_allocate_vc(i, v, now) {
+                    AllocOutcome::Blocked => continue,
+                    AllocOutcome::Eject => sim.es().eject_active.insert(iv),
+                    AllocOutcome::Net(ch) => sim.es().out_active.insert(ch as u32),
+                    AllocOutcome::Unroutable => sim.unroutable_drop(i, v, now),
                 }
-                AllocOutcome::Net(ch) => {
-                    let es = sim.ev.as_mut().expect("event state");
-                    es.alloc_pending.remove(iv);
-                    es.out_active.insert(ch as u32);
-                }
-                AllocOutcome::Unroutable => unreachable!("unroutable without faults"),
+            } else {
+                debug_assert!(sim.fault.is_some(), "stale alloc entry without faults");
             }
+            sim.es().alloc_pending.remove(iv);
         }
     }
-    // Consume the wake signals: every surviving pending head re-blocks
-    // until the next grantable transition marks its switch again.
-    sim.ev.as_mut().expect("event state").fresh.fill(0);
-    sim.node_dirty.fill(0);
+    wake.fill(0);
+    let es = sim.es();
+    es.fresh.fill(0);
+    es.wake = wake;
 }

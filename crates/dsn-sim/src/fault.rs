@@ -26,7 +26,7 @@
 
 use crate::engine::{
     decode_alloc, ovc_owner_of, owner_pack, owner_unpack, OutRef, Simulator, ALLOC_NONE,
-    NO_UPSTREAM, OVC_FREE, OWNER_NONE,
+    NO_UPSTREAM, OWNER_NONE,
 };
 use dsn_core::fault::{is_connected_masked, EdgeMask};
 use dsn_core::graph::Graph;
@@ -403,7 +403,8 @@ impl FaultRuntime {
 
 impl Simulator {
     /// Phase 0: apply every fault event due at or before `now`, then
-    /// rebuild routing on the survivor graph once. The event engine may
+    /// rebuild routing on the survivor graph once and wake every switch
+    /// for the event core's allocation walk. The event engine may
     /// reach this late after an idle skip — catching up several events in
     /// one call is unobservable, because skips only happen on an empty
     /// network and the rebuilt routing depends only on the final mask.
@@ -467,6 +468,9 @@ impl Simulator {
             }
         }
         self.rebuild_routing();
+        // Mask changes, purges and the rebuild alter candidate sets without
+        // a credit transition: wake every switch (these events are rare).
+        self.node_dirty.fill(u64::MAX);
     }
 
     fn kill_edge(&mut self, e: EdgeId, now: u64) {
@@ -541,12 +545,7 @@ impl Simulator {
         let Some(OutRef::Net { channel, vc }) = decode_alloc(alloc) else {
             panic!("salvage victim must hold a network allocation");
         };
-        let slot = self.ch_slot[channel] as usize;
-        let ov = slot * self.nvc + vc as usize;
-        debug_assert_eq!(ovc_owner_of(self.ovc_state[ov]), owner_pack(i, v as u8));
-        self.ovc_state[ov] |= OVC_FREE;
-        self.chv[slot].owned &= !(1u64 << vc);
-        self.chv[slot].ready &= !(1u64 << vc);
+        self.release_output_vc(channel, vc, owner_pack(i, v as u8));
         self.arm_header(i, v, now);
         self.fault.as_mut().expect("fault runtime").salvaged += 1;
     }
@@ -618,12 +617,7 @@ impl Simulator {
                 }
                 self.buffered_flits -= removed as u64;
                 if let Some(OutRef::Net { channel, vc }) = cleared_alloc {
-                    let slot = self.ch_slot[channel] as usize;
-                    let ov = slot * self.nvc + vc as usize;
-                    debug_assert_eq!(ovc_owner_of(self.ovc_state[ov]), owner_pack(i, v as u8));
-                    self.ovc_state[ov] |= OVC_FREE;
-                    self.chv[slot].owned &= !(1u64 << vc);
-                    self.chv[slot].ready &= !(1u64 << vc);
+                    self.release_output_vc(channel, vc, owner_pack(i, v as u8));
                 }
                 let up = self.input_upstream[i];
                 if up != NO_UPSTREAM {

@@ -12,8 +12,8 @@ use dsn_core::graph::Graph;
 use dsn_core::torus::Torus;
 use dsn_sim::{
     AdaptiveEscape, DsnAlgorithmic, EngineKind, FaultKind, FaultPlan, RetryPolicy, RoutingCache,
-    RunStats, SalvagePolicy, SimConfig, SimRouting, Simulator, TrafficPattern, UpDownRouting,
-    Workload,
+    RunStats, SalvagePolicy, SimConfig, SimRouting, Simulator, Switching, TrafficPattern,
+    UpDownRouting, Workload,
 };
 use std::sync::Arc;
 
@@ -296,6 +296,61 @@ fn switch_down_and_recovery_dsn_adaptive() {
         stats.dropped_packets_all_time > 0,
         "a dying switch at load must drop residents"
     );
+}
+
+/// Switch deaths at load, with retries, under both escape styles. A dying
+/// switch's purge and every later unroutable drop free output VCs and hand
+/// credits back mid-cycle, so the event core's allocation walk must keep
+/// the wake-up marks set while it runs, and a purge's VC release must wake
+/// its switch. The seeds are ones where a walk that clears those marks, or
+/// a purge that releases without waking, diverges from the dense core.
+/// One test per switching mode, so they run in parallel.
+fn switch_deaths_at_load(switching: Switching) {
+    let g = Arc::new(Dsn::new(64, 5).unwrap().into_graph());
+    let cfg = SimConfig {
+        switching,
+        drain_cycles: 1_000,
+        fault_plan: FaultPlan::none()
+            .with_event(700, FaultKind::SwitchDown(3))
+            .with_event(1_500, FaultKind::SwitchDown(30))
+            .with_event(2_100, FaultKind::SwitchUp(3))
+            .with_retry(RetryPolicy::new(3, 150, 80)),
+        ..cfg()
+    };
+    let routings: [(&str, Arc<dyn SimRouting>); 2] = [
+        (
+            "adaptive",
+            Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs)),
+        ),
+        (
+            "up*/down*",
+            Arc::new(UpDownRouting::new(g.clone(), cfg.vcs)),
+        ),
+    ];
+    for (name, routing) in routings {
+        for (rate, seeds) in [(0.05, [1, 2]), (0.2, [7, 8])] {
+            for seed in seeds {
+                assert_engines_agree(
+                    g.clone(),
+                    cfg.clone(),
+                    routing.clone(),
+                    open(rate),
+                    seed,
+                    &format!("dsn64 {switching:?} {name} switch deaths rate={rate} seed={seed}"),
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn switch_deaths_at_load_vct() {
+    switch_deaths_at_load(Switching::VirtualCutThrough);
+}
+
+#[test]
+fn switch_deaths_at_load_wormhole() {
+    switch_deaths_at_load(Switching::Wormhole);
 }
 
 #[test]

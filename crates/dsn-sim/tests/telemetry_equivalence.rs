@@ -18,8 +18,8 @@ use dsn_core::dsn::Dsn;
 use dsn_core::graph::Graph;
 use dsn_core::torus::Torus;
 use dsn_sim::{
-    AdaptiveEscape, DsnAlgorithmic, EngineKind, SimConfig, SimRouting, Simulator, TelemetryReport,
-    TrafficPattern, UpDownRouting, Workload,
+    AdaptiveEscape, DsnAlgorithmic, EngineKind, FaultPlan, RetryPolicy, SimConfig, SimRouting,
+    Simulator, TelemetryReport, TrafficPattern, UpDownRouting, Workload,
 };
 use std::sync::Arc;
 
@@ -239,34 +239,52 @@ fn dln_adaptive_telemetry_matches() {
 #[test]
 fn telemetry_on_does_not_perturb_runstats() {
     // Same scenario with telemetry off and on, both engines: all four
-    // RunStats must be bit-identical.
+    // RunStats must be bit-identical, and the two reports equal. The
+    // faulted and past-saturation rows are where the event core's
+    // allocation walk skips the most blocked heads and reports them itself.
     let g = Arc::new(Dsn::new(64, 5).unwrap().into_graph());
-    let on = cfg_on();
-    let off = SimConfig {
-        telemetry: None,
-        ..on.clone()
-    };
-    let routing = Arc::new(AdaptiveEscape::new(g.clone(), on.vcs));
-    let mut all = Vec::new();
-    for engine in [EngineKind::Dense, EngineKind::Event] {
-        for cfg in [&off, &on] {
-            let (stats, rep) = run_with(
-                g.clone(),
-                SimConfig {
-                    engine,
-                    ..cfg.clone()
-                },
-                routing.clone(),
-                open(TrafficPattern::Uniform, 0.01),
-                99,
-            );
-            assert_eq!(rep.is_some(), cfg.telemetry.is_some());
-            all.push(stats);
+    let flap = FaultPlan::flap(6, 600, 400, 3).with_retry(RetryPolicy::new(4, 100, 50));
+    for (plan, rate) in [(FaultPlan::none(), 0.01), (flap.clone(), 0.01), (flap, 0.2)] {
+        let label = format!("{} fault events, rate {rate}", plan.events.len());
+        let on = SimConfig {
+            fault_plan: plan,
+            ..cfg_on()
+        };
+        let off = SimConfig {
+            telemetry: None,
+            ..on.clone()
+        };
+        let routing = Arc::new(AdaptiveEscape::new(g.clone(), on.vcs));
+        let mut all = Vec::new();
+        let mut reports = Vec::new();
+        for engine in [EngineKind::Dense, EngineKind::Event] {
+            for cfg in [&off, &on] {
+                let (stats, rep) = run_with(
+                    g.clone(),
+                    SimConfig {
+                        engine,
+                        ..cfg.clone()
+                    },
+                    routing.clone(),
+                    open(TrafficPattern::Uniform, rate),
+                    99,
+                );
+                assert_eq!(rep.is_some(), cfg.telemetry.is_some());
+                all.push(stats);
+                reports.extend(rep);
+            }
         }
-    }
-    assert!(all[0].delivered_packets > 0);
-    for s in &all[1..] {
-        assert_eq!(&all[0], s, "telemetry or engine choice perturbed RunStats");
+        assert!(all[0].delivered_packets > 0, "{label}: vacuous scenario");
+        for s in &all[1..] {
+            assert_eq!(
+                &all[0], s,
+                "{label}: telemetry or engine choice perturbed RunStats"
+            );
+        }
+        assert_eq!(
+            reports[0], reports[1],
+            "{label}: telemetry reports diverged"
+        );
     }
 }
 
