@@ -173,6 +173,81 @@ impl PacketSlab {
     }
 }
 
+/// One host's injection source queue, packet-granular: the slab ids of
+/// the waiting packets plus the sequence number of the head packet's next
+/// flit. The open-loop injector queues whole packets here, so a waiting
+/// packet costs one `u32` instead of `packet_flits` [`Flit`] records; the
+/// flits are built as they are read. Lengths are still reported in flits.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SourceQueue {
+    ids: VecDeque<u32>,
+    /// Next flit of the front packet (0 while it is unsent, and whenever
+    /// the queue is empty).
+    head_seq: u16,
+}
+
+impl SourceQueue {
+    /// Resident flits: every queued packet minus the head's sent flits.
+    #[inline]
+    fn len_flits(&self, packet_flits: usize) -> usize {
+        self.ids.len() * packet_flits - self.head_seq as usize
+    }
+
+    #[inline]
+    fn front(&self) -> Option<Flit> {
+        self.ids.front().map(|&packet| Flit {
+            packet,
+            seq: self.head_seq,
+        })
+    }
+
+    #[inline]
+    fn push_packet(&mut self, id: u32) {
+        self.ids.push_back(id);
+    }
+
+    /// Pop the front flit; the packet leaves the queue with its tail.
+    #[inline]
+    fn pop_flit(&mut self, packet_flits: usize) -> Flit {
+        let flit = self.front().expect("nonempty");
+        if flit.seq as usize + 1 == packet_flits {
+            self.ids.pop_front();
+            self.head_seq = 0;
+        } else {
+            self.head_seq += 1;
+        }
+        flit
+    }
+
+    fn contains(&self, pkt: u32) -> bool {
+        self.ids.contains(&pkt)
+    }
+
+    /// Drop packet `pkt`, keeping the order of the others; returns the
+    /// flits removed (the unsent remainder for a partly sent head).
+    fn remove_packet(&mut self, pkt: u32, packet_flits: usize) -> usize {
+        let Some(at) = self.ids.iter().position(|&id| id == pkt) else {
+            return 0;
+        };
+        self.ids.remove(at);
+        if at == 0 {
+            packet_flits - std::mem::take(&mut self.head_seq) as usize
+        } else {
+            packet_flits
+        }
+    }
+
+    /// Queued packet ids, front to back.
+    fn packets(&self) -> impl Iterator<Item = u32> + '_ {
+        self.ids.iter().copied()
+    }
+
+    /// Reserve room for `more` packets beyond the current length.
+    fn reserve(&mut self, more: usize) {
+        self.ids.reserve(more);
+    }
+}
+
 /// Where an allocated packet is headed (decoded view of a packed
 /// [`ALLOC_NONE`]-style id; see [`decode_alloc`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -409,9 +484,11 @@ pub struct Simulator {
     pub(crate) net_buf: Vec<Flit>,
     /// Per-network-`iv` ring position, packed `head << 16 | len`.
     pub(crate) net_pos: Vec<u32>,
-    /// Injection-input buffers (`iv - net_ivs`), unbounded: the open-loop
-    /// injector queues here without credit backpressure.
-    pub(crate) inj_buf: Vec<VecDeque<Flit>>,
+    /// Injection source queues, one per host (`(iv - net_ivs) / nvc`):
+    /// unbounded, since the open-loop injector queues here without credit
+    /// backpressure, and packet-granular ([`SourceQueue`]), so a waiting
+    /// packet costs one slab id rather than `packet_flits` flits.
+    pub(crate) inj_buf: Vec<SourceQueue>,
     /// Per-`iv` hot state (header-ready cycle, packed allocation,
     /// allocated packet).
     pub(crate) ivc: Vec<IvcHot>,
@@ -731,7 +808,7 @@ impl Simulator {
             net_ivs,
             net_buf: vec![Flit { packet: 0, seq: 0 }; net_ivs * cfg.buffer_flits],
             net_pos: vec![0; net_ivs],
-            inj_buf: vec![VecDeque::new(); iv_domain - net_ivs],
+            inj_buf: vec![SourceQueue::default(); hosts],
             ivc: vec![IvcHot::IDLE; iv_domain],
             ovc_state: vec![OVC_FREE + cfg.buffer_flits as u64; ov_domain],
             chv: vec![ChHot::IDLE; channels],
@@ -903,10 +980,12 @@ impl Simulator {
     /// structure that still grows in a saturated steady state, so the
     /// measure phase performs zero heap allocations (verified by the
     /// `zero_alloc` integration test). Source queues and the live-packet
-    /// population grow roughly linearly under saturation, so end-of-warmup
-    /// sizes projected across the horizon (with 50% slack) bound them; the
-    /// event wheel's per-slot vectors get hard per-cycle bounds instead.
-    /// Pure capacity reservation — observable behavior is unchanged.
+    /// population grow roughly linearly under saturation, so the offered
+    /// load projected across the rest of the horizon bounds them, in
+    /// packets: one slab slot and one queued id (4 B) per packet a host
+    /// may still inject. The event wheel's per-slot vectors get hard
+    /// per-cycle bounds instead. Pure capacity reservation — observable
+    /// behavior is unchanged.
     fn presize_steady_state(&mut self) {
         // A host injects at most ~rate × remaining packets more (Bernoulli
         // gaps; 25% slack plus a constant floor dwarfs the binomial
@@ -916,12 +995,8 @@ impl Simulator {
         let inj_pkts = (self.injector.rate() * remaining * 1.25) as usize + 8;
         self.packets
             .reserve_slots(self.packets.slot_count() + inj_pkts * self.hosts());
-        let inj_flits = inj_pkts * self.cfg.packet_flits + 64;
         for q in &mut self.inj_buf {
-            let want = q.len() + inj_flits;
-            if q.capacity() < want {
-                q.reserve(want - q.len());
-            }
+            q.reserve(inj_pkts);
         }
         let (channels, iv_domain) = (self.links.len(), self.n_inputs * self.nvc);
         let eject_ports = self.eject_used.len();
@@ -1243,7 +1318,7 @@ impl Simulator {
         self.enqueue_packet(now, host, dest);
     }
 
-    /// Create a packet and push its flits into the source host's injection
+    /// Create a packet and append it to the source host's injection
     /// queue.
     pub(crate) fn enqueue_packet(&mut self, now: u64, src_host: usize, dest_host: usize) {
         self.enqueue_packet_tagged(now, src_host, dest_host, 0, PacketTag::None);
@@ -1290,9 +1365,21 @@ impl Simulator {
                 },
             );
         }
+        // The whole packet joins the source queue at once: its flits count
+        // as buffered, and a head landing in an empty queue arms the header
+        // timer.
         let input = self.injection_input(src_host);
-        for seq in 0..self.cfg.packet_flits as u16 {
-            self.buf_push(input, 0, Flit { packet: id, seq }, now);
+        let q = &mut self.inj_buf[src_host];
+        let was_empty = q.front().is_none();
+        q.push_packet(id);
+        self.buffered_flits += self.cfg.packet_flits as u64;
+        self.peak_buffered_flits = self.peak_buffered_flits.max(self.buffered_flits);
+        if was_empty {
+            debug_assert!(
+                self.ivc[input * self.nvc].alloc == ALLOC_NONE,
+                "empty source queue still owned by a previous packet"
+            );
+            self.arm_header(input, 0, now);
         }
         if self.telemetry.enabled() {
             let depth = self.buf_len(input * self.nvc) as u32;
@@ -1302,9 +1389,23 @@ impl Simulator {
 
     // --- input-VC buffer accessors -------------------------------------
     // Network `iv`s (< net_ivs) live in the flat ring arena; injection
-    // `iv`s in per-host deques. All logical state (front, order, length)
-    // is representation-independent, so both engines see identical
-    // buffers either way.
+    // `iv`s (VC slot 0 of each host's input) in per-host packet-granular
+    // source queues. All logical state (front, order, length in flits) is
+    // representation-independent, so both engines see identical buffers
+    // either way.
+
+    /// The source queue behind injection `iv` (slot 0 of a host's input).
+    #[inline]
+    fn source_queue(&self, iv: usize) -> &SourceQueue {
+        debug_assert_eq!((iv - self.net_ivs) % self.nvc, 0, "injection VC slot");
+        &self.inj_buf[(iv - self.net_ivs) / self.nvc]
+    }
+
+    #[inline]
+    fn source_queue_mut(&mut self, iv: usize) -> &mut SourceQueue {
+        debug_assert_eq!((iv - self.net_ivs) % self.nvc, 0, "injection VC slot");
+        &mut self.inj_buf[(iv - self.net_ivs) / self.nvc]
+    }
 
     /// Flits resident in buffer `iv`.
     #[inline]
@@ -1312,7 +1413,7 @@ impl Simulator {
         if iv < self.net_ivs {
             (self.net_pos[iv] & 0xFFFF) as usize
         } else {
-            self.inj_buf[iv - self.net_ivs].len()
+            self.source_queue(iv).len_flits(self.cfg.packet_flits)
         }
     }
 
@@ -1327,33 +1428,14 @@ impl Simulator {
                 Some(self.net_buf[iv * self.cfg.buffer_flits + (pos >> 16) as usize])
             }
         } else {
-            self.inj_buf[iv - self.net_ivs].front().copied()
+            self.source_queue(iv).front()
         }
     }
 
-    /// Raw append to buffer `iv` (no stats/telemetry/arming — callers use
-    /// [`Self::buf_push`]).
-    #[inline]
-    fn buf_push_raw(&mut self, iv: usize, flit: Flit) {
-        if iv < self.net_ivs {
-            let cap = self.cfg.buffer_flits;
-            let pos = self.net_pos[iv];
-            let (head, len) = ((pos >> 16) as usize, (pos & 0xFFFF) as usize);
-            debug_assert!(len < cap, "ring overflow: credit loop broken");
-            let mut at = head + len;
-            if at >= cap {
-                at -= cap;
-            }
-            self.net_buf[iv * cap + at] = flit;
-            self.net_pos[iv] = pos + 1;
-        } else {
-            self.inj_buf[iv - self.net_ivs].push_back(flit);
-        }
-    }
-
-    /// Raw pop of the front flit of buffer `iv`.
-    #[inline]
-    fn buf_pop_raw(&mut self, iv: usize) -> Flit {
+    /// Pop the front flit of input-VC buffer `(i, v)`.
+    fn buf_pop(&mut self, i: usize, v: usize) -> Flit {
+        let iv = i * self.nvc + v;
+        self.buffered_flits -= 1;
         if iv < self.net_ivs {
             let cap = self.cfg.buffer_flits;
             let pos = self.net_pos[iv];
@@ -1367,22 +1449,26 @@ impl Simulator {
             self.net_pos[iv] = ((nh as u32) << 16) | (len as u32 - 1);
             flit
         } else {
-            self.inj_buf[iv - self.net_ivs]
-                .pop_front()
-                .expect("nonempty")
+            let packet_flits = self.cfg.packet_flits;
+            self.source_queue_mut(iv).pop_flit(packet_flits)
         }
     }
 
     /// Whether any flit of packet `pkt` sits in buffer `iv` (fault paths).
     pub(crate) fn buf_contains_packet(&self, iv: usize, pkt: u32) -> bool {
-        let mut found = false;
-        self.buf_for_each(iv, |f| found |= f.packet == pkt);
-        found
+        if iv < self.net_ivs {
+            let mut found = false;
+            self.buf_for_each_packet(iv, |p| found |= p == pkt);
+            found
+        } else {
+            self.source_queue(iv).contains(pkt)
+        }
     }
 
-    /// Visit every resident flit of buffer `iv` front-to-back (fault
-    /// paths).
-    pub(crate) fn buf_for_each(&self, iv: usize, mut f: impl FnMut(Flit)) {
+    /// Visit the slab id of every packet resident in buffer `iv`
+    /// front-to-back (fault paths): once per flit in a network ring, once
+    /// per packet in a source queue. Callers dedup.
+    pub(crate) fn buf_for_each_packet(&self, iv: usize, mut f: impl FnMut(u32)) {
         if iv < self.net_ivs {
             let cap = self.cfg.buffer_flits;
             let pos = self.net_pos[iv];
@@ -1392,20 +1478,20 @@ impl Simulator {
                 if at >= cap {
                     at -= cap;
                 }
-                f(self.net_buf[iv * cap + at]);
+                f(self.net_buf[iv * cap + at].packet);
             }
         } else {
-            for &fl in &self.inj_buf[iv - self.net_ivs] {
-                f(fl);
-            }
+            self.source_queue(iv).packets().for_each(f);
         }
     }
 
     /// Drop every flit of packet `pkt` from buffer `iv`, preserving the
     /// order of the survivors; returns how many were removed (fault
-    /// paths). Survivors are compacted toward `head` — the write slot
+    /// paths). Ring survivors are compacted toward `head` — the write slot
     /// `head + kept` trails the read slot `head + k` (`kept <= k`), so an
-    /// already-read slot is never clobbered.
+    /// already-read slot is never clobbered. A source queue drops the
+    /// packet's id: its unsent flits if it was the partly sent head (the
+    /// cursor resets for the next packet), all `packet_flits` otherwise.
     pub(crate) fn buf_retain_not_packet(&mut self, iv: usize, pkt: u32) -> usize {
         if iv < self.net_ivs {
             let cap = self.cfg.buffer_flits;
@@ -1431,36 +1517,36 @@ impl Simulator {
             self.net_pos[iv] = ((head as u32) << 16) | kept as u32;
             len - kept
         } else {
-            let q = &mut self.inj_buf[iv - self.net_ivs];
-            let before = q.len();
-            q.retain(|f| f.packet != pkt);
-            before - q.len()
+            let packet_flits = self.cfg.packet_flits;
+            self.source_queue_mut(iv).remove_packet(pkt, packet_flits)
         }
     }
 
-    /// Append a flit to an input-VC buffer. A head flit landing in an empty
+    /// Append a flit arriving over channel `i` to network input-VC buffer
+    /// `(i, v)` (source queues take whole packets in
+    /// [`Self::enqueue_packet_tagged`]). A head flit landing in an empty
     /// buffer arms the header-processing timer (the cycle at which the
     /// dense scan would first see it).
     pub(crate) fn buf_push(&mut self, i: usize, v: usize, flit: Flit, now: u64) {
+        debug_assert!(i < self.links.len(), "network input unit");
         let iv = i * self.nvc + v;
-        self.buf_push_raw(iv, flit);
-        let depth = self.buf_len(iv);
-        let was_empty = depth == 1;
+        let cap = self.cfg.buffer_flits;
+        let pos = self.net_pos[iv];
+        let (head, len) = ((pos >> 16) as usize, (pos & 0xFFFF) as usize);
+        debug_assert!(len < cap, "ring overflow: credit loop broken");
+        let mut at = head + len;
+        if at >= cap {
+            at -= cap;
+        }
+        self.net_buf[iv * cap + at] = flit;
+        self.net_pos[iv] = pos + 1;
+        let depth = len + 1;
+        let was_empty = len == 0;
         self.buffered_flits += 1;
         self.peak_buffered_flits = self.peak_buffered_flits.max(self.buffered_flits);
-        // Network inputs only (input unit i receives channel i for
-        // i < channels); injection pushes are covered by `on_inject_depth`.
-        if i < self.links.len() {
-            let is_tail = flit.seq as usize + 1 == self.cfg.packet_flits;
-            self.telemetry.on_link_arrival(
-                i as u32,
-                v as u32,
-                depth as u32,
-                flit.packet,
-                is_tail,
-                now,
-            );
-        }
+        let is_tail = flit.seq as usize + 1 == self.cfg.packet_flits;
+        self.telemetry
+            .on_link_arrival(i as u32, v as u32, depth as u32, flit.packet, is_tail, now);
         if was_empty {
             if flit.seq == 0 {
                 debug_assert!(
@@ -1474,12 +1560,6 @@ impl Simulator {
                 self.refresh_ready(channel, vc as usize);
             }
         }
-    }
-
-    fn buf_pop(&mut self, i: usize, v: usize) -> Flit {
-        let flit = self.buf_pop_raw(i * self.nvc + v);
-        self.buffered_flits -= 1;
-        flit
     }
 
     /// Arm the header-delay timer for the head packet of `(i, v)`: routing
@@ -2277,5 +2357,109 @@ mod tests {
         assert_eq!(slab.get(c).uid, 2);
         assert_eq!(slab.peak_live, 2, "peak unchanged by recycling");
         assert_eq!(slab.total_created, 3);
+    }
+
+    #[test]
+    fn hot_record_sizes_are_pinned() {
+        // Flits ride the ring arena and the wheel; slab slots hold every
+        // live packet. Growth in either shows up here first.
+        assert_eq!(std::mem::size_of::<Flit>(), 8);
+        assert_eq!(std::mem::size_of::<Option<Packet>>(), 56);
+    }
+
+    /// Drain `q` flit by flit, returning `(packet, seq)` pairs.
+    fn drain(q: &mut SourceQueue, pf: usize) -> Vec<(u32, u16)> {
+        let mut out = Vec::new();
+        while q.front().is_some() {
+            let f = q.pop_flit(pf);
+            out.push((f.packet, f.seq));
+        }
+        out
+    }
+
+    #[test]
+    fn source_queue_streams_packets_flit_by_flit() {
+        let pf = 3;
+        let mut q = SourceQueue::default();
+        assert_eq!((q.front(), q.len_flits(pf)), (None, 0));
+        q.push_packet(7);
+        q.push_packet(2);
+        assert_eq!(q.len_flits(pf), 6);
+        assert_eq!(q.front(), Some(Flit { packet: 7, seq: 0 }));
+        assert_eq!(q.pop_flit(pf), Flit { packet: 7, seq: 0 });
+        assert_eq!(q.len_flits(pf), 5);
+        assert_eq!(q.front(), Some(Flit { packet: 7, seq: 1 }));
+        q.pop_flit(pf);
+        // The tail pops the packet; the next one starts at seq 0.
+        assert_eq!(q.pop_flit(pf), Flit { packet: 7, seq: 2 });
+        assert_eq!(q.front(), Some(Flit { packet: 2, seq: 0 }));
+        assert_eq!(q.len_flits(pf), 3);
+        q.push_packet(9);
+        assert_eq!(
+            drain(&mut q, pf),
+            [(2, 0), (2, 1), (2, 2), (9, 0), (9, 1), (9, 2)]
+        );
+        assert_eq!((q.len_flits(pf), q.head_seq), (0, 0));
+    }
+
+    #[test]
+    fn source_queue_purges_partly_sent_head() {
+        let pf = 4;
+        let mut q = SourceQueue::default();
+        q.push_packet(1);
+        q.push_packet(5);
+        q.pop_flit(pf);
+        q.pop_flit(pf);
+        assert!(q.contains(1));
+        // Two of four flits left: only the unsent two are removed, and the
+        // cursor resets for the revealed head.
+        assert_eq!(q.remove_packet(1, pf), 2);
+        assert!(!q.contains(1));
+        assert_eq!(q.front(), Some(Flit { packet: 5, seq: 0 }));
+        assert_eq!(q.len_flits(pf), 4);
+        assert_eq!(q.remove_packet(1, pf), 0, "absent packet removes nothing");
+        assert_eq!(q.remove_packet(5, pf), 4, "unsent head removes all flits");
+        assert_eq!((q.front(), q.len_flits(pf)), (None, 0));
+    }
+
+    #[test]
+    fn source_queue_purges_middle_packet_and_requeues_retries_last() {
+        let pf = 2;
+        let mut q = SourceQueue::default();
+        for id in [3, 4, 6] {
+            q.push_packet(id);
+        }
+        q.pop_flit(pf);
+        // A packet further back loses all its flits; the head keeps its
+        // cursor.
+        assert_eq!(q.remove_packet(4, pf), 2);
+        assert_eq!(q.front(), Some(Flit { packet: 3, seq: 1 }));
+        assert_eq!(q.packets().collect::<Vec<_>>(), [3, 6]);
+        // A fault retry is a fresh enqueue: it joins the back, even when
+        // the recycled slab id matches the purged one.
+        q.push_packet(4);
+        assert_eq!(q.len_flits(pf), 5);
+        assert_eq!(drain(&mut q, pf), [(3, 1), (6, 0), (6, 1), (4, 0), (4, 1)]);
+    }
+
+    #[test]
+    fn enqueue_counts_whole_packets_and_arms_once() {
+        let mut sim = tiny_sim(0.0);
+        let pf = sim.cfg.packet_flits;
+        let iv = sim.injection_input(0) * sim.nvc;
+        let armed = sim.cfg.header_delay.max(1);
+        sim.enqueue_packet(0, 0, 3);
+        assert_eq!(sim.ivc[iv].ready, armed);
+        // Queued behind the first packet: the head timer is not re-armed.
+        sim.enqueue_packet(5, 0, 4);
+        assert_eq!(sim.ivc[iv].ready, armed);
+        assert_eq!(sim.buf_len(iv), 2 * pf);
+        assert_eq!(sim.buffered_flits, 2 * pf as u64);
+        assert_eq!(sim.peak_buffered_flits, 2 * pf as u64);
+        assert_eq!(sim.buf_front(iv), Some(Flit { packet: 0, seq: 0 }));
+        assert!(sim.buf_contains_packet(iv, 1));
+        assert_eq!(sim.buf_retain_not_packet(iv, 0), pf);
+        assert_eq!(sim.buf_front(iv), Some(Flit { packet: 1, seq: 0 }));
+        assert_eq!(sim.buf_len(iv), pf);
     }
 }

@@ -686,8 +686,8 @@ impl Simulator {
                     let pkt = self.ivc[iv].alloc_pkt;
                     victims.push((self.packets.get(pkt).uid, pkt));
                 }
-                self.buf_for_each(iv, |f| {
-                    victims.push((self.packets.get(f.packet).uid, f.packet));
+                self.buf_for_each_packet(iv, |pkt| {
+                    victims.push((self.packets.get(pkt).uid, pkt));
                 });
             }
         }

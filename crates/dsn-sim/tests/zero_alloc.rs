@@ -7,11 +7,18 @@
 //! table-free DSN-V routing.
 //!
 //! All steady-state storage — the flit ring arena, the packet slab, the
-//! timing wheel, injection queues, stats histograms and the event core's
-//! scratch — is either fixed-size or pre-reserved when the run crosses
-//! the warmup→measure boundary (`presize_steady_state`), so a counting
+//! timing wheel, the per-host injection source queues (slab ids, one per
+//! queued packet), stats histograms and the event core's scratch — is
+//! either fixed-size or pre-reserved when the run crosses the
+//! warmup→measure boundary (`presize_steady_state`), so a counting
 //! `#[global_allocator]` bracketing the measure phase via the
 //! `advance_until` stepping API must read zero.
+//!
+//! The allocator also tracks live heap bytes and their high-water mark,
+//! which bounds what that presize reserves per packet the hosts may still
+//! offer: a regression to flit-granular source queues (`packet_flits`
+//! 8-byte flits per queued packet) or to presizing every VC slot of a
+//! host's input fails the bound.
 //!
 //! This lives in its own integration-test binary because a global
 //! allocator is a per-binary property; the single `#[test]` (looping over
@@ -36,12 +43,25 @@ static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static REALLOCS: AtomicU64 = AtomicU64::new(0);
 #[allow(clippy::declare_interior_mutable_const)]
 static TRACE: [AtomicU64; 16] = [const { AtomicU64::new(0) }; 16];
+/// Live heap bytes, and their high-water mark since the last reset.
+static LIVE: AtomicU64 = AtomicU64::new(0);
+static PEAK: AtomicU64 = AtomicU64::new(0);
+
+fn grow(bytes: usize) {
+    let live = LIVE.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+fn shrink(bytes: usize) {
+    LIVE.fetch_sub(bytes as u64, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if ARMED.load(Ordering::Relaxed) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
+        grow(layout.size());
         unsafe { System.alloc(layout) }
     }
 
@@ -49,6 +69,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         if ARMED.load(Ordering::Relaxed) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
+        grow(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
@@ -62,10 +83,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
                 );
             }
         }
+        // Count the new block before freeing the old one: a moving
+        // realloc holds both at once.
+        grow(new_size);
+        shrink(layout.size());
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrink(layout.size());
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -81,6 +107,10 @@ struct Leg {
     min_delivered: u64,
     build: fn(Arc<Dsn>, u8) -> Arc<dyn SimRouting>,
 }
+
+/// Bound on the bytes the warmup→measure presize allocates per packet
+/// the hosts may still offer (see the assertion in the test).
+const PRESIZE_BYTES_PER_PACKET: f64 = 160.0;
 
 #[test]
 fn saturated_measure_phase_allocates_nothing() {
@@ -127,8 +157,13 @@ fn saturated_measure_phase_allocates_nothing() {
             2024,
         );
 
-        // Warmup (ends with the steady-state presize) ...
+        // Warmup, then the last warmup cycle and the steady-state presize
+        // under the live-bytes high-water mark ...
+        sim.advance_until(cfg.warmup_cycles - 1);
+        let before = LIVE.load(Ordering::SeqCst);
+        PEAK.store(before, Ordering::SeqCst);
         sim.advance_until(cfg.warmup_cycles);
+        let presize_bytes = PEAK.load(Ordering::SeqCst) - before;
 
         // ... then bracket the measure phase with the armed counter.
         ALLOCS.store(0, Ordering::SeqCst);
@@ -149,8 +184,19 @@ fn saturated_measure_phase_allocates_nothing() {
         let allocs = ALLOCS.load(Ordering::SeqCst);
         let reallocs = REALLOCS.load(Ordering::SeqCst);
         let stats = sim.finish();
+        // The presize reserves for the packets the hosts may still offer
+        // (rate × remaining cycles, plus slack); per offered packet that is
+        // a slab slot, a free-list entry and a 4-byte source-queue id, plus
+        // the wheel's fixed per-slot bounds. Flit-granular source queues
+        // would add `packet_flits` × 8 B per packet (264 B at 33 flits),
+        // and presizing every VC slot of each host's input would multiply
+        // that by the VC count.
+        let hosts = g.node_count() * cfg.hosts_per_switch;
+        let offered = hosts as f64 * rate * (cfg.measure_cycles + cfg.drain_cycles) as f64;
+        let presize_per_packet = presize_bytes as f64 / offered;
         println!(
-            "{}: delivered={} allocs={allocs} reallocs={reallocs}",
+            "{}: delivered={} allocs={allocs} reallocs={reallocs} \
+             presize={presize_bytes} B ({presize_per_packet:.1} B per offered packet)",
             leg.label, stats.delivered_packets
         );
 
@@ -171,6 +217,12 @@ fn saturated_measure_phase_allocates_nothing() {
             (0, 0),
             "{}: measure phase must not touch the heap: {allocs} allocation(s), \
              {reallocs} reallocation(s)",
+            leg.label
+        );
+        assert!(
+            presize_per_packet < PRESIZE_BYTES_PER_PACKET,
+            "{}: the warmup→measure presize reserved {presize_per_packet:.1} B per offered \
+             packet (bound {PRESIZE_BYTES_PER_PACKET} B): are source queues storing flits?",
             leg.label
         );
     }
