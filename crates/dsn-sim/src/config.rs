@@ -18,9 +18,10 @@ pub enum EngineKind {
     /// link queue every cycle. O(network size) per cycle regardless of
     /// load; kept as the equivalence oracle for the event core.
     Dense,
-    /// Event-driven core: active lists for allocation/arbitration, a
-    /// timing wheel for credit returns / link arrivals / header-delay
-    /// expiries, and calendar-scheduled geometric-skip injection.
+    /// Event-driven core: active lists for allocation/arbitration, delay
+    /// lines (one FIFO ring per event kind and delay) for credit returns /
+    /// link arrivals / header-delay expiries, and calendar-scheduled
+    /// geometric-skip injection.
     /// O(work actually happening) per cycle.
     #[default]
     Event,

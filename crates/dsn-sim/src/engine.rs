@@ -138,6 +138,11 @@ impl PacketSlab {
         }
     }
 
+    /// Heap bytes reserved: slot capacity plus the free list's.
+    fn bytes(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<Option<Packet>>() + self.free.capacity() * 4
+    }
+
     /// Number of slots ever allocated (live + free).
     pub fn slot_count(&self) -> usize {
         self.slots.len()
@@ -245,6 +250,11 @@ impl SourceQueue {
     /// Reserve room for `more` packets beyond the current length.
     fn reserve(&mut self, more: usize) {
         self.ids.reserve(more);
+    }
+
+    /// Heap bytes reserved for queued ids.
+    fn bytes(&self) -> usize {
+        self.ids.capacity() * 4
     }
 }
 
@@ -531,7 +541,7 @@ pub struct Simulator {
     pub(crate) routing_cache: Option<Arc<crate::cache::RoutingCache>>,
 
     /// Per-channel in-flight flits `(arrival_cycle, flit, vc)` — dense
-    /// engine only; the event engine schedules arrivals on its wheel.
+    /// engine only; the event engine schedules arrivals on a delay line.
     pub(crate) links: Vec<VecDeque<(u64, Flit, u8)>>,
     /// In-flight credit returns `(cycle, channel, vc)` — dense engine only.
     pub(crate) credits_in_flight: VecDeque<(u64, usize, u8)>,
@@ -576,6 +586,26 @@ pub struct Simulator {
     pub(crate) ev: Option<Box<crate::event::EventState>>,
     /// Fault-injection state (None when `cfg.fault_plan` is empty).
     pub(crate) fault: Option<Box<crate::fault::FaultRuntime>>,
+}
+
+/// Reserved heap bytes by simulator component ([`Simulator::reserved_bytes`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReservedBytes {
+    /// Packet slab: one `Option<Packet>` slot per packet ever live at
+    /// once, plus the free list.
+    pub packet_slab: usize,
+    /// Network input-buffer flit arena: `buffer_flits` flits per network
+    /// input VC plus each VC's ring position, fixed at construction.
+    pub flit_arena: usize,
+    /// Injection source queues: queued packet ids plus the per-host queue
+    /// headers.
+    pub source_queues: usize,
+    /// The event core's delay lines (credit returns, link arrivals, route
+    /// expiries); 0 on the dense engine.
+    pub event_queues: usize,
+    /// Routing state the run serves hops from
+    /// ([`Simulator::routing_table_bytes`]).
+    pub routing_state: usize,
 }
 
 /// Above this switch count, schemes that advertise
@@ -864,6 +894,23 @@ impl Simulator {
         self.flat.as_ref().map_or(0, |f| f.table_bytes()) + self.routing.table_bytes()
     }
 
+    /// Heap bytes the simulator's per-packet and per-event containers
+    /// reserve right now, by component, computed from their capacities
+    /// (nothing is counted on the hot path). Read it after
+    /// [`Self::advance_until`] to see what a phase, or the warmup→measure
+    /// presize, reserved.
+    pub fn reserved_bytes(&self) -> ReservedBytes {
+        ReservedBytes {
+            packet_slab: self.packets.bytes(),
+            flit_arena: self.net_buf.capacity() * std::mem::size_of::<Flit>()
+                + self.net_pos.capacity() * 4,
+            source_queues: self.inj_buf.capacity() * std::mem::size_of::<SourceQueue>()
+                + self.inj_buf.iter().map(SourceQueue::bytes).sum::<usize>(),
+            event_queues: self.ev.as_ref().map_or(0, |ev| ev.queue_bytes()),
+            routing_state: self.routing_table_bytes(),
+        }
+    }
+
     /// How many VC slots input `i` actually uses (injection inputs have 1).
     #[inline]
     pub(crate) fn vc_count(&self, i: usize) -> usize {
@@ -983,9 +1030,10 @@ impl Simulator {
     /// population grow roughly linearly under saturation, so the offered
     /// load projected across the rest of the horizon bounds them, in
     /// packets: one slab slot and one queued id (4 B) per packet a host
-    /// may still inject. The event wheel's per-slot vectors get hard
-    /// per-cycle bounds instead. Pure capacity reservation — observable
-    /// behavior is unchanged.
+    /// may still inject. The event core's delay lines get their in-flight
+    /// bounds instead: `delay` cycles of per-cycle caps for links and
+    /// credits, one expiry per armable input VC for each route line. Pure
+    /// capacity reservation — observable behavior is unchanged.
     fn presize_steady_state(&mut self) {
         // A host injects at most ~rate × remaining packets more (Bernoulli
         // gaps; 25% slack plus a constant floor dwarfs the binomial
@@ -998,10 +1046,12 @@ impl Simulator {
         for q in &mut self.inj_buf {
             q.reserve(inj_pkts);
         }
-        let (channels, iv_domain) = (self.links.len(), self.n_inputs * self.nvc);
-        let eject_ports = self.eject_used.len();
+        let channels = self.links.len();
+        // Host inputs only ever arm VC 0.
+        let route_ivs = channels * self.nvc + self.hosts();
+        let (link_delay, credit_delay) = (self.cfg.link_delay.max(1), self.cfg.credit_delay.max(1));
         if let Some(ev) = self.ev.as_mut() {
-            ev.presize_steady_state(channels, iv_domain, eject_ports);
+            ev.presize_steady_state(channels, route_ivs, link_delay, credit_delay);
         }
     }
 
@@ -1202,7 +1252,7 @@ impl Simulator {
     // ------------------------------------------------------------------
     // Shared mutation helpers: every observable state change goes through
     // these, on both the dense and the event core. The `self.ev` branches
-    // keep the event engine's active sets and timing wheel in sync; they
+    // keep the event engine's active sets and delay lines in sync; they
     // are no-ops on the dense core.
     // ------------------------------------------------------------------
 
@@ -1571,7 +1621,8 @@ impl Simulator {
         let ready = arm_cycle + self.cfg.header_delay.max(1);
         self.ivc[i * self.nvc + v].ready = ready;
         if let Some(ev) = &mut self.ev {
-            ev.schedule_route(ready, i, v);
+            debug_assert!(arm_cycle == self.now || arm_cycle == self.now + 1);
+            ev.schedule_route(ready, i, v, arm_cycle > self.now);
         }
     }
 
@@ -1612,16 +1663,18 @@ impl Simulator {
         }
     }
 
-    /// Batched credit drain for one timing-wheel slot (event core): the
-    /// loop lives here so [`Self::apply_credit`] inlines against field
-    /// loads hoisted out of the loop.
+    /// Batched credit drain over a slice of the credits due this cycle
+    /// (event core; the delay line hands its due prefix over as up to two
+    /// contiguous slices): the loop lives here so [`Self::apply_credit`]
+    /// inlines against field loads hoisted out of the loop.
     pub(crate) fn drain_credits(&mut self, credits: &[(u32, u8)]) {
         for &(ch, vc) in credits {
             self.apply_credit(ch as usize, vc);
         }
     }
 
-    /// Batched link-arrival drain for one timing-wheel slot (event core).
+    /// Batched link-arrival drain over a slice of the arrivals due this
+    /// cycle (event core), like [`Self::drain_credits`].
     pub(crate) fn drain_links(&mut self, links: &[(u32, u8, Flit)], now: u64) {
         for &(ch, vc, flit) in links {
             self.buf_push(ch as usize, vc as usize, flit, now);
@@ -2361,8 +2414,8 @@ mod tests {
 
     #[test]
     fn hot_record_sizes_are_pinned() {
-        // Flits ride the ring arena and the wheel; slab slots hold every
-        // live packet. Growth in either shows up here first.
+        // Flits ride the ring arena and the link delay line; slab slots
+        // hold every live packet. Growth in either shows up here first.
         assert_eq!(std::mem::size_of::<Flit>(), 8);
         assert_eq!(std::mem::size_of::<Option<Packet>>(), 56);
     }

@@ -4,10 +4,13 @@
 //! each cycle; this core touches only the units with pending work, while
 //! producing **bit-identical** [`crate::RunStats`]:
 //!
-//! * a *timing wheel* holds cycle-stamped events — credit returns, link
-//!   arrivals, and header-delay expiries — whose delays are all bounded by
-//!   a small constant, so a power-of-two slot ring indexed by
-//!   `cycle & mask` replaces the per-channel `VecDeque` front-polling;
+//! * *delay lines* hold the cycle-stamped events — credit returns, link
+//!   arrivals and header-delay expiries — in one FIFO ring per (kind,
+//!   delay), replacing the per-channel `VecDeque` front-polling. Each
+//!   kind waits one fixed delay, so push order is due order and a cycle
+//!   pops a prefix; route expiries take two lines, for heads armed in the
+//!   push cycle and in the cycle after. A line holds only the events in
+//!   flight: `delay` cycles of pushes, or one expiry per input VC;
 //! * *active sets* track the input VCs eligible for allocation, the
 //!   channels with at least one owned output VC, and the VCs holding an
 //!   ejection grant; each phase iterates its set in sorted index order,
@@ -27,7 +30,7 @@
 //!   this holds under fault plans and with telemetry on alike;
 //! * when no event, injection or active unit exists the clock jumps
 //!   straight to the next injection — safe because a live packet always
-//!   keeps at least one set or wheel slot nonempty, and an idle network
+//!   keeps at least one set or delay line nonempty, and an idle network
 //!   has zero stall by definition.
 //!
 //! Telemetry hooks (`dsn-telemetry`) live exclusively in the shared
@@ -35,83 +38,129 @@
 //! cores fire the same hook calls at the same cycles, so the exported
 //! telemetry — like `RunStats` — is bit-identical between them
 //! (`tests/telemetry_equivalence.rs`). Intra-cycle hook order may differ
-//! (e.g. wheel-slot vs channel-scan order for link arrivals), which is
+//! (e.g. delay-line vs channel-scan order for link arrivals), which is
 //! harmless because every telemetry accumulator is commutative within a
 //! cycle and at most one flit per (channel, VC) moves per cycle.
 
 use crate::engine::{alloc_is_eject, AllocOutcome, Flit, Simulator, ALLOC_NONE};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
-/// One wheel slot, split by event kind so each per-cycle phase drains only
-/// its own events — credits land before link arrivals before route
-/// expiries (the dense phase order) without dispatching over a mixed list
-/// three times. Within a kind, push order is preserved, which is all the
-/// phase passes ever relied on.
-#[derive(Debug, Default)]
-struct Slot {
-    /// Credits arriving back at output VC `(ch, vc)`.
-    credits: Vec<(u32, u8)>,
-    /// Flits arriving at the downstream input of `ch` on `vc`.
-    links: Vec<(u32, u8, Flit)>,
-    /// Input VCs whose header delay expired: eligible for allocation.
-    routes: Vec<u32>,
-}
+/// Credit return to output VC `(ch, vc)`.
+type CreditEv = (u32, u8);
+/// Flit arriving at the downstream input of `ch` on `vc`.
+type LinkEv = (u32, u8, Flit);
+/// Input VC (`input * nvc + vc`) whose header delay expired.
+type RouteEv = u32;
 
-impl Slot {
-    fn len(&self) -> usize {
-        self.credits.len() + self.links.len() + self.routes.len()
-    }
+/// Route line of the heads armed in the cycle of the push.
+const ARMED_NOW: usize = 0;
+/// Route line of the heads armed for the cycle after the push (a head
+/// revealed by a tail leaving, `Simulator::release_input_vc`).
+const ARMED_NEXT: usize = 1;
 
-    fn clear(&mut self) {
-        self.credits.clear();
-        self.links.clear();
-        self.routes.clear();
-    }
-}
-
-/// Timing wheel: a power-of-two ring of slots indexed by `cycle & mask`.
-/// All scheduled delays are bounded by the wheel size, so no event ever
-/// wraps onto a pending slot.
+/// A delay line: a FIFO of events that all wait one fixed delay from
+/// their push cycle. The clock only moves forward, so push order is due
+/// order and the events due at `now` are always a prefix of the ring.
+/// `due_counts[due & mask]` counts the pending events per due cycle: the
+/// pending dues span at most `delay + 1` consecutive cycles, no more than
+/// the table's power-of-two length, so the drain reads the prefix length
+/// in O(1) and a purge keeps every count exact.
 #[derive(Debug)]
-struct Wheel {
-    slots: Vec<Slot>,
-    mask: u64,
-    /// Total events currently scheduled (for the idle-skip check).
-    pending: usize,
-    /// Recycled slots (avoids reallocating the vectors every cycle).
-    pool: Vec<Slot>,
+struct DelayLine<T> {
+    ring: VecDeque<T>,
+    due_counts: Vec<u32>,
 }
 
-impl Wheel {
-    fn new(max_delay: u64) -> Self {
-        let size = (max_delay + 1).next_power_of_two().max(2);
-        Wheel {
-            slots: (0..size).map(|_| Slot::default()).collect(),
-            mask: size - 1,
-            pending: 0,
-            pool: Vec::new(),
+impl<T> Default for DelayLine<T> {
+    /// An empty placeholder (no allocation), swapped in while the real
+    /// line is taken out for a drain pass; a push onto it panics.
+    fn default() -> Self {
+        DelayLine {
+            ring: VecDeque::new(),
+            due_counts: Vec::new(),
+        }
+    }
+}
+
+impl<T: Copy> DelayLine<T> {
+    fn new(delay: u64) -> Self {
+        DelayLine {
+            ring: VecDeque::new(),
+            due_counts: vec![0; (delay as usize + 1).next_power_of_two()],
         }
     }
 
     #[inline]
-    fn slot_mut(&mut self, t: u64) -> &mut Slot {
-        self.pending += 1;
-        &mut self.slots[(t & self.mask) as usize]
+    fn count_slot(&self, due: u64) -> usize {
+        due as usize & (self.due_counts.len() - 1)
     }
 
-    /// Take all events due at `now` (the slot is emptied; recycle it back
-    /// with [`Self::recycle`]).
-    fn take_slot(&mut self, now: u64) -> Slot {
-        let fresh = self.pool.pop().unwrap_or_default();
-        let slot = std::mem::replace(&mut self.slots[(now & self.mask) as usize], fresh);
-        self.pending -= slot.len();
-        slot
+    #[inline]
+    fn push(&mut self, due: u64, ev: T) {
+        let s = self.count_slot(due);
+        self.due_counts[s] += 1;
+        self.ring.push_back(ev);
     }
 
-    fn recycle(&mut self, mut s: Slot) {
-        s.clear();
-        self.pool.push(s);
+    fn len(&self) -> usize {
+        self.ring.len()
+    }
+
+    /// Reserve room for `want` pending events in total.
+    fn reserve(&mut self, want: usize) {
+        if self.ring.capacity() < want {
+            self.ring.reserve_exact(want - self.ring.len());
+        }
+    }
+
+    /// Heap bytes reserved (ring capacity plus the count table).
+    fn bytes(&self) -> usize {
+        self.ring.capacity() * std::mem::size_of::<T>() + self.due_counts.len() * 4
+    }
+
+    /// Remove the events due at `now` and hand them to `apply` in push
+    /// order, as the ring's up to two contiguous slices.
+    fn drain_due(&mut self, now: u64, mut apply: impl FnMut(&[T])) {
+        let s = self.count_slot(now);
+        let n = std::mem::take(&mut self.due_counts[s]) as usize;
+        if n == 0 {
+            return;
+        }
+        let (a, b) = self.ring.as_slices();
+        if n <= a.len() {
+            apply(&a[..n]);
+        } else {
+            apply(a);
+            apply(&b[..n - a.len()]);
+        }
+        self.ring.drain(..n);
+    }
+
+    /// Remove every event `gone` selects. Every pending event is due in
+    /// `now..=now + delay`, so walking the count table from `now` in ring
+    /// order names each event's due cycle.
+    fn purge(&mut self, now: u64, mut gone: impl FnMut(&T) -> bool) {
+        debug_assert_eq!(
+            self.due_counts.iter().map(|&c| c as usize).sum::<usize>(),
+            self.ring.len()
+        );
+        let mask = self.due_counts.len() - 1;
+        let counts = &mut self.due_counts;
+        let mut slot = now as usize & mask;
+        let mut left = counts[slot];
+        self.ring.retain(|ev| {
+            while left == 0 {
+                slot = (slot + 1) & mask;
+                left = counts[slot];
+            }
+            left -= 1;
+            let hit = gone(ev);
+            if hit {
+                counts[slot] -= 1;
+            }
+            !hit
+        });
     }
 }
 
@@ -175,11 +224,18 @@ impl ActiveSet {
 }
 
 /// Event-engine state hanging off the simulator (`Simulator::ev`). The
-/// shared mutation helpers in `engine.rs` feed the wheel and the route
-/// events; the step loop below maintains the three active sets.
+/// shared mutation helpers in `engine.rs` feed the delay lines; the step
+/// loop below maintains the three active sets.
 #[derive(Debug)]
 pub(crate) struct EventState {
-    wheel: Wheel,
+    /// Credit returns, due `max(credit_delay, 1)` after the push.
+    credits: DelayLine<CreditEv>,
+    /// Link arrivals, due `max(link_delay, 1)` after the push.
+    links: DelayLine<LinkEv>,
+    /// Route expiries, due `max(header_delay, 1)` after the arm cycle:
+    /// one line for heads armed in the push cycle ([`ARMED_NOW`]), one
+    /// for heads armed the cycle after ([`ARMED_NEXT`]).
+    routes: [DelayLine<RouteEv>; 2],
     /// Input VCs whose head packet is armed, expired and unallocated.
     alloc_pending: ActiveSet,
     /// Channels with at least one owned output VC.
@@ -213,66 +269,70 @@ impl EventState {
         ((iv / self.nvc) as usize, (iv % self.nvc) as usize)
     }
 
-    pub(crate) fn schedule_route(&mut self, t: u64, i: usize, v: usize) {
+    /// Schedule the route expiry of `(i, v)` at `t`; `armed_next` says the
+    /// head was armed for the cycle after this one.
+    pub(crate) fn schedule_route(&mut self, t: u64, i: usize, v: usize, armed_next: bool) {
         let iv = self.iv(i, v);
-        self.wheel.slot_mut(t).routes.push(iv);
+        self.routes[armed_next as usize].push(t, iv);
     }
 
     pub(crate) fn schedule_link(&mut self, t: u64, ch: usize, flit: Flit, vc: u8) {
-        self.wheel.slot_mut(t).links.push((ch as u32, vc, flit));
+        self.links.push(t, (ch as u32, vc, flit));
     }
 
     pub(crate) fn schedule_credit(&mut self, t: u64, ch: usize, vc: u8) {
-        self.wheel.slot_mut(t).credits.push((ch as u32, vc));
+        self.credits.push(t, (ch as u32, vc));
     }
 
     pub(crate) fn schedule_injection(&mut self, t: u64, host: usize) {
         self.inj_heap.push(Reverse((t, host as u32)));
     }
 
-    /// Pre-reserve the wheel for a saturated steady state: every delay is
-    /// fixed per event kind, so each slot vector holds events from exactly
-    /// one source cycle and hard per-cycle bounds cap it for good — one
-    /// link flit per channel, one credit per channel or ejection port, one
-    /// route expiry per input VC. Called once at the warmup→measure
-    /// boundary (`Simulator::presize_steady_state`).
+    /// Events scheduled on the delay lines (for the idle-skip check).
+    fn pending(&self) -> usize {
+        self.credits.len()
+            + self.links.len()
+            + self.routes.iter().map(DelayLine::len).sum::<usize>()
+    }
+
+    /// Pre-reserve the delay lines for a saturated steady state. Each
+    /// kind waits one fixed delay, so a line holds at most `delay` cycles
+    /// of pushes, and hard per-cycle caps bound those: one link flit per
+    /// channel, and one credit per channel (a flit leaves each input at
+    /// most once per cycle, and only network inputs return credits). Each
+    /// route line holds at most one expiry per armable input VC,
+    /// `route_ivs`: every VC of a channel input, VC 0 of a host input.
+    /// Called once at the warmup→measure boundary
+    /// (`Simulator::presize_steady_state`).
     pub(crate) fn presize_steady_state(
         &mut self,
         channels: usize,
-        iv_domain: usize,
-        eject_ports: usize,
+        route_ivs: usize,
+        link_delay: u64,
+        credit_delay: u64,
     ) {
-        fn reserve_to<T>(v: &mut Vec<T>, want: usize) {
-            if v.capacity() < want {
-                v.reserve(want - v.len());
-            }
+        self.links.reserve(link_delay as usize * channels);
+        self.credits.reserve(credit_delay as usize * channels);
+        for line in &mut self.routes {
+            line.reserve(route_ivs);
         }
-        let pool_want = self.wheel.slots.len();
-        if self.wheel.pool.capacity() < pool_want {
-            self.wheel.pool.reserve(pool_want - self.wheel.pool.len());
-        }
-        for slot in self
-            .wheel
-            .slots
-            .iter_mut()
-            .chain(self.wheel.pool.iter_mut())
-        {
-            reserve_to(&mut slot.credits, channels + eject_ports);
-            reserve_to(&mut slot.links, channels);
-            reserve_to(&mut slot.routes, iv_domain);
-        }
+    }
+
+    /// Heap bytes the delay lines reserve.
+    pub(crate) fn queue_bytes(&self) -> usize {
+        self.credits.bytes()
+            + self.links.bytes()
+            + self.routes.iter().map(DelayLine::bytes).sum::<usize>()
     }
 
     /// Packets with a flit currently in flight on channel `ch`, appended to
     /// `out` (cleared first; the caller owns the reusable buffer). Scans
-    /// the whole wheel; fault-path only, so the cost is fine.
+    /// the whole link line; fault-path only, so the cost is fine.
     pub(crate) fn wire_packets_on(&self, ch: usize, out: &mut Vec<u32>) {
         out.clear();
-        for slot in &self.wheel.slots {
-            for &(c, _, flit) in &slot.links {
-                if c as usize == ch {
-                    out.push(flit.packet);
-                }
+        for &(c, _, flit) in &self.links.ring {
+            if c as usize == ch {
+                out.push(flit.packet);
             }
         }
     }
@@ -280,20 +340,15 @@ impl EventState {
     /// Remove every in-flight link event carrying a flit of `pkt`, writing
     /// the `(channel, vc)` of each removed flit into `out` (cleared first)
     /// so the caller can refund its credit. Fault-path only.
-    pub(crate) fn purge_link_flits(&mut self, pkt: u32, out: &mut Vec<(usize, u8)>) {
+    pub(crate) fn purge_link_flits(&mut self, pkt: u32, now: u64, out: &mut Vec<(usize, u8)>) {
         out.clear();
-        for slot in &mut self.wheel.slots {
-            let before = slot.links.len();
-            slot.links.retain(|&(ch, vc, flit)| {
-                if flit.packet == pkt {
-                    out.push((ch as usize, vc));
-                    false
-                } else {
-                    true
-                }
-            });
-            self.wheel.pending -= before - slot.links.len();
-        }
+        self.links.purge(now, |&(ch, vc, flit)| {
+            let gone = flit.packet == pkt;
+            if gone {
+                out.push((ch as usize, vc));
+            }
+            gone
+        });
     }
 }
 
@@ -305,21 +360,19 @@ impl Simulator {
 }
 
 /// Install the event state on a freshly constructed simulator (no flits in
-/// flight yet): empty wheel and sets, plus the injection calendar.
+/// flight yet): empty delay lines and sets, plus the injection calendar.
 pub(crate) fn prepare(sim: &mut Simulator) {
     debug_assert!(sim.ev.is_none() && sim.now == 0);
     let nvc = sim.nvc as u32;
     let iv_domain = sim.n_inputs * nvc as usize;
-    // Largest delay ever pushed: a revealed head arms at `now + 1` and
-    // expires `max(header_delay, 1)` later.
-    let max_delay = sim
-        .cfg
-        .link_delay
-        .max(sim.cfg.credit_delay)
-        .max(sim.cfg.header_delay + 1)
-        .max(2);
+    let header_delay = sim.cfg.header_delay.max(1);
     let mut ev = Box::new(EventState {
-        wheel: Wheel::new(max_delay),
+        credits: DelayLine::new(sim.cfg.credit_delay.max(1)),
+        links: DelayLine::new(sim.cfg.link_delay.max(1)),
+        routes: [
+            DelayLine::new(header_delay),
+            DelayLine::new(header_delay + 1),
+        ],
         alloc_pending: ActiveSet::new(iv_domain),
         out_active: ActiveSet::new(sim.links.len()),
         eject_active: ActiveSet::new(iv_domain),
@@ -350,40 +403,26 @@ pub(crate) fn step(sim: &mut Simulator, total: u64) {
     // network and the routing rebuild is a pure function of the final mask).
     sim.process_faults(now);
 
-    // Phases 1+2 (+ route expiries): drain this cycle's wheel slot in
-    // three batched passes so credits land before arrivals, before
-    // eligibility — the dense phase order. At most one credit and one
-    // arrival exist per (channel, VC) per cycle, so ordering within a
-    // pass is immaterial. The credit/link loops live in `engine.rs`
+    // Phases 1+2 (+ route expiries): drain this cycle's due events kind
+    // by kind, so credits land before arrivals, before eligibility — the
+    // dense phase order. At most one credit and one arrival exist per
+    // (channel, VC) per cycle, so ordering within a kind is immaterial.
+    // The credit/link loops live in `engine.rs`
     // ([`Simulator::drain_credits`] / [`Simulator::drain_links`]) so the
-    // per-event helpers inline against hoisted field loads.
-    let slot = sim.es().wheel.take_slot(now);
-    sim.drain_credits(&slot.credits);
-    sim.drain_links(&slot.links, now);
-    for &iv in &slot.routes {
-        // The wheel's iv ids index the simulator's SoA arrays directly
-        // (same `input * nvc + vc` stride).
-        let unit = iv as usize;
-        // Without faults a route expiry always finds the armed head
-        // still waiting: allocation cannot have happened before the
-        // timer ran out, and re-arming implies the previous packet
-        // already left. A fault purge can orphan an expiry; a stale
-        // event can never collide with a fresh arm's ready cycle
-        // (old ready = T + hd with T < now < now + hd = new ready),
-        // so `ivc.ready == now` is a precise validity test.
-        let valid = sim.ivc[unit].ready == now && head_eligible(sim, unit, now);
-        debug_assert!(
-            valid || sim.fault.is_some(),
-            "stale route expiry without faults"
-        );
-        if valid {
-            let es = sim.es();
-            es.alloc_pending.insert(iv);
-            // The first attempt is unconditional (see `step_alloc`).
-            es.fresh[(iv >> 6) as usize] |= 1u64 << (iv & 63);
-        }
-    }
-    sim.es().wheel.recycle(slot);
+    // per-event helpers inline against hoisted field loads. Each line is
+    // taken out for its own pass (a move, no allocation) so the handlers
+    // may borrow the simulator. Link arrivals arm route expiries, so the
+    // route lines stay in place until their turn; a push onto a taken
+    // line's empty placeholder would panic.
+    let mut credits = std::mem::take(&mut sim.es().credits);
+    credits.drain_due(now, |c| sim.drain_credits(c));
+    sim.es().credits = credits;
+    let mut links = std::mem::take(&mut sim.es().links);
+    links.drain_due(now, |f| sim.drain_links(f, now));
+    sim.es().links = links;
+    let mut routes = std::mem::take(&mut sim.es().routes);
+    drain_routes(&mut routes, now, |r| route_expiries(sim, r, now));
+    sim.es().routes = routes;
     sim.phase_mark(&mut stamp, crate::timing::Phase::Wheel);
 
     // Phase 3: injection — pop the calendar in (cycle, host) order, which
@@ -467,11 +506,11 @@ pub(crate) fn step(sim: &mut Simulator, total: u64) {
     // Idle skip: with no scheduled events and no active unit, nothing can
     // happen before the next injection (the bound `total` is the caller's
     // stepping target, so the jump never overshoots it). A live packet always keeps a set
-    // or wheel slot nonempty (its flits are buffered → allocated/armed/
-    // pending, or on a link → wheel), so skipping implies zero packets in
-    // flight and the stall watchdog is vacuously idle across the gap.
+    // or delay line nonempty (its flits are buffered → allocated/armed/
+    // pending, or on a link → link line), so skipping implies zero packets
+    // in flight and the stall watchdog is vacuously idle across the gap.
     let es = sim.ev.as_ref().expect("event state");
-    if es.wheel.pending == 0
+    if es.pending() == 0
         && es.alloc_pending.is_empty()
         && es.out_active.is_empty()
         && es.eject_active.is_empty()
@@ -491,6 +530,42 @@ pub(crate) fn step(sim: &mut Simulator, total: u64) {
             .and_then(|f| f.next_retry_cycle())
             .unwrap_or(u64::MAX);
         sim.now = sim.now.max(next_inj.min(next_retry).min(total));
+    }
+}
+
+/// Drain the route expiries due at `now` in the order a single queue fed
+/// in push order would hold them: the heads armed for the next cycle were
+/// pushed a cycle before the heads armed in their push cycle.
+fn drain_routes(lines: &mut [DelayLine<RouteEv>; 2], now: u64, mut apply: impl FnMut(&[RouteEv])) {
+    for line in [ARMED_NEXT, ARMED_NOW] {
+        lines[line].drain_due(now, &mut apply);
+    }
+}
+
+/// Route expiries due now: each valid one makes its head pending and fresh.
+fn route_expiries(sim: &mut Simulator, ivs: &[RouteEv], now: u64) {
+    for &iv in ivs {
+        // The delay lines' iv ids index the simulator's SoA arrays
+        // directly (same `input * nvc + vc` stride).
+        let unit = iv as usize;
+        // Without faults a route expiry always finds the armed head
+        // still waiting: allocation cannot have happened before the
+        // timer ran out, and re-arming implies the previous packet
+        // already left. A fault purge can orphan an expiry; a stale
+        // event can never collide with a fresh arm's ready cycle
+        // (old ready = T + hd with T < now < now + hd = new ready),
+        // so `ivc.ready == now` is a precise validity test.
+        let valid = sim.ivc[unit].ready == now && head_eligible(sim, unit, now);
+        debug_assert!(
+            valid || sim.fault.is_some(),
+            "stale route expiry without faults"
+        );
+        if valid {
+            let es = sim.es();
+            es.alloc_pending.insert(iv);
+            // The first attempt is unconditional (see `step_alloc`).
+            es.fresh[(iv >> 6) as usize] |= 1u64 << (iv & 63);
+        }
     }
 }
 
@@ -562,4 +637,186 @@ fn step_alloc(sim: &mut Simulator, now: u64) {
     let es = sim.es();
     es.fresh.fill(0);
     es.wake = wake;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::SimConfig;
+    use crate::fault::FaultPlan;
+    use crate::routing::AdaptiveEscape;
+    use crate::traffic::TrafficPattern;
+    use dsn_core::ring::Ring;
+    use std::sync::Arc;
+
+    /// Drain `line` at `now`, collecting the events in drain order.
+    fn drained<T: Copy>(line: &mut DelayLine<T>, now: u64) -> Vec<T> {
+        let mut out = Vec::new();
+        line.drain_due(now, |evs| out.extend_from_slice(evs));
+        out
+    }
+
+    fn flit(packet: u32, seq: u16) -> Flit {
+        Flit { packet, seq }
+    }
+
+    #[test]
+    fn event_record_sizes_are_pinned() {
+        // The in-flight bound `tests/zero_alloc.rs` gates on counts these.
+        assert_eq!(std::mem::size_of::<LinkEv>(), 16);
+        assert_eq!(std::mem::size_of::<CreditEv>(), 8);
+        assert_eq!(std::mem::size_of::<RouteEv>(), 4);
+    }
+
+    #[test]
+    fn route_lines_drain_in_single_queue_push_order() {
+        let hd = 3;
+        let mut lines = [DelayLine::new(hd), DelayLine::new(hd + 1)];
+        // A reference queue stamped with due cycles, fed in push order.
+        let mut reference: Vec<(u64, u32)> = Vec::new();
+        // Per cycle, in step order: the drain, then the arms. Cycle 10
+        // reveals two heads for cycle 11 and arms one now; cycle 11's
+        // arm-now heads land with cycle 10's arm-next ones.
+        let arms: [&[(u32, bool)]; 2] = [
+            &[(5, true), (1, false), (7, true)],
+            &[(2, false), (9, true), (0, false)],
+        ];
+        for now in 10..=16 {
+            let mut got = Vec::new();
+            drain_routes(&mut lines, now, |ivs| got.extend_from_slice(ivs));
+            let want: Vec<u32> = reference
+                .iter()
+                .filter(|&&(due, _)| due == now)
+                .map(|&(_, iv)| iv)
+                .collect();
+            assert_eq!(got, want, "cycle {now}");
+            for &(iv, next) in arms.get(now as usize - 10).copied().unwrap_or(&[]) {
+                let due = now + next as u64 + hd;
+                lines[next as usize].push(due, iv);
+                reference.push((due, iv));
+            }
+        }
+        assert_eq!(reference.iter().filter(|r| r.0 == 14).count(), 4);
+        assert_eq!(lines[0].len() + lines[1].len(), 0);
+        assert!(lines.iter().all(|l| l.due_counts.iter().all(|&c| c == 0)));
+    }
+
+    #[test]
+    fn purge_spans_due_cycles_and_ring_wrap() {
+        let mut line: DelayLine<LinkEv> = DelayLine::new(3);
+        line.reserve(8);
+        // Advance the ring head so later pushes wrap the buffer.
+        for seq in 0..3 {
+            line.push(1, (0, 0, flit(9, seq)));
+        }
+        line.push(2, (0, 0, flit(9, 3)));
+        assert_eq!(drained(&mut line, 1).len(), 3);
+        // Packet 4 has a flit due at each of cycles 3, 4 and 5.
+        for (t, seq) in [(3, 0), (4, 1), (5, 2)] {
+            line.push(t, (1, 0, flit(4, seq)));
+            line.push(t, (2, 1, flit(6, seq)));
+        }
+        assert!(
+            !line.ring.as_slices().1.is_empty(),
+            "pushes must wrap the ring"
+        );
+        assert_eq!(drained(&mut line, 2), [(0, 0, flit(9, 3))]);
+
+        let mut sim = faultable_sim();
+        let es = sim.ev.as_mut().expect("event state");
+        es.links = line;
+        let mut on_wire = Vec::new();
+        es.wire_packets_on(1, &mut on_wire);
+        assert_eq!(on_wire, [4, 4, 4]);
+        // Purge at phase 0 of cycle 3 (nothing drained yet this cycle).
+        let mut refunds = Vec::new();
+        es.purge_link_flits(4, 3, &mut refunds);
+        assert_eq!(refunds, [(1, 0); 3]);
+        assert_eq!(es.pending(), 3);
+        let line = &mut es.links;
+        for (t, seq) in [(3, 0), (4, 1), (5, 2)] {
+            assert_eq!(drained(line, t), [(2, 1, flit(6, seq))], "cycle {t}");
+        }
+        assert_eq!(line.len(), 0);
+        assert!(line.due_counts.iter().all(|&c| c == 0));
+    }
+
+    /// A ring of 8 switches on the event core, no injection of its own,
+    /// a fault plan (beyond the horizon) so the fault purge path exists,
+    /// and a 3-cycle link so a packet's flits span several due cycles.
+    fn faultable_sim() -> Simulator {
+        let g = Arc::new(Ring::new(8).unwrap().into_graph());
+        let cfg = SimConfig {
+            link_delay: 3,
+            fault_plan: FaultPlan::single_link(0, u64::MAX),
+            ..SimConfig::test_small()
+        };
+        let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
+        let mut sim = Simulator::new(g, cfg, routing, TrafficPattern::Uniform, 0.0, 1);
+        prepare(&mut sim);
+        sim
+    }
+
+    fn es(sim: &Simulator) -> &EventState {
+        sim.ev.as_ref().expect("event state")
+    }
+
+    #[test]
+    fn purged_flits_leave_the_pending_count_and_idle_skip_fires() {
+        let mut sim = faultable_sim();
+        let total = sim.cfg.total_cycles();
+        sim.enqueue_packet(0, 0, 4);
+        sim.enqueue_packet(0, 1, 5);
+        // Step until both packets have flits on the wire in several due
+        // cycles.
+        while es(&sim).links.due_counts.iter().filter(|&&c| c > 0).count() < 2 {
+            step(&mut sim, total);
+            assert!(sim.now < 100, "flits never reached the wire");
+        }
+        let victim = es(&sim)
+            .links
+            .ring
+            .front()
+            .expect("flit on the wire")
+            .2
+            .packet;
+        let on_wire = |sim: &Simulator, pkt: u32| {
+            es(sim)
+                .links
+                .ring
+                .iter()
+                .filter(|e| e.2.packet == pkt)
+                .count()
+        };
+        let (pending, victim_flits) = (es(&sim).pending(), on_wire(&sim, victim));
+        assert!(victim_flits >= 2);
+        sim.drop_packet_everywhere(victim, sim.now);
+        assert_eq!(on_wire(&sim, victim), 0);
+        assert_eq!(es(&sim).pending(), pending - victim_flits);
+        let links = &es(&sim).links;
+        assert_eq!(
+            links.due_counts.iter().map(|&c| c as usize).sum::<usize>(),
+            links.len()
+        );
+
+        // The survivor is delivered; then the empty network skips to the
+        // stepping bound in one step.
+        while sim.packets.live() > 0 {
+            step(&mut sim, total);
+            assert!(sim.now < 1_000, "survivor never delivered");
+        }
+        assert_eq!(sim.delivered_all_time, 1);
+        while sim.now < total {
+            let before = sim.now;
+            step(&mut sim, total);
+            if es(&sim).pending() == 0 {
+                break;
+            }
+            assert!(sim.now == before + 1 && sim.now < 1_000);
+        }
+        assert_eq!(
+            sim.now, total,
+            "idle skip did not fire on the empty network"
+        );
+    }
 }

@@ -636,7 +636,7 @@ impl Simulator {
         let mut wire =
             std::mem::take(&mut self.fault.as_mut().expect("fault runtime").wire_credits);
         match &mut self.ev {
-            Some(ev) => ev.purge_link_flits(pkt, &mut wire),
+            Some(ev) => ev.purge_link_flits(pkt, now, &mut wire),
             None => {
                 wire.clear();
                 for ch in 0..self.links.len() {

@@ -55,8 +55,8 @@ pub use config::{EngineKind, SimConfig, Switching};
 pub use dsn_telemetry::{
     PacketTracer, Telemetry, TelemetryConfig, TelemetryReport, TraceEvent, TraceRecord,
 };
-pub use engine::Simulator;
 pub use engine::{flat_table_for, ALGORITHMIC_AUTO_THRESHOLD};
+pub use engine::{ReservedBytes, Simulator};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, RetryPolicy, SalvagePolicy};
 pub use flow::{FlowArrivals, FlowSizeDist, StagedSpec};
 pub use routing::{

@@ -7,10 +7,10 @@
 //! table-free DSN-V routing.
 //!
 //! All steady-state storage — the flit ring arena, the packet slab, the
-//! timing wheel, the per-host injection source queues (slab ids, one per
-//! queued packet), stats histograms and the event core's scratch — is
-//! either fixed-size or pre-reserved when the run crosses the
-//! warmup→measure boundary (`presize_steady_state`), so a counting
+//! event core's delay lines, the per-host injection source queues (slab
+//! ids, one per queued packet), stats histograms and the event core's
+//! scratch — is either fixed-size or pre-reserved when the run crosses
+//! the warmup→measure boundary (`presize_steady_state`), so a counting
 //! `#[global_allocator]` bracketing the measure phase via the
 //! `advance_until` stepping API must read zero.
 //!
@@ -18,7 +18,10 @@
 //! which bounds what that presize reserves per packet the hosts may still
 //! offer: a regression to flit-granular source queues (`packet_flits`
 //! 8-byte flits per queued packet) or to presizing every VC slot of a
-//! host's input fails the bound.
+//! host's input fails the bound. Right after the presize,
+//! `Simulator::reserved_bytes` bounds the delay lines by twice the events
+//! that can be in flight, which reserving each cycle's worst case (a
+//! timing wheel's per-slot vectors) exceeds.
 //!
 //! This lives in its own integration-test binary because a global
 //! allocator is a per-binary property; the single `#[test]` (looping over
@@ -165,6 +168,22 @@ fn saturated_measure_phase_allocates_nothing() {
         sim.advance_until(cfg.warmup_cycles);
         let presize_bytes = PEAK.load(Ordering::SeqCst) - before;
 
+        // The delay lines hold only the events in flight: `delay` cycles of
+        // one link flit (16 B) and one credit (8 B) per channel, and in each
+        // of the two route lines one 4-byte expiry per armable input VC
+        // (every VC of a channel input, VC 0 of a host input).
+        let (channels, hosts) = (g.channel_count(), g.node_count() * cfg.hosts_per_switch);
+        let in_flight = cfg.link_delay.max(1) as usize * channels * 16
+            + cfg.credit_delay.max(1) as usize * channels * 8
+            + 2 * (channels * leg.vcs as usize + hosts) * 4;
+        let event_queues = sim.reserved_bytes().event_queues;
+        assert!(
+            event_queues <= 2 * in_flight,
+            "{}: the event queues reserve {event_queues} B, more than twice the {in_flight} B \
+             of events that can be in flight: is each cycle reserved its worst case?",
+            leg.label
+        );
+
         // ... then bracket the measure phase with the armed counter.
         ALLOCS.store(0, Ordering::SeqCst);
         REALLOCS.store(0, Ordering::SeqCst);
@@ -187,7 +206,7 @@ fn saturated_measure_phase_allocates_nothing() {
         // The presize reserves for the packets the hosts may still offer
         // (rate × remaining cycles, plus slack); per offered packet that is
         // a slab slot, a free-list entry and a 4-byte source-queue id, plus
-        // the wheel's fixed per-slot bounds. Flit-granular source queues
+        // the delay lines' fixed in-flight bounds. Flit-granular source queues
         // would add `packet_flits` × 8 B per packet (264 B at 33 flits),
         // and presizing every VC slot of each host's input would multiply
         // that by the VC count.
@@ -196,7 +215,8 @@ fn saturated_measure_phase_allocates_nothing() {
         let presize_per_packet = presize_bytes as f64 / offered;
         println!(
             "{}: delivered={} allocs={allocs} reallocs={reallocs} \
-             presize={presize_bytes} B ({presize_per_packet:.1} B per offered packet)",
+             presize={presize_bytes} B ({presize_per_packet:.1} B per offered packet) \
+             event queues={event_queues} B (in flight {in_flight} B)",
             leg.label, stats.delivered_packets
         );
 
