@@ -4,7 +4,7 @@
 //! and a near-saturation fig10 load point (the event core's headline is
 //! low-load speedup: idle units cost it nothing), plus a `high_load`
 //! group isolating the allocation hot path (64-switch trio at
-//! 11 Gbit/s/host, event engine, prebuilt routing and flat tables), plus
+//! 11 Gbit/s/host, event engine, prebuilt routing), plus
 //! a `telemetry_overhead` group pinning the zero-cost-when-off claim:
 //! `Telemetry::Off` must sit within noise of the pre-telemetry event
 //! engine, with the telemetry-on row alongside for the enabled cost.
@@ -79,9 +79,9 @@ fn bench_sim(c: &mut Criterion) {
     group.finish();
 
     // Hot-path isolation at saturation load: 64-switch trio at
-    // 11 Gbit/s/host on the event engine with the routing *prebuilt* (and
-    // the flat arena precompiled) outside the timed loop, so the rows
-    // time purely the per-allocation work.
+    // 11 Gbit/s/host on the event engine with the routing *prebuilt*
+    // outside the timed loop, so the rows time purely the per-allocation
+    // work.
     let mut group = c.benchmark_group("high_load");
     group.sample_size(10);
     for spec in trio(64) {
@@ -95,10 +95,9 @@ fn bench_sim(c: &mut Criterion) {
             ..SimConfig::default()
         };
         let routing: Arc<dyn SimRouting> = Arc::new(AdaptiveEscape::new(graph.clone(), cfg.vcs));
-        routing.compiled_flat();
         let rate = cfg.packets_per_cycle_for_gbps(11.0);
         group.bench_with_input(
-            BenchmarkId::new("event_11gbps_flat", &built.name),
+            BenchmarkId::new("event_11gbps", &built.name),
             &graph,
             |b, graph| {
                 b.iter(|| {
@@ -119,7 +118,7 @@ fn bench_sim(c: &mut Criterion) {
     }
     // Saturated steady state at scale: the 256-switch trio at
     // 11 Gbit/s/host (the BENCH_sim near-saturation point) on the event
-    // engine, flat tables, routing prebuilt. This is the row the
+    // engine, routing prebuilt. This is the row the
     // cache-conscious SoA layout, the ring arena and the zero-alloc steady
     // state target.
     for spec in trio(256) {
@@ -133,7 +132,6 @@ fn bench_sim(c: &mut Criterion) {
             ..SimConfig::default()
         };
         let routing: Arc<dyn SimRouting> = Arc::new(AdaptiveEscape::new(graph.clone(), cfg.vcs));
-        routing.compiled_flat();
         let rate = cfg.packets_per_cycle_for_gbps(11.0);
         group.bench_with_input(
             BenchmarkId::new("sat_11gbps_event", format!("{}_n256", built.name)),

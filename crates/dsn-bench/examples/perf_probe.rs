@@ -8,7 +8,7 @@
 //!       [--engine dense|event] [--pre dense|event]`
 
 use dsn_bench::{trio, RunArgs};
-use dsn_sim::{AdaptiveEscape, EngineKind, SimConfig, SimRouting, Simulator, TrafficPattern};
+use dsn_sim::{AdaptiveEscape, EngineKind, SimConfig, Simulator, TrafficPattern};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -52,7 +52,6 @@ fn main() {
     };
     let rate = cfg.packets_per_cycle_for_gbps(gbps);
     let routing = Arc::new(AdaptiveEscape::new(graph.clone(), cfg.vcs));
-    routing.compiled_flat();
     if let Some(pre_engine) = pre {
         // Warm (dirty) the process heap with a full run of another engine
         // first, reproducing the allocator state a row sees mid-way

@@ -19,8 +19,8 @@
 //! `--sizes N,M,...` runs the large-n scale rows: the saturated trio at
 //! each size (snapped down to the nearest clean DSN size, e.g. 1024 →
 //! DSN-9-1020, 2048 → DSN-10-2046) on the event engine, with DSN routed
-//! by the algorithmic DSN-V scheme, which the simulator runs table-free
-//! above 512 switches (O(n) bytes instead of the O(n²) CSR).
+//! by the algorithmic DSN-V scheme, which runs table-free (O(n) bytes of
+//! channel LUTs instead of O(n²) port masks).
 //! Without `--json` the rows print to stdout and exit (the CI smoke);
 //! with `--json` they are appended to `BENCH_sim.json`, which includes
 //! sizes 1024 and 2048 by default.
@@ -37,9 +37,10 @@
 //! process (`--bench-row N` re-exec): a fresh heap per row keeps
 //! allocator state from one row from skewing the next (in-process, late
 //! rows measurably degrade), and the child's peak-RSS high-water mark
-//! covers that row alone. Routing is (re)built inside each child and its
-//! cost is reported separately as `routing_build_s` — `wall_s` times only
-//! the simulation proper. Inside the child the RSS mark is additionally reset after
+//! covers that row alone. Routing is (re)built inside each child: the
+//! scheme constructor, where its port masks are built, is reported
+//! separately as `routing_build_s` — `wall_s` times only the simulation
+//! proper. Inside the child the RSS mark is additionally reset after
 //! construction; where the reset is impossible the row carries
 //! `"rss_is_cumulative": true` instead of a stale figure.
 //!
@@ -57,8 +58,8 @@ use dsn_core::graph::Graph;
 use dsn_core::parallel::Parallelism;
 use dsn_sim::sweep::{format_sweep, load_sweep_cached, paper_load_grid, SweepResult};
 use dsn_sim::{
-    flat_table_for, AdaptiveEscape, DsnAlgorithmic, EngineKind, RoutingCache, SimConfig,
-    SimRouting, Simulator, TrafficPattern,
+    AdaptiveEscape, DsnAlgorithmic, EngineKind, RoutingCache, SimConfig, SimRouting, Simulator,
+    TrafficPattern,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -170,39 +171,30 @@ fn bench_rows(sizes: &[usize]) -> Vec<BenchRow> {
 struct RowSetup {
     graph: Arc<Graph>,
     name: String,
-    routing: Arc<dyn SimRouting>,
+    /// The scheme constructor, timed as `routing_build_s`.
+    build: Box<dyn FnOnce() -> Arc<dyn SimRouting>>,
     scheme: &'static str,
-    flat_bytes: Option<usize>,
 }
 
 /// Run one matrix cell in this process and return its JSON object (no
 /// trailing separator). The human-readable progress line goes to stderr
 /// so a parent process can pass it through.
 fn run_bench_row(cfg: &SimConfig, row: &BenchRow) -> String {
-    // Scale DSN rows route table-free (above the simulator's threshold);
-    // measure the 4-context CSR the algorithmic path replaces on a
-    // throwaway instance first (compile cost and memory are returned
-    // before the run — the real row never materializes it).
     let RowSetup {
         graph,
         name,
-        routing,
+        build,
         scheme,
-        flat_bytes,
     } = if row.algorithmic {
         let p = dsn_core::util::ceil_log2(row.n);
         let dsn = Arc::new(Dsn::new(row.n, p - 1).expect("clean DSN"));
         let graph = Arc::new(dsn.graph().clone());
         let name = format!("DSN-{}-{}", p - 1, row.n);
-        let flat_bytes = DsnAlgorithmic::new(dsn.clone())
-            .compiled_flat()
-            .map(|f| f.table_bytes());
         RowSetup {
             graph,
             name,
-            routing: Arc::new(DsnAlgorithmic::new(dsn)),
+            build: Box::new(move || Arc::new(DsnAlgorithmic::new(dsn))),
             scheme: "dsn-v-algorithmic",
-            flat_bytes,
         }
     } else {
         let built = trio(row.n)
@@ -212,13 +204,12 @@ fn run_bench_row(cfg: &SimConfig, row: &BenchRow) -> String {
             .build()
             .expect("topology");
         let graph = Arc::new(built.graph);
-        let routing = Arc::new(AdaptiveEscape::new(graph.clone(), cfg.vcs));
+        let (g, vcs) = (graph.clone(), cfg.vcs);
         RowSetup {
             graph,
             name: built.name,
-            routing,
+            build: Box::new(move || Arc::new(AdaptiveEscape::new(g, vcs))),
             scheme: "adaptive-escape",
-            flat_bytes: None,
         }
     };
     let cfg = SimConfig {
@@ -227,7 +218,7 @@ fn run_bench_row(cfg: &SimConfig, row: &BenchRow) -> String {
     };
     let rate = cfg.packets_per_cycle_for_gbps(row.gbps);
     let build_start = Instant::now();
-    flat_table_for(routing.as_ref(), graph.node_count());
+    let routing = build();
     let routing_build_s = build_start.elapsed().as_secs_f64();
     let sim = Simulator::new(
         graph.clone(),
@@ -254,11 +245,8 @@ fn run_bench_row(cfg: &SimConfig, row: &BenchRow) -> String {
         routing_build_s,
         table_bytes,
     );
-    // Every engine runs on one thread; `"workers": 1` keeps the row schema
-    // of the committed BENCH_sim.json.
     let mut fields: Vec<(&str, Json)> = vec![
         ("engine", row.engine.name().into()),
-        ("workers", 1u32.into()),
         ("topology", name.as_str().into()),
         ("pattern", "uniform".into()),
         ("routing", scheme.into()),
@@ -274,9 +262,6 @@ fn run_bench_row(cfg: &SimConfig, row: &BenchRow) -> String {
         ),
         ("routing_table_bytes", table_bytes.into()),
     ];
-    if let Some(b) = flat_bytes {
-        fields.push(("flat_table_bytes", b.into()));
-    }
     fields.push(("peak_rss_kb", peak_rss_kb().unwrap_or(0).into()));
     if !rss_fresh {
         fields.push(("rss_is_cumulative", true.into()));

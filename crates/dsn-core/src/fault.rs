@@ -64,6 +64,11 @@ impl EdgeMask {
         self.alive_edges
     }
 
+    /// Heap bytes the mask holds.
+    pub fn heap_bytes(&self) -> usize {
+        self.edge_admin.capacity() + self.node_up.capacity() + self.alive.capacity()
+    }
+
     /// True when nothing is failed.
     pub fn is_full(&self) -> bool {
         self.alive_edges == self.alive.len() && self.node_up.iter().all(|&u| u)

@@ -172,17 +172,33 @@ impl UpDown {
         t: NodeId,
     ) -> Vec<(usize, UdPhase)> {
         let mut out = Vec::new();
+        self.for_each_next_hop(g, v, phase, t, |_, e, next| out.push((e, next)));
+        out
+    }
+
+    /// [`Self::next_hops`] without the allocation: calls `f(port, edge_id,
+    /// next_phase)` for each minimal legal hop, in `g.neighbors(v)` order,
+    /// where `port` is the hop's position in that iteration.
+    pub fn for_each_next_hop(
+        &self,
+        g: &Graph,
+        v: NodeId,
+        phase: UdPhase,
+        t: NodeId,
+        mut f: impl FnMut(usize, usize, UdPhase),
+    ) {
         if v == t {
-            return out;
+            return;
         }
         let dv = self.distance_phased(v, phase, t);
         if dv == INF {
             // Only possible on a masked (survivor) instance: the state
             // cannot reach `t`, so there is no hop to offer.
             debug_assert!(self.mask.is_some(), "({v}, {phase:?}) cannot reach {t}");
-            return out;
+            return;
         }
-        for (u, e) in g.neighbors(v) {
+        let mut found = false;
+        for (port, (u, e)) in g.neighbors(v).enumerate() {
             if self.mask.as_ref().is_some_and(|m| !m.edge_alive(e)) {
                 continue; // dead link on the survivor graph
             }
@@ -193,11 +209,11 @@ impl UpDown {
             let next_phase = if up { UdPhase::Up } else { UdPhase::Down };
             let du = self.distance_phased(u, next_phase, t);
             if du != INF && du + 1 == dv {
-                out.push((e, next_phase));
+                found = true;
+                f(port, e, next_phase);
             }
         }
-        debug_assert!(!out.is_empty(), "no legal next hop from {v} to {t}");
-        out
+        debug_assert!(found, "no legal next hop from {v} to {t}");
     }
 
     /// Walk a deterministic shortest legal path (first listed hop at every

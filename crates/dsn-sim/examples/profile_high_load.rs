@@ -1,6 +1,6 @@
 //! Profiling driver for the allocation hot path: repeats the CI high-load
-//! fingerprint row (DSN-5-64, uniform, 11 Gbit/s/host, event engine, flat
-//! tables) enough times for a sampling profiler to see it.
+//! fingerprint row (DSN-5-64, uniform, 11 Gbit/s/host, event engine)
+//! enough times for a sampling profiler to see it.
 //!
 //! Usage: `cargo build --release -p dsn-sim --example profile_high_load`
 //! then point your profiler at the binary, e.g.
@@ -25,7 +25,6 @@ fn main() {
     };
     let rate = cfg.packets_per_cycle_for_gbps(11.0);
     let routing: Arc<dyn SimRouting> = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
-    routing.compiled_flat();
     let mut delivered = 0u64;
     let start = std::time::Instant::now();
     for _ in 0..reps {

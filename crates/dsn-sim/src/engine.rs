@@ -16,6 +16,12 @@
 //! * each switch serializes at most one flit per output channel per cycle
 //!   and one flit per input port per cycle, with round-robin arbitration.
 //!
+//! Routing has one path: VC allocation asks the scheme for the head's
+//! candidates ([`SimRouting::candidates`] into a reused scratch list) and
+//! commits the granted hop with [`SimRouting::on_hop`]. Table-driven
+//! schemes decode their port masks inside those calls; no routing table
+//! lives in the engine.
+//!
 //! Two scheduling cores drive this model ([`crate::config::EngineKind`]):
 //! the *dense* reference scans every input VC, output channel and link
 //! queue each cycle, while the *event* core (in `crate::event`) only
@@ -532,9 +538,6 @@ pub struct Simulator {
     /// cut-through, 1 for wormhole) — fixed per run.
     pub(crate) alloc_need: u32,
 
-    /// Compiled flat candidate tables (None = dynamic trait-call path;
-    /// see [`flat_table_for`]).
-    pub(crate) flat: Option<Arc<crate::flat::FlatRouting>>,
     /// Shared routing/rebuild cache, when the caller threads one through
     /// ([`Simulator::with_routing_cache`]) — lets catch-up fault rebuilds
     /// reuse tables across simulations of the same topology.
@@ -577,8 +580,6 @@ pub struct Simulator {
     pub(crate) peak_buffered_flits: u64,
     /// Scratch for routing candidate lists.
     pub(crate) cand_scratch: Vec<(usize, u8)>,
-    /// Scratch for dynamic escape residues on the flat path.
-    pub(crate) esc_scratch: Vec<(usize, u8)>,
     /// Per-phase wall-time breakdown (Some iff `DSN_PHASE_TIMING` was set
     /// at construction); never touches simulation state.
     pub(crate) phase_timers: Option<Box<crate::timing::PhaseTimers>>,
@@ -606,28 +607,6 @@ pub struct ReservedBytes {
     /// Routing state the run serves hops from
     /// ([`Simulator::routing_table_bytes`]).
     pub routing_state: usize,
-}
-
-/// Above this switch count, schemes that advertise
-/// [`SimRouting::algorithmic`] run table-free: the O(ctxs · n²) CSR
-/// offsets alone would dwarf the simulator's working set (≈ 67 MB at
-/// n = 2046 for the 4-context DSN-V table), while the algorithmic path
-/// serves the same candidates from O(n) LUTs.
-pub const ALGORITHMIC_AUTO_THRESHOLD: usize = 512;
-
-/// The flat candidate table a simulation of `routing` on `n` switches
-/// serves hops from: the scheme's compiled table (built and memoized on
-/// first call), or `None` for the dynamic path — when the scheme cannot be
-/// tabulated, or when it is algorithmic and `n` exceeds
-/// [`ALGORITHMIC_AUTO_THRESHOLD`]. Both paths give bit-identical
-/// [`RunStats`]. The one selection rule: engine construction, the
-/// post-fault refresh and sweep warm-ups all call it.
-pub fn flat_table_for(routing: &dyn SimRouting, n: usize) -> Option<Arc<crate::flat::FlatRouting>> {
-    if routing.algorithmic() && n > ALGORITHMIC_AUTO_THRESHOLD {
-        None
-    } else {
-        routing.compiled_flat()
-    }
 }
 
 impl Simulator {
@@ -803,7 +782,6 @@ impl Simulator {
                 &cfg.fault_plan,
             )))
         };
-        let flat = flat_table_for(routing.as_ref(), n);
         // Pre-size every buffer the steady state touches so a saturated
         // measure-phase cycle performs no heap allocation (asserted by
         // `tests/zero_alloc.rs`): network input buffers are bounded by the
@@ -846,7 +824,6 @@ impl Simulator {
             ch_src,
             node_dirty: vec![0; n.div_ceil(64)],
             alloc_need,
-            flat,
             routing_cache: None,
             credits_in_flight: VecDeque::new(),
             now: 0,
@@ -857,7 +834,6 @@ impl Simulator {
             buffered_flits: 0,
             peak_buffered_flits: 0,
             cand_scratch: Vec::with_capacity(64),
-            esc_scratch: Vec::with_capacity(64),
             phase_timers: crate::timing::env_enabled()
                 .then(|| Box::new(crate::timing::PhaseTimers::default())),
             ev: None,
@@ -880,18 +856,11 @@ impl Simulator {
         self
     }
 
-    /// Recompute `self.flat` for the current `self.routing` (after a fault
-    /// rebuild swapped the scheme).
-    pub(crate) fn refresh_flat(&mut self) {
-        self.flat = flat_table_for(self.routing.as_ref(), self.graph.node_count());
-    }
-
-    /// Resident bytes of the routing structures this run serves hops from:
-    /// the compiled flat CSR table (when one is active) plus the scheme's
-    /// own dynamic-path auxiliaries ([`SimRouting::table_bytes`]).
-    /// Benchmark accounting — query before `run()` (which consumes self).
+    /// Resident bytes of the routing state this run serves hops from
+    /// ([`SimRouting::table_bytes`] of the current scheme). Benchmark
+    /// accounting — query before `run()` (which consumes self).
     pub fn routing_table_bytes(&self) -> usize {
-        self.flat.as_ref().map_or(0, |f| f.table_bytes()) + self.routing.table_bytes()
+        self.routing.table_bytes()
     }
 
     /// Heap bytes the simulator's per-packet and per-event containers
@@ -1800,115 +1769,37 @@ impl Simulator {
         let need = self.alloc_need;
         let mut outcome = AllocOutcome::Blocked;
         let mut usable = 0usize;
-        // Take the table out for the scan instead of cloning the Arc: a
-        // per-attempt refcount bump on an Arc shared across sweep threads
-        // would contend on its cache line.
-        let flat_opt = self.flat.take();
-        match &flat_opt {
-            Some(flat) => {
-                // Hot path: candidates from the compiled table, preference
-                // order identical to the dynamic scan by construction.
-                let ctx = flat.ctx(&self.packets.get(pkt_idx).route);
-                let row = flat.row(ctx, node, dest_sw);
-                debug_assert!(
-                    self.fault.is_some() || flat.needs_dyn_escape() || !row.is_empty(),
-                    "no route from {node} to {dest_sw}"
-                );
-                for &packed in row {
-                    let (ch, vc) = crate::flat::unpack(packed);
-                    debug_assert_eq!(self.graph.channel_endpoints(ch).0, node);
-                    if self
-                        .fault
-                        .as_ref()
-                        .is_some_and(|f| !f.mask.channel_alive(ch))
-                    {
-                        continue;
-                    }
-                    usable += 1;
-                    if self.try_grant(i, v, pkt_idx, node, ch, vc, need, now) {
-                        match flat.hop_phase(ch, vc) {
-                            Some(phase) => {
-                                self.packets.get_mut(pkt_idx).route.ud_phase = phase;
-                            }
-                            None => {
-                                let route = &mut self.packets.get_mut(pkt_idx).route;
-                                self.routing.on_hop(node, dest_sw, route, ch, vc);
-                            }
-                        }
-                        self.telemetry.on_alloc_granted(pkt_idx, now);
-                        outcome = AllocOutcome::Net(ch);
-                        break;
-                    }
-                }
-                if matches!(outcome, AllocOutcome::Blocked) && flat.needs_dyn_escape() {
-                    // Escape residue: scanned only after every tabulated
-                    // candidate blocked — the same concatenated preference
-                    // list the dynamic path walks.
-                    let mut esc = std::mem::take(&mut self.esc_scratch);
-                    esc.clear();
-                    self.routing.escape_candidates(
-                        node,
-                        dest_sw,
-                        &self.packets.get(pkt_idx).route,
-                        &mut esc,
-                    );
-                    for &(ch, vc) in &esc {
-                        debug_assert_eq!(self.graph.channel_endpoints(ch).0, node);
-                        if self
-                            .fault
-                            .as_ref()
-                            .is_some_and(|f| !f.mask.channel_alive(ch))
-                        {
-                            continue;
-                        }
-                        usable += 1;
-                        if self.try_grant(i, v, pkt_idx, node, ch, vc, need, now) {
-                            let route = &mut self.packets.get_mut(pkt_idx).route;
-                            self.routing.on_hop(node, dest_sw, route, ch, vc);
-                            self.telemetry.on_alloc_granted(pkt_idx, now);
-                            outcome = AllocOutcome::Net(ch);
-                            break;
-                        }
-                    }
-                    self.esc_scratch = esc;
-                }
+        let mut candidates = std::mem::take(&mut self.cand_scratch);
+        candidates.clear();
+        self.routing.candidates(
+            node,
+            dest_sw,
+            &self.packets.get(pkt_idx).route,
+            &mut candidates,
+        );
+        debug_assert!(
+            self.fault.is_some() || !candidates.is_empty(),
+            "no route from {node} to {dest_sw}"
+        );
+        for &(ch, vc) in &candidates {
+            debug_assert_eq!(self.graph.channel_endpoints(ch).0, node);
+            if self
+                .fault
+                .as_ref()
+                .is_some_and(|f| !f.mask.channel_alive(ch))
+            {
+                continue;
             }
-            None => {
-                // Reference path: dynamic trait calls per attempt.
-                let mut candidates = std::mem::take(&mut self.cand_scratch);
-                candidates.clear();
-                self.routing.candidates(
-                    node,
-                    dest_sw,
-                    &self.packets.get(pkt_idx).route,
-                    &mut candidates,
-                );
-                debug_assert!(
-                    self.fault.is_some() || !candidates.is_empty(),
-                    "no route from {node} to {dest_sw}"
-                );
-                for &(ch, vc) in &candidates {
-                    debug_assert_eq!(self.graph.channel_endpoints(ch).0, node);
-                    if self
-                        .fault
-                        .as_ref()
-                        .is_some_and(|f| !f.mask.channel_alive(ch))
-                    {
-                        continue;
-                    }
-                    usable += 1;
-                    if self.try_grant(i, v, pkt_idx, node, ch, vc, need, now) {
-                        let route = &mut self.packets.get_mut(pkt_idx).route;
-                        self.routing.on_hop(node, dest_sw, route, ch, vc);
-                        self.telemetry.on_alloc_granted(pkt_idx, now);
-                        outcome = AllocOutcome::Net(ch);
-                        break;
-                    }
-                }
-                self.cand_scratch = candidates;
+            usable += 1;
+            if self.try_grant(i, v, pkt_idx, node, ch, vc, need, now) {
+                let route = &mut self.packets.get_mut(pkt_idx).route;
+                self.routing.on_hop(node, dest_sw, route, ch, vc);
+                self.telemetry.on_alloc_granted(pkt_idx, now);
+                outcome = AllocOutcome::Net(ch);
+                break;
             }
         }
-        self.flat = flat_opt;
+        self.cand_scratch = candidates;
         if matches!(outcome, AllocOutcome::Blocked) && usable == 0 && self.fault.is_some() {
             // Every candidate is structurally dead on the survivor graph
             // (not merely busy): the packet cannot make progress here.

@@ -740,7 +740,6 @@ impl Simulator {
             )
         });
         self.routing = rebuilt;
-        self.refresh_flat();
         self.packets
             .for_each_live_mut(|p| p.route.ud_phase = dsn_route::updown::UdPhase::Up);
     }

@@ -40,9 +40,9 @@ pub mod config;
 pub mod engine;
 mod event;
 pub mod fault;
-mod flat;
 pub mod flow;
 mod inject;
+mod masks;
 pub mod routing;
 pub mod stats;
 pub mod sweep;
@@ -55,13 +55,10 @@ pub use config::{EngineKind, SimConfig, Switching};
 pub use dsn_telemetry::{
     PacketTracer, Telemetry, TelemetryConfig, TelemetryReport, TraceEvent, TraceRecord,
 };
-pub use engine::{flat_table_for, ALGORITHMIC_AUTO_THRESHOLD};
 pub use engine::{ReservedBytes, Simulator};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, RetryPolicy, SalvagePolicy};
 pub use flow::{FlowArrivals, FlowSizeDist, StagedSpec};
-pub use routing::{
-    AdaptiveEscape, DsnAlgorithmic, FlatRouting, MinimalAdaptiveDsn, SimRouting, UpDownRouting,
-};
+pub use routing::{AdaptiveEscape, DsnAlgorithmic, MinimalAdaptiveDsn, SimRouting, UpDownRouting};
 pub use stats::{FlowClassStats, RunStats};
 pub use sweep::{
     find_saturation, find_saturation_cached, find_saturation_with, load_sweep, load_sweep_cached,

@@ -10,18 +10,20 @@
 //! compare custom vs agnostic routing the way Section VII.B discusses.
 //!
 //! Every scheme is a pure function of `(cur, dest, RouteState)`, and
-//! [`RouteState`] is two bytes: no scheme keeps a per-packet path.
+//! [`RouteState`] is two bytes: no scheme keeps a per-packet path. The
+//! per-`(switch, destination)` state a scheme needs — minimal sets and
+//! up*/down* escape hops — is one byte-per-mask port-mask table built in
+//! the constructor (`masks.rs`); the distance tables and the up*/down*
+//! forest it is built from are dropped afterwards.
 
-use crate::flat::{compile_phase_table, HopRule};
+use crate::masks::{PortMasks, UpMoves};
 use dsn_core::fault::EdgeMask;
 use dsn_core::graph::{Graph, LinkKind};
 use dsn_core::NodeId;
 use dsn_route::deadlock::{dsnv_step, DsnvState};
 use dsn_route::updown::{UdPhase, UpDown};
 use dsn_route::RouteStep;
-use std::sync::{Arc, OnceLock};
-
-pub use crate::flat::FlatRouting;
+use std::sync::Arc;
 
 /// Per-packet routing state carried between hops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,45 +90,16 @@ pub trait SimRouting: Send + Sync {
         self.name()
     }
 
-    /// The flattened candidate table for this scheme, compiled lazily on
-    /// first call and memoized per instance. `None` (the default) means the
-    /// scheme cannot be tabulated per `(switch, dest, phase)` — the engine
-    /// stays on the dynamic `candidates` path.
-    fn compiled_flat(&self) -> Option<Arc<FlatRouting>> {
-        None
-    }
+    /// Does nothing. Kept only for its one caller, the `dsn-benchmark`
+    /// package, which calls it to warm a routing table that no longer
+    /// exists; it goes with the next change to that benchmark.
+    fn compiled_flat(&self) {}
 
-    /// Whether this scheme computes its next hop *algorithmically* in
-    /// O(levels) time and O(n) memory — i.e. the dynamic path needs no
-    /// per-(switch, dest) table at all. Above
-    /// [`ALGORITHMIC_AUTO_THRESHOLD`](crate::engine::ALGORITHMIC_AUTO_THRESHOLD)
-    /// switches the engine skips flat compilation for such schemes
-    /// ([`flat_table_for`](crate::engine::flat_table_for)).
-    fn algorithmic(&self) -> bool {
-        false
-    }
-
-    /// Resident bytes of auxiliary routing structures the *dynamic* path
-    /// keeps per scheme instance (distance tables, per-node LUTs, …),
-    /// excluding any compiled flat table. Benchmark accounting only.
-    fn table_bytes(&self) -> usize {
-        0
-    }
-
-    /// Dynamic escape residue for schemes whose flat table covers only the
-    /// adaptive candidates (`FlatRouting::needs_dyn_escape`). Called by
-    /// the engine only after every tabulated candidate was blocked; must
-    /// emit exactly the candidates `candidates` would have appended after
-    /// the adaptive ones.
-    fn escape_candidates(
-        &self,
-        cur: NodeId,
-        dest: NodeId,
-        state: &RouteState,
-        out: &mut Vec<Candidate>,
-    ) {
-        let _ = (cur, dest, state, out);
-    }
+    /// Resident heap bytes of the routing state this instance holds: port
+    /// masks, up-move bits, channel LUTs and survivor masks — everything
+    /// but the topology it shares with the simulator. Benchmark
+    /// accounting.
+    fn table_bytes(&self) -> usize;
 
     /// How many virtual channels the candidates span (the highest VC
     /// emitted, plus one). The simulator rejects a scheme whose span
@@ -134,68 +107,40 @@ pub trait SimRouting: Send + Sync {
     fn vcs(&self) -> u8;
 }
 
-/// Precomputed all-pairs hop distances (BFS), used for minimal-adaptive
-/// candidate selection.
-#[derive(Debug, Clone)]
-pub struct DistanceTable {
-    n: usize,
-    dist: Vec<u16>,
+/// The state of an up*/down* escape scheme: port masks (optionally led by
+/// the minimal set), the per-channel up-move bits `on_hop` reads, and the
+/// forest root a rebuild regrows from.
+struct PhaseTables {
+    masks: PortMasks,
+    up_moves: UpMoves,
+    root: NodeId,
 }
 
-impl DistanceTable {
-    /// Build by one BFS per source.
-    pub fn new(g: &Graph) -> Self {
-        Self::build(g, None)
-    }
-
-    /// Build over the survivor graph only (dead edges skipped); pairs
-    /// disconnected by the faults keep distance `u16::MAX`.
-    pub fn new_masked(g: &Graph, mask: &EdgeMask) -> Self {
-        Self::build(g, Some(mask))
-    }
-
-    fn build(g: &Graph, mask: Option<&EdgeMask>) -> Self {
-        let n = g.node_count();
-        let mut dist = vec![u16::MAX; n * n];
-        let mut queue = std::collections::VecDeque::new();
-        for s in 0..n {
-            let row = &mut dist[s * n..(s + 1) * n];
-            row[s] = 0;
-            queue.clear();
-            queue.push_back(s);
-            while let Some(v) = queue.pop_front() {
-                let dv = row[v];
-                for (u, e) in g.neighbors(v) {
-                    if mask.is_some_and(|m| !m.edge_alive(e)) {
-                        continue;
-                    }
-                    if row[u] == u16::MAX {
-                        row[u] = dv + 1;
-                        queue.push_back(u);
-                    }
-                }
-            }
+impl PhaseTables {
+    /// Grow the up*/down* forest from `root` (over the survivors when
+    /// `survivors` is set), tabulate it, and drop it.
+    fn build(graph: &Graph, root: NodeId, survivors: Option<&EdgeMask>, minimal: bool) -> Self {
+        let updown = match survivors {
+            None => UpDown::new(graph, root),
+            Some(mask) => UpDown::new_masked(graph, root, mask),
+        };
+        PhaseTables {
+            masks: PortMasks::build(graph, survivors, minimal, Some(&updown)),
+            up_moves: UpMoves::new(graph, &updown),
+            root,
         }
-        DistanceTable { n, dist }
     }
 
-    /// Hop distance between two switches.
-    #[inline]
-    pub fn get(&self, a: NodeId, b: NodeId) -> u16 {
-        self.dist[a * self.n + b]
+    fn bytes(&self) -> usize {
+        self.masks.bytes() + self.up_moves.bytes()
     }
 }
 
 /// The paper's simulator routing: fully adaptive minimal on VCs `1..V`,
 /// up*/down* escape on VC 0.
 pub struct AdaptiveEscape {
-    graph: Arc<Graph>,
-    dist: DistanceTable,
-    updown: UpDown,
+    tables: PhaseTables,
     vcs: u8,
-    /// Survivor mask when this instance is a post-fault rebuild.
-    mask: Option<EdgeMask>,
-    flat: OnceLock<Arc<FlatRouting>>,
 }
 
 impl AdaptiveEscape {
@@ -206,22 +151,10 @@ impl AdaptiveEscape {
     /// Panics if `vcs < 2`.
     pub fn new(graph: Arc<Graph>, vcs: u8) -> Self {
         assert!(vcs >= 2, "adaptive + escape needs at least 2 VCs");
-        let dist = DistanceTable::new(&graph);
-        let updown = UpDown::new(&graph, 0);
         AdaptiveEscape {
-            graph,
-            dist,
-            updown,
+            tables: PhaseTables::build(&graph, 0, None, true),
             vcs,
-            mask: None,
-            flat: OnceLock::new(),
         }
-    }
-
-    /// Per-channel "taking this directed channel is an up move" table for
-    /// the flat hop rule.
-    fn up_move_table(&self) -> Vec<bool> {
-        up_move_table(&self.graph, &self.updown)
     }
 
     /// The [`SimRouting::scheme_key`] an instance built with `vcs` virtual
@@ -230,18 +163,6 @@ impl AdaptiveEscape {
     pub fn key_for(vcs: u8) -> String {
         format!("adaptive+ud-escape({vcs}vc)")
     }
-}
-
-/// Shared helper: `up_move[ch]` for every directed channel of `g` under
-/// the given up*/down* forest (dead channels get a value too — harmless,
-/// they never appear in a compiled row).
-fn up_move_table(g: &Graph, updown: &UpDown) -> Vec<bool> {
-    (0..2 * g.edge_count())
-        .map(|ch| {
-            let (from, _) = g.channel_endpoints(ch);
-            updown.is_up_move(g, ch / 2, from)
-        })
-        .collect()
 }
 
 impl SimRouting for AdaptiveEscape {
@@ -254,38 +175,21 @@ impl SimRouting for AdaptiveEscape {
     }
 
     fn candidates(&self, cur: NodeId, dest: NodeId, state: &RouteState, out: &mut Vec<Candidate>) {
-        // Adaptive minimal candidates on VCs 1..V, closest-first.
-        let dcur = self.dist.get(cur, dest);
-        for (u, e) in self.graph.neighbors(cur) {
-            if self.mask.as_ref().is_some_and(|m| !m.edge_alive(e)) {
-                continue;
-            }
-            if self.dist.get(u, dest) < dcur {
-                let ch = self.graph.channel_id(e, cur);
-                for vc in 1..self.vcs {
-                    out.push((ch, vc));
-                }
-            }
-        }
-        // Escape on VC 0, honoring the packet's current up*/down* phase.
-        for (e, _next_phase) in self
-            .updown
-            .next_hops(&self.graph, cur, state.ud_phase, dest)
-        {
-            out.push((self.graph.channel_id(e, cur), 0));
-        }
+        // Adaptive minimal candidates on VCs 1..V, then the escape on VC 0
+        // honoring the packet's current up*/down* phase.
+        let masks = &self.tables.masks;
+        masks.push_minimal(cur, dest, 1..self.vcs, out);
+        masks.push_escape(cur, dest, state.ud_phase, 0..1, out);
     }
 
-    fn on_hop(&self, cur: NodeId, _dest: NodeId, state: &mut RouteState, channel: usize, vc: u8) {
-        if vc == 0 {
+    fn on_hop(&self, _cur: NodeId, _dest: NodeId, state: &mut RouteState, channel: usize, vc: u8) {
+        state.ud_phase = if vc == 0 {
             // Stayed on (or entered) the escape layer: advance the phase.
-            let edge = channel / 2;
-            let up = self.updown.is_up_move(&self.graph, edge, cur);
-            state.ud_phase = if up { UdPhase::Up } else { UdPhase::Down };
+            self.tables.up_moves.phase_after(channel)
         } else {
             // Adaptive hop: next escape entry starts a fresh up*/down* walk.
-            state.ud_phase = UdPhase::Up;
-        }
+            UdPhase::Up
+        };
     }
 
     fn vcs(&self) -> u8 {
@@ -294,60 +198,30 @@ impl SimRouting for AdaptiveEscape {
 
     fn rebuild(&self, graph: &Arc<Graph>, mask: &EdgeMask) -> Option<Arc<dyn SimRouting>> {
         Some(Arc::new(AdaptiveEscape {
-            graph: graph.clone(),
-            dist: DistanceTable::new_masked(graph, mask),
-            updown: UpDown::new_masked(graph, self.updown.root(), mask),
+            tables: PhaseTables::build(graph, self.tables.root, Some(mask), true),
             vcs: self.vcs,
-            mask: Some(mask.clone()),
-            flat: OnceLock::new(),
         }))
     }
 
-    fn compiled_flat(&self) -> Option<Arc<FlatRouting>> {
-        Some(
-            self.flat
-                .get_or_init(|| {
-                    compile_phase_table(
-                        self.graph.node_count(),
-                        1,
-                        self.up_move_table(),
-                        |ctx, cur, dest, out| {
-                            let state = FlatRouting::synthetic_state(ctx);
-                            // A Down state that cannot reach `dest` never
-                            // occurs in legal traffic; its row is never
-                            // queried, so leave it empty instead of asking
-                            // the strict-mode escape for hops it lacks.
-                            if !self.updown.reachable_phased(cur, state.ud_phase, dest) {
-                                return;
-                            }
-                            self.candidates(cur, dest, &state, out)
-                        },
-                    )
-                })
-                .clone(),
-        )
+    fn table_bytes(&self) -> usize {
+        self.tables.bytes()
     }
 }
 
 /// Pure up*/down* routing on every VC (the paper's non-adaptive
 /// topology-agnostic baseline).
 pub struct UpDownRouting {
-    graph: Arc<Graph>,
-    updown: UpDown,
+    tables: PhaseTables,
     vcs: u8,
-    flat: OnceLock<Arc<FlatRouting>>,
 }
 
 impl UpDownRouting {
     /// Build for the given graph.
     pub fn new(graph: Arc<Graph>, vcs: u8) -> Self {
         assert!(vcs >= 1);
-        let updown = UpDown::new(&graph, 0);
         UpDownRouting {
-            graph,
-            updown,
+            tables: PhaseTables::build(&graph, 0, None, false),
             vcs,
-            flat: OnceLock::new(),
         }
     }
 }
@@ -362,21 +236,13 @@ impl SimRouting for UpDownRouting {
     }
 
     fn candidates(&self, cur: NodeId, dest: NodeId, state: &RouteState, out: &mut Vec<Candidate>) {
-        for (e, _next) in self
-            .updown
-            .next_hops(&self.graph, cur, state.ud_phase, dest)
-        {
-            let ch = self.graph.channel_id(e, cur);
-            for vc in 0..self.vcs {
-                out.push((ch, vc));
-            }
-        }
+        self.tables
+            .masks
+            .push_escape(cur, dest, state.ud_phase, 0..self.vcs, out);
     }
 
-    fn on_hop(&self, cur: NodeId, _dest: NodeId, state: &mut RouteState, channel: usize, _vc: u8) {
-        let edge = channel / 2;
-        let up = self.updown.is_up_move(&self.graph, edge, cur);
-        state.ud_phase = if up { UdPhase::Up } else { UdPhase::Down };
+    fn on_hop(&self, _cur: NodeId, _dest: NodeId, state: &mut RouteState, channel: usize, _vc: u8) {
+        state.ud_phase = self.tables.up_moves.phase_after(channel);
     }
 
     fn vcs(&self) -> u8 {
@@ -385,36 +251,13 @@ impl SimRouting for UpDownRouting {
 
     fn rebuild(&self, graph: &Arc<Graph>, mask: &EdgeMask) -> Option<Arc<dyn SimRouting>> {
         Some(Arc::new(UpDownRouting {
-            graph: graph.clone(),
-            updown: UpDown::new_masked(graph, self.updown.root(), mask),
+            tables: PhaseTables::build(graph, self.tables.root, Some(mask), false),
             vcs: self.vcs,
-            flat: OnceLock::new(),
         }))
     }
 
-    fn compiled_flat(&self) -> Option<Arc<FlatRouting>> {
-        Some(
-            self.flat
-                .get_or_init(|| {
-                    // Every VC is an escape lane: the phase rule applies to
-                    // all hops, exactly like the dynamic `on_hop`.
-                    compile_phase_table(
-                        self.graph.node_count(),
-                        self.vcs,
-                        up_move_table(&self.graph, &self.updown),
-                        |ctx, cur, dest, out| {
-                            let state = FlatRouting::synthetic_state(ctx);
-                            // Unreachable Down states never occur in legal
-                            // traffic; leave their rows empty.
-                            if !self.updown.reachable_phased(cur, state.ud_phase, dest) {
-                                return;
-                            }
-                            self.candidates(cur, dest, &state, out)
-                        },
-                    )
-                })
-                .clone(),
-        )
+    fn table_bytes(&self) -> usize {
+        self.tables.bytes()
     }
 }
 
@@ -429,11 +272,11 @@ impl SimRouting for UpDownRouting {
 ///
 /// Needs 8 VCs (4 escape classes + 4 adaptive).
 pub struct MinimalAdaptiveDsn {
-    dist: DistanceTable,
+    /// Minimal-set port masks.
+    masks: PortMasks,
     /// The DSN-V escape layer: one lane per class, on VCs `0..4`.
     escape: DsnAlgorithmic,
     vcs: u8,
-    flat: OnceLock<Arc<FlatRouting>>,
 }
 
 impl MinimalAdaptiveDsn {
@@ -444,28 +287,10 @@ impl MinimalAdaptiveDsn {
     /// Panics if `vcs < 5`.
     pub fn new(dsn: Arc<dsn_core::dsn::Dsn>, vcs: u8) -> Self {
         assert!(vcs >= 5, "minimal-adaptive DSN needs >= 5 VCs");
-        let escape = DsnAlgorithmic::new(dsn);
-        let dist = DistanceTable::new(&escape.graph);
         MinimalAdaptiveDsn {
-            dist,
-            escape,
+            masks: PortMasks::build(dsn.graph(), None, true, None),
+            escape: DsnAlgorithmic::new(dsn),
             vcs,
-            flat: OnceLock::new(),
-        }
-    }
-
-    /// Adaptive minimal candidates on VCs `4..vcs` — the tabulable part of
-    /// the preference list.
-    fn adaptive_candidates(&self, cur: NodeId, dest: NodeId, out: &mut Vec<Candidate>) {
-        let g = &self.escape.graph;
-        let dcur = self.dist.get(cur, dest);
-        for (u, e) in g.neighbors(cur) {
-            if self.dist.get(u, dest) < dcur {
-                let ch = g.channel_id(e, cur);
-                for vc in 4..self.vcs {
-                    out.push((ch, vc));
-                }
-            }
         }
     }
 }
@@ -480,17 +305,8 @@ impl SimRouting for MinimalAdaptiveDsn {
     }
 
     fn candidates(&self, cur: NodeId, dest: NodeId, state: &RouteState, out: &mut Vec<Candidate>) {
-        self.adaptive_candidates(cur, dest, out);
-        self.escape_candidates(cur, dest, state, out);
-    }
-
-    fn escape_candidates(
-        &self,
-        cur: NodeId,
-        dest: NodeId,
-        state: &RouteState,
-        out: &mut Vec<Candidate>,
-    ) {
+        // Adaptive minimal candidates on VCs 4..vcs first.
+        self.masks.push_minimal(cur, dest, 4..self.vcs, out);
         // Escape: the next hop of the current escape sojourn, whose
         // automaton state `alg` carries. An adaptive hop resets `alg` to 0,
         // the PRE-WORK start state, so the next escape hop begins a fresh
@@ -520,24 +336,8 @@ impl SimRouting for MinimalAdaptiveDsn {
         self.vcs
     }
 
-    fn compiled_flat(&self) -> Option<Arc<FlatRouting>> {
-        Some(
-            self.flat
-                .get_or_init(|| {
-                    // Only the adaptive candidates are a pure function of
-                    // (cur, dest); the DSN-V escape depends on the packet's
-                    // sojourn state and stays dynamic (`escape_candidates`,
-                    // consulted after the table blocks), as does `on_hop`.
-                    Arc::new(FlatRouting::compile(
-                        self.escape.graph.node_count(),
-                        1,
-                        HopRule::Dyn,
-                        true,
-                        |_, cur, dest, out| self.adaptive_candidates(cur, dest, out),
-                    ))
-                })
-                .clone(),
-        )
+    fn table_bytes(&self) -> usize {
+        self.masks.bytes() + self.escape.table_bytes()
     }
 }
 
@@ -545,10 +345,9 @@ impl SimRouting for MinimalAdaptiveDsn {
 /// *algorithmically* from switch ids and the DSN level structure by the
 /// incremental three-phase automaton ([`dsn_route::deadlock::dsnv_step`]),
 /// in O(levels) time per hop with O(n) memory — three per-node channel
-/// LUTs instead of an O(n²) per-(context, switch, dest) table or a
-/// per-packet path. The automaton state rides in [`RouteState::alg`]
-/// (3 bits), and the hops are exactly those of
-/// [`dsn_route::deadlock::dsnv_route_channels`].
+/// LUTs instead of an O(n²) per-(switch, dest) table or a per-packet path.
+/// The automaton state rides in [`RouteState::alg`] (3 bits), and the hops
+/// are exactly those of [`dsn_route::deadlock::dsnv_route_channels`].
 ///
 /// The DSN-V discipline puts each hop on one of 4 VC classes; `lanes`
 /// physical VCs are assigned to each class (`vc = class * lanes + lane`),
@@ -557,9 +356,6 @@ impl SimRouting for MinimalAdaptiveDsn {
 /// proofs (level monotonicity for PRE-WORK/MAIN, the dateline for FINISH)
 /// do not depend on which lane inside the class a packet holds, and
 /// inter-class dependencies stay monotone.
-///
-/// Below the table-free threshold the scheme lowers itself into a
-/// 4-context [`FlatRouting`] table with the same candidates.
 ///
 /// **Under faults** ([`SimRouting::rebuild`]) packets — in flight or new —
 /// follow the automaton while its next channel is alive. At a dead
@@ -572,7 +368,6 @@ impl SimRouting for MinimalAdaptiveDsn {
 /// back, a detoured packet keeps descending on the full graph's distances.
 pub struct DsnAlgorithmic {
     dsn: Arc<dsn_core::dsn::Dsn>,
-    graph: Arc<Graph>,
     /// Channel of the clockwise ring link at each node.
     succ_ch: Vec<u32>,
     /// Channel of the counter-clockwise ring link at each node.
@@ -584,9 +379,18 @@ pub struct DsnAlgorithmic {
     /// routing (every hop on class 0).
     classes: u8,
     lanes: u8,
-    /// Survivor mask and its hop distances, set on post-fault rebuilds.
-    survivors: Option<(EdgeMask, DistanceTable)>,
-    flat: OnceLock<Arc<FlatRouting>>,
+    /// Set on post-fault rebuilds.
+    detour: Option<Detour>,
+}
+
+/// The survivor state a rebuilt [`DsnAlgorithmic`] detours by.
+struct Detour {
+    mask: EdgeMask,
+    /// Minimal ports on the survivor graph.
+    masks: PortMasks,
+    /// Per-switch ring-port bits (`masks.mask_bytes()` each): the detour
+    /// offers ring links before shortcuts.
+    ring: Vec<u8>,
 }
 
 impl DsnAlgorithmic {
@@ -594,7 +398,7 @@ impl DsnAlgorithmic {
     /// VC class (the DSN-V discipline uses classes 0–3, so the simulator
     /// needs `vcs >= 4 * lanes`).
     pub fn new(dsn: Arc<dsn_core::dsn::Dsn>) -> Self {
-        let graph = Arc::new(dsn.graph().clone());
+        let graph = dsn.graph();
         let n = dsn.n();
         let find = |u: NodeId, v: NodeId, want_shortcut: bool| -> Option<u32> {
             // Same resolution order as `dsn-route`'s edge_for_step: first
@@ -628,14 +432,12 @@ impl DsnAlgorithmic {
         }
         DsnAlgorithmic {
             dsn,
-            graph,
             succ_ch,
             pred_ch,
             short_ch,
             classes: 4,
             lanes: 1,
-            survivors: None,
-            flat: OnceLock::new(),
+            detour: None,
         }
     }
 
@@ -662,12 +464,12 @@ impl DsnAlgorithmic {
     /// The automaton state a packet in state `alg` follows: its own while
     /// on the automaton, `None` while it detours. A detoured packet that
     /// reaches an unrebuilt scheme restarts the automaton (PRE-WORK at
-    /// `cur`), as the compiled table reads its state.
+    /// `cur`).
     #[inline]
     fn automaton_bits(&self, alg: u8) -> Option<u8> {
         if alg & DETOUR == 0 {
             Some(alg)
-        } else if self.survivors.is_none() {
+        } else if self.detour.is_none() {
             Some(0)
         } else {
             None
@@ -712,9 +514,9 @@ impl SimRouting for DsnAlgorithmic {
         if let Some(alg) = self.automaton_bits(state.alg) {
             let (ch, class, _) = self.automaton_hop(cur, dest, alg);
             if self
-                .survivors
+                .detour
                 .as_ref()
-                .is_none_or(|(mask, _)| mask.channel_alive(ch))
+                .is_none_or(|d| d.mask.channel_alive(ch))
             {
                 for lane in 0..self.lanes {
                     out.push((ch, class * self.lanes + lane));
@@ -725,26 +527,17 @@ impl SimRouting for DsnAlgorithmic {
         // Detour: greedy descent on survivor-graph distance, ring links
         // first. Empty output (unreachable destination) makes the engine
         // drop the packet as unroutable.
-        let (mask, dist) = self
-            .survivors
-            .as_ref()
-            .expect("only a rebuilt scheme detours");
-        let dcur = dist.get(cur, dest);
-        if dcur == u16::MAX {
-            return;
-        }
+        let d = self.detour.as_ref().expect("only a rebuilt scheme detours");
+        let mb = d.masks.mask_bytes();
+        let ring = &d.ring[cur * mb..(cur + 1) * mb];
         for ring_pass in [true, false] {
-            for (u, e) in self.graph.neighbors(cur) {
-                if !mask.edge_alive(e) || (self.graph.edge(e).kind == LinkKind::Ring) != ring_pass {
-                    continue;
-                }
-                if dist.get(u, dest) < dcur {
-                    let ch = self.graph.channel_id(e, cur);
-                    for lane in 0..self.lanes {
-                        out.push((ch, lane));
-                    }
-                }
-            }
+            d.masks.for_each_channel(
+                cur,
+                dest,
+                0,
+                |b| if ring_pass { ring[b] } else { !ring[b] },
+                |ch| out.extend((0..self.lanes).map(|lane| (ch, lane))),
+            );
         }
     }
 
@@ -765,16 +558,20 @@ impl SimRouting for DsnAlgorithmic {
     }
 
     fn rebuild(&self, graph: &Arc<Graph>, mask: &EdgeMask) -> Option<Arc<dyn SimRouting>> {
+        let masks = PortMasks::build(graph, Some(mask), true, None);
+        let ring = masks.port_bits(graph, |e| graph.edge(e).kind == LinkKind::Ring);
         Some(Arc::new(DsnAlgorithmic {
             dsn: self.dsn.clone(),
-            graph: graph.clone(),
             succ_ch: self.succ_ch.clone(),
             pred_ch: self.pred_ch.clone(),
             short_ch: self.short_ch.clone(),
             classes: self.classes,
             lanes: self.lanes,
-            survivors: Some((mask.clone(), DistanceTable::new_masked(graph, mask))),
-            flat: OnceLock::new(),
+            detour: Some(Detour {
+                mask: mask.clone(),
+                masks,
+                ring,
+            }),
         }))
     }
 
@@ -785,7 +582,7 @@ impl SimRouting for DsnAlgorithmic {
         // mask fingerprints to the pristine epoch, and the cache must not
         // hand back the pristine entry. Every rebuild shares one key, so
         // catch-up rebuild chains still hit.
-        let rebuilt = if self.survivors.is_some() {
+        let rebuilt = if self.detour.is_some() {
             "+rebuilt"
         } else {
             ""
@@ -793,35 +590,12 @@ impl SimRouting for DsnAlgorithmic {
         format!("{}[lanes={}]{rebuilt}", self.name(), self.lanes)
     }
 
-    fn compiled_flat(&self) -> Option<Arc<FlatRouting>> {
-        // A rebuilt scheme routes by the survivor mask, which no table
-        // row encodes: it stays on the dynamic path.
-        if self.survivors.is_some() {
-            return None;
-        }
-        Some(
-            self.flat
-                .get_or_init(|| {
-                    Arc::new(FlatRouting::compile(
-                        self.graph.node_count(),
-                        4,
-                        HopRule::Dyn,
-                        false,
-                        |ctx, cur, dest, out| {
-                            self.candidates(cur, dest, &FlatRouting::synthetic_state(ctx), out);
-                        },
-                    ))
-                })
-                .clone(),
-        )
-    }
-
-    fn algorithmic(&self) -> bool {
-        true
-    }
-
     fn table_bytes(&self) -> usize {
-        (self.succ_ch.len() + self.pred_ch.len() + self.short_ch.len()) * std::mem::size_of::<u32>()
+        let luts = (self.succ_ch.capacity() + self.pred_ch.capacity() + self.short_ch.capacity())
+            * std::mem::size_of::<u32>();
+        luts + self.detour.as_ref().map_or(0, |d| {
+            d.mask.heap_bytes() + d.masks.bytes() + d.ring.capacity()
+        })
     }
 }
 
@@ -829,18 +603,6 @@ impl SimRouting for DsnAlgorithmic {
 mod tests {
     use super::*;
     use dsn_core::dsn::Dsn;
-
-    #[test]
-    fn distance_table_matches_bfs() {
-        let g = Dsn::new(64, 5).unwrap().into_graph();
-        let dt = DistanceTable::new(&g);
-        assert_eq!(dt.get(0, 0), 0);
-        // symmetric
-        for (a, b) in [(0usize, 10usize), (5, 60), (33, 2)] {
-            assert_eq!(dt.get(a, b), dt.get(b, a));
-            assert!(dt.get(a, b) > 0);
-        }
-    }
 
     #[test]
     fn adaptive_candidates_make_progress() {
@@ -1015,7 +777,6 @@ mod tests {
             .unwrap();
         assert_eq!(r.scheme_key(), "dsn-algorithmic(dsn-v)[lanes=2]+rebuilt");
         assert_eq!(r.rebuild(&g, &mask).unwrap().scheme_key(), r.scheme_key());
-        assert!(r.compiled_flat().is_none());
         for s in 0..64 {
             for t in (0..64).filter(|&t| t != s) {
                 let hops = walk(r.as_ref(), &g, s, t);
@@ -1027,5 +788,43 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn table_bytes_count_everything_held() {
+        // Masks of max_degree.div_ceil(8) bytes per (cur, dest) slot, u32
+        // port->channel entries at max_degree stride, one up-move bit per
+        // channel in u64 words, u32 channel LUTs, and a rebuilt DSN-V's
+        // survivor masks, ring-port bits and edge mask.
+        use dsn_core::random_regular::RandomRegular;
+        let phase = |g: &Graph, slots: usize| {
+            let (n, d) = (g.node_count(), g.max_degree());
+            n * n * slots * d.div_ceil(8) + n * d * 4 + g.channel_count().div_ceil(64) * 8
+        };
+        let dsn = Arc::new(Dsn::new(64, 5).unwrap());
+        let rr = RandomRegular::new(32, 10, 7).unwrap().into_graph();
+        assert!(dsn.graph().max_degree() <= 8 && rr.max_degree() > 8);
+        for g in [Arc::new(dsn.graph().clone()), Arc::new(rr)] {
+            let a = AdaptiveEscape::new(g.clone(), 4);
+            assert_eq!(a.table_bytes(), phase(&g, 3));
+            assert_eq!(UpDownRouting::new(g.clone(), 2).table_bytes(), phase(&g, 2));
+        }
+
+        let g = dsn.graph();
+        let (n, d, e) = (g.node_count(), g.max_degree(), g.edge_count());
+        let luts = 3 * n * 4;
+        assert_eq!(DsnAlgorithmic::new(dsn.clone()).table_bytes(), luts);
+        assert_eq!(
+            MinimalAdaptiveDsn::new(dsn.clone(), 8).table_bytes(),
+            n * n + n * d * 4 + luts
+        );
+        let arc = Arc::new(g.clone());
+        let mut mask = EdgeMask::fully_alive(&arc);
+        mask.set_edge_admin(&arc, 3, false);
+        let rebuilt = DsnAlgorithmic::new(dsn.clone())
+            .rebuild(&arc, &mask)
+            .unwrap();
+        let detour = n * n + n * d * 4 + n + (2 * e + n);
+        assert_eq!(rebuilt.table_bytes(), luts + detour);
     }
 }

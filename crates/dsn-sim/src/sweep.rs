@@ -5,9 +5,8 @@
 //! Every sweep point of one invocation shares a single routing instance:
 //! `make_routing` is called **exactly once** per sweep (the schemes are
 //! immutable during a run, and fault rebuilds replace the `Arc` per
-//! simulation), and the flat candidate table the engine will select
-//! ([`crate::engine::flat_table_for`]) is compiled once before the
-//! fan-out so no rayon worker pays the compile. The `_cached` variants additionally pull
+//! simulation), built before the fan-out so no rayon worker pays for its
+//! port-mask tables. The `_cached` variants additionally pull
 //! the scheme from a shared [`RoutingCache`], which deduplicates builds
 //! across *separate* sweeps of the same topology — and across the fault
 //! rebuilds inside degraded sweeps.
@@ -18,7 +17,7 @@
 
 use crate::cache::RoutingCache;
 use crate::config::SimConfig;
-use crate::engine::{flat_table_for, Simulator};
+use crate::engine::Simulator;
 use crate::routing::SimRouting;
 use crate::stats::RunStats;
 use crate::traffic::TrafficPattern;
@@ -79,21 +78,17 @@ impl SweepResult {
 }
 
 /// Prepare one shared routing instance for a sweep: build (or fetch from
-/// the cache) once, then precompile the flat table once — *before* the
-/// parallel fan-out, so workers share it instead of racing to build it.
+/// the cache) once — *before* the parallel fan-out, so workers share it
+/// instead of racing to build it.
 fn sweep_routing(
     graph: &Arc<Graph>,
     cache: Option<(&Arc<RoutingCache>, &str)>,
     make_routing: impl FnOnce() -> Arc<dyn SimRouting>,
 ) -> Arc<dyn SimRouting> {
-    let routing = match cache {
+    match cache {
         Some((cache, key)) => cache.get_or_build(graph, key, make_routing),
         None => make_routing(),
-    };
-    // Warm exactly the table the engine will select (memoized per
-    // instance).
-    flat_table_for(routing.as_ref(), graph.node_count());
-    routing
+    }
 }
 
 /// Run a load sweep: one simulation per offered load (Gbit/s/host), fanned

@@ -1,7 +1,7 @@
 //! CI smoke gate for the hot path: one 30k-cycle high-load row (DSN-5-64,
-//! uniform traffic at 11 Gbit/s/host, event engine, flat routing tables)
+//! uniform traffic at 11 Gbit/s/host, event engine, port-mask routing)
 //! against a pinned `RunStats` fingerprint. Every optimization to the
-//! allocation hot path — SoA state, flat candidate tables, the routing
+//! allocation hot path — SoA state, the routing table format, the routing
 //! cache — is required to be *bit-identical*, so any drift in these
 //! numbers means a semantics change, not a perf change, and the test
 //! fails loudly.
@@ -30,7 +30,7 @@ const PIN_ACCEPTED_GBPS_BITS: u64 = 0x402599374bc6a7f0;
 const PIN_MEAN_UTIL_BITS: u64 = 0x3fdbff639a2b5595;
 
 #[test]
-fn high_load_event_flat_matches_pinned_fingerprint() {
+fn high_load_event_matches_pinned_fingerprint() {
     let g = Arc::new(Dsn::new(64, 5).unwrap().into_graph());
     let cfg = SimConfig {
         engine: EngineKind::Event,

@@ -233,7 +233,7 @@ fn smoke_30k_dense_vs_event() {
 }
 
 /// The saturated steady state at scale: a 256-switch DSN at
-/// 11 Gbit/s/host (the BENCH near-saturation point) on flat tables, the
+/// 11 Gbit/s/host (the BENCH near-saturation point), the
 /// regime the cache-conscious layout, word-parallel scans, batch draining
 /// and zero-alloc presizing all target. The run must actually saturate so
 /// the hot paths being gated are the ones that executed.

@@ -1,7 +1,7 @@
 //! Zero-allocation steady state: a saturated run (DSN-5-64, uniform
 //! traffic at 24 Gbit/s/host — past the saturation knee, so source
-//! queues and the live-packet population keep growing — event engine,
-//! flat routing tables) must perform **zero heap allocations** during
+//! queues and the live-packet population keep growing — event engine)
+//! must perform **zero heap allocations** during
 //! the measurement phase, under the up*/down*-escape adaptive routing,
 //! the minimal-adaptive routing with its DSN-V escape layer, and the
 //! table-free DSN-V routing.
@@ -150,7 +150,6 @@ fn saturated_measure_phase_allocates_nothing() {
         };
         let rate = cfg.packets_per_cycle_for_gbps(24.0);
         let routing = (leg.build)(dsn.clone(), leg.vcs);
-        routing.compiled_flat();
         let mut sim = Simulator::new(
             g.clone(),
             cfg.clone(),
