@@ -1,17 +1,14 @@
 //! Criterion bench: simulator throughput behind Figure 10 — a shortened
 //! 64-switch run per topology under uniform traffic at 4 Gbit/s/host,
-//! plus dense-vs-event engine rows on the 256-switch trio at the lowest
-//! and a near-saturation fig10 load point (the event core's headline is
-//! low-load speedup: idle units cost it nothing), plus a `high_load`
-//! group isolating the allocation hot path (64-switch trio at
-//! 11 Gbit/s/host, event engine, prebuilt routing), plus
-//! a `telemetry_overhead` group pinning the zero-cost-when-off claim:
-//! `Telemetry::Off` must sit within noise of the pre-telemetry event
-//! engine, with the telemetry-on row alongside for the enabled cost.
+//! plus a `high_load` group isolating the allocation hot path (64-switch
+//! trio at 11 Gbit/s/host, prebuilt routing), plus a `telemetry_overhead`
+//! group pinning the zero-cost-when-off claim: `Telemetry::Off` must sit
+//! within noise of the uninstrumented engine, with the telemetry-on row
+//! alongside for the enabled cost.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dsn_bench::trio;
-use dsn_sim::{AdaptiveEscape, EngineKind, SimConfig, SimRouting, Simulator, TrafficPattern};
+use dsn_sim::{AdaptiveEscape, SimConfig, SimRouting, Simulator, TrafficPattern};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -49,37 +46,8 @@ fn bench_sim(c: &mut Criterion) {
     }
     group.finish();
 
-    // Engine comparison on the 256-switch trio: the dense reference pays
-    // O(network) per cycle regardless of load, the event core O(work).
-    let mut group = c.benchmark_group("engine_dense_vs_event");
-    group.sample_size(10);
-    for (gbps, point) in [(0.5f64, "low_0.5gbps"), (11.0, "sat_11gbps")] {
-        for spec in trio(256) {
-            let built = spec.build().unwrap();
-            let graph = Arc::new(built.graph);
-            for engine in [EngineKind::Dense, EngineKind::Event] {
-                let cfg = SimConfig {
-                    engine,
-                    warmup_cycles: 1_000,
-                    measure_cycles: 4_000,
-                    drain_cycles: 2_000,
-                    ..SimConfig::default()
-                };
-                group.bench_with_input(
-                    BenchmarkId::new(
-                        format!("{point}_{}", engine.name()),
-                        format!("{}_n256", built.name),
-                    ),
-                    &graph,
-                    |b, graph| b.iter(|| black_box(run_once(graph, &cfg, gbps))),
-                );
-            }
-        }
-    }
-    group.finish();
-
     // Hot-path isolation at saturation load: 64-switch trio at
-    // 11 Gbit/s/host on the event engine with the routing *prebuilt*
+    // 11 Gbit/s/host with the routing *prebuilt*
     // outside the timed loop, so the rows time purely the per-allocation
     // work.
     let mut group = c.benchmark_group("high_load");
@@ -88,7 +56,6 @@ fn bench_sim(c: &mut Criterion) {
         let built = spec.build().unwrap();
         let graph = Arc::new(built.graph);
         let cfg = SimConfig {
-            engine: EngineKind::Event,
             warmup_cycles: 1_000,
             measure_cycles: 4_000,
             drain_cycles: 2_000,
@@ -117,15 +84,14 @@ fn bench_sim(c: &mut Criterion) {
         );
     }
     // Saturated steady state at scale: the 256-switch trio at
-    // 11 Gbit/s/host (the BENCH_sim near-saturation point) on the event
-    // engine, routing prebuilt. This is the row the
+    // 11 Gbit/s/host (the BENCH_sim near-saturation point), routing
+    // prebuilt. This is the row the
     // cache-conscious SoA layout, the ring arena and the zero-alloc steady
     // state target.
     for spec in trio(256) {
         let built = spec.build().unwrap();
         let graph = Arc::new(built.graph);
         let cfg = SimConfig {
-            engine: EngineKind::Event,
             warmup_cycles: 1_000,
             measure_cycles: 4_000,
             drain_cycles: 2_000,
@@ -155,15 +121,14 @@ fn bench_sim(c: &mut Criterion) {
     }
     group.finish();
 
-    // Telemetry overhead on a 256-switch DSN at 0.5 Gbit/s/host, event
-    // engine: the `off` row is the acceptance gate (hooks must compile to
+    // Telemetry overhead on a 256-switch DSN at 0.5 Gbit/s/host: the
+    // `off` row is the acceptance gate (hooks must compile to
     // no-ops), the `on` row documents the cost of recording.
     let mut group = c.benchmark_group("telemetry_overhead");
     group.sample_size(10);
     let built = trio(256)[0].build().unwrap();
     let graph = Arc::new(built.graph);
     let cfg = SimConfig {
-        engine: EngineKind::Event,
         warmup_cycles: 1_000,
         measure_cycles: 4_000,
         drain_cycles: 2_000,
@@ -186,7 +151,7 @@ fn bench_sim(c: &mut Criterion) {
 
 /// Flow-layer overhead: one quick-horizon run per workload class of the
 /// flow suite (web-search open-loop flows, incast waves, recursive-
-/// doubling allreduce) on the 64-switch DSN, event engine, prebuilt
+/// doubling allreduce) on the 64-switch DSN, prebuilt
 /// routing — the cost of per-flow pacing, tagging and FCT accounting on
 /// top of the packet engine.
 fn bench_flows(c: &mut Criterion) {
@@ -197,7 +162,7 @@ fn bench_flows(c: &mut Criterion) {
     let built = trio(64)[0].build().unwrap();
     let graph = Arc::new(built.graph);
     for kind in FlowWorkloadKind::all() {
-        let cfg = flow_config(EngineKind::Event, kind, true);
+        let cfg = flow_config(kind, true);
         let routing: Arc<dyn SimRouting> = Arc::new(AdaptiveEscape::new(graph.clone(), cfg.vcs));
         let workload = kind.build(64 * cfg.hosts_per_switch);
         group.bench_with_input(

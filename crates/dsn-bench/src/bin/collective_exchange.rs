@@ -6,7 +6,7 @@
 //! paper's router parameters.
 //!
 //! Run: `cargo run --release -p dsn-bench --bin collective_exchange \
-//!       [--engine dense|event] [--telemetry[=WINDOW]]`
+//!       [--telemetry[=WINDOW]]`
 //!
 //! `--telemetry[=WINDOW]` instruments the all-to-all run on DSN; exports
 //! go to `telemetry_collective_dsn.{json,csv}`.
@@ -16,12 +16,8 @@ use dsn_sim::{AdaptiveEscape, RoutingCache, SimConfig, Simulator, TelemetryConfi
 use std::sync::Arc;
 
 fn main() {
-    let args = RunArgs::parse(
-        "collective_exchange [--engine dense|event] [--telemetry[=WINDOW]]",
-        "--engine --telemetry",
-    );
+    let args = RunArgs::parse("collective_exchange [--telemetry[=WINDOW]]", "--telemetry");
     let cfg = SimConfig {
-        engine: args.engine,
         warmup_cycles: 0,
         measure_cycles: 10_000,
         drain_cycles: 3_000_000, // horizon; batches end much earlier
@@ -33,7 +29,6 @@ fn main() {
         "Collective exchange makespan, 64 switches x {} hosts (lower is better)",
         cfg.hosts_per_switch
     );
-    println!("# engine: {}", cfg.engine.name());
     println!(
         "  {:<14} {:>16} {:>16} {:>16}",
         "topology", "all-to-all [us]", "shift+1 x32 [us]", "shift+n/2 x32 [us]"

@@ -6,7 +6,7 @@
 //! static analysis predicts it.
 //!
 //! Run: `cargo run --release -p dsn-bench --bin deadlock_in_vivo \
-//!       [--engine dense|event] [--telemetry[=WINDOW]]`
+//!       [--telemetry[=WINDOW]]`
 //!
 //! `--telemetry[=WINDOW]` adds a per-run allocation-conflict count and, for
 //! runs the watchdog flags as deadlocked, the full telemetry view (latency
@@ -19,14 +19,10 @@ use dsn_sim::{DsnAlgorithmic, SimConfig, Simulator, TrafficPattern};
 use std::sync::Arc;
 
 fn main() {
-    let args = RunArgs::parse(
-        "deadlock_in_vivo [--engine dense|event] [--telemetry[=WINDOW]]",
-        "--engine --telemetry",
-    );
+    let args = RunArgs::parse("deadlock_in_vivo [--telemetry[=WINDOW]]", "--telemetry");
     let dsn = Arc::new(Dsn::new(60, 5).expect("dsn")); // p | n: clean instance
     let graph = Arc::new(dsn.graph().clone());
     let cfg = SimConfig {
-        engine: args.engine,
         warmup_cycles: 2_000,
         measure_cycles: 20_000,
         drain_cycles: 20_000,
@@ -40,7 +36,6 @@ fn main() {
         Arc::new(DsnAlgorithmic::basic_single_vc(dsn.clone()));
 
     println!("Dynamic deadlock check on DSN-5-60 (60 switches, complete super nodes)");
-    println!("# engine: {}", cfg.engine.name());
     println!(
         "  {:>7} {:<22} {:>10} {:>14} {:>10}",
         "load", "routing", "delivered", "longest stall", "deadlock?"

@@ -7,8 +7,7 @@
 //! datacenters) emphasizes.
 //!
 //! Run: `cargo run --release -p dsn-bench --bin degraded_performance \
-//!       [--quick] [--engine dense|event] \
-//!       [--faults N] [--json] [--telemetry[=WINDOW]]`
+//!       [--quick] [--faults N] [--json] [--telemetry[=WINDOW]]`
 //!
 //! `--json` additionally writes the report to `BENCH_degraded.json`
 //! (schema pinned by `tests/degraded_schema.rs`). `--telemetry[=WINDOW]`
@@ -22,15 +21,14 @@ use dsn_bench::degraded::{
 };
 use dsn_bench::{emit_telemetry, trio, RunArgs};
 
-const USAGE: &str = "degraded_performance [--quick] [--engine dense|event] [--faults N] [--json] \
-                     [--telemetry[=WINDOW]]";
+const USAGE: &str = "degraded_performance [--quick] [--faults N] [--json] [--telemetry[=WINDOW]]";
 
 fn main() {
     // Parse the CLI exactly once into one shared `SimConfig`; every trial
     // below reuses it.
-    let args = RunArgs::parse(USAGE, "--quick --engine --faults --json --telemetry");
+    let args = RunArgs::parse(USAGE, "--quick --faults --json --telemetry");
     let faults: Option<usize> = args.value("--faults");
-    let cfg = base_config(args.engine, args.quick);
+    let cfg = base_config(args.quick);
     let gbps = 4.0;
     let specs = trio(64);
 
@@ -64,7 +62,6 @@ fn print_report(report: &DegradedReport) {
                 "Latency under link failures (uniform traffic at {} Gbit/s/host, 64 switches)",
                 report.gbps_per_host
             );
-            println!("# engine: {}", report.engine.name());
             println!(
                 "  {:<14} {:>10} {:>10} {:>10} {:>10}",
                 "topology", "0 dead", "2 dead", "5 dead", "10 dead"
@@ -101,7 +98,6 @@ fn print_report(report: &DegradedReport) {
                  64 switches)",
                 report.gbps_per_host
             );
-            println!("# engine: {}", report.engine.name());
             println!(
                 "  {:<14} {:>6} {:>10} {:>9} {:>8} {:>8} {:>10} {:>10}",
                 "topology",

@@ -7,8 +7,7 @@
 //! the T3 summary row (DSN latency improvement vs torus).
 //!
 //! Run: `cargo run --release -p dsn-bench --bin fig10_simulation \
-//!       [uniform|bitrev|neighbor|all] [--quick] \
-//!       [--engine dense|event] [--telemetry[=WINDOW]] \
+//!       [uniform|bitrev|neighbor|all] [--quick] [--telemetry[=WINDOW]] \
 //!       [--opt] [--sizes N,M,...] [--json]`
 //!
 //! `--opt` adds the frontier study's searched placements (Opt-SA, Opt-ES
@@ -18,7 +17,7 @@
 //!
 //! `--sizes N,M,...` runs the large-n scale rows: the saturated trio at
 //! each size (snapped down to the nearest clean DSN size, e.g. 1024 →
-//! DSN-9-1020, 2048 → DSN-10-2046) on the event engine, with DSN routed
+//! DSN-9-1020, 2048 → DSN-10-2046), with DSN routed
 //! by the algorithmic DSN-V scheme, which runs table-free (O(n) bytes of
 //! channel LUTs instead of O(n²) port masks).
 //! Without `--json` the rows print to stdout and exit (the CI smoke);
@@ -30,10 +29,10 @@
 //! heatmap, and `telemetry_fig10_<topology>.{json,csv}` exports.
 //!
 //! `--json` switches to benchmark mode: instead of the figure sweeps it
-//! times the engines (dense and event) on the trio at 64 and 256
-//! switches (256 and 1024 hosts) at a low and a near-saturation load
-//! point and writes machine-readable rows to `BENCH_sim.json`, so CI can
-//! track the engine's perf trajectory. Every row runs in its own child
+//! times the engine on the trio at 64 and 256 switches (256 and 1024
+//! hosts) at a low and a near-saturation load point and writes
+//! machine-readable rows to `BENCH_sim.json`, so CI can track the
+//! engine's perf trajectory. Every row runs in its own child
 //! process (`--bench-row N` re-exec): a fresh heap per row keeps
 //! allocator state from one row from skewing the next (in-process, late
 //! rows measurably degrade), and the child's peak-RSS high-water mark
@@ -58,8 +57,7 @@ use dsn_core::graph::Graph;
 use dsn_core::parallel::Parallelism;
 use dsn_sim::sweep::{format_sweep, load_sweep_cached, paper_load_grid, SweepResult};
 use dsn_sim::{
-    AdaptiveEscape, DsnAlgorithmic, EngineKind, RoutingCache, SimConfig, SimRouting, Simulator,
-    TrafficPattern,
+    AdaptiveEscape, DsnAlgorithmic, RoutingCache, SimConfig, SimRouting, Simulator, TrafficPattern,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -116,7 +114,6 @@ fn summarize(results: &[SweepResult]) {
 /// One cell of the benchmark matrix, identified by its index in
 /// [`bench_rows`] so a re-exec'd child resolves the same cell.
 struct BenchRow {
-    engine: EngineKind,
     /// Switch count (64/256 for the classic matrix; clean DSN sizes for
     /// the `--sizes` scale rows).
     n: usize,
@@ -128,24 +125,20 @@ struct BenchRow {
     algorithmic: bool,
 }
 
-/// The full matrix in emission order: engines × (trio @ 64, trio @ 256)
-/// × (low load, near-saturation load), then the `--sizes` scale rows —
-/// per size, the saturated trio on the event engine, with DSN routed
-/// table-free.
+/// The full matrix in emission order: (trio @ 64, trio @ 256) × (low
+/// load, near-saturation load), then the `--sizes` scale rows — per size,
+/// the saturated trio, with DSN routed table-free.
 fn bench_rows(sizes: &[usize]) -> Vec<BenchRow> {
     let mut rows = Vec::new();
-    for engine in [EngineKind::Dense, EngineKind::Event] {
-        for n in [64, 256] {
-            for topo_idx in 0..3 {
-                for gbps in [1.0f64, 11.0] {
-                    rows.push(BenchRow {
-                        engine,
-                        n,
-                        topo_idx,
-                        gbps,
-                        algorithmic: false,
-                    });
-                }
+    for n in [64, 256] {
+        for topo_idx in 0..3 {
+            for gbps in [1.0f64, 11.0] {
+                rows.push(BenchRow {
+                    n,
+                    topo_idx,
+                    gbps,
+                    algorithmic: false,
+                });
             }
         }
     }
@@ -156,7 +149,6 @@ fn bench_rows(sizes: &[usize]) -> Vec<BenchRow> {
         let n = Dsn::new_clean(size).expect("clean DSN size").n();
         for topo_idx in 0..3 {
             rows.push(BenchRow {
-                engine: EngineKind::Event,
                 n,
                 topo_idx,
                 gbps: 11.0,
@@ -212,10 +204,6 @@ fn run_bench_row(cfg: &SimConfig, row: &BenchRow) -> String {
             scheme: "adaptive-escape",
         }
     };
-    let cfg = SimConfig {
-        engine: row.engine,
-        ..cfg.clone()
-    };
     let rate = cfg.packets_per_cycle_for_gbps(row.gbps);
     let build_start = Instant::now();
     let routing = build();
@@ -237,8 +225,7 @@ fn run_bench_row(cfg: &SimConfig, row: &BenchRow) -> String {
     let wall = start.elapsed().as_secs_f64();
     let cycles = cfg.total_cycles();
     eprintln!(
-        "  {:<7} {:<14} {:>5.1}G  {:>10.0} cycles/s  (routing build {:.3}s, tables {} B)",
-        row.engine.name(),
+        "  {:<14} {:>5.1}G  {:>10.0} cycles/s  (routing build {:.3}s, tables {} B)",
         name,
         row.gbps,
         cycles as f64 / wall,
@@ -246,7 +233,9 @@ fn run_bench_row(cfg: &SimConfig, row: &BenchRow) -> String {
         table_bytes,
     );
     let mut fields: Vec<(&str, Json)> = vec![
-        ("engine", row.engine.name().into()),
+        // A constant since the library has one engine; `dsn-benchmark`
+        // still selects the rows it pins by this key.
+        ("engine", "event".into()),
         ("topology", name.as_str().into()),
         ("pattern", "uniform".into()),
         ("routing", scheme.into()),
@@ -359,13 +348,12 @@ fn run_telemetry_pass(
 }
 
 const USAGE: &str = "fig10_simulation [uniform|bitrev|neighbor|all] [--quick] \
-                     [--engine dense|event] [--telemetry[=WINDOW]] [--opt] [--sizes N,M,...] \
-                     [--json]";
+                     [--telemetry[=WINDOW]] [--opt] [--sizes N,M,...] [--json]";
 
 fn main() {
     let args = RunArgs::parse_with_positionals(
         USAGE,
-        "--quick --json --opt --engine --telemetry --sizes --bench-row",
+        "--quick --json --opt --telemetry --sizes --bench-row",
     );
     let (quick, json, telemetry) = (args.quick, args.json, args.telemetry);
     let bench_row: Option<usize> = args.value("--bench-row");
@@ -386,10 +374,7 @@ fn main() {
         other => args.fail(format!("unknown pattern `{other}`")),
     };
 
-    let mut cfg = SimConfig {
-        engine: args.engine,
-        ..SimConfig::default()
-    };
+    let mut cfg = SimConfig::default();
     let loads = if quick || json {
         cfg.warmup_cycles = 5_000;
         cfg.measure_cycles = 15_000;
@@ -448,7 +433,6 @@ fn main() {
     }
     let cache = Arc::new(RoutingCache::new());
 
-    println!("# engine: {}", cfg.engine.name());
     for pattern in &patterns {
         let fig = match pattern {
             TrafficPattern::Uniform => "10(a)",

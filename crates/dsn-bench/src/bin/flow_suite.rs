@@ -5,8 +5,7 @@
 //! allreduce — fault-free and with links flapping mid-run.
 //!
 //! Run: `cargo run --release -p dsn-bench --bin flow_suite \
-//!       [--quick] [--engine dense|event] [--sizes 64,256] [--flaps N] \
-//!       [--json] [--telemetry[=WINDOW]]`
+//!       [--quick] [--sizes 64,256] [--flaps N] [--json] [--telemetry[=WINDOW]]`
 //!
 //! `--json` additionally writes the report to `BENCH_flows.json` (schema
 //! pinned by `tests/flows_schema.rs`). `--telemetry[=WINDOW]` adds an
@@ -18,12 +17,12 @@ use dsn_bench::{emit_telemetry, trio, RunArgs};
 use dsn_sim::{AdaptiveEscape, Simulator, TelemetryConfig};
 use std::sync::Arc;
 
-const USAGE: &str = "flow_suite [--quick] [--engine dense|event] [--sizes 64,256] [--flaps N] \
-                     [--json] [--telemetry[=WINDOW]]";
+const USAGE: &str =
+    "flow_suite [--quick] [--sizes 64,256] [--flaps N] [--json] [--telemetry[=WINDOW]]";
 
 fn main() {
-    let args = RunArgs::parse(USAGE, "--quick --engine --sizes --flaps --json --telemetry");
-    let (engine, quick) = (args.engine, args.quick);
+    let args = RunArgs::parse(USAGE, "--quick --sizes --flaps --json --telemetry");
+    let quick = args.quick;
     let flaps: usize = args.value("--flaps").unwrap_or(3);
     let sizes = args
         .sizes
@@ -32,9 +31,9 @@ fn main() {
 
     let mut rows: Vec<FlowRow> = Vec::new();
     for &n in &sizes {
-        rows.extend(run_suite(engine, &trio(n), n, flaps, quick));
+        rows.extend(run_suite(&trio(n), n, flaps, quick));
     }
-    let report = FlowReport { engine, rows };
+    let report = FlowReport { rows };
     print_report(&report);
     if args.json {
         let path = "BENCH_flows.json";
@@ -47,7 +46,7 @@ fn main() {
         let spec = &trio(n)[0];
         let built = spec.build().expect("topology");
         let g = Arc::new(built.graph);
-        let cfg = flow_config(engine, FlowWorkloadKind::Websearch, quick);
+        let cfg = flow_config(FlowWorkloadKind::Websearch, quick);
         let hosts = n * cfg.hosts_per_switch;
         let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
         let (stats, tel) = Simulator::with_workload(
@@ -69,7 +68,6 @@ fn main() {
 
 fn print_report(report: &FlowReport) {
     println!("Flow-completion time, web-search / incast / allreduce (cycles; lower is better)");
-    println!("# engine: {}", report.engine.name());
     println!(
         "  {:<14} {:<10} {:>5} {:>6} {:>9} {:>9} {:>10} {:>8} {:>8} {:>10}",
         "topology",

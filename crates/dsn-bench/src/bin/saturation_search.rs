@@ -7,8 +7,7 @@
 //! utilization per topology and traffic pattern.
 //!
 //! Run: `cargo run --release -p dsn-bench --bin saturation_search \
-//!       [--quick] [--threads N | --serial] \
-//!       [--engine dense|event] [--telemetry[=WINDOW]]`
+//!       [--quick] [--threads N | --serial] [--telemetry[=WINDOW]]`
 //!
 //! `DSN_PHASE_TIMING=1` turns on the engine's per-phase wall-clock
 //! breakdown (wheel-drain / inject / route / arbitrate / eject, reported
@@ -26,15 +25,11 @@ use std::sync::Arc;
 
 fn main() {
     let args = RunArgs::parse(
-        "saturation_search [--quick] [--threads N | --serial] [--engine dense|event] \
-         [--telemetry[=WINDOW]]",
-        "--quick --serial --threads --engine --telemetry",
+        "saturation_search [--quick] [--threads N | --serial] [--telemetry[=WINDOW]]",
+        "--quick --serial --threads --telemetry",
     );
     let (par, quick, telemetry) = (args.par, args.quick, args.telemetry);
-    let mut cfg = SimConfig {
-        engine: args.engine,
-        ..SimConfig::default()
-    };
+    let mut cfg = SimConfig::default();
     let tol = search_horizons(&mut cfg, quick);
 
     // Build each topology once, outside the pattern loop: the routing cache
@@ -45,7 +40,7 @@ fn main() {
     let key = AdaptiveEscape::key_for(cfg.vcs);
 
     println!("Saturation search (beyond the paper's 12 Gbit/s/host axis)");
-    println!("# parallelism: {par}; engine: {}", cfg.engine.name());
+    println!("# parallelism: {par}");
     println!(
         "  {:<14} {:<14} {:>12} {:>10} {:>10}",
         "topology", "pattern", "sat [Gbps]", "mean-util", "max-util"

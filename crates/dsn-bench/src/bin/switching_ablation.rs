@@ -5,7 +5,7 @@
 //! so it saturates earlier — this quantifies why the paper picked VCT.
 //!
 //! Run: `cargo run --release -p dsn-bench --bin switching_ablation \
-//!       [--quick] [--engine dense|event]`
+//!       [--quick]`
 
 use dsn_bench::{search_horizons, RunArgs};
 use dsn_core::dsn::Dsn;
@@ -15,17 +15,11 @@ use dsn_sim::{AdaptiveEscape, RoutingCache, SimConfig, Simulator, Switching, Tra
 use std::sync::Arc;
 
 fn main() {
-    let args = RunArgs::parse(
-        "switching_ablation [--quick] [--engine dense|event]",
-        "--quick --engine",
-    );
+    let args = RunArgs::parse("switching_ablation [--quick]", "--quick");
     let quick = args.quick;
     let dsn = Dsn::new(64, 5).expect("dsn");
     let graph = Arc::new(dsn.into_graph());
-    let mut base = SimConfig {
-        engine: args.engine,
-        ..SimConfig::default()
-    };
+    let mut base = SimConfig::default();
     let tol = search_horizons(&mut base, quick);
 
     // Routing is independent of the switching mode and buffer size, so one
@@ -35,7 +29,6 @@ fn main() {
     let key = AdaptiveEscape::key_for(base.vcs);
 
     println!("Switching ablation on DSN-5-64, uniform traffic, adaptive + escape routing");
-    println!("# engine: {}", base.engine.name());
     println!(
         "  {:<22} {:>12} {:>14} {:>12}",
         "mode", "buffer[flit]", "low-load [ns]", "sat [Gbps]"

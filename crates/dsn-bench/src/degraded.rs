@@ -6,8 +6,8 @@
 
 use dsn_core::topology::TopologySpec;
 use dsn_sim::{
-    AdaptiveEscape, EngineKind, FaultPlan, RetryPolicy, RoutingCache, RunStats, SimConfig,
-    Simulator, TelemetryConfig, TelemetryReport, TrafficPattern,
+    AdaptiveEscape, FaultPlan, RetryPolicy, RoutingCache, RunStats, SimConfig, Simulator,
+    TelemetryConfig, TelemetryReport, TrafficPattern,
 };
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -44,11 +44,8 @@ impl DegradedMode {
 }
 
 /// The one `SimConfig` built from CLI flags and reused for every trial.
-pub fn base_config(engine: EngineKind, quick: bool) -> SimConfig {
-    let mut cfg = SimConfig {
-        engine,
-        ..SimConfig::default()
-    };
+pub fn base_config(quick: bool) -> SimConfig {
+    let mut cfg = SimConfig::default();
     if quick {
         cfg.warmup_cycles = 3_000;
         cfg.measure_cycles = 8_000;
@@ -133,8 +130,6 @@ impl DegradedRow {
 /// The full report: one row per (topology, dead-link count) trial.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DegradedReport {
-    /// Engine used for every trial.
-    pub engine: EngineKind,
     /// Offered load per host.
     pub gbps_per_host: f64,
     /// Static removal or dynamic mid-run faults.
@@ -180,7 +175,6 @@ pub fn run_static(
         }
     }
     DegradedReport {
-        engine: cfg.engine,
         gbps_per_host: gbps,
         mode: DegradedMode::Static,
         rows,
@@ -220,7 +214,6 @@ pub fn run_dynamic(
         rows.push(DegradedRow::from_stats(&built.name, scheduled, &stats));
     }
     DegradedReport {
-        engine: cfg.engine,
         gbps_per_host: gbps,
         mode: DegradedMode::Dynamic,
         rows,
@@ -269,7 +262,6 @@ impl DegradedReport {
         json_report(
             SCHEMA,
             &[
-                ("engine", self.engine.name().into()),
                 ("gbps_per_host", Json::fixed(self.gbps_per_host, 3)),
                 ("mode", self.mode.name().into()),
             ],

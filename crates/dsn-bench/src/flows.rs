@@ -7,8 +7,8 @@
 
 use dsn_core::topology::TopologySpec;
 use dsn_sim::{
-    AdaptiveEscape, EngineKind, FaultPlan, FlowArrivals, FlowSizeDist, RetryPolicy, RoutingCache,
-    RunStats, SimConfig, StagedSpec, TrafficPattern, Workload,
+    AdaptiveEscape, FaultPlan, FlowArrivals, FlowSizeDist, RetryPolicy, RoutingCache, RunStats,
+    SimConfig, StagedSpec, TrafficPattern, Workload,
 };
 use std::sync::Arc;
 
@@ -90,11 +90,8 @@ impl FlowWorkloadKind {
 /// finish simply never enter the FCT aggregates, and the report exposes
 /// `flows_started` vs `flows_completed` so the truncation is visible).
 /// Closed rows measure from cycle 0 and treat drain as the horizon.
-pub fn flow_config(engine: EngineKind, kind: FlowWorkloadKind, quick: bool) -> SimConfig {
-    let mut cfg = SimConfig {
-        engine,
-        ..SimConfig::default()
-    };
+pub fn flow_config(kind: FlowWorkloadKind, quick: bool) -> SimConfig {
+    let mut cfg = SimConfig::default();
     if kind.closed() {
         cfg.warmup_cycles = 0;
         cfg.measure_cycles = 20_000;
@@ -215,8 +212,6 @@ impl FlowRow {
 /// The full report: one row per (topology, workload, fault-mode) trial.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowReport {
-    /// Engine used for every trial.
-    pub engine: EngineKind,
     /// Measured cells in trial order.
     pub rows: Vec<FlowRow>,
 }
@@ -226,7 +221,6 @@ pub struct FlowReport {
 /// [`RoutingCache`] is shared across all trials of a topology, so the
 /// adaptive tables are built once per graph.
 pub fn run_suite(
-    engine: EngineKind,
     specs: &[TopologySpec],
     switches: usize,
     flaps: usize,
@@ -244,7 +238,7 @@ pub fn run_suite(
         }
         for kind in FlowWorkloadKind::all() {
             for &flapped in &variants {
-                let mut cfg = flow_config(engine, kind, quick);
+                let mut cfg = flow_config(kind, quick);
                 if flapped > 0 {
                     cfg.fault_plan = flap_plan(&cfg, edges, flapped);
                 }
@@ -280,7 +274,7 @@ impl FlowReport {
     pub fn to_json(&self) -> String {
         json_report(
             SCHEMA,
-            &[("engine", self.engine.name().into())],
+            &[],
             self.rows.iter().map(|r| {
                 json_row(&[
                     ("topology", r.topology.as_str().into()),

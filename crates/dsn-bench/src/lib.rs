@@ -37,7 +37,6 @@ pub mod opt;
 
 use dsn_core::topology::TopologySpec;
 use dsn_core::{Graph, Parallelism};
-use dsn_sim::EngineKind;
 use std::sync::Arc;
 
 /// The network sizes of Figures 7–9: `log2 N = 5 .. 11`.
@@ -82,22 +81,19 @@ pub const DEFAULT_TELEMETRY_WINDOW: u64 = 1_000;
 
 /// Flags that take a value, as `--flag V` or `--flag=V`. Every other flag
 /// is a switch, except `--telemetry`, which is bare or `--telemetry=WINDOW`.
-const VALUE_FLAGS: &str = "--engine --sizes --threads --faults --flaps --bench-row --dot --n \
-                           --topo --gbps --pre";
+const VALUE_FLAGS: &str = "--sizes --threads --faults --flaps --bench-row --dot";
 
 /// The command line of a bench binary, parsed once at startup by
 /// [`RunArgs::parse`]. This is the only place in the crate that reads the
 /// process arguments.
 ///
 /// Each binary names the flags it accepts, separated by spaces
-/// (`"--quick --engine --json"`). An unknown flag, a missing or
+/// (`"--quick --json"`). An unknown flag, a missing or
 /// malformed value, or a positional argument where none is taken prints
 /// the error and the usage line and exits with status 2 before any work
 /// starts. When a flag is repeated, the last occurrence wins.
 #[derive(Debug, Default)]
 pub struct RunArgs {
-    /// `--engine dense|event`; the event engine by default.
-    pub engine: EngineKind,
     /// `--telemetry` ([`DEFAULT_TELEMETRY_WINDOW`]) or
     /// `--telemetry=WINDOW`: the window width in cycles, or `None` when
     /// telemetry is off.
@@ -182,10 +178,6 @@ impl RunArgs {
                     Ok(w) if w >= 1 => out.telemetry = Some(w),
                     _ => return Err(format!("--telemetry needs a window >= 1, got `{v}`")),
                 },
-                ("--engine", Some(v)) => {
-                    out.engine = EngineKind::parse(&v)
-                        .ok_or_else(|| format!("unknown engine `{v}` (expected dense | event)"))?;
-                }
                 ("--sizes", Some(v)) => {
                     let sizes: Option<Vec<usize>> = v
                         .split(',')
@@ -423,12 +415,11 @@ mod tests {
         RunArgs::try_parse(tokens.iter().map(|s| s.to_string()), flags, true)
     }
 
-    const SIM: &str = "--quick --json --engine --telemetry --sizes --bench-row";
+    const SIM: &str = "--quick --json --telemetry --sizes --bench-row";
 
     #[test]
     fn defaults_when_no_flags() {
         let a = parse(&[], SIM).unwrap();
-        assert_eq!(a.engine, EngineKind::Event);
         assert_eq!(a.telemetry, None);
         assert!(!a.quick && !a.json);
         assert_eq!(a.sizes, None);
@@ -437,20 +428,7 @@ mod tests {
     }
 
     #[test]
-    fn engine_parses_both_forms_and_leaves_the_rest() {
-        let a = parse(&["--engine", "dense", "--quick"], SIM).unwrap();
-        assert_eq!(a.engine, EngineKind::Dense);
-        assert!(a.quick);
-        assert!(a.positionals.is_empty(), "the value is consumed");
-
-        let a = parse(&["--engine=dense"], SIM).unwrap();
-        assert_eq!(a.engine, EngineKind::Dense);
-    }
-
-    #[test]
     fn last_occurrence_wins() {
-        let a = parse(&["--engine=event", "--engine", "dense"], SIM).unwrap();
-        assert_eq!(a.engine, EngineKind::Dense);
         let a = parse(&["--bench-row", "1", "--bench-row=2"], SIM).unwrap();
         assert_eq!(a.value::<usize>("--bench-row"), Some(2));
     }
@@ -471,9 +449,10 @@ mod tests {
         let a = parse(&["--bench-row", "7", "--json"], SIM).unwrap();
         assert_eq!(a.value::<usize>("--bench-row"), Some(7));
         assert!(a.json);
+        assert!(a.positionals.is_empty(), "the value is consumed");
 
-        let a = parse(&["--gbps=2.5"], "--gbps").unwrap();
-        assert_eq!(a.value::<f64>("--gbps"), Some(2.5));
+        let a = parse(&["--faults=3"], "--faults").unwrap();
+        assert_eq!(a.value::<usize>("--faults"), Some(3));
 
         let a = parse(&["--json"], SIM).unwrap();
         assert_eq!(a.value::<usize>("--bench-row"), None);
@@ -526,8 +505,7 @@ mod tests {
             (&["--sizes"][..], SIM),
             (&["--sizes", "4"][..], SIM),
             (&["--sizes", "64,x"][..], SIM),
-            (&["--engine", "bogus"][..], SIM),
-            (&["--engine"][..], SIM),
+            (&["--bench-row"][..], SIM),
             (&["--telemetry=0"][..], SIM),
             (&["--telemetry=abc"][..], SIM),
             (&["--quick=1"][..], SIM),
@@ -553,8 +531,8 @@ mod tests {
             row,
             r#"{"name": "DSN-5-64", "n": 64, "load": 11, "aspl": 3.485, "ok": true, "sat": null}"#
         );
-        let report = json_report("s/v1", &[("engine", "event".into())], [row.clone(), row]);
-        assert!(report.starts_with("{\n  \"schema\": \"s/v1\",\n  \"engine\": \"event\",\n"));
+        let report = json_report("s/v1", &[("scale", "quick".into())], [row.clone(), row]);
+        assert!(report.starts_with("{\n  \"schema\": \"s/v1\",\n  \"scale\": \"quick\",\n"));
         assert!(report.ends_with("true, \"sat\": null}\n  ]\n}\n"));
         assert_eq!(
             json_report("s/v1", &[], []),

@@ -38,7 +38,7 @@ const BAD: &[(&str, &[&str])] = &[
     ("flow_suite", &["--quick", "--sizes"]),
     ("flow_suite", &["--quick", "--flaps"]),
     ("degraded_performance", &["--quick", "--faults", "x"]),
-    ("fig10_simulation", &["--engine", "bogus"]),
+    ("fig10_simulation", &["--engine", "event"]),
     ("fig10_simulation", &["uniform", "bitrev"]),
     ("saturation_search", &["--telemetry=0"]),
     ("switching_ablation", &["--routing-tables", "flat"]),

@@ -6,18 +6,17 @@
 
 use dsn_bench::degraded::{run_dynamic, run_static, SCHEMA};
 use dsn_core::topology::TopologySpec;
-use dsn_sim::{EngineKind, SimConfig};
+use dsn_sim::SimConfig;
 
 const GOLDEN_PATH: &str = "tests/golden/degraded_schema.json";
 const GOLDEN: &str = include_str!("golden/degraded_schema.json");
 
-/// Tiny fixed scenario: a ring of 8 switches, short windows, event engine.
+/// Tiny fixed scenario: a ring of 8 switches, short windows.
 /// Static dead counts {0, 1, 2} cover the healthy, degraded-but-connected
 /// and split rows (a ring minus two edges always disconnects); one dynamic
 /// fault covers the online-reroute row.
 fn tiny_report() -> String {
     let cfg = SimConfig {
-        engine: EngineKind::Event,
         warmup_cycles: 100,
         measure_cycles: 1_000,
         drain_cycles: 2_000,

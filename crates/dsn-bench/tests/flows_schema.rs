@@ -6,22 +6,17 @@
 
 use dsn_bench::flows::{run_suite, FlowReport, SCHEMA};
 use dsn_bench::trio;
-use dsn_sim::EngineKind;
 
 const GOLDEN_PATH: &str = "tests/golden/flows_schema.json";
 const GOLDEN: &str = include_str!("golden/flows_schema.json");
 
 /// Tiny fixed scenario: the DSN of the 16-switch trio only, quick
-/// horizons, event engine, one flap — covers the web-search, incast and
+/// horizons, one flap — covers the web-search, incast and
 /// allreduce rows, the faulted variants, and the null makespan encoding.
 fn tiny_report() -> String {
     let specs = &trio(16)[..1];
-    let rows = run_suite(EngineKind::Event, specs, 16, 1, true);
-    FlowReport {
-        engine: EngineKind::Event,
-        rows,
-    }
-    .to_json()
+    let rows = run_suite(specs, 16, 1, true);
+    FlowReport { rows }.to_json()
 }
 
 #[test]

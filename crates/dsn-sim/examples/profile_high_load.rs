@@ -1,5 +1,5 @@
 //! Profiling driver for the allocation hot path: repeats the CI high-load
-//! fingerprint row (DSN-5-64, uniform, 11 Gbit/s/host, event engine)
+//! fingerprint row (DSN-5-64, uniform, 11 Gbit/s/host)
 //! enough times for a sampling profiler to see it.
 //!
 //! Usage: `cargo build --release -p dsn-sim --example profile_high_load`
@@ -7,7 +7,7 @@
 //! `gprofng collect app target/release/examples/profile_high_load [reps]`.
 
 use dsn_core::dsn::Dsn;
-use dsn_sim::{AdaptiveEscape, EngineKind, SimConfig, SimRouting, Simulator, TrafficPattern};
+use dsn_sim::{AdaptiveEscape, SimConfig, SimRouting, Simulator, TrafficPattern};
 use std::sync::Arc;
 
 fn main() {
@@ -17,7 +17,6 @@ fn main() {
         .unwrap_or(10);
     let g = Arc::new(Dsn::new(64, 5).unwrap().into_graph());
     let cfg = SimConfig {
-        engine: EngineKind::Event,
         warmup_cycles: 5_000,
         measure_cycles: 15_000,
         drain_cycles: 10_000,

@@ -8,44 +8,6 @@
 //! 96 Gbps links. One simulator cycle is one flit serialization time:
 //! `256 bit / 96 Gbps ≈ 2.67 ns`.
 
-/// Which scheduling core drives the cycle loop. Both cores implement the
-/// same router semantics and are bit-identical in their [`crate::RunStats`]
-/// output (enforced by `tests/sim_equivalence.rs`); they differ only in
-/// how much work an idle cycle costs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineKind {
-    /// Reference implementation: scan every input VC, output channel and
-    /// link queue every cycle. O(network size) per cycle regardless of
-    /// load; kept as the equivalence oracle for the event core.
-    Dense,
-    /// Event-driven core: active lists for allocation/arbitration, delay
-    /// lines (one FIFO ring per event kind and delay) for credit returns /
-    /// link arrivals / header-delay expiries, and calendar-scheduled
-    /// geometric-skip injection.
-    /// O(work actually happening) per cycle.
-    #[default]
-    Event,
-}
-
-impl EngineKind {
-    /// Parse a CLI value (`dense` | `event`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "dense" => Some(EngineKind::Dense),
-            "event" => Some(EngineKind::Event),
-            _ => None,
-        }
-    }
-
-    /// Stable display name (`dense` | `event`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            EngineKind::Dense => "dense",
-            EngineKind::Event => "event",
-        }
-    }
-}
-
 /// Switching mode of the routers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Switching {
@@ -68,9 +30,6 @@ use dsn_telemetry::TelemetryConfig;
 /// converts to wall-clock nanoseconds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
-    /// Scheduling core (default: the event-driven engine; the dense scan
-    /// is kept as a bit-identical reference).
-    pub engine: EngineKind,
     /// Switching mode (paper: virtual cut-through).
     pub switching: Switching,
     /// Virtual channels per physical channel (paper: 4).
@@ -112,7 +71,6 @@ pub struct SimConfig {
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
-            engine: EngineKind::default(),
             switching: Switching::VirtualCutThrough,
             vcs: 4,
             buffer_flits: 40,
@@ -137,7 +95,6 @@ impl SimConfig {
     /// windows); keeps the same structural features (4 VCs, VCT).
     pub fn test_small() -> Self {
         SimConfig {
-            engine: EngineKind::default(),
             switching: Switching::VirtualCutThrough,
             vcs: 2,
             buffer_flits: 8,
@@ -264,17 +221,6 @@ mod tests {
             ..SimConfig::default()
         };
         c.validate();
-    }
-
-    #[test]
-    fn engine_kind_parses() {
-        assert_eq!(EngineKind::parse("dense"), Some(EngineKind::Dense));
-        assert_eq!(EngineKind::parse("event"), Some(EngineKind::Event));
-        assert_eq!(EngineKind::parse("sharded"), None);
-        assert_eq!(EngineKind::parse("both"), None);
-        assert_eq!(EngineKind::default(), EngineKind::Event);
-        assert_eq!(EngineKind::Dense.name(), "dense");
-        assert_eq!(EngineKind::Event.name(), "event");
     }
 
     #[test]

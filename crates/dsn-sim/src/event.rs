@@ -1,8 +1,11 @@
 //! Event-driven scheduling core for the [`crate::engine::Simulator`].
 //!
-//! The dense reference scans every input VC, output channel and link queue
-//! each cycle; this core touches only the units with pending work, while
-//! producing **bit-identical** [`crate::RunStats`]:
+//! The cycle contract (DESIGN.md §6) is stated as a scan of every input
+//! VC, output channel and link in ascending order, every cycle; this core
+//! touches only the units with pending work, in the same order, so a
+//! cycle's effects are the ones the full scan gives (the test suite's spec
+//! simulator runs that scan and must agree on [`crate::RunStats`] bit for
+//! bit):
 //!
 //! * *delay lines* hold the cycle-stamped events — credit returns, link
 //!   arrivals and header-delay expiries — in one FIFO ring per (kind,
@@ -14,11 +17,11 @@
 //! * *active sets* track the input VCs eligible for allocation, the
 //!   channels with at least one owned output VC, and the VCs holding an
 //!   ejection grant; each phase iterates its set in sorted index order,
-//!   which is exactly the order of the dense scan restricted to units
-//!   whose state could change, so round-robin pointers advance identically;
+//!   which is exactly the order of the full scan restricted to units whose
+//!   state could change, so round-robin pointers advance identically;
 //! * a *calendar heap* of `(cycle, host)` pairs pops injections in the
-//!   same (cycle, host-ascending) order the dense per-cycle host scan
-//!   produces, at O(log hosts) per injection instead of O(hosts) per cycle;
+//!   same (cycle, host-ascending) order a per-cycle host scan produces, at
+//!   O(log hosts) per injection instead of O(hosts) per cycle;
 //! * the allocation phase attempts a pending head only when it is *fresh*
 //!   (its route expiry landed this cycle) or its switch was *woken*. The
 //!   wake invariant: every transition that can turn a blocked attempt
@@ -33,14 +36,15 @@
 //!   keeps at least one set or delay line nonempty, and an idle network
 //!   has zero stall by definition.
 //!
-//! Telemetry hooks (`dsn-telemetry`) live exclusively in the shared
-//! mutation helpers of `engine.rs`, never in this scheduling loop: both
-//! cores fire the same hook calls at the same cycles, so the exported
-//! telemetry — like `RunStats` — is bit-identical between them
+//! Telemetry hooks (`dsn-telemetry`) live exclusively in the mutation
+//! helpers of `engine.rs`, never in this scheduling loop, and fire at the
+//! cycle of the event they report, so the exported telemetry — like
+//! `RunStats` — is byte-identical to the spec simulator's
 //! (`tests/telemetry_equivalence.rs`). Intra-cycle hook order may differ
-//! (e.g. delay-line vs channel-scan order for link arrivals), which is
-//! harmless because every telemetry accumulator is commutative within a
-//! cycle and at most one flit per (channel, VC) moves per cycle.
+//! from a full scan's (e.g. delay-line vs channel-scan order for link
+//! arrivals), which is harmless because every telemetry accumulator is
+//! commutative within a cycle and at most one flit per (channel, VC)
+//! moves per cycle.
 
 use crate::engine::{alloc_is_eject, AllocOutcome, Flit, Simulator, ALLOC_NONE};
 use std::cmp::Reverse;
@@ -224,8 +228,8 @@ impl ActiveSet {
 }
 
 /// Event-engine state hanging off the simulator (`Simulator::ev`). The
-/// shared mutation helpers in `engine.rs` feed the delay lines; the step
-/// loop below maintains the three active sets.
+/// mutation helpers in `engine.rs` feed the delay lines; the step loop
+/// below maintains the three active sets.
 #[derive(Debug)]
 pub(crate) struct EventState {
     /// Credit returns, due `max(credit_delay, 1)` after the push.
@@ -259,6 +263,36 @@ pub(crate) struct EventState {
 }
 
 impl EventState {
+    /// Empty delay lines and sets for a network of `nodes` switches,
+    /// `channels` channels and `hosts` hosts at `nvc` VCs per channel; the
+    /// caller fills the injection calendar.
+    pub(crate) fn new(
+        cfg: &crate::config::SimConfig,
+        nvc: usize,
+        channels: usize,
+        hosts: usize,
+        nodes: usize,
+    ) -> Self {
+        let iv_domain = (channels + hosts) * nvc;
+        let header_delay = cfg.header_delay.max(1);
+        EventState {
+            credits: DelayLine::new(cfg.credit_delay.max(1)),
+            links: DelayLine::new(cfg.link_delay.max(1)),
+            routes: [
+                DelayLine::new(header_delay),
+                DelayLine::new(header_delay + 1),
+            ],
+            alloc_pending: ActiveSet::new(iv_domain),
+            out_active: ActiveSet::new(channels),
+            eject_active: ActiveSet::new(iv_domain),
+            inj_heap: BinaryHeap::with_capacity(hosts),
+            scratch: Vec::with_capacity(iv_domain),
+            fresh: vec![0; iv_domain.div_ceil(64)],
+            wake: vec![0; nodes.div_ceil(64)],
+            nvc: nvc as u32,
+        }
+    }
+
     #[inline]
     fn iv(&self, i: usize, v: usize) -> u32 {
         i as u32 * self.nvc + v as u32
@@ -352,48 +386,9 @@ impl EventState {
     }
 }
 
-impl Simulator {
-    /// The event state of a simulator stepping on the event core.
-    fn es(&mut self) -> &mut EventState {
-        self.ev.as_mut().expect("event state")
-    }
-}
-
-/// Install the event state on a freshly constructed simulator (no flits in
-/// flight yet): empty delay lines and sets, plus the injection calendar.
-pub(crate) fn prepare(sim: &mut Simulator) {
-    debug_assert!(sim.ev.is_none() && sim.now == 0);
-    let nvc = sim.nvc as u32;
-    let iv_domain = sim.n_inputs * nvc as usize;
-    let header_delay = sim.cfg.header_delay.max(1);
-    let mut ev = Box::new(EventState {
-        credits: DelayLine::new(sim.cfg.credit_delay.max(1)),
-        links: DelayLine::new(sim.cfg.link_delay.max(1)),
-        routes: [
-            DelayLine::new(header_delay),
-            DelayLine::new(header_delay + 1),
-        ],
-        alloc_pending: ActiveSet::new(iv_domain),
-        out_active: ActiveSet::new(sim.links.len()),
-        eject_active: ActiveSet::new(iv_domain),
-        inj_heap: BinaryHeap::with_capacity(sim.hosts()),
-        scratch: Vec::with_capacity(iv_domain),
-        fresh: vec![0; iv_domain.div_ceil(64)],
-        wake: vec![0; sim.node_dirty.len()],
-        nvc,
-    });
-    for h in 0..sim.hosts() {
-        let t = sim.source_next_cycle(h);
-        if t != crate::inject::NEVER {
-            ev.inj_heap.push(Reverse((t, h as u32)));
-        }
-    }
-    sim.ev = Some(ev);
-}
-
 /// Advance the event engine by one cycle (possibly skipping idle cycles at
-/// the end). Mirrors the dense phase order exactly: credits, link arrivals,
-/// injection, allocation, traversal, ejection, watchdog.
+/// the end), in the phase order of the cycle contract: faults, credits,
+/// link arrivals, injection, allocation, traversal, ejection, watchdog.
 pub(crate) fn step(sim: &mut Simulator, total: u64) {
     let now = sim.now;
     let mut stamp = sim.phase_stamp();
@@ -405,7 +400,7 @@ pub(crate) fn step(sim: &mut Simulator, total: u64) {
 
     // Phases 1+2 (+ route expiries): drain this cycle's due events kind
     // by kind, so credits land before arrivals, before eligibility — the
-    // dense phase order. At most one credit and one arrival exist per
+    // contract's phase order. At most one credit and one arrival exist per
     // (channel, VC) per cycle, so ordering within a kind is immaterial.
     // The credit/link loops live in `engine.rs`
     // ([`Simulator::drain_credits`] / [`Simulator::drain_links`]) so the
@@ -414,19 +409,19 @@ pub(crate) fn step(sim: &mut Simulator, total: u64) {
     // may borrow the simulator. Link arrivals arm route expiries, so the
     // route lines stay in place until their turn; a push onto a taken
     // line's empty placeholder would panic.
-    let mut credits = std::mem::take(&mut sim.es().credits);
+    let mut credits = std::mem::take(&mut sim.ev.credits);
     credits.drain_due(now, |c| sim.drain_credits(c));
-    sim.es().credits = credits;
-    let mut links = std::mem::take(&mut sim.es().links);
+    sim.ev.credits = credits;
+    let mut links = std::mem::take(&mut sim.ev.links);
     links.drain_due(now, |f| sim.drain_links(f, now));
-    sim.es().links = links;
-    let mut routes = std::mem::take(&mut sim.es().routes);
+    sim.ev.links = links;
+    let mut routes = std::mem::take(&mut sim.ev.routes);
     drain_routes(&mut routes, now, |r| route_expiries(sim, r, now));
-    sim.es().routes = routes;
+    sim.ev.routes = routes;
     sim.phase_mark(&mut stamp, crate::timing::Phase::Wheel);
 
     // Phase 3: injection — pop the calendar in (cycle, host) order, which
-    // matches the dense ascending-host scan for this cycle.
+    // is the ascending-host order of the contract for this cycle.
     if now == 0 && !sim.pending_batch.is_empty() {
         let batch = std::mem::take(&mut sim.pending_batch);
         for (src, dest) in batch {
@@ -437,7 +432,7 @@ pub(crate) fn step(sim: &mut Simulator, total: u64) {
     sim.inject_retries(now);
     loop {
         let host = {
-            let es = sim.es();
+            let es = &mut sim.ev;
             match es.inj_heap.peek() {
                 Some(&Reverse((t, h))) if t == now => {
                     es.inj_heap.pop();
@@ -452,14 +447,14 @@ pub(crate) fn step(sim: &mut Simulator, total: u64) {
     sim.phase_mark(&mut stamp, crate::timing::Phase::Inject);
 
     // Phase 4: allocation over the eligible input VCs in (input, vc)
-    // order — the dense scan order restricted to eligible units.
+    // order — the contract's scan order restricted to eligible units.
     step_alloc(sim, now);
     sim.phase_mark(&mut stamp, crate::timing::Phase::Route);
 
     // Phase 5a: switch allocation + sends over channels with owners, in
-    // channel order (ownerless channels are no-ops in the dense scan).
+    // channel order (an ownerless channel cannot send).
     let mut scratch = {
-        let es = sim.es();
+        let es = &mut sim.ev;
         let mut s = std::mem::take(&mut es.scratch);
         es.out_active.snapshot_sorted(&mut s);
         s
@@ -469,31 +464,31 @@ pub(crate) fn step(sim: &mut Simulator, total: u64) {
         // Deactivate whenever no owner remains — not only after a tail
         // send, since a fault drop can strip ownership mid-stream.
         if sim.chv[sim.ch_slot[ch as usize] as usize].owned == 0 {
-            sim.es().out_active.remove(ch);
+            sim.ev.out_active.remove(ch);
         }
     }
     sim.phase_mark(&mut stamp, crate::timing::Phase::Arbitrate);
 
     // Phase 5b: ejection over VCs holding an eject grant, in (input, vc)
-    // order — matching the dense whole-input scan restricted to grants.
+    // order — the contract's whole-input scan restricted to grants.
     {
-        let es = sim.es();
+        let es = &mut sim.ev;
         let mut s = scratch;
         es.eject_active.snapshot_sorted(&mut s);
         scratch = s;
     }
     for &iv in &scratch {
-        let (i, v) = sim.es().iv_decode(iv);
+        let (i, v) = sim.ev.iv_decode(iv);
         // A fault drop may have stripped the grant since the snapshot.
         if !alloc_is_eject(sim.ivc[iv as usize].alloc) {
-            sim.es().eject_active.remove(iv);
+            sim.ev.eject_active.remove(iv);
             continue;
         }
         if sim.try_eject_vc(i, v, now) {
-            sim.es().eject_active.remove(iv);
+            sim.ev.eject_active.remove(iv);
         }
     }
-    sim.es().scratch = scratch;
+    sim.ev.scratch = scratch;
 
     sim.clear_used();
     sim.watchdog(now);
@@ -509,7 +504,7 @@ pub(crate) fn step(sim: &mut Simulator, total: u64) {
     // or delay line nonempty (its flits are buffered → allocated/armed/
     // pending, or on a link → link line), so skipping implies zero packets
     // in flight and the stall watchdog is vacuously idle across the gap.
-    let es = sim.ev.as_ref().expect("event state");
+    let es = &sim.ev;
     if es.pending() == 0
         && es.alloc_pending.is_empty()
         && es.out_active.is_empty()
@@ -517,8 +512,8 @@ pub(crate) fn step(sim: &mut Simulator, total: u64) {
         && sim.staged_ready.is_empty()
         // A just-completed closed batch empties everything above; without
         // this guard the skip would fast-forward `now` to the horizon
-        // before the caller's batch_done() check, making the telemetry
-        // `final_cycle` diverge from the dense engine's.
+        // before the caller's batch_done() check, pushing the telemetry
+        // `final_cycle` past the batch's last cycle.
         && !sim.batch_done()
     {
         debug_assert_eq!(sim.packets.live(), 0);
@@ -561,7 +556,7 @@ fn route_expiries(sim: &mut Simulator, ivs: &[RouteEv], now: u64) {
             "stale route expiry without faults"
         );
         if valid {
-            let es = sim.es();
+            let es = &mut sim.ev;
             es.alloc_pending.insert(iv);
             // The first attempt is unconditional (see `step_alloc`).
             es.fresh[(iv >> 6) as usize] |= 1u64 << (iv & 63);
@@ -578,12 +573,12 @@ fn head_eligible(sim: &Simulator, unit: usize, now: u64) -> bool {
 }
 
 /// Phase 4: VC allocation over the pending heads in ascending iv order,
-/// the order of the dense scan. Only fresh heads and heads at a woken
+/// the contract's scan order. Only fresh heads and heads at a woken
 /// switch are attempted (the wake invariant, module docs). A blocked
 /// attempt changes nothing but the `on_alloc_blocked` telemetry hook, so
 /// a skipped head fires that hook itself, and the walk is bit-identical
-/// to attempting every head (the dense core and `tests/sim_equivalence.rs`
-/// enforce this).
+/// to attempting every head (`tests/sim_equivalence.rs` checks it against
+/// the spec simulator, which attempts every head).
 ///
 /// The walk begins by swapping `node_dirty` into `wake`. A mark set during
 /// the walk, by the credits an unroutable drop hands back, lands in the
@@ -596,13 +591,13 @@ fn head_eligible(sim: &Simulator, unit: usize, now: u64) -> bool {
 fn step_alloc(sim: &mut Simulator, now: u64) {
     let nvc = sim.nvc;
     let (mut wake, nwords) = {
-        let es = sim.es();
+        let es = &mut sim.ev;
         (std::mem::take(&mut es.wake), es.alloc_pending.words.len())
     };
     std::mem::swap(&mut wake, &mut sim.node_dirty);
     for wi in 0..nwords {
         let (mut m, fresh) = {
-            let es = sim.es();
+            let es = &mut sim.ev;
             (es.alloc_pending.words[wi], es.fresh[wi])
         };
         while m != 0 {
@@ -623,18 +618,18 @@ fn step_alloc(sim: &mut Simulator, now: u64) {
                 let (i, v) = (unit / nvc, unit % nvc);
                 match sim.try_allocate_vc(i, v, now) {
                     AllocOutcome::Blocked => continue,
-                    AllocOutcome::Eject => sim.es().eject_active.insert(iv),
-                    AllocOutcome::Net(ch) => sim.es().out_active.insert(ch as u32),
+                    AllocOutcome::Eject => sim.ev.eject_active.insert(iv),
+                    AllocOutcome::Net(ch) => sim.ev.out_active.insert(ch as u32),
                     AllocOutcome::Unroutable => sim.unroutable_drop(i, v, now),
                 }
             } else {
                 debug_assert!(sim.fault.is_some(), "stale alloc entry without faults");
             }
-            sim.es().alloc_pending.remove(iv);
+            sim.ev.alloc_pending.remove(iv);
         }
     }
     wake.fill(0);
-    let es = sim.es();
+    let es = &mut sim.ev;
     es.fresh.fill(0);
     es.wake = wake;
 }
@@ -723,7 +718,7 @@ mod tests {
         assert_eq!(drained(&mut line, 2), [(0, 0, flit(9, 3))]);
 
         let mut sim = faultable_sim();
-        let es = sim.ev.as_mut().expect("event state");
+        let es = &mut sim.ev;
         es.links = line;
         let mut on_wire = Vec::new();
         es.wire_packets_on(1, &mut on_wire);
@@ -741,7 +736,7 @@ mod tests {
         assert!(line.due_counts.iter().all(|&c| c == 0));
     }
 
-    /// A ring of 8 switches on the event core, no injection of its own,
+    /// A ring of 8 switches, no injection of its own,
     /// a fault plan (beyond the horizon) so the fault purge path exists,
     /// and a 3-cycle link so a packet's flits span several due cycles.
     fn faultable_sim() -> Simulator {
@@ -752,13 +747,11 @@ mod tests {
             ..SimConfig::test_small()
         };
         let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
-        let mut sim = Simulator::new(g, cfg, routing, TrafficPattern::Uniform, 0.0, 1);
-        prepare(&mut sim);
-        sim
+        Simulator::new(g, cfg, routing, TrafficPattern::Uniform, 0.0, 1)
     }
 
     fn es(sim: &Simulator) -> &EventState {
-        sim.ev.as_ref().expect("event state")
+        &sim.ev
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! A [`FaultPlan`] scripts link/switch down/up events at given cycles —
 //! hand-written ([`FaultPlan::single_link`], [`FaultPlan::burst`],
 //! [`FaultPlan::flap`]) or seeded-random ([`FaultPlan::random_links`],
-//! [`FaultPlan::random_connected`]). The plan executes identically on the
-//! dense and event engines as *phase 0* of a cycle, before credit returns:
+//! [`FaultPlan::random_connected`]). The plan executes as *phase 0* of a
+//! cycle, before credit returns:
 //!
 //! 1. the [`EdgeMask`] marks the affected channels dead;
 //! 2. packets straddling a dying channel are dropped everywhere — buffers,
@@ -20,9 +20,10 @@
 //! 4. dropped packets may be re-sent by their source host after a timeout
 //!    with exponential backoff ([`RetryPolicy`]).
 //!
-//! Every mutation goes through the shared helpers in `engine.rs`, so
-//! [`crate::RunStats`] stay bit-identical between the two engines under any
-//! fault schedule (`tests/fault_equivalence.rs`).
+//! Every mutation goes through the helpers in `engine.rs`;
+//! `tests/fault_equivalence.rs` holds the engine's [`crate::RunStats`]
+//! bit-identical to the test suite's spec simulator under every fault
+//! schedule shape.
 
 use crate::engine::{
     decode_alloc, ovc_owner_of, owner_pack, owner_unpack, OutRef, Simulator, ALLOC_NONE,
@@ -317,8 +318,8 @@ type RetryEntry = (u64, u64, u32, u32, u32, crate::engine::PacketTag);
 type Victim = (u32, u32, Option<(usize, usize)>);
 
 /// Per-run fault state hanging off the simulator (`Simulator::fault`,
-/// `None` when the plan is empty). Both engines drive it through
-/// [`Simulator::process_faults`] with identical effects.
+/// `None` when the plan is empty), driven through
+/// [`Simulator::process_faults`].
 #[derive(Debug)]
 pub(crate) struct FaultRuntime {
     /// Plan events sorted stably by cycle.
@@ -396,15 +397,14 @@ impl FaultRuntime {
 }
 
 // ---------------------------------------------------------------------
-// Fault-side mutation helpers on the simulator. These are shared by both
-// engines (called from `step_dense` and `event::step` at the same phase
-// positions), which is what keeps RunStats bit-identical under faults.
+// Fault-side mutation helpers on the simulator, called from `event::step`
+// at the phase positions of the cycle contract.
 // ---------------------------------------------------------------------
 
 impl Simulator {
     /// Phase 0: apply every fault event due at or before `now`, then
     /// rebuild routing on the survivor graph once and wake every switch
-    /// for the event core's allocation walk. The event engine may
+    /// for the event core's allocation walk. The event core may
     /// reach this late after an idle skip — catching up several events in
     /// one call is unobservable, because skips only happen on an empty
     /// network and the rebuilt routing depends only on the final mask.
@@ -480,7 +480,7 @@ impl Simulator {
 
     /// A directed channel died: every packet holding one of its output VCs
     /// or with flits on its wire is a victim. Victims are handled in uid
-    /// (creation) order so both engines see the same sequence.
+    /// (creation) order.
     fn kill_channel(&mut self, ch: usize, now: u64) {
         let f = self.fault.as_mut().expect("fault runtime");
         let mut victims = std::mem::take(&mut f.victims);
@@ -527,13 +527,7 @@ impl Simulator {
     /// Slab indices of packets with flits currently on channel `ch`,
     /// written into `out` (cleared first).
     fn wire_packets(&self, ch: usize, out: &mut Vec<u32>) {
-        match &self.ev {
-            Some(ev) => ev.wire_packets_on(ch, out),
-            None => {
-                out.clear();
-                out.extend(self.links[ch].iter().map(|&(_, f, _)| f.packet));
-            }
-        }
+        self.ev.wire_packets_on(ch, out);
     }
 
     /// A zero-sent victim keeps its flits and re-routes in place: release
@@ -635,24 +629,7 @@ impl Simulator {
         }
         let mut wire =
             std::mem::take(&mut self.fault.as_mut().expect("fault runtime").wire_credits);
-        match &mut self.ev {
-            Some(ev) => ev.purge_link_flits(pkt, now, &mut wire),
-            None => {
-                wire.clear();
-                for ch in 0..self.links.len() {
-                    let mut any = false;
-                    for &(_, f, vc) in &self.links[ch] {
-                        if f.packet == pkt {
-                            wire.push((ch, vc));
-                            any = true;
-                        }
-                    }
-                    if any {
-                        self.links[ch].retain(|&(_, f, _)| f.packet != pkt);
-                    }
-                }
-            }
-        }
+        self.ev.purge_link_flits(pkt, now, &mut wire);
         for &(ch, vc) in &wire {
             self.apply_credit(ch, vc);
         }
@@ -705,7 +682,7 @@ impl Simulator {
 
     /// Phase 3 (after the batch, before regular host injections): re-send
     /// every dropped packet whose retry timer expired, in `(due, fifo)`
-    /// order — identical on both engines.
+    /// order.
     pub(crate) fn inject_retries(&mut self, now: u64) {
         loop {
             let (src, dest, attempt, tag) = {

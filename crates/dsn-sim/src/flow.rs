@@ -13,13 +13,13 @@
 //!
 //! * [`FlowSizeDist`] / [`FlowArrivals`] — pluggable flow-size and
 //!   inter-arrival samplers with analytic moments for oracle tests;
-//! * `FlowSource` (crate-private) — the per-host open-loop flow state
+//! * [`FlowSource`] — the per-host open-loop flow state
 //!   machine ([`Workload::Flows`](crate::workload::Workload) and
 //!   [`Workload::Incast`](crate::workload::Workload)): flows queue in a
 //!   per-host backlog and drain one packet per serialization time
 //!   (`packet_flits` cycles, the NIC line rate), through the same
 //!   calendar-heap injection path as the Bernoulli injector;
-//! * [`StagedSpec`] / `StagedState` (crate-private) — dependency-staged
+//! * [`StagedSpec`] / [`StagedState`] — dependency-staged
 //!   closed collectives (ring and recursive-doubling allreduce, pipelined
 //!   all-to-all) generalizing the cycle-0 `Closed` batch.
 //!
@@ -28,8 +28,8 @@
 //! so flow streams never collide with the Bernoulli injector streams),
 //! with a fixed draw order per arrival (destination, size, gap). A host's
 //! traffic therefore never depends on how other hosts are iterated, which
-//! is what keeps the dense and event engines bit-identical on flow
-//! workloads.
+//! is what lets the test suite's spec simulator, scanning every host each
+//! cycle, reproduce the engine's calendar-driven runs bit for bit.
 
 use crate::inject::{gap, mix, NEVER};
 use crate::traffic::TrafficPattern;
@@ -276,7 +276,7 @@ impl FlowArrivals {
 
 /// One packet emission decided by [`FlowSource::fire`].
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct FlowEmit {
+pub struct FlowEmit {
     /// Flow id: `src_host << 32 | per-host flow sequence number`.
     pub id: u64,
     /// Destination host.
@@ -338,11 +338,11 @@ struct PendingFlow {
 /// [`Workload::Incast`](crate::workload::Workload).
 ///
 /// Arrived flows queue in a per-host FIFO backlog and drain one packet
-/// every [`FlowSource::pacing`] cycles (one packet's serialization time —
+/// every `pacing` cycles (one packet's serialization time —
 /// NIC line rate), so a host never offers more than the paper's injection
 /// model allows. Flows are emitted in arrival order, head-of-line.
 #[derive(Debug, Clone)]
-pub(crate) struct FlowSource {
+pub struct FlowSource {
     kind: SourceKind,
     /// Cycles between consecutive packet emissions of one host.
     pacing: u64,
@@ -439,7 +439,7 @@ impl FlowSource {
     }
 
     /// The cycle of this host's next action (arrival or emission);
-    /// [`NEVER`] when it has nothing scheduled.
+    /// `u64::MAX` when it has nothing scheduled.
     #[inline]
     pub fn next_cycle(&self, host: usize) -> u64 {
         let hs = &self.hosts[host];
@@ -449,7 +449,7 @@ impl FlowSource {
     /// Run `host`'s due actions at `now`: process at most one flow
     /// arrival, then at most one packet emission. Returns the packet to
     /// enqueue, if any. Afterwards [`FlowSource::next_cycle`] is strictly
-    /// greater than `now` (or [`NEVER`]).
+    /// greater than `now` (or `u64::MAX`).
     pub fn fire(&mut self, host: usize, now: u64) -> Option<FlowEmit> {
         let nhosts = self.hosts.len();
         let hs = &mut self.hosts[host];
@@ -681,7 +681,7 @@ impl StagedSpec {
 /// Runtime dependency tracking for a [`StagedSpec`]: per-(host, stage)
 /// receive counters and the per-host release frontier.
 #[derive(Debug, Clone)]
-pub(crate) struct StagedState {
+pub struct StagedState {
     spec: StagedSpec,
     /// Packets received so far, indexed by `host * stages + stage`.
     recv: Vec<u32>,
@@ -690,6 +690,7 @@ pub(crate) struct StagedState {
 }
 
 impl StagedState {
+    /// Fresh tracking state: nothing received, nothing released.
     pub fn new(spec: StagedSpec) -> Self {
         let cells = spec.hosts as usize * spec.stages as usize;
         let hosts = spec.hosts as usize;
@@ -700,6 +701,7 @@ impl StagedState {
         }
     }
 
+    /// The collective schedule being tracked.
     pub fn spec(&self) -> &StagedSpec {
         &self.spec
     }

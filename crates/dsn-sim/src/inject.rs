@@ -12,9 +12,10 @@
 //!
 //! Each host owns its own `SmallRng` stream (seeded by mixing the run seed
 //! with the host index), so the traffic a host emits does not depend on how
-//! other hosts are iterated. Both simulator engines consume the streams
-//! through this type in the same order, which is what makes their traffic —
-//! and therefore their [`crate::RunStats`] — bit-identical.
+//! other hosts are iterated, so any simulator that fires the hosts due in a
+//! cycle in ascending order — the engine's calendar heap, or a plain scan
+//! of every host — draws the same traffic. The test suite's spec simulator
+//! relies on that to reproduce the engine's [`crate::RunStats`].
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -25,7 +26,7 @@ pub(crate) const NEVER: u64 = u64::MAX;
 
 /// Per-host injection schedule for an open-loop workload.
 #[derive(Debug, Clone)]
-pub(crate) struct Injector {
+pub struct Injector {
     rate: f64,
     /// Next injection cycle per host; [`NEVER`] when the rate is zero.
     next: Vec<u64>,
@@ -62,7 +63,7 @@ impl Injector {
         self.rate
     }
 
-    /// The cycle of this host's next injection ([`NEVER`] = no more).
+    /// The cycle of this host's next injection (`u64::MAX` = no more).
     #[inline]
     pub fn next_cycle(&self, host: usize) -> u64 {
         self.next[host]

@@ -51,13 +51,14 @@ pub mod traffic;
 pub mod workload;
 
 pub use cache::RoutingCache;
-pub use config::{EngineKind, SimConfig, Switching};
+pub use config::{SimConfig, Switching};
 pub use dsn_telemetry::{
     PacketTracer, Telemetry, TelemetryConfig, TelemetryReport, TraceEvent, TraceRecord,
 };
 pub use engine::{ReservedBytes, Simulator};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, RetryPolicy, SalvagePolicy};
 pub use flow::{FlowArrivals, FlowSizeDist, StagedSpec};
+pub use inject::Injector;
 pub use routing::{AdaptiveEscape, DsnAlgorithmic, MinimalAdaptiveDsn, SimRouting, UpDownRouting};
 pub use stats::{FlowClassStats, RunStats};
 pub use sweep::{

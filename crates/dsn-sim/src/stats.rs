@@ -94,7 +94,7 @@ impl StatsCollector {
     /// A flow emitted its first packet. `measured` means the flow *start*
     /// fell inside the measurement window; the whole flow is measured or
     /// not — a flow is never split across the window edge.
-    pub(crate) fn on_flow_started(&mut self, measured: bool) {
+    pub fn on_flow_started(&mut self, measured: bool) {
         self.flows_started_all += 1;
         if measured {
             self.flows_started += 1;
@@ -105,8 +105,8 @@ impl StatsCollector {
     /// delivered at `now`. Returns `Some(fct)` exactly when this delivery
     /// completed the flow *and* the flow is measured — the caller uses
     /// that to gate the telemetry hook, keeping telemetry and stats in
-    /// lockstep across engines.
-    pub(crate) fn on_flow_packet(
+    /// lockstep.
+    pub fn on_flow_packet(
         &mut self,
         id: u64,
         total: u32,

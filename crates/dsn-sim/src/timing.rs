@@ -1,7 +1,6 @@
-//! Per-cycle-phase wall-time breakdown (`DSN_PHASE_TIMING=1`) for the
-//! dense and event cores.
+//! Per-cycle-phase wall-time breakdown (`DSN_PHASE_TIMING=1`).
 //!
-//! When enabled, the step loops stamp an [`Instant`] between phases and
+//! When enabled, the step loop stamps an [`Instant`] between phases and
 //! accumulate the deltas here; the report is printed to stderr when the
 //! run finishes. Timing never touches simulation state, so an instrumented
 //! run produces bit-identical [`crate::RunStats`] — it only answers "where
@@ -10,10 +9,9 @@
 
 use std::time::{Duration, Instant};
 
-/// Wall-time accumulators for the per-cycle phases shared by both cores.
-/// `wheel` covers the event core's slot drain (credit returns + link
-/// arrivals + route expiries) and, on the dense core, the equivalent
-/// credit/link front-polling; `route` is routing + VC allocation;
+/// Wall-time accumulators for the per-cycle phases. `wheel` covers the
+/// faults and the delay-line drain (credit returns + link arrivals + route
+/// expiries); `route` is routing + VC allocation;
 /// `arbitrate` is switch allocation + flit sends; `eject` the ejection
 /// scan; `inject` covers batch, retry and host injection.
 #[derive(Debug, Default)]
@@ -45,7 +43,7 @@ impl PhaseTimers {
     }
 
     /// Multi-line stderr report, one row per phase plus the total.
-    pub fn report(&self, engine: &str) -> String {
+    pub fn report(&self) -> String {
         let total = self.wheel + self.inject + self.route + self.arbitrate + self.eject;
         let pct = |d: Duration| {
             if total.is_zero() {
@@ -62,7 +60,7 @@ impl PhaseTimers {
             )
         };
         let mut out = format!(
-            "[phase-timing] engine={engine} cycles={} ({:.0} cycles/s in-phase)\n",
+            "[phase-timing] cycles={} ({:.0} cycles/s in-phase)\n",
             self.cycles,
             if total.is_zero() {
                 0.0

@@ -3,27 +3,27 @@
 //! DSN level structure through per-node channel LUTs, and must be
 //! indistinguishable — every `RunStats` counter and float — from the
 //! test-side [`RefDsnv`] reference (which resolves each `dsnv_step` to a
-//! link by walking the graph), on both engines, at clean and non-clean
+//! link by walking the graph), on the spec simulator and the engine, at
+//! clean and non-clean
 //! sizes, and across mid-run fault rebuilds (where it detours around dead
 //! channels on the EdgeMask survivors).
 //!
 //! Its runs are pinned against the materialized DSN-V routes it replaced
 //! in `tests/routing_fingerprint.rs`.
 //!
-//! Plus the large-n scale smoke: a dense (short-horizon) vs event
+//! Plus the large-n scale smoke: a spec (short-horizon) vs event
 //! bit-equality run on DSN-9-1020, the first rung of the paper's full
 //! Fig. 7 size range.
 
 use dsn_core::dsn::Dsn;
-use dsn_core::graph::Graph;
 use dsn_sim::{
-    DsnAlgorithmic, EngineKind, FaultPlan, RetryPolicy, RunStats, SimConfig, SimRouting, Simulator,
-    TrafficPattern, Workload,
+    DsnAlgorithmic, FaultPlan, RetryPolicy, RunStats, SimConfig, SimRouting, TrafficPattern,
+    Workload,
 };
 use std::sync::Arc;
 
 mod common;
-use common::RefDsnv;
+use common::{RefDsnv, Sim};
 
 /// Short-horizon config so the matrix stays fast in debug builds. DSN-V
 /// needs the paper's 4 VCs.
@@ -44,29 +44,9 @@ fn open(rate: f64) -> Workload {
     }
 }
 
-fn run_one(
-    g: &Arc<Graph>,
-    cfg: &SimConfig,
-    engine: EngineKind,
-    routing: Arc<dyn SimRouting>,
-    workload: &Workload,
-    seed: u64,
-) -> RunStats {
-    Simulator::with_workload(
-        g.clone(),
-        SimConfig {
-            engine,
-            ..cfg.clone()
-        },
-        routing,
-        workload.clone(),
-        seed,
-    )
-    .run()
-}
-
 /// Run the identical scenario with DSN-V from `dsn` and with its
-/// reference, on both engines, and demand bit-identical stats.
+/// reference, on the spec and on the engine, and demand bit-identical
+/// stats from all four runs.
 fn assert_matches_reference(
     dsn: Arc<Dsn>,
     cfg: SimConfig,
@@ -76,31 +56,25 @@ fn assert_matches_reference(
 ) -> RunStats {
     let g = Arc::new(dsn.graph().clone());
     let routing: Arc<dyn SimRouting> = Arc::new(DsnAlgorithmic::new(dsn.clone()));
-    let mut last = None;
-    for engine in [EngineKind::Dense, EngineKind::Event] {
-        let oracle = run_one(
-            &g,
-            &cfg,
-            engine,
-            RefDsnv::scheme(dsn.clone(), 1),
-            &workload,
-            seed,
-        );
+    let mut runs = Vec::new();
+    for sim in Sim::BOTH {
+        let oracle = sim.run(&g, &cfg, RefDsnv::scheme(dsn.clone(), 1), &workload, seed);
         assert!(
             oracle.total_packets_all_time > 0,
             "{label} [{}]: vacuous scenario",
-            engine.name()
+            sim.name()
         );
-        let got = run_one(&g, &cfg, engine, routing.clone(), &workload, seed);
+        let got = sim.run(&g, &cfg, routing.clone(), &workload, seed);
         assert_eq!(
             oracle,
             got,
             "{label} [{}]: diverged from the reference",
-            engine.name()
+            sim.name()
         );
-        last = Some(oracle);
+        runs.push(got);
     }
-    last.unwrap()
+    assert_eq!(runs[0], runs[1], "{label}: engine diverged from the spec");
+    runs.pop().unwrap()
 }
 
 #[test]
@@ -151,9 +125,9 @@ fn fault_flap_algorithmic() {
 }
 
 #[test]
-fn smoke_1020_dense_vs_event() {
-    // DSN-9-1020, the first rung of the paper's Fig. 7 scale: dense
-    // (short-horizon reference) and event must agree bit-exactly with
+fn smoke_1020_spec_vs_event() {
+    // DSN-9-1020, the first rung of the paper's Fig. 7 scale: the spec
+    // (short horizon) and the engine must agree bit-exactly with
     // table-free routing.
     let dsn = Arc::new(Dsn::new_clean(1024).unwrap());
     assert_eq!(dsn.n(), 1020);
@@ -168,15 +142,8 @@ fn smoke_1020_dense_vs_event() {
     };
     let workload = open(0.004);
     let seed = 0x1020;
-    let dense = run_one(
-        &g,
-        &cfg,
-        EngineKind::Dense,
-        routing.clone(),
-        &workload,
-        seed,
-    );
-    assert!(dense.delivered_packets > 0, "vacuous 1020 smoke");
-    let event = run_one(&g, &cfg, EngineKind::Event, routing, &workload, seed);
-    assert_eq!(dense, event, "dsn1020: event diverged from dense");
+    let expected = Sim::Spec.run(&g, &cfg, routing.clone(), &workload, seed);
+    assert!(expected.delivered_packets > 0, "vacuous 1020 smoke");
+    let got = Sim::Engine.run(&g, &cfg, routing, &workload, seed);
+    assert_eq!(expected, got, "dsn1020: engine diverged from the spec");
 }

@@ -1,12 +1,16 @@
-//! Shared test oracle: reference [`SimRouting`] schemes that share no
-//! code with the simulator's port-mask tables. Each computes its
-//! candidates hop by hop from its own BFS distances,
-//! [`UpDown::next_hops`] and [`dsnv_step`], walking `graph.neighbors(cur)`
-//! in order — the definitions the mask tables are built to reproduce.
-//! Comparing a run of a library scheme with a run of its reference pins
-//! the tables (and their decode) against those definitions.
+//! Shared test oracles. [`spec`] is the spec simulator the engine is
+//! checked against, and [`Sim`] runs a scenario on either. The rest are
+//! reference [`SimRouting`] schemes that share no code with the
+//! simulator's port-mask tables. Each computes its candidates hop by hop
+//! from its own BFS distances, [`UpDown::next_hops`] and [`dsnv_step`],
+//! walking `graph.neighbors(cur)` in order — the definitions the mask
+//! tables are built to reproduce. Comparing a run of a library scheme with
+//! a run of its reference pins the tables (and their decode) against
+//! those definitions.
 
 #![allow(dead_code)]
+
+pub mod spec;
 
 use dsn_core::dsn::Dsn;
 use dsn_core::fault::EdgeMask;
@@ -16,9 +20,71 @@ use dsn_route::deadlock::{dsnv_step, DsnvState};
 use dsn_route::updown::{UdPhase, UpDown};
 use dsn_route::RouteStep;
 use dsn_sim::routing::{Candidate, RouteState};
-use dsn_sim::SimRouting;
+use dsn_sim::{RunStats, SimConfig, SimRouting, Simulator, Workload};
 use std::collections::VecDeque;
 use std::sync::Arc;
+
+/// The two implementations of the router model: the spec simulator and
+/// the library's engine.
+#[derive(Debug, Clone, Copy)]
+pub enum Sim {
+    /// [`spec::run`].
+    Spec,
+    /// [`Simulator::run`].
+    Engine,
+}
+
+/// Run one scenario on the spec simulator and on the engine, demand
+/// bit-identical `RunStats` and return them for scenario-specific
+/// assertions.
+pub fn assert_engine_matches_spec(
+    g: Arc<Graph>,
+    cfg: SimConfig,
+    routing: Arc<dyn SimRouting>,
+    workload: Workload,
+    seed: u64,
+    label: &str,
+) -> RunStats {
+    let expected = Sim::Spec.run(&g, &cfg, routing.clone(), &workload, seed);
+    assert!(
+        expected.total_packets_all_time > 0,
+        "{label}: vacuous scenario"
+    );
+    let got = Sim::Engine.run(&g, &cfg, routing, &workload, seed);
+    assert_eq!(expected, got, "{label}: engine diverged from the spec");
+    got
+}
+
+impl Sim {
+    /// Both, spec first.
+    pub const BOTH: [Sim; 2] = [Sim::Spec, Sim::Engine];
+
+    /// Label for assertion messages.
+    pub fn name(self) -> &'static str {
+        match self {
+            Sim::Spec => "spec",
+            Sim::Engine => "engine",
+        }
+    }
+
+    /// Run one scenario.
+    pub fn run(
+        self,
+        g: &Arc<Graph>,
+        cfg: &SimConfig,
+        routing: Arc<dyn SimRouting>,
+        workload: &Workload,
+        seed: u64,
+    ) -> RunStats {
+        match self {
+            Sim::Spec => spec::run(g.clone(), cfg.clone(), routing, workload.clone(), seed),
+            Sim::Engine => {
+                Simulator::with_workload(g.clone(), cfg.clone(), routing, workload.clone(), seed)
+                    .run()
+            }
+        }
+    }
+}
 
 /// All-pairs hop distances over the survivors of `mask` (`u16::MAX` =
 /// unreachable), one BFS per source.

@@ -1,23 +1,24 @@
 //! Bit-equivalence gate for the fault-injection subsystem: under every
 //! fault schedule shape (single link, correlated burst, flapping link,
 //! switch death), every salvage policy and every retry policy, the
-//! event-driven engine must reproduce the dense reference's `RunStats`
+//! engine must reproduce the spec simulator's `RunStats` (`common/spec.rs`)
 //! *exactly* — drop/salvage/retry counters and post-fault latency floats
 //! included. The comparison is `assert_eq!` on the whole struct, so any
 //! new `RunStats` field is automatically covered.
 
 use dsn_core::dln::Dln;
 use dsn_core::dsn::Dsn;
-use dsn_core::graph::Graph;
 use dsn_core::torus::Torus;
 use dsn_sim::{
-    AdaptiveEscape, DsnAlgorithmic, EngineKind, FaultKind, FaultPlan, RetryPolicy, RoutingCache,
-    RunStats, SalvagePolicy, SimConfig, SimRouting, Simulator, Switching, TrafficPattern,
-    UpDownRouting, Workload,
+    AdaptiveEscape, DsnAlgorithmic, FaultKind, FaultPlan, RetryPolicy, RoutingCache, SalvagePolicy,
+    SimConfig, SimRouting, Simulator, Switching, TrafficPattern, UpDownRouting, Workload,
 };
 use std::sync::Arc;
 
-/// Short-horizon config so the dense reference stays fast in debug builds.
+mod common;
+use common::assert_engine_matches_spec;
+
+/// Short-horizon config so the spec simulator stays fast in debug builds.
 fn cfg() -> SimConfig {
     SimConfig {
         warmup_cycles: 300,
@@ -25,46 +26,6 @@ fn cfg() -> SimConfig {
         drain_cycles: 2_500,
         ..SimConfig::test_small()
     }
-}
-
-/// Run the identical faulted scenario under both engines and demand
-/// bit-identical stats; returns them for scenario-specific assertions.
-fn assert_engines_agree(
-    g: Arc<Graph>,
-    cfg: SimConfig,
-    routing: Arc<dyn SimRouting>,
-    workload: Workload,
-    seed: u64,
-    label: &str,
-) -> RunStats {
-    let dense = Simulator::with_workload(
-        g.clone(),
-        SimConfig {
-            engine: EngineKind::Dense,
-            ..cfg.clone()
-        },
-        routing.clone(),
-        workload.clone(),
-        seed,
-    )
-    .run();
-    let event = Simulator::with_workload(
-        g,
-        SimConfig {
-            engine: EngineKind::Event,
-            ..cfg
-        },
-        routing,
-        workload,
-        seed,
-    )
-    .run();
-    assert_eq!(dense, event, "{label}: engines diverged under faults");
-    assert!(
-        dense.total_packets_all_time > 0,
-        "{label}: vacuous scenario"
-    );
-    dense
 }
 
 fn open(rate: f64) -> Workload {
@@ -88,7 +49,7 @@ fn single_link_dsn_adaptive_both_policies() {
             fault_plan: FaultPlan::single_link(5, 900).with_salvage(policy),
             ..cfg0.clone()
         };
-        let stats = assert_engines_agree(
+        let stats = assert_engine_matches_spec(
             g.clone(),
             cfg,
             routing.clone(),
@@ -110,7 +71,7 @@ fn single_link_dsn_updown_with_retries() {
             fault_plan: FaultPlan::single_link(7, 800).with_retry(retry),
             ..cfg0.clone()
         };
-        assert_engines_agree(
+        assert_engine_matches_spec(
             g.clone(),
             cfg,
             routing.clone(),
@@ -133,7 +94,7 @@ fn single_link_dsn_custom_routing() {
         fault_plan: FaultPlan::single_link(3, 900).with_retry(RetryPolicy::new(2, 150, 50)),
         ..cfg()
     };
-    assert_engines_agree(g, cfg, routing, open(0.01), 11, "dsn64 DSN-V single-link");
+    assert_engine_matches_spec(g, cfg, routing, open(0.01), 11, "dsn64 DSN-V single-link");
 }
 
 #[test]
@@ -144,7 +105,7 @@ fn single_link_torus_updown_salvage() {
         ..cfg()
     };
     let routing = Arc::new(UpDownRouting::new(g.clone(), cfg.vcs));
-    assert_engines_agree(
+    assert_engine_matches_spec(
         g,
         cfg,
         routing,
@@ -163,7 +124,7 @@ fn single_link_dln_adaptive() {
         fault_plan: FaultPlan::single_link(9, 1_000),
         ..cfg0
     };
-    assert_engines_agree(
+    assert_engine_matches_spec(
         g,
         cfg,
         routing,
@@ -189,7 +150,7 @@ fn burst_dsn_adaptive_both_policies() {
                 .with_retry(RetryPolicy::new(2, 120, 60)),
             ..cfg0.clone()
         };
-        let stats = assert_engines_agree(
+        let stats = assert_engine_matches_spec(
             g.clone(),
             cfg,
             routing.clone(),
@@ -210,7 +171,7 @@ fn flap_dsn_updown() {
         fault_plan: FaultPlan::flap(6, 600, 400, 3).with_retry(RetryPolicy::new(4, 100, 50)),
         ..cfg0
     };
-    assert_engines_agree(g, cfg, routing, open(0.015), 29, "dsn64 up*/down* flap");
+    assert_engine_matches_spec(g, cfg, routing, open(0.015), 29, "dsn64 up*/down* flap");
 }
 
 #[test]
@@ -227,7 +188,7 @@ fn flap_dsn_custom_routing_with_and_without_cache() {
         ..cfg()
     };
     let routing: Arc<dyn SimRouting> = Arc::new(DsnAlgorithmic::new(dsn.clone()));
-    let uncached = assert_engines_agree(
+    let uncached = assert_engine_matches_spec(
         g.clone(),
         cfg.clone(),
         routing.clone(),
@@ -235,26 +196,15 @@ fn flap_dsn_custom_routing_with_and_without_cache() {
         13,
         "dsn64 DSN-V flap",
     );
-    for engine in [EngineKind::Dense, EngineKind::Event] {
-        let cache = Arc::new(RoutingCache::new());
-        let pristine = cache.get_or_build(&g, &routing.scheme_key(), || {
-            Arc::new(DsnAlgorithmic::new(dsn.clone()))
-        });
-        let cached = Simulator::with_workload(
-            g.clone(),
-            SimConfig {
-                engine,
-                ..cfg.clone()
-            },
-            pristine,
-            open(0.03),
-            13,
-        )
+    let cache = Arc::new(RoutingCache::new());
+    let pristine = cache.get_or_build(&g, &routing.scheme_key(), || {
+        Arc::new(DsnAlgorithmic::new(dsn.clone()))
+    });
+    let cached = Simulator::with_workload(g.clone(), cfg.clone(), pristine, open(0.03), 13)
         .with_routing_cache(cache.clone())
         .run();
-        assert_eq!(cached, uncached, "{engine:?}: cache changed the run");
-        assert!(cache.hits() >= 1, "{engine:?}: the rebuild chain never hit");
-    }
+    assert_eq!(cached, uncached, "cache changed the run");
+    assert!(cache.hits() >= 1, "the rebuild chain never hit");
 }
 
 #[test]
@@ -265,7 +215,7 @@ fn flap_torus_adaptive() {
         ..cfg()
     };
     let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
-    assert_engines_agree(g, cfg, routing, open(0.012), 31, "torus4x4 adaptive flap");
+    assert_engine_matches_spec(g, cfg, routing, open(0.012), 31, "torus4x4 adaptive flap");
 }
 
 // ---------------------------------------------------------------------
@@ -284,7 +234,7 @@ fn switch_down_and_recovery_dsn_adaptive() {
             .with_retry(RetryPolicy::new(3, 150, 80)),
         ..cfg0
     };
-    let stats = assert_engines_agree(
+    let stats = assert_engine_matches_spec(
         g,
         cfg,
         routing,
@@ -300,10 +250,10 @@ fn switch_down_and_recovery_dsn_adaptive() {
 
 /// Switch deaths at load, with retries, under both escape styles. A dying
 /// switch's purge and every later unroutable drop free output VCs and hand
-/// credits back mid-cycle, so the event core's allocation walk must keep
-/// the wake-up marks set while it runs, and a purge's VC release must wake
+/// credits back mid-cycle, so the engine's allocation walk must keep the
+/// wake-up marks set while it runs, and a purge's VC release must wake
 /// its switch. The seeds are ones where a walk that clears those marks, or
-/// a purge that releases without waking, diverges from the dense core.
+/// a purge that releases without waking, diverges from the spec.
 /// One test per switching mode, so they run in parallel.
 fn switch_deaths_at_load(switching: Switching) {
     let g = Arc::new(Dsn::new(64, 5).unwrap().into_graph());
@@ -330,7 +280,7 @@ fn switch_deaths_at_load(switching: Switching) {
     for (name, routing) in routings {
         for (rate, seeds) in [(0.05, [1, 2]), (0.2, [7, 8])] {
             for seed in seeds {
-                assert_engines_agree(
+                assert_engine_matches_spec(
                     g.clone(),
                     cfg.clone(),
                     routing.clone(),
@@ -365,14 +315,14 @@ fn seeded_random_connected_schedule() {
         fault_plan: plan,
         ..cfg0
     };
-    assert_engines_agree(g, cfg, routing, open(0.02), 41, "dsn64 random-connected x5");
+    assert_engine_matches_spec(g, cfg, routing, open(0.02), 41, "dsn64 random-connected x5");
 }
 
 #[test]
 fn closed_batch_under_single_link() {
     // A closed all-to-all exchange with a mid-batch link death: the batch
     // completes once everything is delivered or definitively dropped, and
-    // both engines agree on the makespan.
+    // the engine and the spec agree on the makespan.
     let g = Arc::new(Dsn::new(16, 3).unwrap().into_graph());
     let mut cfg0 = cfg();
     cfg0.drain_cycles = 60_000;
@@ -383,7 +333,7 @@ fn closed_batch_under_single_link() {
             fault_plan: FaultPlan::single_link(2, 150).with_retry(retry),
             ..cfg0.clone()
         };
-        let stats = assert_engines_agree(
+        let stats = assert_engine_matches_spec(
             g.clone(),
             cfg,
             routing.clone(),
@@ -395,11 +345,11 @@ fn closed_batch_under_single_link() {
     }
 }
 
-/// CI smoke: a 30k-cycle faulted dense-vs-event check on a paper-sized DSN
+/// CI smoke: a 30k-cycle faulted spec-vs-event check on a paper-sized DSN
 /// with a seeded connectivity-preserving schedule, salvage and retries all
 /// on — one named test so the workflow can run exactly this gate.
 #[test]
-fn smoke_30k_faulted_dense_vs_event() {
+fn smoke_30k_faulted_spec_vs_event() {
     let g = Arc::new(Dsn::new(64, 5).unwrap().into_graph());
     let mut cfg = SimConfig {
         warmup_cycles: 5_000,
@@ -412,7 +362,7 @@ fn smoke_30k_faulted_dense_vs_event() {
         .with_retry(RetryPolicy::new(3, 500, 250));
     let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
     let rate = cfg.packets_per_cycle_for_gbps(1.0);
-    let stats = assert_engines_agree(
+    let stats = assert_engine_matches_spec(
         g,
         cfg,
         routing,

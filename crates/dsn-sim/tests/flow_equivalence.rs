@@ -1,21 +1,24 @@
 //! Bit-equivalence and accounting gates for the flow-level workload
 //! layer (heavy-tailed open-loop flows, synchronized incast waves,
-//! dependency-staged collectives): both engines — dense reference and
-//! event core — must produce the same `RunStats` bit for bit on every new
-//! workload class, with telemetry on they must export byte-identical artifacts (the per-class
-//! `"fct"` section included), the size-CDF samplers must converge to
-//! their analytic moments, and the per-flow accounting must match
-//! hand-computed oracles.
+//! dependency-staged collectives): the engine must produce the spec
+//! simulator's `RunStats` (`common/spec.rs`) bit for bit on every
+//! workload class, with telemetry on the two must export byte-identical
+//! artifacts (the per-class `"fct"` section included), the size-CDF
+//! samplers must converge to their analytic moments, and the per-flow
+//! accounting must match hand-computed oracles.
 
 use dsn_core::dsn::Dsn;
 use dsn_core::graph::Graph;
 use dsn_sim::{
-    AdaptiveEscape, EngineKind, FaultPlan, FlowArrivals, FlowSizeDist, RetryPolicy, RunStats,
-    SimConfig, SimRouting, Simulator, StagedSpec, TrafficPattern, Workload,
+    AdaptiveEscape, FaultPlan, FlowArrivals, FlowSizeDist, RetryPolicy, SimConfig, Simulator,
+    StagedSpec, TrafficPattern, Workload,
 };
 use std::sync::Arc;
 
-/// Short-horizon config so the dense reference stays fast in debug builds.
+mod common;
+use common::{assert_engine_matches_spec, spec};
+
+/// Short-horizon config so the spec simulator stays fast in debug builds.
 fn cfg() -> SimConfig {
     SimConfig {
         warmup_cycles: 300,
@@ -23,47 +26,6 @@ fn cfg() -> SimConfig {
         drain_cycles: 6_000,
         ..SimConfig::test_small()
     }
-}
-
-/// Run the identical scenario on the dense reference and the event core,
-/// demanding bit-identical stats; returns them for scenario-specific
-/// assertions.
-fn assert_engines_agree(
-    g: Arc<Graph>,
-    cfg: SimConfig,
-    routing: Arc<dyn SimRouting>,
-    workload: Workload,
-    seed: u64,
-    label: &str,
-) -> RunStats {
-    let dense = Simulator::with_workload(
-        g.clone(),
-        SimConfig {
-            engine: EngineKind::Dense,
-            ..cfg.clone()
-        },
-        routing.clone(),
-        workload.clone(),
-        seed,
-    )
-    .run();
-    assert!(
-        dense.total_packets_all_time > 0,
-        "{label}: vacuous scenario"
-    );
-    let event = Simulator::with_workload(
-        g,
-        SimConfig {
-            engine: EngineKind::Event,
-            ..cfg
-        },
-        routing,
-        workload,
-        seed,
-    )
-    .run();
-    assert_eq!(dense, event, "{label}: event core diverged from dense");
-    dense
 }
 
 fn small_dsn() -> Arc<Graph> {
@@ -80,14 +42,14 @@ fn websearch_flows(rate: f64) -> Workload {
     }
 }
 
-// ---------------------------------------------------------------- engines
+// ------------------------------------------------------------ spec vs event
 
 #[test]
-fn websearch_poisson_flows_engines_agree() {
+fn websearch_poisson_flows_match_spec() {
     let g = small_dsn();
     let cfg = cfg();
     let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
-    let stats = assert_engines_agree(
+    let stats = assert_engine_matches_spec(
         g,
         cfg,
         routing,
@@ -100,9 +62,9 @@ fn websearch_poisson_flows_engines_agree() {
 }
 
 #[test]
-fn zipf_hot_host_flows_engines_agree() {
+fn zipf_hot_host_flows_match_spec() {
     // The skewed hot-host destination mix: host 0 is the hot sink, so
-    // the engines must agree while one corner of the network
+    // the engine and the spec must agree while one corner of the network
     // carries most of the load.
     let g = small_dsn();
     let cfg = cfg();
@@ -115,13 +77,14 @@ fn zipf_hot_host_flows_engines_agree() {
             flows_per_cycle: 0.002,
         },
     };
-    let stats = assert_engines_agree(g, cfg, routing, workload, 47, "dsn16 zipf hot-host flows");
+    let stats =
+        assert_engine_matches_spec(g, cfg, routing, workload, 47, "dsn16 zipf hot-host flows");
     assert!(stats.flows_started > 0, "window must see flow starts");
     assert!(stats.flows_completed > 0, "some flows must complete");
 }
 
 #[test]
-fn hadoop_onoff_flows_engines_agree() {
+fn hadoop_onoff_flows_match_spec() {
     let g = small_dsn();
     let cfg = cfg();
     let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
@@ -134,12 +97,13 @@ fn hadoop_onoff_flows_engines_agree() {
             mean_burst: 4.0,
         },
     };
-    let stats = assert_engines_agree(g, cfg, routing, workload, 43, "dsn16 hadoop on-off flows");
+    let stats =
+        assert_engine_matches_spec(g, cfg, routing, workload, 43, "dsn16 hadoop on-off flows");
     assert!(stats.flows_started_all_time > 0);
 }
 
 #[test]
-fn pareto_flows_engines_agree() {
+fn pareto_flows_match_spec() {
     let g = small_dsn();
     let cfg = cfg();
     let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
@@ -153,7 +117,7 @@ fn pareto_flows_engines_agree() {
             flows_per_cycle: 0.003,
         },
     };
-    assert_engines_agree(
+    assert_engine_matches_spec(
         g,
         cfg,
         routing,
@@ -164,7 +128,7 @@ fn pareto_flows_engines_agree() {
 }
 
 #[test]
-fn incast_engines_agree() {
+fn incast_matches_spec() {
     let g = small_dsn();
     let cfg = cfg();
     let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
@@ -173,12 +137,12 @@ fn incast_engines_agree() {
         request_packets: 3,
         wave_period: 600,
     };
-    let stats = assert_engines_agree(g, cfg, routing, workload, 53, "dsn16 incast 8-to-1");
+    let stats = assert_engine_matches_spec(g, cfg, routing, workload, 53, "dsn16 incast 8-to-1");
     assert!(stats.flows_completed > 0, "incast waves must complete");
 }
 
 #[test]
-fn staged_ring_allreduce_engines_agree() {
+fn staged_ring_allreduce_matches_spec() {
     let g = small_dsn();
     let mut cfg = cfg();
     cfg.warmup_cycles = 0;
@@ -187,7 +151,7 @@ fn staged_ring_allreduce_engines_agree() {
     let hosts = 16 * cfg.hosts_per_switch;
     let spec = StagedSpec::ring_allreduce(hosts, 2);
     let total = spec.total_packets();
-    let stats = assert_engines_agree(
+    let stats = assert_engine_matches_spec(
         g,
         cfg,
         routing,
@@ -203,7 +167,7 @@ fn staged_ring_allreduce_engines_agree() {
 }
 
 #[test]
-fn staged_recursive_doubling_engines_agree() {
+fn staged_recursive_doubling_matches_spec() {
     let g = small_dsn();
     let mut cfg = cfg();
     cfg.warmup_cycles = 0;
@@ -212,7 +176,7 @@ fn staged_recursive_doubling_engines_agree() {
     let hosts = 16 * cfg.hosts_per_switch;
     let spec = StagedSpec::recursive_doubling_allreduce(hosts, 2);
     let total = spec.total_packets();
-    let stats = assert_engines_agree(
+    let stats = assert_engine_matches_spec(
         g,
         cfg,
         routing,
@@ -225,7 +189,7 @@ fn staged_recursive_doubling_engines_agree() {
 }
 
 #[test]
-fn staged_all_to_all_engines_agree() {
+fn staged_all_to_all_matches_spec() {
     let g = small_dsn();
     let mut cfg = cfg();
     cfg.warmup_cycles = 0;
@@ -233,7 +197,7 @@ fn staged_all_to_all_engines_agree() {
     let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
     let hosts = 16 * cfg.hosts_per_switch;
     let spec = StagedSpec::pipelined_all_to_all(hosts, 1);
-    let stats = assert_engines_agree(
+    let stats = assert_engine_matches_spec(
         g,
         cfg,
         routing,
@@ -244,15 +208,15 @@ fn staged_all_to_all_engines_agree() {
     assert!(stats.completion_cycle.is_some(), "collective must finish");
 }
 
-/// Flow workloads under a link-flap plan with retries: the event core must
-/// still match the dense reference bit for bit.
+/// Flow workloads under a link-flap plan with retries: the engine must
+/// still match the spec bit for bit.
 #[test]
-fn faulted_flows_engines_agree() {
+fn faulted_flows_match_spec() {
     let g = small_dsn();
     let mut cfg = cfg();
     cfg.fault_plan = FaultPlan::flap(3, 700, 400, 3).with_retry(RetryPolicy::new(2, 150, 50));
     let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
-    let stats = assert_engines_agree(
+    let stats = assert_engine_matches_spec(
         g,
         cfg,
         routing,
@@ -263,54 +227,40 @@ fn faulted_flows_engines_agree() {
     assert!(stats.flows_started > 0);
 }
 
-/// With telemetry on, every engine must export byte-identical artifacts —
-/// including the new per-class `"fct"` section fed by the
+/// With telemetry on, the engine and the spec must export byte-identical
+/// artifacts — including the per-class `"fct"` section fed by the
 /// flow-completion hook.
 #[test]
-fn flow_telemetry_byte_identical_across_engines() {
+fn flow_telemetry_byte_identical_to_spec() {
     let g = small_dsn();
     let mut cfg = cfg();
     cfg.telemetry = Some(cfg.standard_telemetry(512));
     let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
     let workload = websearch_flows(0.004);
 
-    let (dense_stats, dense_rep) = Simulator::with_workload(
+    let (spec_stats, spec_rep) = spec::run_with_telemetry(
         g.clone(),
-        SimConfig {
-            engine: EngineKind::Dense,
-            ..cfg.clone()
-        },
+        cfg.clone(),
         routing.clone(),
         workload.clone(),
         73,
-    )
-    .run_with_telemetry();
-    let dense_rep = dense_rep.expect("telemetry was configured");
-    let json = dense_rep.to_json();
+    );
+    let spec_rep = spec_rep.expect("telemetry was configured");
+    let json = spec_rep.to_json();
     assert!(
         json.contains("\"fct\": ["),
         "flow run must emit the fct telemetry section"
     );
     assert!(
-        dense_stats.flows_completed > 0,
+        spec_stats.flows_completed > 0,
         "scenario must complete flows"
     );
 
-    let (stats, rep) = Simulator::with_workload(
-        g,
-        SimConfig {
-            engine: EngineKind::Event,
-            ..cfg
-        },
-        routing,
-        workload,
-        73,
-    )
-    .run_with_telemetry();
+    let (stats, rep) = Simulator::with_workload(g, cfg, routing, workload, 73).run_with_telemetry();
     let rep = rep.expect("telemetry was configured");
-    assert_eq!(dense_stats, stats, "event: stats diverged");
-    assert_eq!(json, rep.to_json(), "event: JSON diverged");
-    assert_eq!(dense_rep.to_csv(), rep.to_csv(), "event: CSV diverged");
+    assert_eq!(spec_stats, stats, "engine: stats diverged");
+    assert_eq!(json, rep.to_json(), "engine: JSON diverged");
+    assert_eq!(spec_rep.to_csv(), rep.to_csv(), "engine: CSV diverged");
 }
 
 // ------------------------------------------------------------ accounting
@@ -332,17 +282,7 @@ fn flow_packet_accounting_balances_exactly() {
             flows_per_cycle: 0.001,
         },
     };
-    let stats = Simulator::with_workload(
-        g,
-        SimConfig {
-            engine: EngineKind::Event,
-            ..cfg
-        },
-        routing,
-        workload,
-        79,
-    )
-    .run();
+    let stats = Simulator::with_workload(g, cfg, routing, workload, 79).run();
     assert!(stats.flows_started > 0);
     // Arrivals run through the drain (open-loop convention), so a flow
     // starting near the horizon may not finish; but every *measured* flow
@@ -382,10 +322,7 @@ fn single_flow_fct_scales_with_pacing() {
     let fct = |k: u32| -> u64 {
         let stats = Simulator::with_workload(
             g.clone(),
-            SimConfig {
-                engine: EngineKind::Event,
-                ..cfg.clone()
-            },
+            cfg.clone(),
             routing.clone(),
             Workload::Incast {
                 fanin: 1,
@@ -428,10 +365,7 @@ fn incast_wave_accounting() {
     let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
     let stats = Simulator::with_workload(
         g,
-        SimConfig {
-            engine: EngineKind::Event,
-            ..cfg
-        },
+        cfg,
         routing,
         Workload::Incast {
             fanin: 6,
@@ -517,11 +451,11 @@ fn cdf_sampling_is_seed_deterministic() {
 
 // -------------------------------------------------------------- CI smoke
 
-/// CI smoke: a 30k-cycle dense-vs-event check of the flow layer on a
+/// CI smoke: a 30k-cycle spec-vs-event check of the flow layer on a
 /// paper-sized DSN with the paper's full-size delays, kept as one named
 /// test so the workflow can run exactly this gate.
 #[test]
-fn smoke_30k_flows_dense_vs_event() {
+fn smoke_30k_flows_spec_vs_event() {
     let g = Arc::new(Dsn::new(64, 5).unwrap().into_graph());
     let cfg = SimConfig {
         warmup_cycles: 5_000,
@@ -530,7 +464,7 @@ fn smoke_30k_flows_dense_vs_event() {
         ..SimConfig::default()
     };
     let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
-    let stats = assert_engines_agree(
+    let stats = assert_engine_matches_spec(
         g,
         cfg,
         routing,

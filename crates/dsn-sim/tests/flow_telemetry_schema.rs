@@ -6,8 +6,7 @@
 
 use dsn_core::dsn::Dsn;
 use dsn_sim::{
-    AdaptiveEscape, EngineKind, FlowArrivals, FlowSizeDist, SimConfig, Simulator, TrafficPattern,
-    Workload,
+    AdaptiveEscape, FlowArrivals, FlowSizeDist, SimConfig, Simulator, TrafficPattern, Workload,
 };
 use dsn_telemetry::SCHEMA;
 use std::sync::Arc;
@@ -16,10 +15,9 @@ const GOLDEN_PATH: &str = "tests/golden/flow_telemetry_schema.json";
 const GOLDEN: &str = include_str!("golden/flow_telemetry_schema.json");
 
 /// Tiny fixed scenario: DSN with 16 switches, web-search flows at a low
-/// Poisson rate, 256-cycle windows, event engine, fixed seed.
+/// Poisson rate, 256-cycle windows, fixed seed.
 fn tiny_report() -> String {
     let mut cfg = SimConfig {
-        engine: EngineKind::Event,
         warmup_cycles: 200,
         measure_cycles: 1_500,
         drain_cycles: 4_000,

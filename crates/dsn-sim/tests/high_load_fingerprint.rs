@@ -1,5 +1,5 @@
 //! CI smoke gate for the hot path: one 30k-cycle high-load row (DSN-5-64,
-//! uniform traffic at 11 Gbit/s/host, event engine, port-mask routing)
+//! uniform traffic at 11 Gbit/s/host, port-mask routing)
 //! against a pinned `RunStats` fingerprint. Every optimization to the
 //! allocation hot path — SoA state, the routing table format, the routing
 //! cache — is required to be *bit-identical*, so any drift in these
@@ -12,7 +12,7 @@
 //! (the failing assertions print the measured values).
 
 use dsn_core::dsn::Dsn;
-use dsn_sim::{AdaptiveEscape, EngineKind, SimConfig, Simulator, TrafficPattern};
+use dsn_sim::{AdaptiveEscape, SimConfig, Simulator, TrafficPattern};
 use std::sync::Arc;
 
 const SEED: u64 = 2024;
@@ -33,7 +33,6 @@ const PIN_MEAN_UTIL_BITS: u64 = 0x3fdbff639a2b5595;
 fn high_load_event_matches_pinned_fingerprint() {
     let g = Arc::new(Dsn::new(64, 5).unwrap().into_graph());
     let cfg = SimConfig {
-        engine: EngineKind::Event,
         warmup_cycles: 5_000,
         measure_cycles: 15_000,
         drain_cycles: 10_000,

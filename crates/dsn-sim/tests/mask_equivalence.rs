@@ -5,7 +5,8 @@
 //! (`common/mod.rs`), which computes each hop from its own BFS distances,
 //! `UpDown::next_hops` and `dsnv_step` and shares no code with the masks.
 //! Covered: the trio and a torus, every scheme (including minimal-adaptive
-//! DSN with its DSN-V escape), both engines, mid-run fault rebuilds, and a
+//! DSN with its DSN-V escape), the spec simulator and the engine, mid-run
+//! fault rebuilds, and a
 //! graph of degree > 8 whose masks span two bytes. Any divergence means a
 //! mask or its decode disagrees with the hop-by-hop definition, so the
 //! comparison is `assert_eq!` on the whole struct.
@@ -16,15 +17,15 @@ use dsn_core::graph::Graph;
 use dsn_core::random_regular::RandomRegular;
 use dsn_core::torus::Torus;
 use dsn_sim::{
-    AdaptiveEscape, DsnAlgorithmic, EngineKind, FaultPlan, MinimalAdaptiveDsn, RetryPolicy,
-    RunStats, SimConfig, SimRouting, Simulator, TrafficPattern, UpDownRouting, Workload,
+    AdaptiveEscape, DsnAlgorithmic, FaultPlan, MinimalAdaptiveDsn, RetryPolicy, RunStats,
+    SimConfig, SimRouting, TrafficPattern, UpDownRouting, Workload,
 };
 use std::sync::Arc;
 
 mod common;
-use common::{RefDsnv, RefMinimalDsn, RefPhase};
+use common::{RefDsnv, RefMinimalDsn, RefPhase, Sim};
 
-/// Short-horizon config so the dense engine stays fast in debug builds.
+/// Short-horizon config so the spec simulator stays fast in debug builds.
 fn cfg() -> SimConfig {
     SimConfig {
         warmup_cycles: 300,
@@ -42,8 +43,8 @@ fn open(pattern: TrafficPattern, rate: f64) -> Workload {
 }
 
 /// Run the identical scenario with the library scheme and with its
-/// reference, under **both** engines, and demand bit-identical stats per
-/// engine.
+/// reference, on the spec simulator and on the engine, and demand
+/// bit-identical stats from all four runs.
 fn assert_masks_match_reference(
     g: Arc<Graph>,
     cfg: SimConfig,
@@ -53,37 +54,25 @@ fn assert_masks_match_reference(
     seed: u64,
     label: &str,
 ) -> RunStats {
-    let mut last = None;
-    for engine in [EngineKind::Dense, EngineKind::Event] {
-        let run = |routing: Arc<dyn SimRouting>| {
-            Simulator::with_workload(
-                g.clone(),
-                SimConfig {
-                    engine,
-                    ..cfg.clone()
-                },
-                routing,
-                workload.clone(),
-                seed,
-            )
-            .run()
-        };
-        let expected = run(reference.clone());
-        let got = run(routing.clone());
+    let mut runs = Vec::new();
+    for sim in Sim::BOTH {
+        let expected = sim.run(&g, &cfg, reference.clone(), &workload, seed);
+        let got = sim.run(&g, &cfg, routing.clone(), &workload, seed);
         assert_eq!(
             expected,
             got,
             "{label} [{}]: port masks diverged from the reference",
-            engine.name()
+            sim.name()
         );
         assert!(
             got.total_packets_all_time > 0,
             "{label} [{}]: vacuous scenario",
-            engine.name()
+            sim.name()
         );
-        last = Some(got);
+        runs.push(got);
     }
-    last.unwrap()
+    assert_eq!(runs[0], runs[1], "{label}: engine diverged from the spec");
+    runs.pop().unwrap()
 }
 
 #[test]

@@ -4,8 +4,9 @@
 //! unsafe single-class basic routing at a load where it wedges, and the
 //! minimal-adaptive scheme with its DSN-V escape layer.
 //!
-//! Every scenario runs on both engines, which must agree on the whole
-//! `RunStats`; the pins then fix the routing semantics themselves, so a
+//! Every scenario runs on the engine and on the spec simulator
+//! (`common/spec.rs`), which must agree on the whole `RunStats`; the pins
+//! then fix the routing semantics themselves, so a
 //! refactor of a router that changes a single hop or VC choice fails here.
 //! The pins were recorded with the earlier materialized-path DSN-V router
 //! (every packet carried its whole route) and the per-sojourn path cache
@@ -22,10 +23,13 @@
 use dsn_core::dsn::Dsn;
 use dsn_core::graph::Graph;
 use dsn_sim::{
-    DsnAlgorithmic, EngineKind, FaultPlan, MinimalAdaptiveDsn, RetryPolicy, RunStats, SimConfig,
-    SimRouting, Simulator, TrafficPattern,
+    DsnAlgorithmic, FaultPlan, MinimalAdaptiveDsn, RetryPolicy, SimConfig, SimRouting,
+    TrafficPattern, Workload,
 };
 use std::sync::Arc;
+
+mod common;
+use common::Sim;
 
 /// Pinned values of one scenario.
 struct Pin {
@@ -76,8 +80,8 @@ fn plans() -> [(&'static str, FaultPlan); 3] {
     ]
 }
 
-/// Run one scenario on both engines, demand identical stats, print the
-/// measured fingerprint and compare it with the pin.
+/// Run one scenario on the spec and on the engine, demand identical
+/// stats, print the measured fingerprint and compare it with the pin.
 fn check(
     label: &str,
     g: &Arc<Graph>,
@@ -86,23 +90,13 @@ fn check(
     rate: f64,
     pin: &Pin,
 ) {
-    let run = |engine| {
-        Simulator::new(
-            g.clone(),
-            SimConfig {
-                engine,
-                ..cfg.clone()
-            },
-            routing.clone(),
-            TrafficPattern::Uniform,
-            rate,
-            2024,
-        )
-        .run()
+    let workload = Workload::Open {
+        pattern: TrafficPattern::Uniform,
+        packets_per_cycle_per_host: rate,
     };
-    let dense: RunStats = run(EngineKind::Dense);
-    let event = run(EngineKind::Event);
-    assert_eq!(dense, event, "{label}: engines diverged");
+    let expected = Sim::Spec.run(g, &cfg, routing.clone(), &workload, 2024);
+    let event = Sim::Engine.run(g, &cfg, routing, &workload, 2024);
+    assert_eq!(expected, event, "{label}: engine diverged from the spec");
     let digest = fnv1a(format!("{event:?}").as_bytes());
     println!(
         "{label}: delivered={} dropped_all_time={} retried={} deadlock={} digest={digest:#018x}",

@@ -1,22 +1,24 @@
-//! Bit-equivalence gate for the two scheduling cores: the event-driven
-//! engine must reproduce the dense reference's `RunStats` *exactly* —
-//! every counter and every float — across topologies, routings, traffic
-//! patterns, open and closed workloads, and a seeded deadlock case. Any
-//! divergence means the event core reordered an arbitration or mistimed an
-//! event, so the comparison is `assert_eq!` on the whole struct, not a
-//! tolerance check.
+//! Bit-equivalence gate for the engine against the spec simulator
+//! (`common/spec.rs`, written from the cycle contract and sharing no
+//! mutation code with the engine): the engine must reproduce the spec's
+//! `RunStats` *exactly* — every counter and every float — across
+//! topologies, routings, traffic patterns, open and closed workloads, and
+//! a seeded deadlock case. Any divergence means one of them reordered an
+//! arbitration or mistimed an event, so the comparison is `assert_eq!` on
+//! the whole struct, not a tolerance check.
 
 use dsn_core::dln::Dln;
 use dsn_core::dsn::Dsn;
-use dsn_core::graph::Graph;
 use dsn_core::torus::Torus;
 use dsn_sim::{
-    AdaptiveEscape, DsnAlgorithmic, EngineKind, RunStats, SimConfig, SimRouting, Simulator,
-    TrafficPattern, UpDownRouting, Workload,
+    AdaptiveEscape, DsnAlgorithmic, SimConfig, SimRouting, TrafficPattern, UpDownRouting, Workload,
 };
 use std::sync::Arc;
 
-/// Short-horizon config so the dense reference stays fast in debug builds.
+mod common;
+use common::assert_engine_matches_spec;
+
+/// Short-horizon config so the spec simulator stays fast in debug builds.
 fn cfg() -> SimConfig {
     SimConfig {
         warmup_cycles: 300,
@@ -24,46 +26,6 @@ fn cfg() -> SimConfig {
         drain_cycles: 2_500,
         ..SimConfig::test_small()
     }
-}
-
-/// Run the identical scenario under both engines and demand bit-identical
-/// stats; returns them for extra scenario-specific assertions.
-fn assert_engines_agree(
-    g: Arc<Graph>,
-    cfg: SimConfig,
-    routing: Arc<dyn SimRouting>,
-    workload: Workload,
-    seed: u64,
-    label: &str,
-) -> RunStats {
-    let dense = Simulator::with_workload(
-        g.clone(),
-        SimConfig {
-            engine: EngineKind::Dense,
-            ..cfg.clone()
-        },
-        routing.clone(),
-        workload.clone(),
-        seed,
-    )
-    .run();
-    let event = Simulator::with_workload(
-        g,
-        SimConfig {
-            engine: EngineKind::Event,
-            ..cfg
-        },
-        routing,
-        workload,
-        seed,
-    )
-    .run();
-    assert_eq!(dense, event, "{label}: engines diverged");
-    assert!(
-        dense.total_packets_all_time > 0,
-        "{label}: vacuous scenario"
-    );
-    dense
 }
 
 fn open(pattern: TrafficPattern, rate: f64) -> Workload {
@@ -79,7 +41,7 @@ fn dsn_adaptive_uniform_low_and_high_load() {
     let cfg = cfg();
     let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
     for (rate, label) in [(0.002, "low"), (0.04, "near-saturation")] {
-        let stats = assert_engines_agree(
+        let stats = assert_engine_matches_spec(
             g.clone(),
             cfg.clone(),
             routing.clone(),
@@ -97,7 +59,7 @@ fn dsn_updown_transpose() {
     let g = Arc::new(Dsn::new(128, 6).unwrap().into_graph());
     let cfg = cfg();
     let routing = Arc::new(UpDownRouting::new(g.clone(), cfg.vcs));
-    assert_engines_agree(
+    assert_engine_matches_spec(
         g,
         cfg,
         routing,
@@ -114,7 +76,7 @@ fn dsn_custom_routing_uniform() {
     let routing = Arc::new(DsnAlgorithmic::new(dsn));
     // DSN-V levels need the paper's 4 VCs; keep the short test horizon.
     let cfg = SimConfig { vcs: 4, ..cfg() };
-    assert_engines_agree(
+    assert_engine_matches_spec(
         g,
         cfg,
         routing,
@@ -133,7 +95,7 @@ fn torus_updown_uniform_and_transpose() {
         (TrafficPattern::Transpose, "transpose"),
     ] {
         let routing = Arc::new(UpDownRouting::new(g.clone(), cfg.vcs));
-        assert_engines_agree(
+        assert_engine_matches_spec(
             g.clone(),
             cfg.clone(),
             routing,
@@ -149,7 +111,7 @@ fn dln_adaptive_uniform() {
     let g = Arc::new(Dln::new(64, 2).unwrap().into_graph());
     let cfg = cfg();
     let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
-    assert_engines_agree(
+    assert_engine_matches_spec(
         g,
         cfg,
         routing,
@@ -166,7 +128,7 @@ fn closed_all_to_all_batch() {
     cfg.drain_cycles = 60_000; // room for the batch to finish
     let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
     let hosts = 16 * cfg.hosts_per_switch;
-    let stats = assert_engines_agree(
+    let stats = assert_engine_matches_spec(
         g,
         cfg,
         routing,
@@ -179,8 +141,8 @@ fn closed_all_to_all_batch() {
 
 #[test]
 fn seeded_deadlock_watchdog_case() {
-    // The provably-cyclic single-VC basic routing wedges under load; both
-    // engines must agree on the whole wedged-run fingerprint, watchdog
+    // The provably-cyclic single-VC basic routing wedges under load; the
+    // engine and the spec must agree on the whole wedged-run fingerprint, watchdog
     // verdict included.
     let dsn = Arc::new(Dsn::new(60, 5).unwrap());
     let g = Arc::new(dsn.graph().clone());
@@ -192,7 +154,7 @@ fn seeded_deadlock_watchdog_case() {
     };
     let rate = cfg.packets_per_cycle_for_gbps(4.0);
     let routing = Arc::new(DsnAlgorithmic::basic_single_vc(dsn));
-    let stats = assert_engines_agree(
+    let stats = assert_engine_matches_spec(
         g,
         cfg,
         routing,
@@ -207,10 +169,10 @@ fn seeded_deadlock_watchdog_case() {
     );
 }
 
-/// CI smoke: a 30k-cycle dense-vs-event check on a paper-sized DSN, kept
+/// CI smoke: a 30k-cycle spec-vs-event check on a paper-sized DSN, kept
 /// as one named test so the workflow can run exactly this gate.
 #[test]
-fn smoke_30k_dense_vs_event() {
+fn smoke_30k_spec_vs_event() {
     let g = Arc::new(Dsn::new(64, 5).unwrap().into_graph());
     let cfg = SimConfig {
         warmup_cycles: 5_000,
@@ -220,7 +182,7 @@ fn smoke_30k_dense_vs_event() {
     };
     let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
     let rate = cfg.packets_per_cycle_for_gbps(1.0);
-    let stats = assert_engines_agree(
+    let stats = assert_engine_matches_spec(
         g,
         cfg,
         routing,
@@ -238,7 +200,7 @@ fn smoke_30k_dense_vs_event() {
 /// and zero-alloc presizing all target. The run must actually saturate so
 /// the hot paths being gated are the ones that executed.
 #[test]
-fn saturated_256_dense_vs_event() {
+fn saturated_256_spec_vs_event() {
     let g = Arc::new(Dsn::new(256, 7).unwrap().into_graph());
     let cfg = SimConfig {
         warmup_cycles: 1_000,
@@ -248,7 +210,7 @@ fn saturated_256_dense_vs_event() {
     };
     let routing: Arc<dyn SimRouting> = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
     let rate = cfg.packets_per_cycle_for_gbps(11.0);
-    let stats = assert_engines_agree(
+    let stats = assert_engine_matches_spec(
         g,
         cfg,
         routing,

@@ -1,11 +1,12 @@
 //! Equivalence gates for the telemetry subsystem:
 //!
-//! 1. **Engine equivalence, telemetry on** — dense vs event must produce
-//!    bit-identical `RunStats` *and* byte-identical exported telemetry
-//!    (JSON, CSV, heatmap) across DSN / torus / DLN topologies and
-//!    adaptive / up\*down\* / DSN-V routings. Hooks live only in the shared
-//!    mutation helpers, so any divergence means a hook leaked into one
-//!    scheduling core.
+//! 1. **Spec equivalence, telemetry on** — the engine and the spec
+//!    simulator (`common/spec.rs`) must produce bit-identical `RunStats`
+//!    *and* byte-identical exported telemetry (JSON, CSV, heatmap) across
+//!    DSN / torus / DLN topologies and adaptive / up\*down\* / DSN-V
+//!    routings. The spec fires each hook where the cycle contract says the
+//!    event happens, so any divergence means an engine hook is misplaced,
+//!    missing or fires twice.
 //! 2. **On/off invariance** — enabling telemetry must not perturb the
 //!    simulation: `RunStats` with telemetry on are bit-identical to
 //!    telemetry off.
@@ -18,10 +19,13 @@ use dsn_core::dsn::Dsn;
 use dsn_core::graph::Graph;
 use dsn_core::torus::Torus;
 use dsn_sim::{
-    AdaptiveEscape, DsnAlgorithmic, EngineKind, FaultPlan, RetryPolicy, SimConfig, SimRouting,
-    Simulator, TelemetryReport, TrafficPattern, UpDownRouting, Workload,
+    AdaptiveEscape, DsnAlgorithmic, FaultPlan, RetryPolicy, SimConfig, SimRouting, Simulator,
+    TelemetryReport, TrafficPattern, UpDownRouting, Workload,
 };
 use std::sync::Arc;
+
+mod common;
+use common::spec;
 
 /// Short-horizon config with telemetry enabled (warmup/measure/drain
 /// phases, 512-cycle windows).
@@ -53,9 +57,10 @@ fn run_with(
     Simulator::with_workload(g, cfg, routing, workload, seed).run_with_telemetry()
 }
 
-/// Both engines, telemetry on: bit-identical stats AND byte-identical
-/// exported artifacts. Returns the (shared) report for extra checks.
-fn assert_telemetry_agrees(
+/// The spec and the engine, telemetry on: bit-identical stats AND
+/// byte-identical exported artifacts. Returns the (shared) report for
+/// extra checks.
+fn assert_telemetry_matches_spec(
     g: Arc<Graph>,
     cfg: SimConfig,
     routing: Arc<dyn SimRouting>,
@@ -63,50 +68,38 @@ fn assert_telemetry_agrees(
     seed: u64,
     label: &str,
 ) -> (dsn_sim::RunStats, TelemetryReport) {
-    let (dense_stats, dense_rep) = run_with(
+    let (spec_stats, spec_rep) = spec::run_with_telemetry(
         g.clone(),
-        SimConfig {
-            engine: EngineKind::Dense,
-            ..cfg.clone()
-        },
+        cfg.clone(),
         routing.clone(),
         workload.clone(),
         seed,
     );
-    let (event_stats, event_rep) = run_with(
-        g,
-        SimConfig {
-            engine: EngineKind::Event,
-            ..cfg
-        },
-        routing,
-        workload,
-        seed,
-    );
-    assert_eq!(dense_stats, event_stats, "{label}: RunStats diverged");
-    let dense_rep = dense_rep.expect("telemetry enabled");
-    let event_rep = event_rep.expect("telemetry enabled");
-    assert_eq!(dense_rep, event_rep, "{label}: telemetry reports diverged");
+    let (stats, rep) = run_with(g, cfg, routing, workload, seed);
+    assert_eq!(spec_stats, stats, "{label}: RunStats diverged");
+    let spec_rep = spec_rep.expect("telemetry enabled");
+    let rep = rep.expect("telemetry enabled");
+    assert_eq!(spec_rep, rep, "{label}: telemetry reports diverged");
     assert_eq!(
-        dense_rep.to_json(),
-        event_rep.to_json(),
+        spec_rep.to_json(),
+        rep.to_json(),
         "{label}: JSON exports diverged"
     );
     assert_eq!(
-        dense_rep.to_csv(),
-        event_rep.to_csv(),
+        spec_rep.to_csv(),
+        rep.to_csv(),
         "{label}: CSV exports diverged"
     );
     assert_eq!(
-        dense_rep.heatmap(),
-        event_rep.heatmap(),
+        spec_rep.heatmap(),
+        rep.heatmap(),
         "{label}: heatmaps diverged"
     );
     assert!(
-        dense_stats.total_packets_all_time > 0,
+        stats.total_packets_all_time > 0,
         "{label}: vacuous scenario"
     );
-    (dense_stats, dense_rep)
+    (stats, rep)
 }
 
 /// Telemetry's view must reconcile with the engine's own accounting.
@@ -154,7 +147,7 @@ fn dsn_adaptive_uniform_telemetry_matches() {
     let g = Arc::new(Dsn::new(64, 5).unwrap().into_graph());
     let cfg = cfg_on();
     let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
-    let (stats, rep) = assert_telemetry_agrees(
+    let (stats, rep) = assert_telemetry_matches_spec(
         g,
         cfg,
         routing,
@@ -176,7 +169,7 @@ fn dsn_updown_transpose_telemetry_matches() {
     let g = Arc::new(Dsn::new(128, 6).unwrap().into_graph());
     let cfg = cfg_on();
     let routing = Arc::new(UpDownRouting::new(g.clone(), cfg.vcs));
-    let (stats, rep) = assert_telemetry_agrees(
+    let (stats, rep) = assert_telemetry_matches_spec(
         g,
         cfg,
         routing,
@@ -193,7 +186,7 @@ fn dsn_custom_routing_telemetry_matches() {
     let g = Arc::new(dsn.graph().clone());
     let routing = Arc::new(DsnAlgorithmic::new(dsn));
     let cfg = SimConfig { vcs: 4, ..cfg_on() };
-    let (stats, rep) = assert_telemetry_agrees(
+    let (stats, rep) = assert_telemetry_matches_spec(
         g,
         cfg,
         routing,
@@ -209,7 +202,7 @@ fn torus_updown_telemetry_matches() {
     let g = Arc::new(Torus::new(&[4, 4]).unwrap().into_graph());
     let cfg = cfg_on();
     let routing = Arc::new(UpDownRouting::new(g.clone(), cfg.vcs));
-    let (stats, rep) = assert_telemetry_agrees(
+    let (stats, rep) = assert_telemetry_matches_spec(
         g,
         cfg,
         routing,
@@ -225,7 +218,7 @@ fn dln_adaptive_telemetry_matches() {
     let g = Arc::new(Dln::new(64, 2).unwrap().into_graph());
     let cfg = cfg_on();
     let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
-    let (stats, rep) = assert_telemetry_agrees(
+    let (stats, rep) = assert_telemetry_matches_spec(
         g,
         cfg,
         routing,
@@ -238,10 +231,11 @@ fn dln_adaptive_telemetry_matches() {
 
 #[test]
 fn telemetry_on_does_not_perturb_runstats() {
-    // Same scenario with telemetry off and on, both engines: all four
-    // RunStats must be bit-identical, and the two reports equal. The
-    // faulted and past-saturation rows are where the event core's
-    // allocation walk skips the most blocked heads and reports them itself.
+    // Same scenario with telemetry off and on, on the spec and on the
+    // engine: all four RunStats must be bit-identical, and the two
+    // reports equal. The faulted and past-saturation rows are where the
+    // engine's allocation walk skips the most blocked heads and reports
+    // them itself.
     let g = Arc::new(Dsn::new(64, 5).unwrap().into_graph());
     let flap = FaultPlan::flap(6, 600, 400, 3).with_retry(RetryPolicy::new(4, 100, 50));
     for (plan, rate) in [(FaultPlan::none(), 0.01), (flap.clone(), 0.01), (flap, 0.2)] {
@@ -254,21 +248,28 @@ fn telemetry_on_does_not_perturb_runstats() {
             telemetry: None,
             ..on.clone()
         };
-        let routing = Arc::new(AdaptiveEscape::new(g.clone(), on.vcs));
+        let routing: Arc<dyn SimRouting> = Arc::new(AdaptiveEscape::new(g.clone(), on.vcs));
+        let workload = open(TrafficPattern::Uniform, rate);
         let mut all = Vec::new();
         let mut reports = Vec::new();
-        for engine in [EngineKind::Dense, EngineKind::Event] {
-            for cfg in [&off, &on] {
-                let (stats, rep) = run_with(
+        for cfg in [&off, &on] {
+            let runs = [
+                spec::run_with_telemetry(
                     g.clone(),
-                    SimConfig {
-                        engine,
-                        ..cfg.clone()
-                    },
+                    cfg.clone(),
                     routing.clone(),
-                    open(TrafficPattern::Uniform, rate),
+                    workload.clone(),
                     99,
-                );
+                ),
+                run_with(
+                    g.clone(),
+                    cfg.clone(),
+                    routing.clone(),
+                    workload.clone(),
+                    99,
+                ),
+            ];
+            for (stats, rep) in runs {
                 assert_eq!(rep.is_some(), cfg.telemetry.is_some());
                 all.push(stats);
                 reports.extend(rep);
@@ -278,7 +279,7 @@ fn telemetry_on_does_not_perturb_runstats() {
         for s in &all[1..] {
             assert_eq!(
                 &all[0], s,
-                "{label}: telemetry or engine choice perturbed RunStats"
+                "{label}: telemetry or the spec perturbed RunStats"
             );
         }
         assert_eq!(
@@ -297,7 +298,7 @@ fn closed_batch_flits_fully_accounted() {
     cfg.drain_cycles = 60_000;
     let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
     let hosts = 16 * cfg.hosts_per_switch;
-    let (stats, rep) = assert_telemetry_agrees(
+    let (stats, rep) = assert_telemetry_matches_spec(
         g,
         cfg.clone(),
         routing,
@@ -317,7 +318,8 @@ fn closed_batch_flits_fully_accounted() {
 #[test]
 fn fault_phases_tag_pre_and_post_packets() {
     // A faulted run with explicit pre/post-fault phases: phase totals must
-    // partition the packets, and both engines must still agree bit-for-bit.
+    // partition the packets, and the engine must still match the spec
+    // bit for bit.
     use dsn_sim::{FaultPlan, TelemetryConfig};
     let g = Arc::new(Dsn::new(64, 5).unwrap().into_graph());
     let mut cfg = cfg_on();
@@ -328,7 +330,7 @@ fn fault_phases_tag_pre_and_post_packets() {
             .with_phases(&[(0, "pre-fault"), (fault_cycle, "post-fault")]),
     );
     let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
-    let (stats, rep) = assert_telemetry_agrees(
+    let (stats, rep) = assert_telemetry_matches_spec(
         g,
         cfg,
         routing,
@@ -346,11 +348,11 @@ fn fault_phases_tag_pre_and_post_packets() {
     assert_eq!(dropped, stats.dropped_packets_all_time);
 }
 
-/// CI smoke: a 30k-cycle telemetry-enabled dense-vs-event check on a
+/// CI smoke: a 30k-cycle telemetry-enabled spec-vs-event check on a
 /// paper-sized DSN, one named test so the workflow can run exactly this
-/// gate next to `smoke_30k_dense_vs_event`.
+/// gate next to `smoke_30k_spec_vs_event`.
 #[test]
-fn smoke_30k_telemetry_dense_vs_event() {
+fn smoke_30k_telemetry_spec_vs_event() {
     let g = Arc::new(Dsn::new(64, 5).unwrap().into_graph());
     let mut cfg = SimConfig {
         warmup_cycles: 5_000,
@@ -361,7 +363,7 @@ fn smoke_30k_telemetry_dense_vs_event() {
     cfg.telemetry = Some(cfg.standard_telemetry(1_000));
     let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
     let rate = cfg.packets_per_cycle_for_gbps(1.0);
-    let (stats, rep) = assert_telemetry_agrees(
+    let (stats, rep) = assert_telemetry_matches_spec(
         g,
         cfg,
         routing,

@@ -5,7 +5,7 @@
 //! `UPDATE_GOLDEN=1 cargo test -p dsn-sim --test telemetry_schema`.
 
 use dsn_core::dsn::Dsn;
-use dsn_sim::{AdaptiveEscape, EngineKind, SimConfig, Simulator, TrafficPattern, Workload};
+use dsn_sim::{AdaptiveEscape, SimConfig, Simulator, TrafficPattern, Workload};
 use dsn_telemetry::SCHEMA;
 use std::sync::Arc;
 
@@ -13,10 +13,9 @@ const GOLDEN_PATH: &str = "tests/golden/telemetry_schema.json";
 const GOLDEN: &str = include_str!("golden/telemetry_schema.json");
 
 /// Tiny fixed scenario: DSN with 16 switches, short warmup/measure/drain
-/// phases, 256-cycle windows, event engine, fixed seed.
+/// phases, 256-cycle windows, fixed seed.
 fn tiny_report() -> String {
     let mut cfg = SimConfig {
-        engine: EngineKind::Event,
         warmup_cycles: 200,
         measure_cycles: 1_500,
         drain_cycles: 1_500,

@@ -1,6 +1,6 @@
 //! Zero-allocation steady state: a saturated run (DSN-5-64, uniform
 //! traffic at 24 Gbit/s/host — past the saturation knee, so source
-//! queues and the live-packet population keep growing — event engine)
+//! queues and the live-packet population keep growing)
 //! must perform **zero heap allocations** during
 //! the measurement phase, under the up*/down*-escape adaptive routing,
 //! the minimal-adaptive routing with its DSN-V escape layer, and the
@@ -34,8 +34,8 @@ use std::sync::Arc;
 
 use dsn_core::dsn::Dsn;
 use dsn_sim::{
-    AdaptiveEscape, DsnAlgorithmic, EngineKind, MinimalAdaptiveDsn, SimConfig, SimRouting,
-    Simulator, TrafficPattern,
+    AdaptiveEscape, DsnAlgorithmic, MinimalAdaptiveDsn, SimConfig, SimRouting, Simulator,
+    TrafficPattern,
 };
 
 /// Counts every allocator entry point while armed; delegates to `System`.
@@ -141,7 +141,6 @@ fn saturated_measure_phase_allocates_nothing() {
     let g = Arc::new(dsn.graph().clone());
     for leg in &legs {
         let cfg = SimConfig {
-            engine: EngineKind::Event,
             vcs: leg.vcs,
             warmup_cycles: 5_000,
             measure_cycles: 15_000,

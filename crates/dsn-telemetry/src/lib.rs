@@ -1,9 +1,8 @@
 //! # dsn-telemetry — zero-cost-when-off observability for the DSN simulator
 //!
 //! A recorder the flit-level simulator drives through hooks placed in its
-//! *shared* mutation helpers, so the dense and event scheduling cores emit
-//! bit-identical telemetry (and bit-identical `RunStats` whether telemetry
-//! is on or off). The subsystem collects:
+//! mutation helpers; the simulator's `RunStats` are bit-identical whether
+//! telemetry is on or off. The subsystem collects:
 //!
 //! * **Windowed time series** — per-link flit counts, per-VC peak buffer
 //!   depth, injection-queue peak depth, per-switch allocation conflicts,

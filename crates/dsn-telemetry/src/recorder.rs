@@ -1,13 +1,13 @@
-//! The telemetry recorder: hook sink for the simulator's shared mutation
+//! The telemetry recorder: hook sink for the simulator's mutation
 //! helpers.
 //!
 //! The simulator calls one hook per observable state change (packet
 //! created, VC allocation granted/blocked, flit sent on a channel, flit
-//! arrived off a wire, flit ejected, packet dropped). Because both
-//! scheduling engines drive those changes through the *same* shared
-//! helpers in the same order, the hook call sequence — and therefore every
-//! exported artifact — is bit-identical between the dense and the event
-//! core (pinned by `dsn-sim/tests/telemetry_equivalence.rs`).
+//! arrived off a wire, flit ejected, packet dropped). Every accumulator is
+//! commutative within a cycle, so any simulator that fires the same hooks
+//! at the same cycles exports the same artifacts, whatever its intra-cycle
+//! order: `dsn-sim/tests/telemetry_equivalence.rs` holds the engine's
+//! exports byte-identical to those of the test suite's spec simulator.
 //!
 //! Per-packet latency is decomposed by *gap attribution*: each hook that
 //! names a packet closes the time gap since that packet's previous event
@@ -247,8 +247,8 @@ impl WindowTable {
     }
 }
 
-/// Per-packet decomposition state, indexed by simulator slab slot (both
-/// engines allocate and retire slots in the same order, so indices agree).
+/// Per-packet decomposition state, indexed by the packet id the simulator
+/// passes (unique among live packets; no export depends on its value).
 #[derive(Debug, Clone, Copy, Default)]
 struct PacketSlot {
     created: u64,
