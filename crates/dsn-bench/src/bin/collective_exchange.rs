@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 fn main() {
     let args = RunArgs::parse("collective_exchange [--telemetry[=WINDOW]]", "--telemetry");
-    let cfg = SimConfig {
+    let mut cfg = SimConfig {
         warmup_cycles: 0,
         measure_cycles: 10_000,
         drain_cycles: 3_000_000, // horizon; batches end much earlier
@@ -71,16 +71,11 @@ fn main() {
         let routing = cache.get_or_build(&graph, &AdaptiveEscape::key_for(cfg.vcs), || {
             Arc::new(AdaptiveEscape::new(graph.clone(), cfg.vcs))
         });
-        let (stats, tel) = Simulator::with_workload(
-            graph,
-            cfg.clone(),
-            routing,
-            Workload::all_to_all(hosts),
-            0xC0_11,
-        )
-        .with_telemetry(TelemetryConfig::windowed(window))
-        .with_routing_cache(cache)
-        .run_with_telemetry();
+        cfg.telemetry = Some(TelemetryConfig::windowed(window));
+        let (stats, tel) =
+            Simulator::with_workload(graph, cfg, routing, Workload::all_to_all(hosts), 0xC0_11)
+                .with_routing_cache(cache)
+                .run_with_telemetry();
         emit_telemetry("collective_dsn", &tel.expect("telemetry enabled"));
         println!(
             "# RunStats cross-check: makespan {:?}, delivered {}",

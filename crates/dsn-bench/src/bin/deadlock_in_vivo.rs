@@ -22,12 +22,13 @@ fn main() {
     let args = RunArgs::parse("deadlock_in_vivo [--telemetry[=WINDOW]]", "--telemetry");
     let dsn = Arc::new(Dsn::new(60, 5).expect("dsn")); // p | n: clean instance
     let graph = Arc::new(dsn.graph().clone());
-    let cfg = SimConfig {
+    let mut cfg = SimConfig {
         warmup_cycles: 2_000,
         measure_cycles: 20_000,
         drain_cycles: 20_000,
         ..SimConfig::default()
     };
+    cfg.telemetry = args.telemetry.map(|w| cfg.standard_telemetry(w));
 
     // The routings are load-independent: build each variant once and
     // share the Arc (and its compiled table) across every load point.
@@ -53,18 +54,15 @@ fn main() {
             } else {
                 "DSN-V 4-VC (acyclic)"
             };
-            let mut sim = Simulator::new(
+            let (stats, report) = Simulator::new(
                 graph.clone(),
                 cfg.clone(),
                 routing,
                 TrafficPattern::Uniform,
                 rate,
                 0xDEAD,
-            );
-            if let Some(window) = args.telemetry {
-                sim = sim.with_telemetry(cfg.standard_telemetry(window));
-            }
-            let (stats, report) = sim.run_with_telemetry();
+            )
+            .run_with_telemetry();
             println!(
                 "  {:>6.1}G {:<22} {:>9.3} {:>14} {:>10}",
                 gbps,

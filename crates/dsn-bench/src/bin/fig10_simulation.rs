@@ -312,11 +312,12 @@ fn emit_bench_json(cfg: &SimConfig, sizes: &[usize]) {
 /// Telemetry pass: one instrumented run per trio topology at the
 /// Figure 10 low-load point (1 Gbit/s/host, uniform traffic).
 fn run_telemetry_pass(
-    cfg: &SimConfig,
+    mut cfg: SimConfig,
     window: u64,
     topos: &[(String, Arc<Graph>)],
     cache: &Arc<RoutingCache>,
 ) {
+    cfg.telemetry = Some(cfg.standard_telemetry(window));
     let rate = cfg.packets_per_cycle_for_gbps(1.0);
     let key = AdaptiveEscape::key_for(cfg.vcs);
     for (name, graph) in topos {
@@ -333,7 +334,6 @@ fn run_telemetry_pass(
             rate,
             0x000F_1610,
         )
-        .with_telemetry(cfg.standard_telemetry(window))
         .run_with_telemetry();
         let report = report.expect("telemetry enabled");
         let tag = format!("fig10_{}", name.replace(['-', ' '], "_").to_lowercase());
@@ -408,7 +408,7 @@ fn main() {
         if let Some(window) = telemetry {
             let topos = trio_graphs(64);
             let cache = Arc::new(RoutingCache::new());
-            run_telemetry_pass(&cfg, window, &topos, &cache);
+            run_telemetry_pass(cfg.clone(), window, &topos, &cache);
         }
         return;
     }
@@ -454,6 +454,6 @@ fn main() {
         cache.hits()
     );
     if let Some(window) = telemetry {
-        run_telemetry_pass(&cfg, window, &topos, &cache);
+        run_telemetry_pass(cfg, window, &topos, &cache);
     }
 }

@@ -46,7 +46,8 @@ fn main() {
         let spec = &trio(n)[0];
         let built = spec.build().expect("topology");
         let g = Arc::new(built.graph);
-        let cfg = flow_config(FlowWorkloadKind::Websearch, quick);
+        let mut cfg = flow_config(FlowWorkloadKind::Websearch, quick);
+        cfg.telemetry = Some(TelemetryConfig::windowed(window));
         let hosts = n * cfg.hosts_per_switch;
         let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
         let (stats, tel) = Simulator::with_workload(
@@ -56,7 +57,6 @@ fn main() {
             FlowWorkloadKind::Websearch.build(hosts),
             FLOW_SEED,
         )
-        .with_telemetry(TelemetryConfig::windowed(window))
         .run_with_telemetry();
         emit_telemetry("flows_dsn", &tel.expect("telemetry enabled"));
         println!(

@@ -38,6 +38,8 @@ fn main() {
     let topos = trio_graphs(64);
     let cache = Arc::new(RoutingCache::new());
     let key = AdaptiveEscape::key_for(cfg.vcs);
+    let mut rerun_cfg = cfg.clone();
+    rerun_cfg.telemetry = telemetry.map(|w| cfg.standard_telemetry(w));
 
     println!("Saturation search (beyond the paper's 12 Gbit/s/host axis)");
     println!("# parallelism: {par}");
@@ -75,18 +77,15 @@ fn main() {
             let routing =
                 cache.get_or_build(graph, &key, move || Arc::new(AdaptiveEscape::new(g2, vcs)));
             let rate = cfg.packets_per_cycle_for_gbps(sat * 0.9);
-            let mut sim = Simulator::new(
+            let (stats, report) = Simulator::new(
                 graph.clone(),
-                cfg.clone(),
+                rerun_cfg.clone(),
                 routing,
                 pattern.clone(),
                 rate,
                 0x5A7,
-            );
-            if let Some(window) = telemetry {
-                sim = sim.with_telemetry(cfg.standard_telemetry(window));
-            }
-            let (stats, report) = sim.run_with_telemetry();
+            )
+            .run_with_telemetry();
             println!(
                 "  {:<14} {:<14} {:>12.1} {:>10.3} {:>10.3}",
                 name,

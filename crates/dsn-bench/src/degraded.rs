@@ -241,15 +241,16 @@ pub fn run_dynamic_telemetry(
     cfg.fault_plan = FaultPlan::random_connected(&g, FAULT_SEED, faults, first_cycle, spacing)
         .with_retry(RetryPolicy::new(3, 500, 250));
     let fault_cycle = cfg.fault_plan.first_fault_cycle().unwrap_or(first_cycle);
-    let tc = TelemetryConfig::windowed(window)
-        .with_phases(&[(0, "pre-fault"), (fault_cycle, "post-fault")]);
+    cfg.telemetry = Some(
+        TelemetryConfig::windowed(window)
+            .with_phases(&[(0, "pre-fault"), (fault_cycle, "post-fault")]),
+    );
     let cache = Arc::new(RoutingCache::new());
     let routing = cache.get_or_build(&g, &AdaptiveEscape::key_for(cfg.vcs), || {
         Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs))
     });
     let (stats, report) =
         Simulator::new(g, cfg, routing, TrafficPattern::Uniform, rate, FAULT_SEED)
-            .with_telemetry(tc)
             .with_routing_cache(cache)
             .run_with_telemetry();
     (stats, report.expect("telemetry enabled"))

@@ -25,9 +25,8 @@
 //! * `layout_conscious` — cable-capped random topologies vs DSN
 //! * `netanalyze` — analyze any topology given as a spec string
 //!
-//! plus Criterion micro-benchmarks under `benches/`. Every binary parses
-//! its command line with [`RunArgs`] and writes its JSON rows with
-//! [`json_row`] and [`json_report`].
+//! Every binary parses its command line with [`RunArgs`] and writes its
+//! JSON rows with [`json_row`] and [`json_report`].
 
 #![warn(missing_docs)]
 

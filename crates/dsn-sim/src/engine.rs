@@ -38,8 +38,7 @@ use crate::traffic::TrafficPattern;
 use crate::workload::Workload;
 use dsn_core::graph::Graph;
 use dsn_telemetry::{
-    ChannelDesc, PacketTracer, Telemetry, TelemetryConfig, TelemetryReport, TelemetryTopo,
-    TraceEvent,
+    ChannelDesc, PacketTracer, Telemetry, TelemetryReport, TelemetryTopo, TraceEvent,
 };
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -554,10 +553,10 @@ pub struct Simulator {
 
     pub(crate) stats: StatsCollector,
     pub(crate) tracer: Option<PacketTracer>,
-    /// Telemetry sink ([`Telemetry::Off`] unless `cfg.telemetry` is set or
-    /// [`Self::with_telemetry`] was called). Hooks live in the mutation
-    /// helpers below, and `RunStats` stay bit-identical whether it is on
-    /// or off.
+    /// Telemetry sink ([`Telemetry::Off`] unless `cfg.telemetry` is set;
+    /// [`Self::run_with_telemetry`] returns its report). Hooks live in the
+    /// mutation helpers below, and `RunStats` stay bit-identical whether it
+    /// is on or off.
     pub(crate) telemetry: Telemetry,
     /// Per-cycle scratch: which input units already sent a flit.
     pub(crate) input_used: Vec<bool>,
@@ -886,15 +885,6 @@ impl Simulator {
         } else {
             1
         }
-    }
-
-    /// Enable telemetry recording with the given configuration (windows +
-    /// phases); returns self for chaining. Equivalent to setting
-    /// `cfg.telemetry` before construction. Call
-    /// [`Self::run_with_telemetry`] to get the report back.
-    pub fn with_telemetry(mut self, tc: TelemetryConfig) -> Self {
-        self.telemetry = Telemetry::on(tc, telemetry_topo(&self.graph, &self.cfg));
-        self
     }
 
     /// Like [`Self::run`] but also returns the telemetry report (`None`

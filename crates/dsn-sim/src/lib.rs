@@ -15,7 +15,7 @@
 //! ([`TelemetryConfig`] / [`engine::Simulator::run_with_telemetry`], both
 //! from the `dsn-telemetry` crate), a whole-network stall watchdog that
 //! detects real routing deadlocks, per-channel utilization accounting,
-//! bisection saturation search ([`sweep::find_saturation`]), and the
+//! a sectioned saturation search ([`sweep::find_saturation`]), and the
 //! paper's future-work routing ([`routing::MinimalAdaptiveDsn`]).
 //!
 //! ```no_run

@@ -20,7 +20,7 @@
 //! The crate is dependency-free and knows nothing about the simulator; the
 //! simulator hands it a [`TelemetryTopo`] description at construction and
 //! calls hooks. When disabled ([`Telemetry::Off`]) every hook is an inlined
-//! variant check — zero measurable overhead (pinned by a Criterion row).
+//! variant check; `dsn-sim`'s `telemetry_equivalence` tests pin equal `RunStats` on and off.
 //!
 //! The older per-packet [`trace::PacketTracer`] lives here too (folded in
 //! from the simulator crate, which re-exports it at its root).
