@@ -1,9 +1,9 @@
 //! Single-source breadth-first search over the unweighted physical graph.
 //!
 //! Interconnect hop metrics (diameter, average shortest path length) are all
-//! BFS-based because every link costs one switch hop. The hot loop avoids
-//! allocation by reusing a caller-provided workspace, which matters when the
-//! APSP sweep runs one BFS per source across a rayon pool.
+//! BFS-based because every link costs one switch hop. The all-pairs sweep
+//! lives in [`crate::apsp`]; these single-source searches answer point
+//! queries and serve the tests as its oracle.
 
 use dsn_core::graph::Graph;
 use dsn_core::NodeId;
@@ -12,49 +12,23 @@ use std::collections::VecDeque;
 /// Distance value for unreachable nodes.
 pub const UNREACHABLE: u32 = u32::MAX;
 
-/// Reusable BFS scratch space (distance array + queue).
-#[derive(Debug, Default)]
-pub struct BfsWorkspace {
-    dist: Vec<u32>,
-    queue: VecDeque<NodeId>,
-}
-
-impl BfsWorkspace {
-    /// Create a workspace sized for `n` nodes.
-    pub fn new(n: usize) -> Self {
-        BfsWorkspace {
-            dist: vec![UNREACHABLE; n],
-            queue: VecDeque::with_capacity(n),
-        }
-    }
-
-    /// Run BFS from `source`, filling the internal distance array, and
-    /// return it as a slice. Unreached nodes hold [`UNREACHABLE`].
-    pub fn run(&mut self, g: &Graph, source: NodeId) -> &[u32] {
-        let n = g.node_count();
-        self.dist.clear();
-        self.dist.resize(n, UNREACHABLE);
-        self.queue.clear();
-        self.dist[source] = 0;
-        self.queue.push_back(source);
-        while let Some(v) = self.queue.pop_front() {
-            let dv = self.dist[v];
-            for u in g.neighbor_ids(v) {
-                if self.dist[u] == UNREACHABLE {
-                    self.dist[u] = dv + 1;
-                    self.queue.push_back(u);
-                }
+/// One-shot BFS: distances from `source` to every node. Unreached nodes
+/// hold [`UNREACHABLE`].
+pub fn bfs_distances(g: &Graph, source: NodeId) -> Vec<u32> {
+    let mut dist = vec![UNREACHABLE; g.node_count()];
+    let mut queue = VecDeque::new();
+    dist[source] = 0;
+    queue.push_back(source);
+    while let Some(v) = queue.pop_front() {
+        let dv = dist[v];
+        for u in g.neighbor_ids(v) {
+            if dist[u] == UNREACHABLE {
+                dist[u] = dv + 1;
+                queue.push_back(u);
             }
         }
-        &self.dist
     }
-}
-
-/// One-shot BFS: distances from `source` to every node.
-pub fn bfs_distances(g: &Graph, source: NodeId) -> Vec<u32> {
-    let mut ws = BfsWorkspace::new(g.node_count());
-    ws.run(g, source);
-    ws.dist
+    dist
 }
 
 /// Shortest path (as a node sequence, source first) from `source` to
@@ -134,16 +108,6 @@ mod tests {
         };
         let d = bfs_distances(&g, 0);
         assert_eq!(d[3], UNREACHABLE);
-    }
-
-    #[test]
-    fn workspace_reuse_resets_state() {
-        let g = path_graph(4);
-        let mut ws = BfsWorkspace::new(4);
-        let d0: Vec<u32> = ws.run(&g, 0).to_vec();
-        let d3: Vec<u32> = ws.run(&g, 3).to_vec();
-        assert_eq!(d0, vec![0, 1, 2, 3]);
-        assert_eq!(d3, vec![3, 2, 1, 0]);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! # dsn-metrics — parallel graph analysis for interconnect topologies
 //!
-//! Exact, rayon-parallel all-pairs shortest-path analysis (diameter, average
-//! shortest path length, eccentricities, hop histograms) plus clustering /
+//! Exact all-pairs shortest-path analysis (diameter, average shortest path
+//! length, eccentricities, hop histograms) by a bit-parallel BFS that
+//! carries 64 sources per machine word, plus clustering /
 //! small-world metrics. These regenerate the paper's Figures 7 and 8 and
 //! back the Theorem 1–2 validation experiments.
 //!
@@ -26,11 +27,8 @@ pub mod clustering;
 pub mod connectivity;
 pub mod report;
 
-pub use apsp::{
-    aspl, aspl_with, diameter, diameter_with, path_stats, path_stats_with, sampled_path_stats,
-    sampled_path_stats_with, PathStats,
-};
-pub use bfs::{bfs_distances, bfs_path, distance, BfsWorkspace, UNREACHABLE};
+pub use apsp::{aspl, aspl_with, diameter, diameter_with, path_stats, path_stats_with, PathStats};
+pub use bfs::{bfs_distances, bfs_path, distance, UNREACHABLE};
 pub use bisection::{cut_size, estimate_bisection, Bisection};
 pub use connectivity::{edge_connectivity, edge_disjoint_paths, path_diversity_histogram};
 pub use report::{moore_bound, moore_efficiency, TopologyReport};

@@ -31,6 +31,37 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
         })
 }
 
+/// Random graphs of up to 150 nodes, so the APSP sweep crosses two
+/// 64-source word boundaries. Half keep the ring backbone; the other half
+/// draw their edges only, which covers isolated nodes and disconnected
+/// graphs. `sparsity` thins the extra edges by up to 64×, so some rings
+/// keep a diameter of several dozen hops.
+fn arb_wide_graph() -> impl Strategy<Value = Graph> {
+    (
+        1usize..150,
+        0usize..2,
+        0usize..4,
+        proptest::collection::vec((0usize..150, 0usize..150), 0..300),
+    )
+        .prop_map(|(n, ring, sparsity, mut extra)| {
+            extra.truncate(extra.len() >> (2 * sparsity));
+            let mut g = Graph::new(n);
+            if ring == 1 && n > 2 {
+                for i in 0..n {
+                    let j = (i + 1) % n;
+                    g.add_edge(i.min(j), i.max(j), LinkKind::Ring);
+                }
+            }
+            for (a, b) in extra {
+                let (a, b) = (a % n, b % n);
+                if a != b {
+                    g.add_edge_dedup(a.min(b), a.max(b), LinkKind::Random);
+                }
+            }
+            g
+        })
+}
+
 /// O(n^3) Floyd–Warshall oracle.
 fn floyd_warshall(g: &Graph) -> Vec<Vec<u32>> {
     let n = g.node_count();
@@ -73,24 +104,40 @@ proptest! {
     }
 
     #[test]
-    fn path_stats_match_oracle(g in arb_graph()) {
-        let oracle = floyd_warshall(&g);
-        let stats = path_stats(&g);
+    fn path_stats_match_oracle(g in arb_wide_graph()) {
+        // Fold one plain BFS per source into every PathStats field.
         let n = g.node_count();
-        let mut max = 0u32;
-        let mut sum = 0u64;
-        let mut cnt = 0u64;
+        let mut histogram = vec![0u64];
+        let mut eccentricity = vec![0u32; n];
+        let mut unreachable = 0u64;
+        let (mut sum, mut cnt) = (0u64, 0u64);
         for s in 0..n {
-            for t in 0..n {
-                if s != t && oracle[s][t] < u32::MAX / 8 {
-                    max = max.max(oracle[s][t]);
-                    sum += oracle[s][t] as u64;
+            for (t, &d) in bfs_distances(&g, s).iter().enumerate() {
+                if d == UNREACHABLE {
+                    unreachable += 1;
+                    continue;
+                }
+                let d = d as usize;
+                if histogram.len() <= d {
+                    histogram.resize(d + 1, 0);
+                }
+                histogram[d] += 1;
+                if s != t {
+                    eccentricity[s] = eccentricity[s].max(d as u32);
+                    sum += d as u64;
                     cnt += 1;
                 }
             }
         }
-        prop_assert_eq!(stats.diameter, max);
-        prop_assert!((stats.aspl - sum as f64 / cnt as f64).abs() < 1e-9);
+        let aspl = if cnt == 0 { 0.0 } else { sum as f64 / cnt as f64 };
+
+        let stats = path_stats(&g);
+        prop_assert_eq!(stats.nodes, n);
+        prop_assert_eq!(&stats.histogram, &histogram);
+        prop_assert_eq!(&stats.eccentricity, &eccentricity);
+        prop_assert_eq!(stats.unreachable_pairs, unreachable);
+        prop_assert_eq!(stats.diameter, eccentricity.iter().copied().max().unwrap_or(0));
+        prop_assert_eq!(stats.aspl.to_bits(), aspl.to_bits());
     }
 
     #[test]
