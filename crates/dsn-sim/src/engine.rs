@@ -181,11 +181,48 @@ impl PacketSlab {
     }
 }
 
-/// One host's injection source queue, packet-granular: the slab ids of
-/// the waiting packets plus the sequence number of the head packet's next
-/// flit. The open-loop injector queues whole packets here, so a waiting
-/// packet costs one `u32` instead of `packet_flits` [`Flit`] records; the
-/// flits are built as they are read. Lengths are still reported in flits.
+// ----------------------------------------------------------------------
+// Packet-granular input VCs. Flits stream whole and in order through every
+// input VC, so a buffer is a FIFO of packet slab ids plus `head_seq`, the
+// front packet's next flit: only the front can be partly sent, and only
+// the back partly arrived. Flits are built as they are read. The two
+// helpers below are that model's cursor arithmetic, shared by the
+// injection source queues and the network rings.
+// ----------------------------------------------------------------------
+
+/// Advance the front packet's cursor past one popped flit; true when that
+/// flit was the tail, so the packet leaves the buffer (the cursor resets
+/// for the next one).
+#[inline]
+fn pop_seq(head_seq: &mut u16, packet_flits: usize) -> bool {
+    if *head_seq as usize + 1 == packet_flits {
+        *head_seq = 0;
+        true
+    } else {
+        *head_seq += 1;
+        false
+    }
+}
+
+/// Flits of packet `k` (0 = front) resident in a buffer holding `count`
+/// packets and `len` flits: the front's unsent ones that have arrived, a
+/// whole packet in the middle, and the remainder at the back.
+#[inline]
+fn resident_flits(k: usize, count: usize, head_seq: u16, len: usize, packet_flits: usize) -> usize {
+    let front = (packet_flits - head_seq as usize).min(len);
+    if k == 0 {
+        front
+    } else if k + 1 < count {
+        packet_flits
+    } else {
+        len - front - (count - 2) * packet_flits
+    }
+}
+
+/// One host's injection source queue: the slab ids of the waiting packets
+/// plus the head cursor. The open-loop injector queues whole packets here
+/// without credit backpressure, so the id deque is unbounded and a
+/// waiting packet costs one `u32`. Lengths are still reported in flits.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SourceQueue {
     ids: VecDeque<u32>,
@@ -218,11 +255,8 @@ impl SourceQueue {
     #[inline]
     fn pop_flit(&mut self, packet_flits: usize) -> Flit {
         let flit = self.front().expect("nonempty");
-        if flit.seq as usize + 1 == packet_flits {
+        if pop_seq(&mut self.head_seq, packet_flits) {
             self.ids.pop_front();
-            self.head_seq = 0;
-        } else {
-            self.head_seq += 1;
         }
         flit
     }
@@ -237,12 +271,13 @@ impl SourceQueue {
         let Some(at) = self.ids.iter().position(|&id| id == pkt) else {
             return 0;
         };
+        let len = self.len_flits(packet_flits);
+        let removed = resident_flits(at, self.ids.len(), self.head_seq, len, packet_flits);
         self.ids.remove(at);
         if at == 0 {
-            packet_flits - std::mem::take(&mut self.head_seq) as usize
-        } else {
-            packet_flits
+            self.head_seq = 0;
         }
+        removed
     }
 
     /// Queued packet ids, front to back.
@@ -258,6 +293,147 @@ impl SourceQueue {
     /// Heap bytes reserved for queued ids.
     fn bytes(&self) -> usize {
         self.ids.capacity() * 4
+    }
+}
+
+/// Flit cursor of one network input VC's packet ring (8 bytes).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct RingCursor {
+    /// Flits resident.
+    len: u16,
+    /// Next flit of the front packet, as in a [`SourceQueue`].
+    head_seq: u16,
+    /// Ring slot of the front packet's id.
+    head: u16,
+    /// Packet ids held, front to back from `head`. Under wormhole a partly
+    /// sent front whose other flits are all still upstream keeps its id
+    /// while `len` is 0.
+    count: u16,
+}
+
+/// The network input buffers: per input VC, a fixed ring of packet slab
+/// ids and a [`RingCursor`], in two flat arrays indexed by `iv`. The
+/// credit loop caps a VC at `buffer_flits` flits, which span at most
+/// `buffer_flits.div_ceil(packet_flits) + 1` packets (a partly sent front,
+/// whole ones, a partly arrived back) and never more than one per flit,
+/// so the rings never grow.
+#[derive(Debug)]
+pub(crate) struct PacketRings {
+    /// Id slots per VC.
+    slots: usize,
+    ids: Vec<u32>,
+    cur: Vec<RingCursor>,
+}
+
+impl PacketRings {
+    fn new(vcs: usize, buffer_flits: usize, packet_flits: usize) -> Self {
+        assert!(
+            (1..=u16::MAX as usize).contains(&buffer_flits),
+            "buffer_flits must fit the ring cursor"
+        );
+        let slots = buffer_flits.min(buffer_flits.div_ceil(packet_flits) + 1);
+        PacketRings {
+            slots,
+            ids: vec![0; vcs * slots],
+            cur: vec![RingCursor::default(); vcs],
+        }
+    }
+
+    /// Index into `ids` of packet `k` (0 = front) of VC `iv`.
+    #[inline]
+    fn at(&self, iv: usize, c: RingCursor, k: usize) -> usize {
+        let mut s = c.head as usize + k;
+        if s >= self.slots {
+            s -= self.slots;
+        }
+        iv * self.slots + s
+    }
+
+    #[inline]
+    fn len_flits(&self, iv: usize) -> usize {
+        self.cur[iv].len as usize
+    }
+
+    #[inline]
+    fn front(&self, iv: usize) -> Option<Flit> {
+        let c = self.cur[iv];
+        (c.len > 0).then(|| Flit {
+            packet: self.ids[iv * self.slots + c.head as usize],
+            seq: c.head_seq,
+        })
+    }
+
+    /// Append an arriving flit; a head (`seq == 0`) adds its packet's id,
+    /// any other flit extends the back packet. Returns the new length.
+    #[inline]
+    fn push_flit(&mut self, iv: usize, flit: Flit) -> usize {
+        let mut c = self.cur[iv];
+        if flit.seq == 0 {
+            debug_assert!((c.count as usize) < self.slots, "packet ring overflow");
+            let at = self.at(iv, c, c.count as usize);
+            self.ids[at] = flit.packet;
+            c.count += 1;
+        } else {
+            debug_assert!(c.count > 0, "body flit without its head");
+            debug_assert_eq!(self.ids[self.at(iv, c, c.count as usize - 1)], flit.packet);
+        }
+        c.len += 1;
+        self.cur[iv] = c;
+        c.len as usize
+    }
+
+    /// Pop the front flit; the packet leaves the ring with its tail.
+    #[inline]
+    fn pop_flit(&mut self, iv: usize, packet_flits: usize) -> Flit {
+        let mut c = self.cur[iv];
+        debug_assert!(c.len > 0, "pop from empty ring");
+        let flit = Flit {
+            packet: self.ids[iv * self.slots + c.head as usize],
+            seq: c.head_seq,
+        };
+        c.len -= 1;
+        if pop_seq(&mut c.head_seq, packet_flits) {
+            c.count -= 1;
+            c.head += 1;
+            if c.head as usize == self.slots {
+                c.head = 0;
+            }
+        }
+        self.cur[iv] = c;
+        flit
+    }
+
+    /// Packet ids held by VC `iv`, front to back.
+    fn packets(&self, iv: usize) -> impl Iterator<Item = u32> + '_ {
+        let c = self.cur[iv];
+        (0..c.count as usize).map(move |k| self.ids[self.at(iv, c, k)])
+    }
+
+    /// Drop packet `pkt` from VC `iv`, keeping the order of the others;
+    /// returns its resident flits ([`resident_flits`]).
+    fn remove_packet(&mut self, iv: usize, pkt: u32, packet_flits: usize) -> usize {
+        let mut c = self.cur[iv];
+        let count = c.count as usize;
+        let Some(k) = (0..count).find(|&k| self.ids[self.at(iv, c, k)] == pkt) else {
+            return 0;
+        };
+        let removed = resident_flits(k, count, c.head_seq, c.len as usize, packet_flits);
+        for j in k + 1..count {
+            let (to, from) = (self.at(iv, c, j - 1), self.at(iv, c, j));
+            self.ids[to] = self.ids[from];
+        }
+        c.count -= 1;
+        c.len -= removed as u16;
+        if k == 0 {
+            c.head_seq = 0;
+        }
+        self.cur[iv] = c;
+        removed
+    }
+
+    /// Heap bytes reserved: the id slots plus the cursors.
+    fn bytes(&self) -> usize {
+        self.ids.capacity() * 4 + self.cur.capacity() * std::mem::size_of::<RingCursor>()
     }
 }
 
@@ -485,22 +661,16 @@ pub struct Simulator {
     /// avoids the `iv / nvc` division).
     pub(crate) iv_node: Vec<u32>,
     /// Number of network input-VC units (`channels * nvc`); `iv` below
-    /// this bound indexes the ring arena, at or above it the injection
+    /// this bound indexes the network rings, at or above it the injection
     /// queues.
     pub(crate) net_ivs: usize,
-    /// Network input buffers: one contiguous fixed-capacity ring arena,
-    /// `buffer_flits` [`Flit`] slots per network `iv`. A single allocation
-    /// (instead of one `VecDeque` per VC) keeps the saturated send/arrival
-    /// path on sequential pages regardless of allocator state — the
-    /// scattered per-VC deques were the dominant cache/TLB cost at 256+
-    /// switches (DESIGN.md §8).
-    pub(crate) net_buf: Vec<Flit>,
-    /// Per-network-`iv` ring position, packed `head << 16 | len`.
-    pub(crate) net_pos: Vec<u32>,
-    /// Injection source queues, one per host (`(iv - net_ivs) / nvc`):
-    /// unbounded, since the open-loop injector queues here without credit
-    /// backpressure, and packet-granular ([`SourceQueue`]), so a waiting
-    /// packet costs one slab id rather than `packet_flits` flits.
+    /// Network input buffers, packet-granular ([`PacketRings`]): a few
+    /// packet ids and an 8-byte cursor per network `iv`, in two flat
+    /// arrays, so the send/arrival path stays on sequential pages
+    /// (DESIGN.md §8).
+    pub(crate) net_rings: PacketRings,
+    /// Injection source queues, one per host (`(iv - net_ivs) / nvc`),
+    /// packet-granular like the rings but unbounded ([`SourceQueue`]).
     pub(crate) inj_buf: Vec<SourceQueue>,
     /// Per-`iv` hot state (header-ready cycle, packed allocation,
     /// allocated packet).
@@ -586,9 +756,9 @@ pub struct ReservedBytes {
     /// Packet slab: one `Option<Packet>` slot per packet ever live at
     /// once, plus the free list.
     pub packet_slab: usize,
-    /// Network input-buffer flit arena: `buffer_flits` flits per network
-    /// input VC plus each VC's ring position, fixed at construction.
-    pub flit_arena: usize,
+    /// Network input buffers: each network input VC's ring of packet ids
+    /// and its cursor, fixed at construction.
+    pub input_buffers: usize,
     /// Injection source queues: queued packet ids plus the per-host queue
     /// headers.
     pub source_queues: usize,
@@ -778,10 +948,6 @@ impl Simulator {
         // `tests/zero_alloc.rs`): network input buffers are bounded by the
         // credit loop at `buffer_flits`, the used-lists by their domains,
         // the routing scratches by the candidate fan-out.
-        assert!(
-            (1..=u16::MAX as usize).contains(&cfg.buffer_flits),
-            "buffer_flits must fit the packed ring position"
-        );
         let net_ivs = channels * nvc;
         let ev = Box::new(crate::event::EventState::new(&cfg, nvc, channels, hosts, n));
         let mut sim = Simulator {
@@ -805,8 +971,7 @@ impl Simulator {
             input_upstream,
             iv_node,
             net_ivs,
-            net_buf: vec![Flit { packet: 0, seq: 0 }; net_ivs * cfg.buffer_flits],
-            net_pos: vec![0; net_ivs],
+            net_rings: PacketRings::new(net_ivs, cfg.buffer_flits, cfg.packet_flits),
             inj_buf: vec![SourceQueue::default(); hosts],
             ivc: vec![IvcHot::IDLE; iv_domain],
             ovc_state: vec![OVC_FREE + cfg.buffer_flits as u64; ov_domain],
@@ -868,8 +1033,7 @@ impl Simulator {
     pub fn reserved_bytes(&self) -> ReservedBytes {
         ReservedBytes {
             packet_slab: self.packets.bytes(),
-            flit_arena: self.net_buf.capacity() * std::mem::size_of::<Flit>()
-                + self.net_pos.capacity() * 4,
+            input_buffers: self.net_rings.bytes(),
             source_queues: self.inj_buf.capacity() * std::mem::size_of::<SourceQueue>()
                 + self.inj_buf.iter().map(SourceQueue::bytes).sum::<usize>(),
             event_queues: self.ev.queue_bytes(),
@@ -1266,10 +1430,10 @@ impl Simulator {
     }
 
     // --- input-VC buffer accessors -------------------------------------
-    // Network `iv`s (< net_ivs) live in the flat ring arena; injection
-    // `iv`s (VC slot 0 of each host's input) in per-host packet-granular
-    // source queues. All logical state (front, order, length in flits) is
-    // representation-independent.
+    // Every input VC is packet-granular: network `iv`s (< net_ivs) are
+    // fixed rings in `net_rings`, injection `iv`s (VC slot 0 of each host's
+    // input) per-host source queues. Both share the cursor arithmetic, so
+    // front, order and length in flits mean the same on either side.
 
     /// The source queue behind injection `iv` (slot 0 of a host's input).
     #[inline]
@@ -1288,7 +1452,7 @@ impl Simulator {
     #[inline]
     pub(crate) fn buf_len(&self, iv: usize) -> usize {
         if iv < self.net_ivs {
-            (self.net_pos[iv] & 0xFFFF) as usize
+            self.net_rings.len_flits(iv)
         } else {
             self.source_queue(iv).len_flits(self.cfg.packet_flits)
         }
@@ -1298,12 +1462,7 @@ impl Simulator {
     #[inline]
     pub(crate) fn buf_front(&self, iv: usize) -> Option<Flit> {
         if iv < self.net_ivs {
-            let pos = self.net_pos[iv];
-            if pos & 0xFFFF == 0 {
-                None
-            } else {
-                Some(self.net_buf[iv * self.cfg.buffer_flits + (pos >> 16) as usize])
-            }
+            self.net_rings.front(iv)
         } else {
             self.source_queue(iv).front()
         }
@@ -1313,88 +1472,44 @@ impl Simulator {
     fn buf_pop(&mut self, i: usize, v: usize) -> Flit {
         let iv = i * self.nvc + v;
         self.buffered_flits -= 1;
+        let packet_flits = self.cfg.packet_flits;
         if iv < self.net_ivs {
-            let cap = self.cfg.buffer_flits;
-            let pos = self.net_pos[iv];
-            let (head, len) = ((pos >> 16) as usize, (pos & 0xFFFF) as usize);
-            debug_assert!(len > 0, "pop from empty ring");
-            let flit = self.net_buf[iv * cap + head];
-            let mut nh = head + 1;
-            if nh == cap {
-                nh = 0;
-            }
-            self.net_pos[iv] = ((nh as u32) << 16) | (len as u32 - 1);
-            flit
+            self.net_rings.pop_flit(iv, packet_flits)
         } else {
-            let packet_flits = self.cfg.packet_flits;
             self.source_queue_mut(iv).pop_flit(packet_flits)
         }
     }
 
-    /// Whether any flit of packet `pkt` sits in buffer `iv` (fault paths).
+    /// Whether buffer `iv` holds packet `pkt` (fault paths).
     pub(crate) fn buf_contains_packet(&self, iv: usize, pkt: u32) -> bool {
         if iv < self.net_ivs {
-            let mut found = false;
-            self.buf_for_each_packet(iv, |p| found |= p == pkt);
-            found
+            self.net_rings.packets(iv).any(|p| p == pkt)
         } else {
             self.source_queue(iv).contains(pkt)
         }
     }
 
-    /// Visit the slab id of every packet resident in buffer `iv`
-    /// front-to-back (fault paths): once per flit in a network ring, once
-    /// per packet in a source queue. Callers dedup.
-    pub(crate) fn buf_for_each_packet(&self, iv: usize, mut f: impl FnMut(u32)) {
+    /// Visit the slab id of every packet held by buffer `iv`, once each,
+    /// front to back (fault paths).
+    pub(crate) fn buf_for_each_packet(&self, iv: usize, f: impl FnMut(u32)) {
         if iv < self.net_ivs {
-            let cap = self.cfg.buffer_flits;
-            let pos = self.net_pos[iv];
-            let (head, len) = ((pos >> 16) as usize, (pos & 0xFFFF) as usize);
-            for k in 0..len {
-                let mut at = head + k;
-                if at >= cap {
-                    at -= cap;
-                }
-                f(self.net_buf[iv * cap + at].packet);
-            }
+            self.net_rings.packets(iv).for_each(f);
         } else {
             self.source_queue(iv).packets().for_each(f);
         }
     }
 
-    /// Drop every flit of packet `pkt` from buffer `iv`, preserving the
-    /// order of the survivors; returns how many were removed (fault
-    /// paths). Ring survivors are compacted toward `head` — the write slot
-    /// `head + kept` trails the read slot `head + k` (`kept <= k`), so an
-    /// already-read slot is never clobbered. A source queue drops the
-    /// packet's id: its unsent flits if it was the partly sent head (the
-    /// cursor resets for the next packet), all `packet_flits` otherwise.
+    /// Drop packet `pkt` from buffer `iv`, preserving the order of the
+    /// others; returns how many of its flits were resident (fault paths):
+    /// the arrived, unsent ones of a partly sent front, all
+    /// `packet_flits` in the middle, those that arrived of a partly
+    /// arrived back. A dropped front resets the cursor for the next
+    /// packet.
     pub(crate) fn buf_retain_not_packet(&mut self, iv: usize, pkt: u32) -> usize {
+        let packet_flits = self.cfg.packet_flits;
         if iv < self.net_ivs {
-            let cap = self.cfg.buffer_flits;
-            let base = iv * cap;
-            let pos = self.net_pos[iv];
-            let (head, len) = ((pos >> 16) as usize, (pos & 0xFFFF) as usize);
-            let mut kept = 0usize;
-            for k in 0..len {
-                let mut at = head + k;
-                if at >= cap {
-                    at -= cap;
-                }
-                let flit = self.net_buf[base + at];
-                if flit.packet != pkt {
-                    let mut to = head + kept;
-                    if to >= cap {
-                        to -= cap;
-                    }
-                    self.net_buf[base + to] = flit;
-                    kept += 1;
-                }
-            }
-            self.net_pos[iv] = ((head as u32) << 16) | kept as u32;
-            len - kept
+            self.net_rings.remove_packet(iv, pkt, packet_flits)
         } else {
-            let packet_flits = self.cfg.packet_flits;
             self.source_queue_mut(iv).remove_packet(pkt, packet_flits)
         }
     }
@@ -1406,18 +1521,12 @@ impl Simulator {
     pub(crate) fn buf_push(&mut self, i: usize, v: usize, flit: Flit, now: u64) {
         let iv = i * self.nvc + v;
         debug_assert!(iv < self.net_ivs, "network input unit");
-        let cap = self.cfg.buffer_flits;
-        let pos = self.net_pos[iv];
-        let (head, len) = ((pos >> 16) as usize, (pos & 0xFFFF) as usize);
-        debug_assert!(len < cap, "ring overflow: credit loop broken");
-        let mut at = head + len;
-        if at >= cap {
-            at -= cap;
-        }
-        self.net_buf[iv * cap + at] = flit;
-        self.net_pos[iv] = pos + 1;
-        let depth = len + 1;
-        let was_empty = len == 0;
+        debug_assert!(
+            self.net_rings.len_flits(iv) < self.cfg.buffer_flits,
+            "ring overflow: credit loop broken"
+        );
+        let depth = self.net_rings.push_flit(iv, flit);
+        let was_empty = depth == 1;
         self.buffered_flits += 1;
         self.peak_buffered_flits = self.peak_buffered_flits.max(self.buffered_flits);
         let is_tail = flit.seq as usize + 1 == self.cfg.packet_flits;
@@ -2138,9 +2247,11 @@ mod tests {
 
     #[test]
     fn hot_record_sizes_are_pinned() {
-        // Flits ride the ring arena and the link delay line; slab slots
-        // hold every live packet. Growth in either shows up here first.
+        // Flits ride the link delay line; every network input VC holds one
+        // ring cursor; slab slots hold every live packet. Growth in any of
+        // them shows up here first.
         assert_eq!(std::mem::size_of::<Flit>(), 8);
+        assert_eq!(std::mem::size_of::<RingCursor>(), 8);
         assert_eq!(std::mem::size_of::<Option<Packet>>(), 56);
     }
 
@@ -2217,6 +2328,140 @@ mod tests {
         q.push_packet(4);
         assert_eq!(q.len_flits(pf), 5);
         assert_eq!(drain(&mut q, pf), [(3, 1), (6, 0), (6, 1), (4, 0), (4, 1)]);
+    }
+
+    /// Push every flit of `ids`' packets, from `from_seq` of the first,
+    /// into VC 0 of `r`.
+    fn fill(r: &mut PacketRings, ids: &[u32], from_seq: u16, pf: usize) {
+        for (n, &packet) in ids.iter().enumerate() {
+            let first = if n == 0 { from_seq } else { 0 };
+            for seq in first..pf as u16 {
+                r.push_flit(0, Flit { packet, seq });
+            }
+        }
+    }
+
+    /// Drain VC 0 of `r` flit by flit, returning `(packet, seq)` pairs.
+    fn drain_ring(r: &mut PacketRings, pf: usize) -> Vec<(u32, u16)> {
+        let mut out = Vec::new();
+        while r.front(0).is_some() {
+            let f = r.pop_flit(0, pf);
+            out.push((f.packet, f.seq));
+        }
+        out
+    }
+
+    #[test]
+    fn packet_ring_slots_cover_the_credit_loop() {
+        // Paper router: 40 flits hold a partly sent packet, a whole one
+        // and the first flits of a third.
+        assert_eq!(PacketRings::new(1, 40, 33).slots, 3);
+        // Wormhole: a tail and a head.
+        assert_eq!(PacketRings::new(1, 4, 33).slots, 2);
+        // One-flit packets: one id per flit, never more.
+        assert_eq!(PacketRings::new(1, 8, 1).slots, 8);
+        assert_eq!(PacketRings::new(1, 5, 4).slots, 3);
+        // Two VCs of 3 slots: 24 B of ids and 16 B of cursors.
+        assert_eq!(PacketRings::new(2, 40, 33).bytes(), 40);
+    }
+
+    #[test]
+    fn packet_ring_streams_and_wraps() {
+        // 8 flits of 3-flit packets: 4 slots, so packets 0..10 lap the
+        // ring twice.
+        let pf = 3;
+        let mut r = PacketRings::new(2, 8, pf);
+        assert_eq!((r.front(0), r.len_flits(0)), (None, 0));
+        let mut got = Vec::new();
+        for id in 0..10u32 {
+            fill(&mut r, &[id], 0, pf);
+            assert_eq!(r.front(0).map(|f| f.packet), Some(got.len() as u32 / 3));
+            // Leave one packet and a flit behind so the ring stays in use.
+            while r.len_flits(0) > pf + 1 {
+                let f = r.pop_flit(0, pf);
+                got.push((f.packet, f.seq));
+            }
+        }
+        got.extend(drain_ring(&mut r, pf));
+        let want: Vec<(u32, u16)> = (0..10).flat_map(|p| (0..3).map(move |s| (p, s))).collect();
+        assert_eq!(got, want);
+        assert_eq!(
+            r.cur[0],
+            RingCursor {
+                head: 10 % 4,
+                ..RingCursor::default()
+            }
+        );
+        assert_eq!(r.cur[1], RingCursor::default(), "VC 1 untouched");
+    }
+
+    #[test]
+    fn packet_ring_purges_partly_sent_front_and_partly_arrived_back() {
+        // Wormhole-sized: 4 flits of 5-flit packets, 2 slots. The front
+        // packet 7 is 3 flits sent with 2 resident; packet 9's head and
+        // first body flit follow it.
+        let pf = 5;
+        let mut r = PacketRings::new(1, 4, pf);
+        fill(&mut r, &[7], 0, 4);
+        for _ in 0..3 {
+            r.pop_flit(0, pf);
+        }
+        r.push_flit(0, Flit { packet: 7, seq: 4 });
+        r.push_flit(0, Flit { packet: 9, seq: 0 });
+        r.push_flit(0, Flit { packet: 9, seq: 1 });
+        assert_eq!(r.front(0), Some(Flit { packet: 7, seq: 3 }));
+        assert_eq!(r.len_flits(0), 4);
+        // Dropping the back removes only its arrived flits.
+        assert_eq!(r.remove_packet(0, 9, pf), 2);
+        assert_eq!(
+            r.remove_packet(0, 9, pf),
+            0,
+            "absent packet removes nothing"
+        );
+        assert_eq!(
+            (r.front(0), r.len_flits(0)),
+            (Some(Flit { packet: 7, seq: 3 }), 2)
+        );
+        // Dropping the front removes its resident remainder, and the
+        // revealed head starts at seq 0.
+        r.push_flit(0, Flit { packet: 2, seq: 0 });
+        assert_eq!(r.remove_packet(0, 7, pf), 2);
+        assert_eq!(r.front(0), Some(Flit { packet: 2, seq: 0 }));
+        assert_eq!(r.len_flits(0), 1);
+        assert_eq!(r.packets(0).collect::<Vec<_>>(), [2]);
+    }
+
+    #[test]
+    fn packet_ring_purges_middle_and_drained_front() {
+        // 8 flits of 2-flit packets (5 slots), wrapped: the front sits at
+        // the ring's last slot.
+        let pf = 2;
+        let mut r = PacketRings::new(1, 8, pf);
+        fill(&mut r, &[0, 1, 2, 3], 0, pf);
+        drain_ring(&mut r, pf);
+        fill(&mut r, &[3, 4, 6], 0, pf);
+        r.push_flit(0, Flit { packet: 8, seq: 0 });
+        r.pop_flit(0, pf);
+        assert_eq!(r.packets(0).collect::<Vec<_>>(), [3, 4, 6, 8]);
+        // A middle packet leaves whole; the front keeps its cursor and the
+        // back keeps its order across the wrap.
+        assert_eq!(r.remove_packet(0, 4, pf), 2);
+        assert_eq!(r.packets(0).collect::<Vec<_>>(), [3, 6, 8]);
+        assert_eq!(r.front(0), Some(Flit { packet: 3, seq: 1 }));
+        r.push_flit(0, Flit { packet: 8, seq: 1 });
+        assert_eq!(
+            drain_ring(&mut r, pf),
+            [(3, 1), (6, 0), (6, 1), (8, 0), (8, 1)]
+        );
+        // Wormhole drain: the front's sent flits left and the rest are
+        // upstream, so the ring is empty but still holds its id.
+        fill(&mut r, &[5], 0, 1);
+        r.pop_flit(0, pf);
+        assert_eq!((r.front(0), r.len_flits(0)), (None, 0));
+        assert!(r.packets(0).eq([5]));
+        assert_eq!(r.remove_packet(0, 5, pf), 0);
+        r.push_flit(0, Flit { packet: 1, seq: 0 });
+        assert_eq!(r.front(0), Some(Flit { packet: 1, seq: 0 }));
     }
 
     #[test]

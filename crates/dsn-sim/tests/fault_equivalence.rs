@@ -207,6 +207,53 @@ fn flap_dsn_custom_routing_with_and_without_cache() {
     assert!(cache.hits() >= 1, "the rebuild chain never hit");
 }
 
+/// Tight buffers under many link flaps at load: twelve links flap eight
+/// times each, so fault purges land while input VCs hold several packets.
+/// A wormhole VC one flit longer than a packet holds the tail of one
+/// packet and the head of the next, a cut-through VC of the same size the
+/// last flit of one while the next streams in, and a cut-through VC of
+/// two packets plus a flit a blocked whole packet with the next arriving
+/// behind it. Purges then hit partly sent fronts and partly arrived backs
+/// of the packet rings.
+#[test]
+fn flapping_links_purge_partial_packets_in_tight_buffers() {
+    let g = Arc::new(Dsn::new(64, 5).unwrap().into_graph());
+    let pf = cfg().packet_flits;
+    let flaps = (0..12u64).fold(FaultPlan::none(), |plan, k| {
+        let (edge, first_down) = (5 * k as usize + 1, 600 + 53 * k);
+        (0..8).fold(plan, |plan, f| {
+            let down = first_down + 300 * f;
+            plan.with_event(down, FaultKind::LinkDown(edge))
+                .with_event(down + 150, FaultKind::LinkUp(edge))
+        })
+    });
+    for (switching, buffer_flits) in [
+        (Switching::Wormhole, pf + 1),
+        (Switching::VirtualCutThrough, pf + 1),
+        (Switching::VirtualCutThrough, 2 * pf + 1),
+    ] {
+        let cfg = SimConfig {
+            switching,
+            buffer_flits,
+            fault_plan: flaps.clone().with_retry(RetryPolicy::new(3, 100, 50)),
+            ..cfg()
+        };
+        let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
+        let stats = assert_engine_matches_spec(
+            g.clone(),
+            cfg,
+            routing,
+            open(0.05),
+            61,
+            &format!("dsn64 adaptive {switching:?} {buffer_flits}-flit buffers, 12 flapping links"),
+        );
+        assert!(
+            stats.dropped_packets_all_time > 0,
+            "the flaps must drop packets"
+        );
+    }
+}
+
 #[test]
 fn flap_torus_adaptive() {
     let g = Arc::new(Torus::new(&[4, 4]).unwrap().into_graph());

@@ -11,7 +11,8 @@ use dsn_core::dln::Dln;
 use dsn_core::dsn::Dsn;
 use dsn_core::torus::Torus;
 use dsn_sim::{
-    AdaptiveEscape, DsnAlgorithmic, SimConfig, SimRouting, TrafficPattern, UpDownRouting, Workload,
+    AdaptiveEscape, DsnAlgorithmic, SimConfig, SimRouting, Switching, TrafficPattern,
+    UpDownRouting, Workload,
 };
 use std::sync::Arc;
 
@@ -167,6 +168,66 @@ fn seeded_deadlock_watchdog_case() {
         "expected the watchdog to fire (longest stall {})",
         stats.longest_stall_cycles
     );
+}
+
+/// Wormhole with the paper's 33-flit packets in 4- and 8-flit buffers: a
+/// packet spans several switches, so an input VC's packet ring holds the
+/// tail of one packet and the head of the next, and drains to zero flits
+/// while its front packet is still streaming in.
+#[test]
+fn wormhole_small_buffers_under_long_packets() {
+    let g = Arc::new(Dsn::new(64, 5).unwrap().into_graph());
+    let base = SimConfig {
+        switching: Switching::Wormhole,
+        ..SimConfig::default()
+    };
+    let routing = Arc::new(AdaptiveEscape::new(g.clone(), base.vcs));
+    for buffer_flits in [4, 8] {
+        let cfg = SimConfig {
+            buffer_flits,
+            warmup_cycles: 300,
+            measure_cycles: 3_000,
+            drain_cycles: 3_000,
+            ..base.clone()
+        };
+        let rate = cfg.packets_per_cycle_for_gbps(6.0);
+        let stats = assert_engine_matches_spec(
+            g.clone(),
+            cfg,
+            routing.clone(),
+            open(TrafficPattern::Uniform, rate),
+            53,
+            &format!("dsn64 adaptive wormhole {buffer_flits}-flit buffers, 33-flit packets"),
+        );
+        assert!(stats.delivered_packets > 0);
+    }
+}
+
+/// One-flit packets: every flit is a head and a tail, so a network ring
+/// needs one id slot per buffered flit.
+#[test]
+fn single_flit_packets_fill_every_ring_slot() {
+    let g = Arc::new(Dsn::new(64, 5).unwrap().into_graph());
+    for switching in [Switching::VirtualCutThrough, Switching::Wormhole] {
+        let cfg = SimConfig {
+            switching,
+            packet_flits: 1,
+            ..cfg()
+        };
+        let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
+        let stats = assert_engine_matches_spec(
+            g.clone(),
+            cfg,
+            routing,
+            open(TrafficPattern::Uniform, 0.3),
+            59,
+            &format!("dsn64 adaptive {switching:?} 1-flit packets"),
+        );
+        assert!(
+            stats.saturated(),
+            "0.3 packets/cycle/host must back the rings up"
+        );
+    }
 }
 
 /// CI smoke: a 30k-cycle spec-vs-event check on a paper-sized DSN, kept

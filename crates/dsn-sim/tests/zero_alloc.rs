@@ -6,13 +6,13 @@
 //! the minimal-adaptive routing with its DSN-V escape layer, and the
 //! table-free DSN-V routing.
 //!
-//! All steady-state storage — the flit ring arena, the packet slab, the
-//! event core's delay lines, the per-host injection source queues (slab
-//! ids, one per queued packet), stats histograms and the event core's
-//! scratch — is either fixed-size or pre-reserved when the run crosses
-//! the warmup→measure boundary (`presize_steady_state`), so a counting
-//! `#[global_allocator]` bracketing the measure phase via the
-//! `advance_until` stepping API must read zero.
+//! All steady-state storage — the network input VCs' packet rings, the
+//! packet slab, the event core's delay lines, the per-host injection
+//! source queues (slab ids, one per queued packet), stats histograms and
+//! the event core's scratch — is either fixed-size or pre-reserved when
+//! the run crosses the warmup→measure boundary (`presize_steady_state`),
+//! so a counting `#[global_allocator]` bracketing the measure phase via
+//! the `advance_until` stepping API must read zero.
 //!
 //! The allocator also tracks live heap bytes and their high-water mark,
 //! which bounds what that presize reserves per packet the hosts may still
@@ -21,7 +21,11 @@
 //! host's input fails the bound. Right after the presize,
 //! `Simulator::reserved_bytes` bounds the delay lines by twice the events
 //! that can be in flight, which reserving each cycle's worst case (a
-//! timing wheel's per-slot vectors) exceeds.
+//! timing wheel's per-slot vectors) exceeds, and pins the network input
+//! buffers at their packet-granular size: per network VC, one 4-byte id
+//! for each packet the credit loop lets it hold plus an 8-byte cursor. A
+//! regression to flit-granular rings (`buffer_flits` 8-byte flits per VC)
+//! fails that equality.
 //!
 //! This lives in its own integration-test binary because a global
 //! allocator is a per-binary property; the single `#[test]` (looping over
@@ -174,7 +178,21 @@ fn saturated_measure_phase_allocates_nothing() {
         let in_flight = cfg.link_delay.max(1) as usize * channels * 16
             + cfg.credit_delay.max(1) as usize * channels * 8
             + 2 * (channels * leg.vcs as usize + hosts) * 4;
-        let event_queues = sim.reserved_bytes().event_queues;
+        let reserved = sim.reserved_bytes();
+        let event_queues = reserved.event_queues;
+        // 40 flits of 33-flit packets: a partly sent packet, a whole one
+        // and the head of a third, so 3 id slots per network VC.
+        let slots = cfg.buffer_flits.div_ceil(cfg.packet_flits) + 1;
+        assert_eq!(slots, 3);
+        let net_vcs = channels * leg.vcs as usize;
+        assert_eq!(
+            reserved.input_buffers,
+            net_vcs * (slots * 4 + 8),
+            "{}: the network input buffers reserve {} B, not {net_vcs} VCs x ({slots} ids + \
+             an 8-byte cursor): are the rings storing flits?",
+            leg.label,
+            reserved.input_buffers
+        );
         assert!(
             event_queues <= 2 * in_flight,
             "{}: the event queues reserve {event_queues} B, more than twice the {in_flight} B \
