@@ -47,7 +47,6 @@ pub mod kleinberg;
 pub mod parallel;
 pub mod random_regular;
 pub mod ring;
-pub mod star;
 pub mod topology;
 pub mod torus;
 pub mod util;

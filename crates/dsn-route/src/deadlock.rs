@@ -15,15 +15,20 @@
 //!   VC2 a cycle would have to cross the dateline, which bumps to VC3; and
 //!   a VC3 FINISH segment is far too short (≤ p + r hops) to wrap again.
 //!   This refines the paper's three-group argument into a scheme whose
-//!   acyclicity we machine-check over every source/destination pair.
+//!   acyclicity we machine-check over every source/destination pair. The
+//!   automaton step [`dsnv_step`](crate::dsn_routing::dsnv_step) assigns
+//!   the VC with each hop.
 //! * **DSN-E** — extra physical links instead of VCs: PRE-WORK rides the
 //!   dedicated `Up` links, and FINISH hops that *land at* ids `<= 2p` ride
 //!   the `Extra` links, so both the succ- and pred-direction ring-channel
 //!   cycles are broken at the `0..2p` region, exactly in the spirit of
 //!   Theorem 3's "use Extra links when available in the FINISH".
+//!
+//! Every per-pair channel sequence here comes from one walker over the
+//! automaton's hops.
 
 use crate::cdg::{Cdg, VirtualChannel};
-use crate::dsn_routing::{route, RoutePhase, RouteStep, RouteTrace};
+use crate::dsn_routing::{walk, DsnvHop, RoutePhase, RouteStep, Rule};
 use dsn_core::dsn::Dsn;
 use dsn_core::dsn_ext::DsnE;
 use dsn_core::graph::{Graph, LinkKind};
@@ -36,45 +41,62 @@ fn find_edge(g: &Graph, a: NodeId, b: NodeId, pred: impl Fn(LinkKind) -> bool) -
         .map(|(_, e)| e)
 }
 
+/// Pick the physical edge realizing one basic-route hop.
+fn edge_for_step(g: &Graph, prev: NodeId, cur: NodeId, step: RouteStep) -> usize {
+    match step {
+        RouteStep::Succ | RouteStep::Pred => {
+            find_edge(g, prev, cur, |k| k == LinkKind::Ring).expect("ring link must exist")
+        }
+        RouteStep::Shortcut => {
+            find_edge(g, prev, cur, |k| matches!(k, LinkKind::Shortcut { .. }))
+                // On tiny rings a shortcut may have been deduped against a
+                // ring link; fall back to any link joining the pair.
+                .or_else(|| find_edge(g, prev, cur, |_| true))
+                .expect("shortcut link must exist")
+        }
+    }
+}
+
+/// The channel walker: the `(channel, vc)` hops of the `rule` walk
+/// `s -> t` over `g` (the DSN's graph or a supergraph of it). Each hop
+/// rides the edge `lane(from, hop)` names, else the one
+/// [`edge_for_step`] picks, on the hop's DSN-V VC capped at
+/// `classes - 1`.
+pub(crate) fn walk_channels<'a>(
+    dsn: &'a Dsn,
+    g: &'a Graph,
+    s: NodeId,
+    t: NodeId,
+    rule: Rule,
+    classes: u8,
+    mut lane: impl FnMut(NodeId, &DsnvHop) -> Option<usize> + 'a,
+) -> impl Iterator<Item = VirtualChannel> + 'a {
+    let mut u = s;
+    walk(dsn, s, t, rule).map(move |hop| {
+        let edge = lane(u, &hop).unwrap_or_else(|| edge_for_step(g, u, hop.next, hop.step));
+        let channel = (g.channel_id(edge, u), hop.vc.min(classes - 1));
+        u = hop.next;
+        channel
+    })
+}
+
 /// Channel sequence of the *basic* routing on a single VC — used to show
 /// the basic scheme is NOT deadlock-free (its CDG has cycles).
 pub fn basic_route_channels(dsn: &Dsn, s: NodeId, t: NodeId) -> Vec<VirtualChannel> {
-    let g = dsn.graph();
-    let tr = route(dsn, s, t).expect("basic route");
-    trace_channels(g, &tr, |_, _, _| 0)
+    walk_channels(dsn, dsn.graph(), s, t, Rule::Basic, 1, |_, _| None).collect()
 }
 
 /// Channel sequence of the DSN-V routing: basic path, 4-VC assignment.
 pub fn dsnv_route_channels(dsn: &Dsn, s: NodeId, t: NodeId) -> Vec<VirtualChannel> {
-    let g = dsn.graph();
-    let n = dsn.n();
-    let tr = route(dsn, s, t).expect("basic route");
-    let mut crossed = false;
-    let mut prev = s;
-    let mut out = Vec::with_capacity(tr.steps.len());
-    for (i, &step) in tr.steps.iter().enumerate() {
-        let cur = tr.path[i + 1];
-        let vc = match tr.phases[i] {
-            RoutePhase::PreWork => 0u8,
-            RoutePhase::Main => 1,
-            RoutePhase::Finish => {
-                // dateline between n-1 and 0, either direction
-                let crossing = (prev == n - 1 && cur == 0) || (prev == 0 && cur == n - 1);
-                if crossing {
-                    crossed = true;
-                }
-                if crossed {
-                    3
-                } else {
-                    2
-                }
-            }
-        };
-        let edge = edge_for_step(g, prev, cur, step);
-        out.push((g.channel_id(edge, prev), vc));
-        prev = cur;
-    }
-    out
+    walk_channels(dsn, dsn.graph(), s, t, Rule::Basic, 4, |_, _| None).collect()
+}
+
+/// Channel sequence of the Section V.D overshoot-avoiding routing under
+/// the same DSN-V 4-VC discipline. Its FINISH is forward-only, so the
+/// pred-side dateline never triggers; the succ-side dateline still
+/// protects the wrap. The tests CDG-verify acyclicity exhaustively.
+pub fn dsnv_avoid_overshoot_channels(dsn: &Dsn, s: NodeId, t: NodeId) -> Vec<VirtualChannel> {
+    walk_channels(dsn, dsn.graph(), s, t, Rule::AvoidOvershoot, 4, |_, _| None).collect()
 }
 
 /// Channel sequence of the DSN-E routing: basic path over the DSN-E graph,
@@ -106,284 +128,28 @@ pub fn dsne_route_channels(dsne: &DsnE, s: NodeId, t: NodeId) -> Vec<VirtualChan
     let g = dsne.graph();
     let p = dsn.p() as usize;
     let n = dsn.n();
-    let tr = route(dsn, s, t).expect("basic route");
-    let mut prev = s;
     let mut crossed = false;
-    let mut out = Vec::with_capacity(tr.steps.len());
-    for (i, &step) in tr.steps.iter().enumerate() {
-        let cur = tr.path[i + 1];
-        let edge = match (tr.phases[i], step) {
-            (RoutePhase::PreWork, RouteStep::Pred) => {
-                // PRE-WORK stays inside a super node, where Up links always
-                // exist (levels >= 2 own one toward their pred).
-                find_edge(g, prev, cur, |k| k == LinkKind::Up)
-                    .unwrap_or_else(|| edge_for_step(g, prev, cur, step))
+    let lane = move |u: NodeId, hop: &DsnvHop| {
+        let kind = match (hop.phase(), hop.step) {
+            // PRE-WORK stays inside a super node, where Up links always
+            // exist (levels >= 2 own one toward their pred).
+            (RoutePhase::PreWork, RouteStep::Pred) => LinkKind::Up,
+            (RoutePhase::Finish, step) => {
+                crossed |= match step {
+                    RouteStep::Succ => u == n - 1 && hop.next == 0,
+                    RouteStep::Pred => u == 2 * p && hop.next + 1 == 2 * p,
+                    RouteStep::Shortcut => false,
+                };
+                if !crossed {
+                    return None;
+                }
+                LinkKind::Extra
             }
-            (RoutePhase::Finish, _) => {
-                // Dateline detection for this hop.
-                match step {
-                    RouteStep::Succ if prev == n - 1 && cur == 0 => crossed = true,
-                    RouteStep::Pred if prev == 2 * p && cur + 1 == 2 * p => crossed = true,
-                    _ => {}
-                }
-                if crossed {
-                    find_edge(g, prev, cur, |k| k == LinkKind::Extra)
-                        .unwrap_or_else(|| edge_for_step(g, prev, cur, step))
-                } else {
-                    edge_for_step(g, prev, cur, step)
-                }
-            }
-            _ => edge_for_step(g, prev, cur, step),
+            _ => return None,
         };
-        out.push((g.channel_id(edge, prev), 0u8));
-        prev = cur;
-    }
-    out
-}
-
-/// Channel sequence of the Section V.D overshoot-avoiding routing under
-/// the same DSN-V 4-VC discipline. Its FINISH is forward-only, so the
-/// pred-side dateline never triggers; the succ-side dateline still
-/// protects the wrap. The tests CDG-verify acyclicity exhaustively.
-pub fn dsnv_avoid_overshoot_channels(dsn: &Dsn, s: NodeId, t: NodeId) -> Vec<VirtualChannel> {
-    let g = dsn.graph();
-    let n = dsn.n();
-    let tr = crate::dsn_routing::route_avoid_overshoot(dsn, s, t).expect("route");
-    let mut crossed = false;
-    let mut prev = s;
-    let mut out = Vec::with_capacity(tr.steps.len());
-    for (i, &step) in tr.steps.iter().enumerate() {
-        let cur = tr.path[i + 1];
-        let vc = match tr.phases[i] {
-            RoutePhase::PreWork => 0u8,
-            RoutePhase::Main => 1,
-            RoutePhase::Finish => {
-                let crossing = (prev == n - 1 && cur == 0) || (prev == 0 && cur == n - 1);
-                if crossing {
-                    crossed = true;
-                }
-                if crossed {
-                    3
-                } else {
-                    2
-                }
-            }
-        };
-        let edge = edge_for_step(g, prev, cur, step);
-        out.push((g.channel_id(edge, prev), vc));
-        prev = cur;
-    }
-    out
-}
-
-/// Per-packet state of the *incremental* DSN-V router: the three-phase
-/// walk is memoryless given `(current node, destination)` **within** a
-/// phase, but the phase itself is genuine state — a MAIN node whose level
-/// exceeds the required level walks `succ`, while a fresh route from the
-/// same node would walk `pred` (PRE-WORK), so per-hop route restarts
-/// livelock. Carrying `(phase, crossed)` — 3 bits — is exactly enough to
-/// reproduce the full [`dsnv_route_channels`] hop/VC sequence one hop at a
-/// time in O(levels) per hop and O(1) memory per packet, with no
-/// materialized path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DsnvState {
-    /// Current phase of the three-phase walk.
-    pub phase: IncPhase,
-    /// Whether a FINISH hop has crossed the ring's 0/n-1 dateline (bumps
-    /// the FINISH VC from 2 to 3, permanently).
-    pub crossed: bool,
-}
-
-/// Phase component of [`DsnvState`]. Monotone: PreWork → Main → Finish.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IncPhase {
-    /// Climbing to the required level via `pred`.
-    #[default]
-    PreWork,
-    /// Distance-halving shortcut/`succ` loop.
-    Main,
-    /// Local ring walk to the destination.
-    Finish,
-}
-
-impl DsnvState {
-    /// Pack into 3 bits (phase in bits 0–1, dateline flag in bit 2), for
-    /// embedding in compact per-packet state words.
-    #[inline]
-    pub fn to_bits(self) -> u8 {
-        let p = match self.phase {
-            IncPhase::PreWork => 0u8,
-            IncPhase::Main => 1,
-            IncPhase::Finish => 2,
-        };
-        p | ((self.crossed as u8) << 2)
-    }
-
-    /// Inverse of [`Self::to_bits`]. Unknown phase encodings map to
-    /// `Finish` (they cannot be produced by `to_bits`).
-    #[inline]
-    pub fn from_bits(bits: u8) -> Self {
-        DsnvState {
-            phase: match bits & 3 {
-                0 => IncPhase::PreWork,
-                1 => IncPhase::Main,
-                _ => IncPhase::Finish,
-            },
-            crossed: bits & 4 != 0,
-        }
-    }
-}
-
-/// One hop of the incremental DSN-V walk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DsnvHop {
-    /// The node after the hop.
-    pub next: NodeId,
-    /// Ring direction / shortcut kind of the hop.
-    pub step: RouteStep,
-    /// DSN-V virtual channel of the hop (0 = PRE-WORK, 1 = MAIN,
-    /// 2/3 = FINISH before/after the dateline).
-    pub vc: u8,
-    /// State to carry to the next hop.
-    pub state: DsnvState,
-}
-
-/// Compute the next hop of the DSN-V walk from `u` toward `t` given the
-/// packet's carried [`DsnvState`], replicating the per-iteration decisions
-/// of [`route`] (and therefore the exact hop/VC sequence of
-/// [`dsnv_route_channels`]) without materializing the trace. Returns
-/// `None` when `u == t`.
-///
-/// Decision cascade per call, mirroring the loop structure of `route()`:
-/// a PRE-WORK packet whose level has dropped to the required level falls
-/// through to the MAIN decision *at the same node*, and a MAIN packet
-/// whose distance is `<= p` (or whose level exceeds `x`) falls through to
-/// FINISH — each hop is labeled with the phase that actually emitted it.
-pub fn dsnv_step(dsn: &Dsn, u: NodeId, t: NodeId, st: DsnvState) -> Option<DsnvHop> {
-    if u == t {
-        return None;
-    }
-    let d = dsn.cw_dist(u, t);
-    let p = dsn.p() as usize;
-    let x = dsn.x();
-    let mut phase = st.phase;
-
-    if phase == IncPhase::PreWork {
-        let l = dsn.required_level(d);
-        if dsn.level(u) > l {
-            return Some(DsnvHop {
-                next: dsn.pred(u),
-                step: RouteStep::Pred,
-                vc: 0,
-                state: DsnvState {
-                    phase: IncPhase::PreWork,
-                    crossed: st.crossed,
-                },
-            });
-        }
-        phase = IncPhase::Main;
-    }
-
-    if phase == IncPhase::Main {
-        let lu = dsn.level(u);
-        if d > p && lu <= x {
-            let l = dsn.required_level(d);
-            let (next, step, next_phase) = if lu == l {
-                let target = dsn
-                    .shortcut(u)
-                    .expect("level <= x nodes always own a shortcut");
-                let overshoot = dsn.cw_dist(u, target) > d;
-                (
-                    target,
-                    RouteStep::Shortcut,
-                    if overshoot {
-                        IncPhase::Finish
-                    } else {
-                        IncPhase::Main
-                    },
-                )
-            } else {
-                (dsn.succ(u), RouteStep::Succ, IncPhase::Main)
-            };
-            return Some(DsnvHop {
-                next,
-                step,
-                vc: 1,
-                state: DsnvState {
-                    phase: next_phase,
-                    crossed: st.crossed,
-                },
-            });
-        }
-        phase = IncPhase::Finish;
-    }
-
-    debug_assert_eq!(phase, IncPhase::Finish);
-    let back = dsn.cw_dist(t, u);
-    let (next, step) = if d <= back {
-        (dsn.succ(u), RouteStep::Succ)
-    } else {
-        (dsn.pred(u), RouteStep::Pred)
+        find_edge(g, u, hop.next, |k| k == kind)
     };
-    let n = dsn.n();
-    let crossing = (u == n - 1 && next == 0) || (u == 0 && next == n - 1);
-    let crossed = st.crossed || crossing;
-    Some(DsnvHop {
-        next,
-        step,
-        vc: if crossed { 3 } else { 2 },
-        state: DsnvState {
-            phase: IncPhase::Finish,
-            crossed,
-        },
-    })
-}
-
-/// [`dsnv_step`] resolved to a physical `(channel, vc)` over the DSN's own
-/// graph — the incremental counterpart of one element of
-/// [`dsnv_route_channels`].
-pub fn dsnv_step_channel(
-    dsn: &Dsn,
-    u: NodeId,
-    t: NodeId,
-    st: DsnvState,
-) -> Option<(VirtualChannel, NodeId, DsnvState)> {
-    let hop = dsnv_step(dsn, u, t, st)?;
-    let g = dsn.graph();
-    let edge = edge_for_step(g, u, hop.next, hop.step);
-    Some(((g.channel_id(edge, u), hop.vc), hop.next, hop.state))
-}
-
-/// Pick the physical edge realizing one basic-route hop.
-fn edge_for_step(g: &Graph, prev: NodeId, cur: NodeId, step: RouteStep) -> usize {
-    match step {
-        RouteStep::Succ | RouteStep::Pred => {
-            find_edge(g, prev, cur, |k| k == LinkKind::Ring).expect("ring link must exist")
-        }
-        RouteStep::Shortcut => {
-            find_edge(g, prev, cur, |k| matches!(k, LinkKind::Shortcut { .. }))
-                // On tiny rings a shortcut may have been deduped against a
-                // ring link; fall back to any link joining the pair.
-                .or_else(|| find_edge(g, prev, cur, |_| true))
-                .expect("shortcut link must exist")
-        }
-    }
-}
-
-fn trace_channels(
-    g: &Graph,
-    tr: &RouteTrace,
-    vc_of: impl Fn(usize, RoutePhase, RouteStep) -> u8,
-) -> Vec<VirtualChannel> {
-    let mut prev = tr.path[0];
-    let mut out = Vec::with_capacity(tr.steps.len());
-    for (i, &step) in tr.steps.iter().enumerate() {
-        let cur = tr.path[i + 1];
-        let edge = edge_for_step(g, prev, cur, step);
-        out.push((g.channel_id(edge, prev), vc_of(i, tr.phases[i], step)));
-        prev = cur;
-    }
-    out
+    walk_channels(dsn, g, s, t, Rule::Basic, 1, lane).collect()
 }
 
 /// Build the CDG of the given per-pair channel function over every ordered
@@ -481,6 +247,7 @@ pub fn dsne_group_dependencies(dsne: &DsnE) -> Vec<(u8, u8)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dsn_routing::route;
 
     #[test]
     fn basic_routing_has_cdg_cycles() {
@@ -607,62 +374,36 @@ mod tests {
     }
 
     #[test]
-    fn dsnv_step_matches_full_route_all_pairs() {
-        // The incremental automaton must reproduce the materialized
-        // hop/VC sequence bit-exactly — clean and non-clean sizes.
-        for &n in &[30usize, 64, 100, 126] {
-            let p = dsn_core::util::ceil_log2(n);
-            let dsn = Dsn::new(n, p - 1).unwrap();
+    fn every_channel_walk_chains_from_s_to_t() {
+        // Each walker's channels are physical links laid end to end: the
+        // first leaves s, each starts where the previous one ends, and the
+        // last ends at t.
+        for &n in &[30usize, 64, 100] {
+            let dsn = Dsn::new(n, dsn_core::util::ceil_log2(n) - 1).unwrap();
+            let dsne = DsnE::new(n).unwrap();
             for s in 0..n {
-                for t in 0..n {
-                    let full = dsnv_route_channels(&dsn, s, t);
-                    let mut stepped = Vec::new();
-                    let mut u = s;
-                    let mut st = DsnvState::default();
-                    while let Some((ch, next, nst)) = dsnv_step_channel(&dsn, u, t, st) {
-                        stepped.push(ch);
-                        u = next;
-                        st = nst;
-                        assert!(stepped.len() <= 4 * n, "n={n} {s}->{t}: runaway walk");
+                for t in (0..n).filter(|&t| t != s) {
+                    let walks = [
+                        ("basic", dsn.graph(), basic_route_channels(&dsn, s, t)),
+                        ("DSN-V", dsn.graph(), dsnv_route_channels(&dsn, s, t)),
+                        (
+                            "V.D",
+                            dsn.graph(),
+                            dsnv_avoid_overshoot_channels(&dsn, s, t),
+                        ),
+                        ("DSN-E", dsne.graph(), dsne_route_channels(&dsne, s, t)),
+                    ];
+                    for (name, g, channels) in walks {
+                        assert!(!channels.is_empty(), "{name} n={n} {s}->{t}: no hop");
+                        let mut at = s;
+                        for (i, &(ch, _)) in channels.iter().enumerate() {
+                            let (from, to) = g.channel_endpoints(ch);
+                            assert_eq!(from, at, "{name} n={n} {s}->{t}: hop {i} leaves {from}");
+                            at = to;
+                        }
+                        assert_eq!(at, t, "{name} n={n} {s}->{t}: ends at {at}");
                     }
-                    assert_eq!(u, t, "n={n} {s}->{t}: stepped walk did not terminate at t");
-                    assert_eq!(
-                        full, stepped,
-                        "n={n} {s}->{t}: incremental walk diverges from full route"
-                    );
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn dsnv_step_matches_full_route_sampled_large() {
-        // Spot-check at the Fig. 7 scale the simulator targets.
-        let dsn = Dsn::new_clean(1024).unwrap();
-        let n = dsn.n();
-        assert_eq!(n, 1020);
-        for s in (0..n).step_by(37) {
-            for t in (0..n).step_by(23) {
-                let full = dsnv_route_channels(&dsn, s, t);
-                let mut stepped = Vec::new();
-                let mut u = s;
-                let mut st = DsnvState::default();
-                while let Some((ch, next, nst)) = dsnv_step_channel(&dsn, u, t, st) {
-                    stepped.push(ch);
-                    u = next;
-                    st = nst;
-                }
-                assert_eq!(full, stepped, "n={n} {s}->{t}");
-            }
-        }
-    }
-
-    #[test]
-    fn dsnv_state_bits_roundtrip() {
-        for phase in [IncPhase::PreWork, IncPhase::Main, IncPhase::Finish] {
-            for crossed in [false, true] {
-                let st = DsnvState { phase, crossed };
-                assert_eq!(DsnvState::from_bits(st.to_bits()), st);
             }
         }
     }

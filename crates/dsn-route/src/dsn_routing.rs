@@ -15,6 +15,12 @@
 //!
 //! Fact 2 bounds the resulting path by `3p + r` hops for
 //! `x > p - log2 p`; Theorem 2a bounds the expected length by `2p`.
+//!
+//! Every hop is decided by one automaton step, [`dsnv_step`] (and its
+//! Section V.D variant behind [`route_avoid_overshoot`]): traces, routing
+//! statistics, channel loads, the CDG channel walks of `deadlock` and the
+//! simulator's table-free router all walk it. The phase loops as the paper
+//! writes them live on only in `tests/fig2_oracle.rs`, as its oracle.
 
 use dsn_core::dsn::Dsn;
 use dsn_core::parallel::Parallelism;
@@ -32,15 +38,31 @@ pub enum RouteStep {
     Shortcut,
 }
 
-/// Which phase a hop belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Which phase a hop belongs to. Monotone along a route:
+/// PreWork → Main → Finish.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RoutePhase {
     /// Climb to the required height.
+    #[default]
     PreWork,
     /// Distance-halving loop.
     Main,
     /// Local walk to the destination.
     Finish,
+}
+
+impl RoutePhase {
+    /// The phase numbered `i`: 0 is PRE-WORK, 1 MAIN and anything above
+    /// FINISH. The DSN-V VCs follow the same numbering (FINISH owns VCs 2
+    /// and 3), so this also reads a hop's phase off its VC.
+    #[inline]
+    pub(crate) fn from_index(i: u8) -> Self {
+        match i {
+            0 => RoutePhase::PreWork,
+            1 => RoutePhase::Main,
+            _ => RoutePhase::Finish,
+        }
+    }
 }
 
 /// A fully traced route: node sequence plus per-hop step/phase labels.
@@ -107,114 +129,214 @@ impl std::fmt::Display for RouteError {
 
 impl std::error::Error for RouteError {}
 
+/// Per-packet state of the three-phase walk. The walk is memoryless
+/// given `(current node, destination)` **within** a phase, but the phase
+/// itself is genuine state — a MAIN node whose level exceeds the required
+/// level walks `succ`, while a fresh route from the same node would walk
+/// `pred` (PRE-WORK), so per-hop route restarts livelock. Carrying
+/// `(phase, crossed)` — 3 bits — is exactly enough to produce a route one
+/// hop at a time in O(levels) per hop and O(1) memory, with no
+/// materialized path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct DsnvState {
+    /// Phase the next hop starts in.
+    pub phase: RoutePhase,
+    /// Whether a FINISH hop has crossed the ring's 0/n-1 dateline (bumps
+    /// the FINISH VC from 2 to 3, permanently).
+    pub crossed: bool,
+}
+
+impl DsnvState {
+    /// Pack into 3 bits (phase in bits 0–1, dateline flag in bit 2), for
+    /// embedding in compact per-packet state words.
+    #[inline]
+    pub fn to_bits(self) -> u8 {
+        self.phase as u8 | ((self.crossed as u8) << 2)
+    }
+
+    /// Inverse of [`Self::to_bits`]. Unknown phase encodings map to
+    /// `Finish` (they cannot be produced by `to_bits`).
+    #[inline]
+    pub fn from_bits(bits: u8) -> Self {
+        DsnvState {
+            phase: RoutePhase::from_index(bits & 3),
+            crossed: bits & 4 != 0,
+        }
+    }
+}
+
+/// One hop of the three-phase walk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DsnvHop {
+    /// The node after the hop.
+    pub next: NodeId,
+    /// Ring direction / shortcut kind of the hop.
+    pub step: RouteStep,
+    /// DSN-V virtual channel of the hop (0 = PRE-WORK, 1 = MAIN,
+    /// 2/3 = FINISH before/after the dateline).
+    pub vc: u8,
+    /// State to carry to the next hop.
+    pub state: DsnvState,
+}
+
+impl DsnvHop {
+    /// Phase that emitted the hop, read off its VC class.
+    #[inline]
+    pub(crate) fn phase(&self) -> RoutePhase {
+        RoutePhase::from_index(self.vc)
+    }
+
+    /// Whether the hop is a MAIN shortcut past the destination.
+    #[inline]
+    pub(crate) fn overshoots(&self) -> bool {
+        self.step == RouteStep::Shortcut && self.state.phase == RoutePhase::Finish
+    }
+}
+
+/// The MAIN/FINISH rule a walk follows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Rule {
+    /// Figure 2: shortcut at the required level, even past `t`; FINISH
+    /// walks back after an overshoot.
+    Basic,
+    /// Section V.D: shortcut at or above the required level only when it
+    /// lands short of `t` or on it; FINISH walks forward only.
+    AvoidOvershoot,
+}
+
+/// The next hop of the Figure 2 walk from `u` toward `t`, given the
+/// packet's carried [`DsnvState`]; `None` when `u == t`. Walking it from
+/// [`DsnvState::default`] yields the hops and DSN-V VCs of [`route`].
+///
+/// A PRE-WORK packet whose level has dropped to the required level falls
+/// through to the MAIN decision *at the same node*, and a MAIN packet
+/// whose distance is `<= p` (or whose level exceeds `x`) falls through to
+/// FINISH — each hop is labeled with the phase that actually emitted it.
+pub fn dsnv_step(dsn: &Dsn, u: NodeId, t: NodeId, st: DsnvState) -> Option<DsnvHop> {
+    step(dsn, u, t, st, Rule::Basic)
+}
+
+/// The one implementation of the three-phase decisions. Always inlined, so
+/// [`dsnv_step`] compiles with its rule folded away.
+#[inline(always)]
+fn step(dsn: &Dsn, u: NodeId, t: NodeId, st: DsnvState, rule: Rule) -> Option<DsnvHop> {
+    if u == t {
+        return None;
+    }
+    let d = dsn.cw_dist(u, t);
+    let mut phase = st.phase;
+
+    if phase == RoutePhase::PreWork {
+        if dsn.level(u) > dsn.required_level(d) {
+            return Some(DsnvHop {
+                next: dsn.pred(u),
+                step: RouteStep::Pred,
+                vc: 0,
+                state: st,
+            });
+        }
+        phase = RoutePhase::Main;
+    }
+
+    if phase == RoutePhase::Main {
+        let lu = dsn.level(u);
+        // The paper writes the level stop as "l_u = x + 1"; for small x
+        // the level can also sit above x + 1 right after PRE-WORK.
+        if d > dsn.p() as usize && lu <= dsn.x() {
+            let l = dsn.required_level(d);
+            let jump = match rule {
+                Rule::Basic => lu == l,
+                Rule::AvoidOvershoot => {
+                    lu >= l && dsn.shortcut(u).is_some_and(|sc| dsn.cw_dist(u, sc) <= d)
+                }
+            };
+            let (next, step, next_phase) = if jump {
+                let target = dsn
+                    .shortcut(u)
+                    .expect("level <= x nodes always own a shortcut");
+                let overshoot = dsn.cw_dist(u, target) > d;
+                (
+                    target,
+                    RouteStep::Shortcut,
+                    if overshoot {
+                        RoutePhase::Finish
+                    } else {
+                        RoutePhase::Main
+                    },
+                )
+            } else {
+                (dsn.succ(u), RouteStep::Succ, RoutePhase::Main)
+            };
+            return Some(DsnvHop {
+                next,
+                step,
+                vc: 1,
+                state: DsnvState {
+                    phase: next_phase,
+                    crossed: st.crossed,
+                },
+            });
+        }
+    }
+
+    // FINISH: the shorter ring direction (forward only under V.D).
+    let (next, step) = if rule == Rule::Basic && dsn.cw_dist(t, u) < d {
+        (dsn.pred(u), RouteStep::Pred)
+    } else {
+        (dsn.succ(u), RouteStep::Succ)
+    };
+    let n = dsn.n();
+    let crossing = (u == n - 1 && next == 0) || (u == 0 && next == n - 1);
+    let crossed = st.crossed || crossing;
+    Some(DsnvHop {
+        next,
+        step,
+        vc: if crossed { 3 } else { 2 },
+        state: DsnvState {
+            phase: RoutePhase::Finish,
+            crossed,
+        },
+    })
+}
+
+/// The hops of one walk, [`step`] by [`step`]; builds nothing.
+pub(crate) struct Walk<'a> {
+    dsn: &'a Dsn,
+    u: NodeId,
+    t: NodeId,
+    state: DsnvState,
+    rule: Rule,
+}
+
+/// Walk `s -> t` under `rule`. Both ids must be nodes of `dsn`.
+#[inline]
+pub(crate) fn walk(dsn: &Dsn, s: NodeId, t: NodeId, rule: Rule) -> Walk<'_> {
+    assert!(s < dsn.n() && t < dsn.n(), "walk {s} -> {t} off the ring");
+    Walk {
+        dsn,
+        u: s,
+        t,
+        state: DsnvState::default(),
+        rule,
+    }
+}
+
+impl Iterator for Walk<'_> {
+    type Item = DsnvHop;
+
+    #[inline]
+    fn next(&mut self) -> Option<DsnvHop> {
+        let hop = step(self.dsn, self.u, self.t, self.state, self.rule)?;
+        self.u = hop.next;
+        self.state = hop.state;
+        Some(hop)
+    }
+}
+
 /// Route `s -> t` on the basic DSN with the paper's algorithm and return the
 /// full trace.
 pub fn route(dsn: &Dsn, s: NodeId, t: NodeId) -> Result<RouteTrace, RouteError> {
-    let n = dsn.n();
-    if s >= n {
-        return Err(RouteError::NodeOutOfRange(s));
-    }
-    if t >= n {
-        return Err(RouteError::NodeOutOfRange(t));
-    }
-
-    let mut trace = RouteTrace {
-        path: vec![s],
-        steps: Vec::new(),
-        phases: Vec::new(),
-        overshoot: false,
-    };
-    if s == t {
-        return Ok(trace);
-    }
-
-    let p = dsn.p() as usize;
-    let x = dsn.x();
-    // Generous cap: PRE-WORK <= p, MAIN <= 2p + overshoot, FINISH can be
-    // long for small x (up to n / 2^x), so cap at the trivially safe 4n.
-    let cap = 4 * n;
-    let mut u = s;
-
-    let push = |trace: &mut RouteTrace, v: NodeId, step: RouteStep, phase: RoutePhase| {
-        trace.path.push(v);
-        trace.steps.push(step);
-        trace.phases.push(phase);
-    };
-
-    // PRE-WORK: move pred while our level is below the required height
-    // (numerically: level greater than required level).
-    loop {
-        let d = dsn.cw_dist(u, t);
-        if d == 0 {
-            return Ok(trace);
-        }
-        let l = dsn.required_level(d);
-        if dsn.level(u) <= l {
-            break;
-        }
-        u = dsn.pred(u);
-        push(&mut trace, u, RouteStep::Pred, RoutePhase::PreWork);
-        if trace.steps.len() > cap {
-            return Err(RouteError::StepCapExceeded { s, t, cap });
-        }
-    }
-
-    // MAIN-PROCESS: shortcut when level matches, otherwise succ.
-    loop {
-        let d = dsn.cw_dist(u, t);
-        if d == 0 {
-            return Ok(trace);
-        }
-        if d <= p {
-            break; // close enough; leave the rest to FINISH
-        }
-        let lu = dsn.level(u);
-        if lu > x {
-            // The paper writes this stop condition as "l_u = x + 1"; for
-            // small x the current level can also sit above x + 1 right
-            // after PRE-WORK, so test the general form.
-            break; // no shortcut at this level
-        }
-        let l = dsn.required_level(d);
-        if lu == l {
-            let target = dsn
-                .shortcut(u)
-                .expect("level <= x nodes always own a shortcut");
-            let jump = dsn.cw_dist(u, target);
-            let overshoot = jump > d;
-            u = target;
-            push(&mut trace, u, RouteStep::Shortcut, RoutePhase::Main);
-            if overshoot {
-                trace.overshoot = true;
-                break;
-            }
-        } else {
-            u = dsn.succ(u);
-            push(&mut trace, u, RouteStep::Succ, RoutePhase::Main);
-        }
-        if trace.steps.len() > cap {
-            return Err(RouteError::StepCapExceeded { s, t, cap });
-        }
-    }
-
-    // FINISH: local walk. If the last shortcut overshot, walk back via
-    // pred; otherwise walk forward via succ.
-    while u != t {
-        let d = dsn.cw_dist(u, t);
-        let back = dsn.cw_dist(t, u);
-        if d <= back {
-            u = dsn.succ(u);
-            push(&mut trace, u, RouteStep::Succ, RoutePhase::Finish);
-        } else {
-            u = dsn.pred(u);
-            push(&mut trace, u, RouteStep::Pred, RoutePhase::Finish);
-        }
-        if trace.steps.len() > cap {
-            return Err(RouteError::StepCapExceeded { s, t, cap });
-        }
-    }
-
-    Ok(trace)
+    trace(dsn, s, t, Rule::Basic)
 }
 
 /// The Section V.D *overshoot-avoiding* routing variant: when the selected
@@ -223,6 +345,11 @@ pub fn route(dsn: &Dsn, s: NodeId, t: NodeId) -> Result<RouteTrace, RouteError> 
 /// overshoots, so FINISH only ever walks forward — at the cost of a
 /// possibly longer MAIN-PROCESS, exactly the trade-off the paper predicts.
 pub fn route_avoid_overshoot(dsn: &Dsn, s: NodeId, t: NodeId) -> Result<RouteTrace, RouteError> {
+    trace(dsn, s, t, Rule::AvoidOvershoot)
+}
+
+/// Record the walk `s -> t` hop by hop.
+fn trace(dsn: &Dsn, s: NodeId, t: NodeId, rule: Rule) -> Result<RouteTrace, RouteError> {
     let n = dsn.n();
     if s >= n {
         return Err(RouteError::NodeOutOfRange(s));
@@ -236,71 +363,14 @@ pub fn route_avoid_overshoot(dsn: &Dsn, s: NodeId, t: NodeId) -> Result<RouteTra
         phases: Vec::new(),
         overshoot: false,
     };
-    if s == t {
-        return Ok(trace);
-    }
-    let p = dsn.p() as usize;
-    let x = dsn.x();
+    // Generous cap: PRE-WORK <= p, MAIN <= 2p + overshoot, FINISH can be
+    // long for small x (up to n / 2^x), so cap at the trivially safe 4n.
     let cap = 4 * n;
-    let mut u = s;
-
-    let push = |trace: &mut RouteTrace, v: NodeId, step: RouteStep, phase: RoutePhase| {
-        trace.path.push(v);
-        trace.steps.push(step);
-        trace.phases.push(phase);
-    };
-
-    // PRE-WORK: identical to the basic algorithm.
-    loop {
-        let d = dsn.cw_dist(u, t);
-        if d == 0 {
-            return Ok(trace);
-        }
-        let l = dsn.required_level(d);
-        if dsn.level(u) <= l {
-            break;
-        }
-        u = dsn.pred(u);
-        push(&mut trace, u, RouteStep::Pred, RoutePhase::PreWork);
-        if trace.steps.len() > cap {
-            return Err(RouteError::StepCapExceeded { s, t, cap });
-        }
-    }
-
-    // MAIN: take any non-overshooting shortcut at or above the required
-    // level; otherwise step succ (which also walks past overshooting
-    // shortcuts onto the next, shorter one — the Section V.D twist).
-    loop {
-        let d = dsn.cw_dist(u, t);
-        if d == 0 {
-            return Ok(trace);
-        }
-        if d <= p {
-            break;
-        }
-        let lu = dsn.level(u);
-        if lu > x {
-            break;
-        }
-        let l = dsn.required_level(d);
-        let jump_ok = lu >= l && dsn.shortcut(u).is_some_and(|sc| dsn.cw_dist(u, sc) <= d);
-        if jump_ok {
-            let target = dsn.shortcut(u).expect("checked above");
-            u = target;
-            push(&mut trace, u, RouteStep::Shortcut, RoutePhase::Main);
-        } else {
-            u = dsn.succ(u);
-            push(&mut trace, u, RouteStep::Succ, RoutePhase::Main);
-        }
-        if trace.steps.len() > cap {
-            return Err(RouteError::StepCapExceeded { s, t, cap });
-        }
-    }
-
-    // FINISH: forward-only by construction.
-    while u != t {
-        u = dsn.succ(u);
-        push(&mut trace, u, RouteStep::Succ, RoutePhase::Finish);
+    for hop in walk(dsn, s, t, rule) {
+        trace.path.push(hop.next);
+        trace.steps.push(hop.step);
+        trace.phases.push(hop.phase());
+        trace.overshoot |= hop.overshoots();
         if trace.steps.len() > cap {
             return Err(RouteError::StepCapExceeded { s, t, cap });
         }
@@ -308,8 +378,7 @@ pub fn route_avoid_overshoot(dsn: &Dsn, s: NodeId, t: NodeId) -> Result<RouteTra
     Ok(trace)
 }
 
-/// Summary statistics of the custom routing over every ordered pair
-/// (or a deterministic sample when `sample` is set below `n*(n-1)`).
+/// Summary statistics of the custom routing over every ordered pair.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoutingStats {
     /// Pairs measured.
@@ -332,7 +401,8 @@ pub struct RoutingStats {
 struct StatsPartial {
     max_hops: usize,
     sum: u64,
-    phase_sums: (u64, u64, u64),
+    /// Hops per phase, indexed by [`RoutePhase`].
+    phase_sums: [u64; 3],
     overshoots: usize,
     pairs: usize,
 }
@@ -341,30 +411,28 @@ impl StatsPartial {
     fn merge(mut self, other: StatsPartial) -> StatsPartial {
         self.max_hops = self.max_hops.max(other.max_hops);
         self.sum += other.sum;
-        self.phase_sums.0 += other.phase_sums.0;
-        self.phase_sums.1 += other.phase_sums.1;
-        self.phase_sums.2 += other.phase_sums.2;
+        for (a, b) in self.phase_sums.iter_mut().zip(other.phase_sums) {
+            *a += b;
+        }
         self.overshoots += other.overshoots;
         self.pairs += other.pairs;
         self
     }
 }
 
-/// Routes from one source to every other node — the unit of work both the
+/// Walks from one source to every other node — the unit of work both the
 /// serial and the parallel sweep share.
 fn source_partial(dsn: &Dsn, s: NodeId) -> StatsPartial {
     let mut part = StatsPartial::default();
-    for t in 0..dsn.n() {
-        if s == t {
-            continue;
+    for t in (0..dsn.n()).filter(|&t| t != s) {
+        let mut hops = 0;
+        for hop in walk(dsn, s, t, Rule::Basic) {
+            hops += 1;
+            part.phase_sums[hop.phase() as usize] += 1;
+            part.overshoots += hop.overshoots() as usize;
         }
-        let tr = route(dsn, s, t).expect("routing must not fail on a valid DSN");
-        part.max_hops = part.max_hops.max(tr.hops());
-        part.sum += tr.hops() as u64;
-        part.phase_sums.0 += tr.hops_in(RoutePhase::PreWork) as u64;
-        part.phase_sums.1 += tr.hops_in(RoutePhase::Main) as u64;
-        part.phase_sums.2 += tr.hops_in(RoutePhase::Finish) as u64;
-        part.overshoots += tr.overshoot as usize;
+        part.max_hops = part.max_hops.max(hops);
+        part.sum += hops as u64;
         part.pairs += 1;
     }
     part
@@ -372,15 +440,12 @@ fn source_partial(dsn: &Dsn, s: NodeId) -> StatsPartial {
 
 fn finish_stats(total: StatsPartial) -> RoutingStats {
     let pf = total.pairs.max(1) as f64;
+    let [pre, main, fin] = total.phase_sums.map(|h| h as f64 / pf);
     RoutingStats {
         pairs: total.pairs,
         max_hops: total.max_hops,
         avg_hops: total.sum as f64 / pf,
-        avg_phase_hops: (
-            total.phase_sums.0 as f64 / pf,
-            total.phase_sums.1 as f64 / pf,
-            total.phase_sums.2 as f64 / pf,
-        ),
+        avg_phase_hops: (pre, main, fin),
         overshoot_rate: total.overshoots as f64 / pf,
     }
 }
@@ -407,13 +472,6 @@ pub fn routing_stats_with(dsn: &Dsn, par: &Parallelism) -> RoutingStats {
             .reduce(StatsPartial::default, StatsPartial::merge)
     };
     finish_stats(total)
-}
-
-/// The reference sequential sweep (`routing_stats_with` with
-/// [`Parallelism::serial`]); kept as a named entry point for equivalence
-/// tests and benchmarks.
-pub fn routing_stats_serial(dsn: &Dsn) -> RoutingStats {
-    routing_stats_with(dsn, &Parallelism::serial())
 }
 
 #[cfg(test)]
@@ -620,9 +678,21 @@ mod tests {
     }
 
     #[test]
+    fn dsnv_state_bits_roundtrip() {
+        for phase in [RoutePhase::PreWork, RoutePhase::Main, RoutePhase::Finish] {
+            for crossed in [false, true] {
+                let st = DsnvState { phase, crossed };
+                assert_eq!(DsnvState::from_bits(st.to_bits()), st);
+            }
+        }
+    }
+
+    #[test]
     fn out_of_range_rejected() {
         let dsn = Dsn::new(64, 5).unwrap();
-        assert_eq!(route(&dsn, 64, 0), Err(RouteError::NodeOutOfRange(64)));
-        assert_eq!(route(&dsn, 0, 99), Err(RouteError::NodeOutOfRange(99)));
+        for f in [route, route_avoid_overshoot] {
+            assert_eq!(f(&dsn, 64, 0), Err(RouteError::NodeOutOfRange(64)));
+            assert_eq!(f(&dsn, 0, 99), Err(RouteError::NodeOutOfRange(99)));
+        }
     }
 }

@@ -9,11 +9,11 @@
 //! legal next hops* (the idealized behavior of an adaptive router), which
 //! is both deterministic and the most charitable reading of up*/down*.
 
-use crate::dsn_routing::{route, RouteStep};
+use crate::deadlock::walk_channels;
+use crate::dsn_routing::Rule;
 use crate::updown::{UdPhase, UpDown};
 use dsn_core::dsn::Dsn;
-use dsn_core::graph::{Graph, LinkKind};
-use dsn_core::NodeId;
+use dsn_core::graph::Graph;
 
 /// Summary statistics of a per-channel load vector.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,37 +92,13 @@ pub fn dsn_custom_loads(dsn: &Dsn) -> Vec<f64> {
     let n = dsn.n();
     let mut loads = vec![0.0f64; g.channel_count()];
     for s in 0..n {
-        for t in 0..n {
-            if s == t {
-                continue;
-            }
-            let tr = route(dsn, s, t).expect("route");
-            let mut prev = s;
-            for (i, &step) in tr.steps.iter().enumerate() {
-                let cur = tr.path[i + 1];
-                let edge = pick_edge(g, prev, cur, step);
-                loads[g.channel_id(edge, prev)] += 1.0;
-                prev = cur;
+        for t in (0..n).filter(|&t| t != s) {
+            for (ch, _) in walk_channels(dsn, g, s, t, Rule::Basic, 1, |_, _| None) {
+                loads[ch] += 1.0;
             }
         }
     }
     loads
-}
-
-fn pick_edge(g: &Graph, a: NodeId, b: NodeId, step: RouteStep) -> usize {
-    let want_ring = matches!(step, RouteStep::Succ | RouteStep::Pred);
-    g.neighbors(a)
-        .find(|&(u, e)| {
-            u == b
-                && if want_ring {
-                    g.edge(e).kind == LinkKind::Ring
-                } else {
-                    matches!(g.edge(e).kind, LinkKind::Shortcut { .. })
-                }
-        })
-        .or_else(|| g.neighbors(a).find(|&(u, _)| u == b))
-        .map(|(_, e)| e)
-        .expect("hop must be a physical link")
 }
 
 /// Channel loads induced by up*/down* routing under all-to-all traffic,
@@ -194,6 +170,7 @@ pub fn balance_comparison(dsn: &Dsn) -> (LoadStats, LoadStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dsn_routing::route;
     use dsn_core::ring::Ring;
 
     #[test]

@@ -30,7 +30,7 @@
 //! `tests/sim_equivalence.rs` and its siblings demand identical
 //! [`RunStats`] bit for bit.
 
-use crate::config::SimConfig;
+use crate::config::{SimConfig, Switching};
 use crate::inject::{Injector, NEVER};
 use crate::routing::{RouteState, SimRouting};
 use crate::stats::{RunStats, StatsCollector};
@@ -313,10 +313,13 @@ pub(crate) struct RingCursor {
 
 /// The network input buffers: per input VC, a fixed ring of packet slab
 /// ids and a [`RingCursor`], in two flat arrays indexed by `iv`. The
-/// credit loop caps a VC at `buffer_flits` flits, which span at most
-/// `buffer_flits.div_ceil(packet_flits) + 1` packets (a partly sent front,
-/// whole ones, a partly arrived back) and never more than one per flit,
-/// so the rings never grow.
+/// credit loop caps a VC at `buffer_flits` flits, so the rings never grow.
+/// Under wormhole those span at most `buffer_flits.div_ceil(packet_flits)
+/// + 1` packets (a partly sent front, whole ones, a partly arrived back)
+/// and never more than one per flit. Under virtual cut-through a head
+/// leaves upstream only with credits for its whole packet, so every packet
+/// but a partly sent front is whole and room remains for the newcomer:
+/// at most `(buffer_flits - 1) / packet_flits + 1` packets.
 #[derive(Debug)]
 pub(crate) struct PacketRings {
     /// Id slots per VC.
@@ -326,12 +329,15 @@ pub(crate) struct PacketRings {
 }
 
 impl PacketRings {
-    fn new(vcs: usize, buffer_flits: usize, packet_flits: usize) -> Self {
+    fn new(vcs: usize, buffer_flits: usize, packet_flits: usize, switching: Switching) -> Self {
         assert!(
             (1..=u16::MAX as usize).contains(&buffer_flits),
             "buffer_flits must fit the ring cursor"
         );
-        let slots = buffer_flits.min(buffer_flits.div_ceil(packet_flits) + 1);
+        let slots = match switching {
+            Switching::VirtualCutThrough => (buffer_flits - 1) / packet_flits + 1,
+            Switching::Wormhole => buffer_flits.min(buffer_flits.div_ceil(packet_flits) + 1),
+        };
         PacketRings {
             slots,
             ids: vec![0; vcs * slots],
@@ -926,8 +932,8 @@ impl Simulator {
             ch_slot[c as usize] = slot as u32;
         }
         let alloc_need = match cfg.switching {
-            crate::config::Switching::VirtualCutThrough => cfg.packet_flits as u32,
-            crate::config::Switching::Wormhole => 1,
+            Switching::VirtualCutThrough => cfg.packet_flits as u32,
+            Switching::Wormhole => 1,
         };
 
         let stats = StatsCollector::new(&cfg);
@@ -971,7 +977,7 @@ impl Simulator {
             input_upstream,
             iv_node,
             net_ivs,
-            net_rings: PacketRings::new(net_ivs, cfg.buffer_flits, cfg.packet_flits),
+            net_rings: PacketRings::new(net_ivs, cfg.buffer_flits, cfg.packet_flits, cfg.switching),
             inj_buf: vec![SourceQueue::default(); hosts],
             ivc: vec![IvcHot::IDLE; iv_domain],
             ovc_state: vec![OVC_FREE + cfg.buffer_flits as u64; ov_domain],
@@ -2353,16 +2359,21 @@ mod tests {
 
     #[test]
     fn packet_ring_slots_cover_the_credit_loop() {
-        // Paper router: 40 flits hold a partly sent packet, a whole one
-        // and the first flits of a third.
-        assert_eq!(PacketRings::new(1, 40, 33).slots, 3);
-        // Wormhole: a tail and a head.
-        assert_eq!(PacketRings::new(1, 4, 33).slots, 2);
+        use Switching::{VirtualCutThrough as Vct, Wormhole};
+        // Paper router (VCT): 40 flits hold a partly sent packet and a
+        // whole one; a third head needs 33 free credits.
+        assert_eq!(PacketRings::new(1, 40, 33, Vct).slots, 2);
+        // Wormhole: a partly sent front, a whole one and the first flits
+        // of a third; in 4 flits a tail and a head.
+        assert_eq!(PacketRings::new(1, 40, 33, Wormhole).slots, 3);
+        assert_eq!(PacketRings::new(1, 4, 33, Wormhole).slots, 2);
         // One-flit packets: one id per flit, never more.
-        assert_eq!(PacketRings::new(1, 8, 1).slots, 8);
-        assert_eq!(PacketRings::new(1, 5, 4).slots, 3);
-        // Two VCs of 3 slots: 24 B of ids and 16 B of cursors.
-        assert_eq!(PacketRings::new(2, 40, 33).bytes(), 40);
+        assert_eq!(PacketRings::new(1, 8, 1, Vct).slots, 8);
+        assert_eq!(PacketRings::new(1, 8, 1, Wormhole).slots, 8);
+        assert_eq!(PacketRings::new(1, 16, 4, Vct).slots, 4);
+        assert_eq!(PacketRings::new(1, 5, 4, Wormhole).slots, 3);
+        // Two VCs of 2 slots: 16 B of ids and 16 B of cursors.
+        assert_eq!(PacketRings::new(2, 40, 33, Vct).bytes(), 32);
     }
 
     #[test]
@@ -2370,7 +2381,7 @@ mod tests {
         // 8 flits of 3-flit packets: 4 slots, so packets 0..10 lap the
         // ring twice.
         let pf = 3;
-        let mut r = PacketRings::new(2, 8, pf);
+        let mut r = PacketRings::new(2, 8, pf, Switching::Wormhole);
         assert_eq!((r.front(0), r.len_flits(0)), (None, 0));
         let mut got = Vec::new();
         for id in 0..10u32 {
@@ -2401,7 +2412,7 @@ mod tests {
         // packet 7 is 3 flits sent with 2 resident; packet 9's head and
         // first body flit follow it.
         let pf = 5;
-        let mut r = PacketRings::new(1, 4, pf);
+        let mut r = PacketRings::new(1, 4, pf, Switching::Wormhole);
         fill(&mut r, &[7], 0, 4);
         for _ in 0..3 {
             r.pop_flit(0, pf);
@@ -2436,7 +2447,7 @@ mod tests {
         // 8 flits of 2-flit packets (5 slots), wrapped: the front sits at
         // the ring's last slot.
         let pf = 2;
-        let mut r = PacketRings::new(1, 8, pf);
+        let mut r = PacketRings::new(1, 8, pf, Switching::Wormhole);
         fill(&mut r, &[0, 1, 2, 3], 0, pf);
         drain_ring(&mut r, pf);
         fill(&mut r, &[3, 4, 6], 0, pf);

@@ -20,7 +20,7 @@ use crate::masks::{PortMasks, UpMoves};
 use dsn_core::fault::EdgeMask;
 use dsn_core::graph::{Graph, LinkKind};
 use dsn_core::NodeId;
-use dsn_route::deadlock::{dsnv_step, DsnvState};
+use dsn_route::dsn_routing::{dsnv_step, DsnvState};
 use dsn_route::updown::{UdPhase, UpDown};
 use dsn_route::RouteStep;
 use std::sync::Arc;
@@ -343,7 +343,7 @@ impl SimRouting for MinimalAdaptiveDsn {
 
 /// Table-free DSN custom routing: the next hop is computed
 /// *algorithmically* from switch ids and the DSN level structure by the
-/// incremental three-phase automaton ([`dsn_route::deadlock::dsnv_step`]),
+/// incremental three-phase automaton ([`dsn_route::dsn_routing::dsnv_step`]),
 /// in O(levels) time per hop with O(n) memory — three per-node channel
 /// LUTs instead of an O(n²) per-(switch, dest) table or a per-packet path.
 /// The automaton state rides in [`RouteState::alg`] (3 bits), and the hops

@@ -16,7 +16,7 @@ use dsn_core::dsn::Dsn;
 use dsn_core::fault::EdgeMask;
 use dsn_core::graph::{Graph, LinkKind};
 use dsn_core::NodeId;
-use dsn_route::deadlock::{dsnv_step, DsnvState};
+use dsn_route::dsn_routing::{dsnv_step, DsnvState};
 use dsn_route::updown::{UdPhase, UpDown};
 use dsn_route::RouteStep;
 use dsn_sim::routing::{Candidate, RouteState};

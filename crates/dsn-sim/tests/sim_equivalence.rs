@@ -230,6 +230,33 @@ fn single_flit_packets_fill_every_ring_slot() {
     }
 }
 
+/// Virtual cut-through with several small packets per buffer: 4-flit
+/// packets in 16-flit buffers, so an input VC's ring holds up to
+/// `(16 - 1) / 4 + 1 = 4` packets (a partly sent front and three whole
+/// ones). Saturated uniform traffic fills every slot, so a ring one slot
+/// short overwrites a queued packet's id.
+#[test]
+fn vct_multi_packet_buffers_fill_every_ring_slot() {
+    let g = Arc::new(Dsn::new(64, 5).unwrap().into_graph());
+    let cfg = SimConfig {
+        buffer_flits: 16,
+        ..cfg()
+    };
+    let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
+    let stats = assert_engine_matches_spec(
+        g.clone(),
+        cfg,
+        routing,
+        open(TrafficPattern::Uniform, 0.2),
+        61,
+        "dsn64 adaptive VCT 16-flit buffers, 4-flit packets",
+    );
+    assert!(
+        stats.saturated(),
+        "0.2 packets/cycle/host must back the rings up"
+    );
+}
+
 /// CI smoke: a 30k-cycle spec-vs-event check on a paper-sized DSN, kept
 /// as one named test so the workflow can run exactly this gate.
 #[test]

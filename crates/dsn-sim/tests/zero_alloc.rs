@@ -180,10 +180,10 @@ fn saturated_measure_phase_allocates_nothing() {
             + 2 * (channels * leg.vcs as usize + hosts) * 4;
         let reserved = sim.reserved_bytes();
         let event_queues = reserved.event_queues;
-        // 40 flits of 33-flit packets: a partly sent packet, a whole one
-        // and the head of a third, so 3 id slots per network VC.
-        let slots = cfg.buffer_flits.div_ceil(cfg.packet_flits) + 1;
-        assert_eq!(slots, 3);
+        // 40 flits of 33-flit packets under virtual cut-through: a partly
+        // sent packet and a whole one, so 2 id slots per network VC.
+        let slots = (cfg.buffer_flits - 1) / cfg.packet_flits + 1;
+        assert_eq!(slots, 2);
         let net_vcs = channels * leg.vcs as usize;
         assert_eq!(
             reserved.input_buffers,

@@ -11,7 +11,7 @@ use dsn::core::dsn::Dsn;
 use dsn::core::parallel::Parallelism;
 use dsn::core::topology::TopologySpec;
 use dsn::metrics::{path_stats, path_stats_with};
-use dsn::route::{routing_stats, routing_stats_serial, routing_stats_with};
+use dsn::route::{routing_stats, routing_stats_with};
 use dsn::sim::sweep::{find_saturation_with, load_sweep_with};
 use dsn::sim::{AdaptiveEscape, SimConfig, TrafficPattern};
 use std::sync::Arc;
@@ -23,7 +23,7 @@ fn routing_stats_parallel_matches_serial_on_dsn_p_minus_1_1024() {
     // DSN-(p-1) at target 1024 resolves to n = 1020, p = 10, x = 9.
     let dsn = Dsn::new_clean(1024).expect("clean DSN at 1024");
     assert_eq!(dsn.n(), 1020);
-    let serial = routing_stats_serial(&dsn);
+    let serial = routing_stats_with(&dsn, &Parallelism::serial());
     let parallel = routing_stats_with(&dsn, &Parallelism::threads(FORCED_WORKERS));
     assert_eq!(
         serial, parallel,
