@@ -16,12 +16,15 @@
 //! Run: `cargo run --release -p dsn-bench --bin paper_figures -- \
 //!       [7|8|9|all] [--threads N | --serial]`
 //!
-//! Figures 7 and 8 read one all-pairs BFS per topology and size.
+//! Figures 7 and 8 read one all-pairs BFS per topology and size. The run
+//! exits with status 1 when a diameter or ASPL falls below the Moore bound
+//! of its size and maximum degree (`dsn_metrics::moore_bound`,
+//! `moore_aspl_bound`), which no graph can do.
 
 use dsn_bench::{block_header, paper_sizes, trio, RunArgs, RANDOM_SEED};
 use dsn_core::topology::TopologySpec;
 use dsn_layout::{cable_stats, CableModel, LinearPlacement};
-use dsn_metrics::{path_stats_with, PathStats};
+use dsn_metrics::{moore_aspl_bound, moore_bound, path_stats, PathStats};
 
 const USAGE: &str = "paper_figures [7|8|9|all] [--threads N | --serial]";
 
@@ -43,12 +46,16 @@ fn main() {
         other => args.fail(format!("unknown figure `{other}`")),
     };
     let par = args.par;
-    let paths: Vec<(usize, [PathStats; 3])> = if figures.contains(&7) || figures.contains(&8) {
+    let paths: Vec<(usize, [Measured; 3])> = if figures.contains(&7) || figures.contains(&8) {
         paper_sizes()
             .into_iter()
             .map(|n| {
-                let build = |spec: TopologySpec| spec.build().expect("topology").graph;
-                (n, trio(n).map(|spec| path_stats_with(&build(spec), &par)))
+                let measure = |spec: TopologySpec| {
+                    let built = spec.build().expect("topology");
+                    let stats = path_stats(&built.graph);
+                    (built.name, built.graph.max_degree(), stats)
+                };
+                (n, trio(n).map(measure))
             })
             .collect()
     } else {
@@ -57,7 +64,7 @@ fn main() {
     let path_rows = |metric: fn(&PathStats) -> f64| -> Vec<Row> {
         paths
             .iter()
-            .map(|(n, s)| (*n, s.each_ref().map(metric)))
+            .map(|(n, s)| (*n, s.each_ref().map(|(_, _, stats)| metric(stats))))
             .collect()
     };
     for (i, figure) in figures.iter().enumerate() {
@@ -94,6 +101,46 @@ fn main() {
             _ => figure9(),
         }
     }
+    let below = below_moore(&paths, figures);
+    for line in &below {
+        eprintln!("{line}");
+    }
+    if !below.is_empty() {
+        std::process::exit(1);
+    }
+}
+
+/// One trio topology at one size: name, maximum degree, path statistics.
+type Measured = (String, usize, PathStats);
+
+/// Every Fig. 7 diameter and Fig. 8 ASPL that beats the Moore bounds of
+/// its size and maximum degree, which no graph can: each one is a fault
+/// in the topology builder or the APSP sweep.
+fn below_moore(paths: &[(usize, [Measured; 3])], figures: &[u32]) -> Vec<String> {
+    let mut below = Vec::new();
+    for (n, row) in paths {
+        for (name, d, stats) in row {
+            let min_diameter = (0..*n as u32)
+                .find(|&k| moore_bound(*d, k) >= *n as u64)
+                .unwrap_or(*n as u32);
+            if figures.contains(&7) && stats.diameter < min_diameter {
+                below.push(format!(
+                    "Fig. 7: {name} has diameter {} below the Moore bound {min_diameter} \
+                     (n = {n}, max degree {d})",
+                    stats.diameter
+                ));
+            }
+            let min_aspl = moore_aspl_bound(*n, *d);
+            if figures.contains(&8) && stats.aspl < min_aspl * (1.0 - 1e-12) {
+                below.push(format!(
+                    "Fig. 8: {name} has ASPL {} below the Moore bound {min_aspl} \
+                     (n = {n}, max degree {d})",
+                    stats.aspl
+                ));
+            }
+        }
+    }
+    below
 }
 
 /// Block header of Figures 7 and 8: the gain column is DSN vs torus.

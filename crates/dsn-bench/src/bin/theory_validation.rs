@@ -19,9 +19,9 @@ use dsn_core::dln::DlnRandom;
 use dsn_core::dsn::Dsn;
 use dsn_core::dsn_ext::DsnE;
 use dsn_layout::ring_layout_stats;
-use dsn_metrics::path_stats_with;
+use dsn_metrics::path_stats;
 use dsn_route::deadlock::{dsne_cdg, dsne_group_dependencies, dsnv_cdg};
-use dsn_route::routing_stats_with;
+use dsn_route::routing_stats;
 
 fn main() {
     let par = RunArgs::parse(
@@ -57,8 +57,8 @@ fn main() {
             .map(|d| hist.get(d).copied().unwrap_or(0).to_string())
             .collect::<Vec<_>>()
             .join("/");
-        let stats = path_stats_with(g, &par);
-        let rstats = routing_stats_with(&dsn, &par);
+        let stats = path_stats(g);
+        let rstats = routing_stats(&dsn);
         let diam_bound = 2.5 * p as f64 + dsn.r() as f64;
         let route_bound = (3 * p as usize + dsn.r()) as f64;
         println!(

@@ -104,8 +104,8 @@ pub struct RunArgs {
     /// `--sizes N,M,...`: switch counts of the rows to run, each >= 8.
     pub sizes: Option<Vec<usize>>,
     /// `--serial` or `--threads N` (`0` = automatic, `1` = serial);
-    /// automatic when neither is given. [`RunArgs::parse`] installs it as
-    /// the process's global worker count.
+    /// automatic when neither is given. [`RunArgs::parse`] makes it the
+    /// main thread's worker count.
     pub par: Parallelism,
     /// The non-flag arguments, in order.
     pub positionals: Vec<String>,
@@ -135,9 +135,9 @@ impl RunArgs {
                 std::process::exit(2);
             });
         args.usage = usage;
-        // One global pool for the whole process, so the kernels that read
-        // it (`--threads N` passes no pool of its own) run on N workers.
-        args.par.install();
+        // The main thread's scope: every fan-out the binary starts, and
+        // every one nested in those, runs on `args.par`'s workers.
+        args.par.enter();
         args
     }
 
@@ -188,7 +188,6 @@ impl RunArgs {
                 }
                 ("--threads", Some(v)) => {
                     out.par = match v.parse::<usize>() {
-                        Ok(1) => Parallelism::serial(),
                         Ok(n) => Parallelism::threads(n),
                         Err(_) => return Err(format!("--threads needs a worker count, got `{v}`")),
                     };
@@ -473,10 +472,14 @@ mod tests {
         let par = "--serial --threads";
         let a = parse(&["--threads", "3"], par).unwrap();
         assert_eq!(a.par, Parallelism::threads(3));
-        assert!(parse(&["--serial"], par).unwrap().par.is_serial());
+        assert_eq!(
+            parse(&["--serial"], par).unwrap().par,
+            Parallelism::serial()
+        );
         let a = parse(&["--threads=2"], par).unwrap();
         assert_eq!(a.par, Parallelism::threads(2));
-        assert!(parse(&["--threads=1"], par).unwrap().par.is_serial());
+        let a = parse(&["--threads=1"], par).unwrap();
+        assert_eq!(a.par, Parallelism::serial());
         let a = parse(&["--threads", "0"], par).unwrap();
         assert_eq!(a.par, Parallelism::auto());
         let a = parse(&["--serial", "--threads", "4"], par).unwrap();

@@ -74,9 +74,8 @@ fn bad_input_exits_2_with_usage_before_any_work() {
     }
 }
 
-/// `--threads N` sizes the worker pool the binary actually runs on: the
-/// `# parallelism:` line names the live pool whenever it differs from the
-/// request.
+/// `--threads N` is the worker count the binary's fan-outs run on, and
+/// the `# parallelism:` line names it.
 #[test]
 fn threads_flag_sets_the_live_worker_count() {
     let exe = env!("CARGO_BIN_EXE_opt_frontier");

@@ -6,8 +6,8 @@
 //! bit `j` of a node's `u64` says "source `j` of the block has reached this
 //! node", so one pass over the adjacency advances 64 searches by a level.
 //! Every statistic is an integer (distance sum, pair counts, histogram,
-//! eccentricities); blocks fan out over a rayon pool and merge in block
-//! order, so the parallel sweep is bit-identical to the serial one.
+//! eccentricities); blocks fan out over the rayon workers and merge in
+//! block order, so the sweep is bit-identical for every worker count.
 
 use dsn_core::graph::Graph;
 use dsn_core::parallel::Parallelism;
@@ -174,28 +174,16 @@ fn block_partial(adj: &Adjacency, ws: &mut Words, first: usize) -> Partial {
 }
 
 /// Exact APSP statistics via a bit-parallel BFS sweep, 64 sources per
-/// machine word.
+/// machine word. Blocks of 64 sources fan out; their integer partials
+/// merge in block order, so the result is bit-identical for every worker
+/// count.
 pub fn path_stats(g: &Graph) -> PathStats {
-    path_stats_with(g, &Parallelism::auto())
-}
-
-/// [`path_stats`] under an explicit [`Parallelism`] policy. Blocks of 64
-/// sources fan out; their integer partials merge in block order, so serial
-/// and parallel sweeps produce bit-identical results.
-pub fn path_stats_with(g: &Graph, par: &Parallelism) -> PathStats {
     let n = g.node_count();
     let adj = Adjacency::new(g);
-    let blocks = n.div_ceil(BLOCK);
-    let run = |ws: &mut Words, b: usize| block_partial(&adj, ws, b * BLOCK);
-    let parts: Vec<Partial> = if par.is_serial() {
-        let mut ws = Words::new(n);
-        (0..blocks).map(|b| run(&mut ws, b)).collect()
-    } else {
-        (0..blocks)
-            .into_par_iter()
-            .map_init(|| Words::new(n), run)
-            .collect()
-    };
+    let parts: Vec<Partial> = (0..n.div_ceil(BLOCK))
+        .into_par_iter()
+        .map_init(|| Words::new(n), |ws, b| block_partial(&adj, ws, b * BLOCK))
+        .collect();
 
     let mut histogram = vec![0u64];
     let mut eccentricity = Vec::with_capacity(n);
@@ -229,24 +217,19 @@ pub fn path_stats_with(g: &Graph, par: &Parallelism) -> PathStats {
     }
 }
 
+/// [`path_stats`] with its fan-out under `par`.
+pub fn path_stats_with(g: &Graph, par: &Parallelism) -> PathStats {
+    par.run(|| path_stats(g))
+}
+
 /// Diameter only (still a full sweep; kept for call-site clarity).
 pub fn diameter(g: &Graph) -> u32 {
     path_stats(g).diameter
 }
 
-/// [`diameter`] under an explicit [`Parallelism`] policy.
-pub fn diameter_with(g: &Graph, par: &Parallelism) -> u32 {
-    path_stats_with(g, par).diameter
-}
-
 /// Average shortest path length only.
 pub fn aspl(g: &Graph) -> f64 {
     path_stats(g).aspl
-}
-
-/// [`aspl`] under an explicit [`Parallelism`] policy.
-pub fn aspl_with(g: &Graph, par: &Parallelism) -> f64 {
-    path_stats_with(g, par).aspl
 }
 
 #[cfg(test)]

@@ -27,8 +27,8 @@ pub mod clustering;
 pub mod connectivity;
 pub mod report;
 
-pub use apsp::{aspl, aspl_with, diameter, diameter_with, path_stats, path_stats_with, PathStats};
+pub use apsp::{aspl, diameter, path_stats, path_stats_with, PathStats};
 pub use bfs::{bfs_distances, bfs_path, distance, UNREACHABLE};
 pub use bisection::{cut_size, estimate_bisection, Bisection};
 pub use connectivity::{edge_connectivity, edge_disjoint_paths, path_diversity_histogram};
-pub use report::{moore_bound, moore_efficiency, TopologyReport};
+pub use report::{moore_aspl_bound, moore_bound, moore_efficiency, TopologyReport};

@@ -25,6 +25,29 @@ pub fn moore_bound(d: usize, k: u32) -> u64 {
     }
 }
 
+/// The smallest average shortest path length any `n`-node graph of
+/// maximum degree `d` can have: the ASPL of a tree that fills level `k`
+/// with `d(d-1)^(k-1)` nodes before starting level `k + 1`. 0 for
+/// `n <= 1`; infinite when no connected graph exists (`d = 0` with
+/// `n > 1`, `d = 1` with `n > 2`).
+pub fn moore_aspl_bound(n: usize, d: usize) -> f64 {
+    if n <= 1 {
+        return 0.0;
+    }
+    let (mut left, mut level, mut width, mut sum) = (n as u64 - 1, 0u64, d as u64, 0u64);
+    while left > 0 {
+        if width == 0 {
+            return f64::INFINITY;
+        }
+        level += 1;
+        let here = width.min(left);
+        sum += level * here;
+        left -= here;
+        width = width.saturating_mul(d as u64 - 1);
+    }
+    sum as f64 / (n - 1) as f64
+}
+
 /// Moore efficiency of a graph: `n / moore_bound(max_degree, diameter)` in
 /// `(0, 1]`. A value near 1 means the topology is near the theoretical
 /// optimum trade-off between degree and diameter.
@@ -97,6 +120,7 @@ impl TopologyReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsn_core::graph::LinkKind;
     use dsn_core::ring::Ring;
 
     #[test]
@@ -121,6 +145,34 @@ mod tests {
         assert_eq!(moore_bound(5, 0), 1);
         // degree 7, diameter 2 -> Hoffman-Singleton: 50
         assert_eq!(moore_bound(7, 2), 50);
+    }
+
+    #[test]
+    fn moore_aspl_bound_is_met_by_petersen_and_complete_graphs() {
+        // Petersen: outer 5-cycle, inner pentagram, five spokes.
+        let mut petersen = Graph::new(10);
+        for i in 0..5 {
+            petersen.add_edge(i, (i + 1) % 5, LinkKind::Ring);
+            petersen.add_edge(5 + i, 5 + (i + 2) % 5, LinkKind::Ring);
+            petersen.add_edge(i, 5 + i, LinkKind::Ring);
+        }
+        let bound = moore_aspl_bound(10, 3);
+        assert!((bound - 5.0 / 3.0).abs() < 1e-12, "{bound}");
+        assert_eq!(path_stats(&petersen).aspl.to_bits(), bound.to_bits());
+        for n in 2..8 {
+            let mut complete = Graph::new(n);
+            for a in 0..n {
+                for b in a + 1..n {
+                    complete.add_edge(a, b, LinkKind::Ring);
+                }
+            }
+            assert_eq!(moore_aspl_bound(n, n - 1), 1.0, "K{n}");
+            assert_eq!(path_stats(&complete).aspl, 1.0, "K{n}");
+        }
+        // A ring fills two nodes per level: 16 nodes give 1..7 twice, 8 once.
+        assert_eq!(moore_aspl_bound(16, 2), (2.0 * 28.0 + 8.0) / 15.0);
+        assert_eq!(moore_aspl_bound(1, 4), 0.0);
+        assert_eq!(moore_aspl_bound(3, 1), f64::INFINITY);
     }
 
     #[test]

@@ -58,7 +58,8 @@ pub struct Objective {
     pub w_aspl: f64,
     /// Weight on total cable meters in the scalarization.
     pub w_cable: f64,
-    /// Parallelism policy for the APSP sweep.
+    /// Worker count for the APSP sweep and for [`crate::evolve`]'s
+    /// offspring evaluation.
     pub par: Parallelism,
 }
 
@@ -183,7 +184,7 @@ mod tests {
         assert!(s.within_budget);
         assert!(s.aspl > 1.0 && s.aspl < 10.0);
         assert!(s.cable_m > 0.0);
-        let expected = dsn_metrics::apsp::aspl_with(c.graph(), &Parallelism::serial());
+        let expected = Parallelism::serial().run(|| dsn_metrics::apsp::aspl(c.graph()));
         assert_eq!(s.aspl.to_bits(), expected.to_bits());
     }
 

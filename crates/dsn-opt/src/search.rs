@@ -188,9 +188,9 @@ fn mutate(parent: &Candidate, gen: &MoveGen, seed: u64, moves: usize) -> Candida
 }
 
 /// (μ+λ) evolution strategy. Offspring are generated serially under
-/// per-index SplitMix64 streams and evaluated concurrently (index-order
-/// collection), so the result is bit-identical for any [`dsn_core::Parallelism`]
-/// policy carried by the objective.
+/// per-index SplitMix64 streams and evaluated as one fan-out on the
+/// objective's worker count (index-order collection), so the result is
+/// bit-identical for any [`dsn_core::Parallelism`] the objective carries.
 pub fn evolve(start: &Candidate, obj: &Objective, cfg: &EsConfig) -> SearchResult {
     assert!(cfg.mu >= 1 && cfg.lambda >= 1, "mu and lambda must be >= 1");
     let n = start.graph().node_count();
@@ -198,15 +198,7 @@ pub fn evolve(start: &Candidate, obj: &Objective, cfg: &EsConfig) -> SearchResul
     let mut evaluations = 0usize;
 
     let evaluate = |cands: &[Candidate]| -> Vec<(Score, f64, u64)> {
-        if obj.par.is_serial() {
-            cands
-                .iter()
-                .map(|c| {
-                    let s = obj.score(c.graph());
-                    (s, obj.scalar(&s), c.fingerprint())
-                })
-                .collect()
-        } else {
+        obj.par.run(|| {
             cands
                 .par_iter()
                 .map(|c| {
@@ -214,7 +206,7 @@ pub fn evolve(start: &Candidate, obj: &Objective, cfg: &EsConfig) -> SearchResul
                     (s, obj.scalar(&s), c.fingerprint())
                 })
                 .collect()
-        }
+        })
     };
 
     // Founders: the start point plus mu-1 mutants of it.

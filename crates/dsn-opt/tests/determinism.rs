@@ -1,6 +1,8 @@
 //! Bit-reproducibility contract: identical seed + config give a
 //! byte-identical best candidate and search trace no matter which
-//! `Parallelism` policy evaluates the candidates.
+//! `Parallelism` evaluates the candidates. `Parallelism::threads(4)` is
+//! obeyed on any host, so the four-worker side really runs the ES
+//! offspring on four workers even on a single-core machine.
 
 use dsn_core::Parallelism;
 use dsn_opt::{anneal_shortcuts, evolve, Candidate, EsConfig, Objective, SaConfig, SearchResult};

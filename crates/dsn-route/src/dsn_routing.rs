@@ -23,7 +23,6 @@
 //! writes them live on only in `tests/fig2_oracle.rs`, as its oracle.
 
 use dsn_core::dsn::Dsn;
-use dsn_core::parallel::Parallelism;
 use dsn_core::NodeId;
 use rayon::prelude::*;
 
@@ -451,26 +450,13 @@ fn finish_stats(total: StatsPartial) -> RoutingStats {
 }
 
 /// Route every ordered pair `(s, t)` with `s != t` and aggregate, fanned
-/// out per source over the rayon pool.
+/// out per source. Integer partials merge in source order, so the result
+/// is bit-identical for every worker count.
 pub fn routing_stats(dsn: &Dsn) -> RoutingStats {
-    routing_stats_with(dsn, &Parallelism::auto())
-}
-
-/// [`routing_stats`] under an explicit [`Parallelism`] policy. The serial
-/// and parallel paths run the same per-source unit and merge integer
-/// partials in source order, so their results are bit-identical.
-pub fn routing_stats_with(dsn: &Dsn, par: &Parallelism) -> RoutingStats {
-    let n = dsn.n();
-    let total = if par.is_serial() {
-        (0..n)
-            .map(|s| source_partial(dsn, s))
-            .fold(StatsPartial::default(), StatsPartial::merge)
-    } else {
-        (0..n)
-            .into_par_iter()
-            .map(|s| source_partial(dsn, s))
-            .reduce(StatsPartial::default, StatsPartial::merge)
-    };
+    let total = (0..dsn.n())
+        .into_par_iter()
+        .map(|s| source_partial(dsn, s))
+        .reduce(StatsPartial::default, StatsPartial::merge);
     finish_stats(total)
 }
 

@@ -31,7 +31,7 @@ pub mod updown;
 
 pub use cdg::{Cdg, VirtualChannel};
 pub use dsn_routing::{
-    route, route_avoid_overshoot, routing_stats, routing_stats_with, RouteError, RoutePhase,
-    RouteStep, RouteTrace, RoutingStats,
+    route, route_avoid_overshoot, routing_stats, RouteError, RoutePhase, RouteStep, RouteTrace,
+    RoutingStats,
 };
 pub use updown::{UdPhase, UpDown};

@@ -62,8 +62,8 @@ pub use inject::Injector;
 pub use routing::{AdaptiveEscape, DsnAlgorithmic, MinimalAdaptiveDsn, SimRouting, UpDownRouting};
 pub use stats::{FlowClassStats, RunStats};
 pub use sweep::{
-    find_saturation, find_saturation_cached, find_saturation_with, load_sweep, load_sweep_cached,
-    load_sweep_with, paper_load_grid, SweepResult,
+    find_saturation, find_saturation_cached, load_sweep, load_sweep_cached, paper_load_grid,
+    SweepResult,
 };
 pub use traffic::TrafficPattern;
 pub use workload::Workload;

@@ -1,6 +1,6 @@
 //! Load-sweep harness: run the simulator across a range of offered loads
-//! (in parallel with rayon) and produce the latency-vs-accepted-traffic
-//! curves of the paper's Figure 10.
+//! (fanned out over the vendored rayon's workers) and produce the
+//! latency-vs-accepted-traffic curves of the paper's Figure 10.
 //!
 //! Every sweep point of one invocation shares a single routing instance:
 //! `make_routing` is called **exactly once** per sweep (the schemes are
@@ -12,8 +12,12 @@
 //! rebuilds inside degraded sweeps.
 //!
 //! Sweeps parallelize *across* points: each simulation is single-threaded,
-//! so independent load points, seeds and probes are what fill the rayon
-//! pool.
+//! so independent load points and probes are what fill the workers. Each
+//! sweep and search has one code path for every worker count: one worker
+//! runs the same fan-out inline on the calling thread. The entry points
+//! without a [`Parallelism`] argument run under the caller's scope
+//! ([`Parallelism::run`]); the `_cached` ones open the scope they are
+//! given.
 
 use crate::cache::RoutingCache;
 use crate::config::SimConfig;
@@ -92,8 +96,10 @@ fn sweep_routing(
 }
 
 /// Run a load sweep: one simulation per offered load (Gbit/s/host), fanned
-/// out over the rayon pool. `make_routing` is called exactly once — every
-/// point shares the immutable routing tables.
+/// out over the workers. `make_routing` is called exactly once — every
+/// point shares the immutable routing tables. Each point is seeded as
+/// `seed ^ offered.to_bits()`, so the curve is identical no matter how
+/// many points run concurrently.
 pub fn load_sweep(
     label: impl Into<String>,
     graph: Arc<Graph>,
@@ -102,32 +108,6 @@ pub fn load_sweep(
     pattern: &TrafficPattern,
     offered_gbps: &[f64],
     seed: u64,
-) -> SweepResult {
-    load_sweep_with(
-        label,
-        graph,
-        cfg,
-        make_routing,
-        pattern,
-        offered_gbps,
-        seed,
-        &Parallelism::auto(),
-    )
-}
-
-/// [`load_sweep`] under an explicit [`Parallelism`] policy. Each point is
-/// seeded as `seed ^ offered.to_bits()`, so the curve is identical no
-/// matter how many points run concurrently.
-#[allow(clippy::too_many_arguments)]
-pub fn load_sweep_with(
-    label: impl Into<String>,
-    graph: Arc<Graph>,
-    cfg: &SimConfig,
-    make_routing: impl FnOnce() -> Arc<dyn SimRouting>,
-    pattern: &TrafficPattern,
-    offered_gbps: &[f64],
-    seed: u64,
-    par: &Parallelism,
 ) -> SweepResult {
     let routing = sweep_routing(&graph, None, make_routing);
     run_sweep_points(
@@ -139,11 +119,11 @@ pub fn load_sweep_with(
         pattern,
         offered_gbps,
         seed,
-        par,
     )
 }
 
-/// [`load_sweep_with`] against a shared [`RoutingCache`]: the scheme for
+/// [`load_sweep`] against a shared [`RoutingCache`], with its fan-out
+/// under `par`: the scheme for
 /// `(graph, scheme_key)` is fetched from (or built into) `cache`, and the
 /// cache is threaded into every simulation so fault rebuilds reaching the
 /// same survivor state are also built only once across the sweep. Produces
@@ -162,17 +142,18 @@ pub fn load_sweep_cached(
     par: &Parallelism,
 ) -> SweepResult {
     let routing = sweep_routing(&graph, Some((cache, scheme_key)), make_routing);
-    run_sweep_points(
-        label.into(),
-        graph,
-        cfg,
-        routing,
-        Some(cache),
-        pattern,
-        offered_gbps,
-        seed,
-        par,
-    )
+    par.run(|| {
+        run_sweep_points(
+            label.into(),
+            graph,
+            cfg,
+            routing,
+            Some(cache),
+            pattern,
+            offered_gbps,
+            seed,
+        )
+    })
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -185,7 +166,6 @@ fn run_sweep_points(
     pattern: &TrafficPattern,
     offered_gbps: &[f64],
     seed: u64,
-    par: &Parallelism,
 ) -> SweepResult {
     let run_point = |gbps: f64| -> SweepPoint {
         let rate = cfg.packets_per_cycle_for_gbps(gbps);
@@ -205,14 +185,10 @@ fn run_sweep_points(
             stats: sim.run(),
         }
     };
-    let points: Vec<SweepPoint> = if par.is_serial() {
-        offered_gbps.iter().map(|&gbps| run_point(gbps)).collect()
-    } else {
-        offered_gbps
-            .par_iter()
-            .map(|&gbps| run_point(gbps))
-            .collect()
-    };
+    let points: Vec<SweepPoint> = offered_gbps
+        .par_iter()
+        .map(|&gbps| run_point(gbps))
+        .collect();
     SweepResult {
         label,
         pattern: pattern.name().to_string(),
@@ -220,7 +196,7 @@ fn run_sweep_points(
     }
 }
 
-/// Interior probe loads per refinement round of [`find_saturation_with`]:
+/// Interior probe loads per refinement round of [`find_saturation`]:
 /// the bracket shrinks by `SECTION_PROBES + 1` per round, and all probes
 /// of a round are independent simulations that can run concurrently.
 const SECTION_PROBES: usize = 4;
@@ -230,6 +206,15 @@ const SECTION_PROBES: usize = 4;
 /// without saturating, to within `tol`. Returns `hi` when even the top of
 /// the range is absorbed (the true saturation point lies above the probe
 /// range). One simulation per probe.
+///
+/// The `probe(hi)` / `probe(lo)` bracket runs both probes under
+/// `rayon::join` (both verdicts are needed unless the top of the range is
+/// absorbed, the common case when searching); each refinement round then
+/// places `SECTION_PROBES` evenly spaced loads inside the bracket and
+/// simulates them as one fan-out, narrowing to the gap around the lowest
+/// saturated probe. Every probe is seeded as `seed ^ load.to_bits()`, and
+/// the bracketing decision depends only on the probe verdicts, so the
+/// result is identical for every worker count.
 #[allow(clippy::too_many_arguments)]
 pub fn find_saturation(
     graph: Arc<Graph>,
@@ -241,47 +226,12 @@ pub fn find_saturation(
     tol: f64,
     seed: u64,
 ) -> f64 {
-    find_saturation_with(
-        graph,
-        cfg,
-        make_routing,
-        pattern,
-        lo,
-        hi,
-        tol,
-        seed,
-        &Parallelism::auto(),
-    )
-}
-
-/// [`find_saturation`] under an explicit [`Parallelism`] policy.
-///
-/// The initial `probe(hi)` / `probe(lo)` bracket runs both probes
-/// concurrently under a parallel policy (both verdicts are needed unless
-/// the top of the range is absorbed — the common case when searching);
-/// each refinement round then places `SECTION_PROBES` evenly spaced loads
-/// inside the bracket and simulates them (concurrently unless the policy
-/// is serial), narrowing to the gap around the lowest saturated probe.
-/// Every probe is seeded as `seed ^ load.to_bits()`, and the bracketing
-/// decision depends only on the probe verdicts, so the result is
-/// identical for every worker count.
-#[allow(clippy::too_many_arguments)]
-pub fn find_saturation_with(
-    graph: Arc<Graph>,
-    cfg: &SimConfig,
-    make_routing: impl FnOnce() -> Arc<dyn SimRouting>,
-    pattern: &TrafficPattern,
-    lo: f64,
-    hi: f64,
-    tol: f64,
-    seed: u64,
-    par: &Parallelism,
-) -> f64 {
     let routing = sweep_routing(&graph, None, make_routing);
-    saturation_search(graph, cfg, routing, None, pattern, lo, hi, tol, seed, par)
+    saturation_search(graph, cfg, routing, None, pattern, lo, hi, tol, seed)
 }
 
-/// [`find_saturation_with`] against a shared [`RoutingCache`]; see
+/// [`find_saturation`] against a shared [`RoutingCache`], with its
+/// fan-outs under `par`; see
 /// [`load_sweep_cached`] for the caching contract.
 #[allow(clippy::too_many_arguments)]
 pub fn find_saturation_cached(
@@ -298,18 +248,7 @@ pub fn find_saturation_cached(
     par: &Parallelism,
 ) -> f64 {
     let routing = sweep_routing(&graph, Some((cache, scheme_key)), make_routing);
-    saturation_search(
-        graph,
-        cfg,
-        routing,
-        Some(cache),
-        pattern,
-        lo,
-        hi,
-        tol,
-        seed,
-        par,
-    )
+    par.run(|| saturation_search(graph, cfg, routing, Some(cache), pattern, lo, hi, tol, seed))
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -323,7 +262,6 @@ fn saturation_search(
     mut hi: f64,
     tol: f64,
     seed: u64,
-    par: &Parallelism,
 ) -> f64 {
     assert!(lo > 0.0 && hi > lo && tol > 0.0, "invalid search range");
     let probe = |gbps: f64| -> bool {
@@ -341,18 +279,9 @@ fn saturation_search(
         }
         sim.run().saturated()
     };
-    // Establish the bracket. Serially the lo probe is skipped when the top
-    // of the range is absorbed; in parallel both verdicts launch together
-    // (the lo verdict is needed in every case that continues) and are
-    // reused rather than re-probed.
-    let (hi_sat, lo_sat) = if par.is_serial() {
-        if !probe(hi) {
-            return hi;
-        }
-        (true, probe(lo))
-    } else {
-        rayon::join(|| probe(hi), || probe(lo))
-    };
+    // Both bracket verdicts at once: the lo verdict is needed in every
+    // case that continues.
+    let (hi_sat, lo_sat) = rayon::join(|| probe(hi), || probe(lo));
     if !hi_sat {
         return hi;
     }
@@ -363,11 +292,7 @@ fn saturation_search(
     while hi - lo > tol {
         let step = (hi - lo) / (SECTION_PROBES + 1) as f64;
         let mids: Vec<f64> = (1..=SECTION_PROBES).map(|i| lo + step * i as f64).collect();
-        let verdicts: Vec<bool> = if par.is_serial() {
-            mids.iter().map(|&m| probe(m)).collect()
-        } else {
-            mids.par_iter().map(|&m| probe(m)).collect()
-        };
+        let verdicts: Vec<bool> = mids.par_iter().map(|&m| probe(m)).collect();
         match verdicts.iter().position(|&saturated| saturated) {
             Some(0) => hi = mids[0],
             Some(i) => {

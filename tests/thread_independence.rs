@@ -1,9 +1,10 @@
 //! Worker-count independence: the analysis kernels must produce the same
-//! bits under `RAYON_NUM_THREADS=1` as under a multi-worker pool.
+//! bits under `RAYON_NUM_THREADS=1` as under four workers and under the
+//! host's default count, the order a fan-out falls back to when no
+//! `Parallelism` scope is open.
 //!
-//! This file holds a single `#[test]` because it manipulates the
-//! process-global worker configuration (the `RAYON_NUM_THREADS` variable
-//! and the global pool override); a lone test per binary cannot race with
+//! This file holds a single `#[test]` because it sets the process-wide
+//! `RAYON_NUM_THREADS` variable; a lone test per binary cannot race with
 //! siblings.
 
 use dsn::core::dsn::Dsn;
@@ -47,16 +48,4 @@ fn kernels_are_worker_count_independent() {
 
     assert_eq!(one_worker, four_workers, "1 vs 4 workers diverged");
     assert_eq!(one_worker, default_workers, "1 vs default workers diverged");
-
-    // The explicit pool override must agree too.
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(3)
-        .build_global()
-        .unwrap();
-    let pool_override = fingerprint(&dsn);
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(0)
-        .build_global()
-        .unwrap();
-    assert_eq!(one_worker, pool_override, "pool override diverged");
 }
