@@ -10,15 +10,17 @@
 
 use dsn_bench::{search_horizons, RunArgs};
 use dsn_core::dsn::Dsn;
-use dsn_sim::sweep::{find_saturation, load_sweep};
+use dsn_core::parallel::Parallelism;
+use dsn_sim::sweep::{find_saturation_cached, load_sweep_cached};
 use dsn_sim::{
-    AdaptiveEscape, DsnAlgorithmic, MinimalAdaptiveDsn, SimConfig, SimRouting, TrafficPattern,
-    UpDownRouting,
+    AdaptiveEscape, DsnAlgorithmic, MinimalAdaptiveDsn, RoutingCache, SimConfig, SimRouting,
+    TrafficPattern, UpDownRouting,
 };
 use std::sync::Arc;
 
 fn main() {
-    let quick = RunArgs::parse("custom_vs_agnostic [--quick]", "--quick").quick;
+    let args = RunArgs::parse("custom_vs_agnostic [--quick]", "--quick");
+    let (quick, par) = (args.quick, args.par);
     let mut cfg = SimConfig::default();
     let tol = search_horizons(&mut cfg, quick);
 
@@ -38,11 +40,36 @@ fn main() {
         cfg: &SimConfig,
         tol: f64,
         routing: &Arc<dyn SimRouting>,
+        par: &Parallelism,
     ) {
-        let r = routing.clone();
-        let sweep = load_sweep(name, graph.clone(), cfg, || r, pattern, &[1.0], 0xC05);
-        let r = routing.clone();
-        let sat = find_saturation(graph.clone(), cfg, || r, pattern, 2.0, 40.0, tol, 0xC05);
+        let cache = Arc::new(RoutingCache::new());
+        let key = routing.scheme_key();
+        let r = || routing.clone();
+        let sweep = load_sweep_cached(
+            name,
+            graph.clone(),
+            cfg,
+            &cache,
+            &key,
+            r,
+            pattern,
+            &[1.0],
+            0xC05,
+            par,
+        );
+        let sat = find_saturation_cached(
+            graph.clone(),
+            cfg,
+            &cache,
+            &key,
+            r,
+            pattern,
+            2.0,
+            40.0,
+            tol,
+            0xC05,
+            par,
+        );
         println!(
             "  {:<14} {:<22} {:>14.0} {:>12.1}",
             pattern.name(),
@@ -53,8 +80,7 @@ fn main() {
     }
 
     // Each scheme is immutable during a run, so one build serves every
-    // pattern's sweep and saturation search (and the compiled flat arena,
-    // where the scheme has one, is reused too).
+    // pattern's sweep and saturation search.
     let agnostic: Arc<dyn SimRouting> = Arc::new(AdaptiveEscape::new(graph.clone(), vcs));
     // The paper's actual comparison target: plain up*/down*.
     let ud_only: Arc<dyn SimRouting> = Arc::new(UpDownRouting::new(graph.clone(), vcs));
@@ -72,25 +98,15 @@ fn main() {
         TrafficPattern::BitReversal,
         TrafficPattern::Tornado,
     ] {
-        report("adaptive+escape", &pattern, &graph, &cfg, tol, &agnostic);
-        report("up*/down* only", &pattern, &graph, &cfg, tol, &ud_only);
-        report("custom 4vc", &pattern, &graph, &cfg, tol, &custom4);
-        report(
-            "custom 8vc (2 lanes)",
-            &pattern,
-            &graph,
-            &cfg8,
-            tol,
-            &custom8,
-        );
-        report(
-            "min-adaptive+dsnv 8vc",
-            &pattern,
-            &graph,
-            &cfg8,
-            tol,
-            &min_adaptive,
-        );
+        for (name, cfg, routing) in [
+            ("adaptive+escape", &cfg, &agnostic),
+            ("up*/down* only", &cfg, &ud_only),
+            ("custom 4vc", &cfg, &custom4),
+            ("custom 8vc (2 lanes)", &cfg8, &custom8),
+            ("min-adaptive+dsnv 8vc", &cfg8, &min_adaptive),
+        ] {
+            report(name, &pattern, &graph, cfg, tol, routing, &par);
+        }
     }
     println!();
     println!(

@@ -18,10 +18,12 @@
 //! saturation by default. `--json` writes `BENCH_opt.json` (schema
 //! pinned by `tests/opt_schema.rs`). The binary exits non-zero if the
 //! frontier comes out empty or the DSN baseline row is missing — the CI
-//! smoke relies on that.
+//! smoke relies on that — and exits 1, with stdout unchanged, when a
+//! row's ASPL falls below the Moore bound of its size and maximum degree
+//! (`dsn_metrics::moore_aspl_bound`); those rows go to stderr.
 
-use dsn_bench::opt::{run_frontier, FrontierConfig, OptRow};
-use dsn_bench::RunArgs;
+use dsn_bench::opt::{below_moore_aspl, run_frontier, FrontierConfig, OptRow};
+use dsn_bench::{exit_on_violations, RunArgs};
 
 fn main() {
     let args = RunArgs::parse(
@@ -125,4 +127,6 @@ fn main() {
         std::fs::write(path, report.to_json()).expect("write JSON report");
         println!("\n# wrote {path}");
     }
+
+    exit_on_violations(&below_moore_aspl(&report.rows));
 }

@@ -21,7 +21,7 @@
 //! of its size and maximum degree (`dsn_metrics::moore_bound`,
 //! `moore_aspl_bound`), which no graph can do.
 
-use dsn_bench::{block_header, paper_sizes, trio, RunArgs, RANDOM_SEED};
+use dsn_bench::{block_header, exit_on_violations, paper_sizes, trio, RunArgs, RANDOM_SEED};
 use dsn_core::topology::TopologySpec;
 use dsn_layout::{cable_stats, CableModel, LinearPlacement};
 use dsn_metrics::{moore_aspl_bound, moore_bound, path_stats, PathStats};
@@ -101,13 +101,7 @@ fn main() {
             _ => figure9(),
         }
     }
-    let below = below_moore(&paths, figures);
-    for line in &below {
-        eprintln!("{line}");
-    }
-    if !below.is_empty() {
-        std::process::exit(1);
-    }
+    exit_on_violations(&below_moore(&paths, figures));
 }
 
 /// One trio topology at one size: name, maximum degree, path statistics.

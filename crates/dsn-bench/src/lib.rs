@@ -75,6 +75,17 @@ pub fn block_header(title: &str, columns: &[&str]) -> String {
     s
 }
 
+/// Print each bound violation to stderr and exit with status 1 when there
+/// is any, leaving what the binary printed to stdout as it is.
+pub fn exit_on_violations(violations: &[String]) {
+    for line in violations {
+        eprintln!("{line}");
+    }
+    if !violations.is_empty() {
+        std::process::exit(1);
+    }
+}
+
 /// Window width (cycles) used when `--telemetry` is given with no value.
 pub const DEFAULT_TELEMETRY_WINDOW: u64 = 1_000;
 

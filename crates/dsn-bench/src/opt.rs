@@ -7,6 +7,7 @@
 
 use dsn_core::topology::TopologySpec;
 use dsn_core::{Graph, Parallelism};
+use dsn_metrics::moore_aspl_bound;
 use dsn_opt::{anneal_shortcuts, evolve, Candidate, EsConfig, Objective, SaConfig, SatProbe};
 use dsn_sim::{RoutingCache, SimConfig, TrafficPattern};
 use std::sync::Arc;
@@ -33,6 +34,8 @@ pub struct OptRow {
     pub aspl: f64,
     /// Exact diameter (hops).
     pub diameter: u32,
+    /// Maximum switch degree.
+    pub max_degree: usize,
     /// Total cable (meters) on the linear placement.
     pub cable_total_m: f64,
     /// Cable budget charged to this size group (DSN's own bill).
@@ -279,6 +282,7 @@ fn score_row(
     let cand = Candidate::new(graph);
     let score = obj.score(cand.graph());
     let fingerprint = cand.fingerprint();
+    let max_degree = cand.graph().max_degree();
     let sat_gbps = probe.map(|p| p.saturation(Arc::new(cand.into_graph()), par));
     OptRow {
         topology,
@@ -286,6 +290,7 @@ fn score_row(
         n,
         aspl: score.aspl,
         diameter: score.diameter,
+        max_degree,
         cable_total_m: score.cable_m,
         budget_m,
         within_budget: score.within_budget,
@@ -294,6 +299,24 @@ fn score_row(
         wall_s: t0.elapsed().as_secs_f64(),
         on_frontier: false,
     }
+}
+
+/// Every row whose ASPL falls below the Moore bound of its size and
+/// maximum degree (`dsn_metrics::moore_aspl_bound`), which no graph can
+/// reach: each one is a fault in a builder, a search move or the APSP
+/// sweep.
+pub fn below_moore_aspl(rows: &[OptRow]) -> Vec<String> {
+    rows.iter()
+        .filter_map(|r| {
+            let floor = moore_aspl_bound(r.n, r.max_degree);
+            (r.aspl < floor * (1.0 - 1e-12)).then(|| {
+                format!(
+                    "{} has ASPL {} below the Moore bound {floor} (n = {}, max degree {})",
+                    r.topology, r.aspl, r.n, r.max_degree
+                )
+            })
+        })
+        .collect()
 }
 
 /// `a` dominates `b` when it is no worse on every axis (ASPL ↓, cable ↓,
@@ -377,6 +400,7 @@ mod tests {
             n,
             aspl,
             diameter: 0,
+            max_degree: 4,
             cable_total_m: cable,
             budget_m: 100.0,
             within_budget: true,
@@ -385,6 +409,16 @@ mod tests {
             wall_s: 0.0,
             on_frontier: false,
         }
+    }
+
+    #[test]
+    fn aspl_below_the_moore_bound_is_listed() {
+        // Degree 4 reaches at most 4 + 12 + 36 nodes within three hops, so
+        // the 63 others of a 64-node graph average at least 180/63 hops.
+        let rows = [row(64, 2.0, 100.0, None), row(64, 3.5, 100.0, None)];
+        let below = below_moore_aspl(&rows);
+        assert_eq!(below.len(), 1, "{below:?}");
+        assert!(below[0].contains("ASPL 2 below"), "{below:?}");
     }
 
     #[test]

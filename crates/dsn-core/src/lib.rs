@@ -41,7 +41,6 @@ pub mod error;
 pub mod export;
 pub mod fault;
 pub mod graph;
-pub mod highradix;
 pub mod kautz;
 pub mod kleinberg;
 pub mod parallel;

@@ -8,7 +8,6 @@ use crate::dsn::Dsn;
 use crate::dsn_ext::{DsnD, DsnE, FlexibleDsn};
 use crate::error::{Result, TopologyError};
 use crate::graph::Graph;
-use crate::highradix::{Dragonfly, FlattenedButterfly};
 use crate::kleinberg::Kleinberg;
 use crate::random_regular::RandomRegular;
 use crate::ring::Ring;
@@ -123,20 +122,6 @@ pub enum TopologySpec {
         /// Word length.
         dim: u32,
     },
-    /// k-ary n-flat flattened butterfly.
-    FlattenedButterfly {
-        /// Radix.
-        k: usize,
-        /// The n of "n-flat".
-        nflat: u32,
-    },
-    /// Balanced dragonfly from (routers per group, global links per router).
-    Dragonfly {
-        /// Routers per group.
-        a: usize,
-        /// Global links per router.
-        h: usize,
-    },
 }
 
 impl TopologySpec {
@@ -201,14 +186,6 @@ impl TopologySpec {
             TopologySpec::DeBruijn { base, dim } => (
                 format!("DeBruijn-{base}-{dim}"),
                 DeBruijn::new(base, dim)?.into_graph(),
-            ),
-            TopologySpec::FlattenedButterfly { k, nflat } => (
-                format!("FlatButterfly-{k}ary{nflat}flat"),
-                FlattenedButterfly::new(k, nflat)?.into_graph(),
-            ),
-            TopologySpec::Dragonfly { a, h } => (
-                format!("Dragonfly-a{a}h{h}"),
-                Dragonfly::new(a, h)?.into_graph(),
             ),
         };
         Ok(BuiltTopology { name, graph })
@@ -286,18 +263,10 @@ impl TopologySpec {
                 base: usize_at(1)?,
                 dim: u32_at(2)?,
             },
-            "flatbutterfly" | "fb" => TopologySpec::FlattenedButterfly {
-                k: usize_at(1)?,
-                nflat: u32_at(2)?,
-            },
-            "dragonfly" | "df" => TopologySpec::Dragonfly {
-                a: usize_at(1)?,
-                h: usize_at(2)?,
-            },
             _ => {
                 return Err(TopologyError::InvalidParameter {
                     name: "spec",
-                    constraint: "a known family (dsn, dsne, dsnd, flexdsn, ring, torus2d, torus3d, dln, random, regular, kleinberg, hypercube, ccc, debruijn, flatbutterfly, dragonfly)".into(),
+                    constraint: "a known family (dsn, dsne, dsnd, flexdsn, ring, torus2d, torus3d, dln, random, regular, kleinberg, hypercube, ccc, debruijn)".into(),
                     value: spec.into(),
                 })
             }
@@ -395,10 +364,6 @@ mod tests {
             ("hypercube:6", 64),
             ("ccc:4", 64),
             ("debruijn:2:6", 64),
-            ("fb:4:3", 16),
-            ("flatbutterfly:8:2", 8),
-            ("df:4:2", 36),
-            ("dragonfly:3:1", 12),
         ] {
             let t = TopologySpec::parse(spec)
                 .unwrap_or_else(|e| panic!("{spec}: {e}"))

@@ -37,9 +37,7 @@ use crate::stats::{RunStats, StatsCollector};
 use crate::traffic::TrafficPattern;
 use crate::workload::Workload;
 use dsn_core::graph::Graph;
-use dsn_telemetry::{
-    ChannelDesc, PacketTracer, Telemetry, TelemetryReport, TelemetryTopo, TraceEvent,
-};
+use dsn_telemetry::{ChannelDesc, Telemetry, TelemetryReport, TelemetryTopo};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -80,8 +78,8 @@ pub(crate) enum PacketTag {
 
 #[derive(Debug, Clone)]
 pub(crate) struct Packet {
-    /// Stable creation-order id (what the tracer reports); slab indices
-    /// are recycled and so unfit for identity.
+    /// Stable creation-order id: fault purges drop their victims in uid
+    /// order. Slab indices are recycled and so unfit for identity.
     pub uid: u32,
     pub src_host: u32,
     pub dest_host: u32,
@@ -728,7 +726,6 @@ pub struct Simulator {
     pub(crate) now: u64,
 
     pub(crate) stats: StatsCollector,
-    pub(crate) tracer: Option<PacketTracer>,
     /// Telemetry sink ([`Telemetry::Off`] unless `cfg.telemetry` is set;
     /// [`Self::run_with_telemetry`] returns its report). Hooks live in the
     /// mutation helpers below, and `RunStats` stay bit-identical whether it
@@ -1002,7 +999,6 @@ impl Simulator {
             graph,
             cfg,
             stats,
-            tracer: None,
             telemetry,
         };
         for h in 0..hosts {
@@ -1065,25 +1061,6 @@ impl Simulator {
         let final_cycle = self.now;
         let stats = self.finish_stats();
         (stats, telemetry.finish(final_cycle))
-    }
-
-    /// Enable packet tracing for every `sample`-th packet; returns self for
-    /// chaining. Call [`Self::run_traced`] to get the records back.
-    pub fn with_tracer(mut self, sample: u32) -> Self {
-        self.tracer = Some(PacketTracer::new(sample));
-        self
-    }
-
-    /// Like [`Self::run`] but also returns the packet trace (empty when
-    /// tracing was not enabled).
-    pub fn run_traced(mut self) -> (RunStats, PacketTracer) {
-        self.run_inner();
-        let tracer_out = self
-            .tracer
-            .take()
-            .unwrap_or_else(|| PacketTracer::new(u32::MAX));
-        let stats = self.finish_stats();
-        (stats, tracer_out)
     }
 
     /// Total number of hosts.
@@ -1386,7 +1363,6 @@ impl Simulator {
         debug_assert_ne!(src_host, dest_host);
         let dest_sw = (dest_host / self.cfg.hosts_per_switch) as u32;
         let src_sw = src_host / self.cfg.hosts_per_switch;
-        let route = self.routing.init(src_sw, dest_sw as usize);
         let measured =
             now >= self.cfg.warmup_cycles && now < self.cfg.warmup_cycles + self.cfg.measure_cycles;
         let uid = self.packets.total_created as u32;
@@ -1396,23 +1372,13 @@ impl Simulator {
             dest_host: dest_host as u32,
             dest_sw,
             created: now,
-            route,
+            route: RouteState::START,
             measured,
             attempt,
             tag,
         });
         self.stats.on_offered(now, self.cfg.packet_flits);
         self.telemetry.on_created(id, src_sw as u32, dest_sw, now);
-        if let Some(tr) = &mut self.tracer {
-            tr.record(
-                now,
-                uid,
-                TraceEvent::Injected {
-                    src_sw,
-                    dest_sw: dest_sw as usize,
-                },
-            );
-        }
         // The whole packet joins the source queue at once: its flits count
         // as buffered, and a head landing in an empty queue arms the header
         // timer.
@@ -1755,7 +1721,7 @@ impl Simulator {
                 continue;
             }
             usable += 1;
-            if self.try_grant(i, v, pkt_idx, node, ch, vc, need, now) {
+            if self.try_grant(i, v, pkt_idx, ch, vc, need) {
                 let route = &mut self.packets.get_mut(pkt_idx).route;
                 self.routing.on_hop(node, dest_sw, route, ch, vc);
                 self.telemetry.on_alloc_granted(pkt_idx, now);
@@ -1778,20 +1744,17 @@ impl Simulator {
     }
 
     /// Attempt to grant output VC `(ch, vc)` to head `(i, v)`: checks the
-    /// owner and credit gates, and on success records the ownership, the
-    /// input allocation and the trace event (the caller commits the hop and
-    /// telemetry, preserving the exact historical effect order).
-    #[allow(clippy::too_many_arguments)]
+    /// owner and credit gates, and on success records the ownership and the
+    /// input allocation (the caller commits the hop and telemetry,
+    /// preserving the exact historical effect order).
     fn try_grant(
         &mut self,
         i: usize,
         v: usize,
         pkt_idx: u32,
-        node: usize,
         ch: usize,
         vc: u8,
         need: u32,
-        now: u64,
     ) -> bool {
         let slot = self.ch_slot[ch] as usize;
         let ov = slot * self.nvc + vc as usize;
@@ -1810,18 +1773,6 @@ impl Simulator {
         self.chv[slot].ready |= 1u64 << vc;
         self.ivc[i * self.nvc + v].alloc = alloc_net(ch, vc);
         self.ivc[i * self.nvc + v].alloc_pkt = pkt_idx;
-        if let Some(tr) = &mut self.tracer {
-            let uid = self.packets.get(pkt_idx).uid;
-            tr.record(
-                now,
-                uid,
-                TraceEvent::VcAllocated {
-                    at: node,
-                    channel: ch,
-                    vc,
-                },
-            );
-        }
         true
     }
 
@@ -1885,11 +1836,6 @@ impl Simulator {
         if tail {
             // tail: release ownership and input state
             self.release_output_vc(ch, ovc, owner_pack(i, v));
-            if let Some(tr) = &mut self.tracer {
-                let at = self.input_node[i] as usize;
-                let uid = self.packets.get(flit.packet).uid;
-                tr.record(now, uid, TraceEvent::TailSent { at, channel: ch });
-            }
             self.release_input_vc(i, v as usize, now);
         }
     }
@@ -1928,13 +1874,10 @@ impl Simulator {
         self.telemetry.on_ejected(flit.packet, tail, now);
         if tail {
             self.delivered_all_time += 1;
-            let (uid, created, measured, dest_host, ptag) = {
+            let (created, measured, dest_host, ptag) = {
                 let pkt = self.packets.get(flit.packet);
-                (pkt.uid, pkt.created, pkt.measured, pkt.dest_host, pkt.tag)
+                (pkt.created, pkt.measured, pkt.dest_host, pkt.tag)
             };
-            if let Some(tr) = &mut self.tracer {
-                tr.record(now, uid, TraceEvent::Delivered { at: node });
-            }
             self.stats
                 .on_delivered(now, created, measured, self.cfg.packet_flits);
             match ptag {
@@ -2173,33 +2116,6 @@ mod tests {
     }
 
     #[test]
-    fn tracer_records_full_packet_lifecycles() {
-        let g = Arc::new(Ring::new(8).unwrap().into_graph());
-        let cfg = SimConfig::test_small();
-        let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
-        let sim =
-            Simulator::new(g, cfg, routing, TrafficPattern::Uniform, 0.005, 11).with_tracer(1);
-        let (stats, trace) = sim.run_traced();
-        assert!(stats.delivered_packets > 0);
-        assert!(!trace.records().is_empty());
-        // Find a delivered packet and sanity-check its timeline ordering
-        // and latency decomposition.
-        let delivered: Vec<u32> = trace
-            .records()
-            .iter()
-            .filter_map(|&(_, p, e)| matches!(e, TraceEvent::Delivered { .. }).then_some(p))
-            .collect();
-        assert!(!delivered.is_empty());
-        for &p in delivered.iter().take(5) {
-            let timeline = trace.packet_timeline(p);
-            assert!(timeline.windows(2).all(|w| w[0].0 <= w[1].0), "time order");
-            assert!(matches!(timeline[0].2, TraceEvent::Injected { .. }));
-            let (queue, transit, total) = trace.latency_breakdown(p).expect("delivered");
-            assert_eq!(queue + transit, total);
-        }
-    }
-
-    #[test]
     fn deterministic_given_seed() {
         let a = tiny_sim(0.01).run();
         let b = tiny_sim(0.01).run();
@@ -2229,10 +2145,7 @@ mod tests {
             dest_host: 1,
             dest_sw: 0,
             created: 0,
-            route: RouteState {
-                ud_phase: dsn_route::updown::UdPhase::Up,
-                alg: 0,
-            },
+            route: RouteState::START,
             measured: false,
             attempt: 0,
             tag: PacketTag::None,

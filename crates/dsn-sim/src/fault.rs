@@ -32,7 +32,6 @@ use crate::engine::{
 use dsn_core::fault::{is_connected_masked, EdgeMask};
 use dsn_core::graph::Graph;
 use dsn_core::{EdgeId, NodeId};
-use dsn_telemetry::TraceEvent;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -544,16 +543,13 @@ impl Simulator {
         self.fault.as_mut().expect("fault runtime").salvaged += 1;
     }
 
-    /// Drop one packet everywhere and account for it: counters, tracer,
+    /// Drop one packet everywhere and account for it: counters, telemetry
     /// and the host retry schedule.
     fn fault_drop_packet(&mut self, pkt: u32, now: u64) {
-        let (uid, src, dest, attempt, measured, tag) = {
+        let (src, dest, attempt, measured, tag) = {
             let p = self.packets.get(pkt);
-            (p.uid, p.src_host, p.dest_host, p.attempt, p.measured, p.tag)
+            (p.src_host, p.dest_host, p.attempt, p.measured, p.tag)
         };
-        if let Some(tr) = &mut self.tracer {
-            tr.record(now, uid, TraceEvent::Dropped);
-        }
         self.telemetry.on_dropped(pkt, now);
         self.drop_packet_everywhere(pkt, now);
         let f = self.fault.as_mut().expect("fault runtime");

@@ -10,13 +10,14 @@
 //!
 //! Beyond the paper's setup the simulator also provides: wormhole switching
 //! ([`config::Switching`]), closed batch workloads for collective-exchange
-//! makespans ([`workload::Workload`]), per-packet event tracing
-//! ([`PacketTracer`]) and zero-cost-when-off telemetry recording
-//! ([`TelemetryConfig`] / [`engine::Simulator::run_with_telemetry`], both
-//! from the `dsn-telemetry` crate), a whole-network stall watchdog that
-//! detects real routing deadlocks, per-channel utilization accounting,
-//! a sectioned saturation search ([`sweep::find_saturation`]), and the
-//! paper's future-work routing ([`routing::MinimalAdaptiveDsn`]).
+//! makespans ([`workload::Workload`]), zero-cost-when-off telemetry
+//! recording from the `dsn-telemetry` crate ([`TelemetryConfig`] /
+//! [`engine::Simulator::run_with_telemetry`]; its per-packet latency
+//! decomposition is the simulator's one per-packet record), a
+//! whole-network stall watchdog that detects real routing deadlocks,
+//! per-channel utilization accounting, a sectioned saturation search
+//! ([`sweep::find_saturation_cached`]), and the paper's future-work
+//! routing ([`routing::MinimalAdaptiveDsn`]).
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -52,18 +53,13 @@ pub mod workload;
 
 pub use cache::RoutingCache;
 pub use config::{SimConfig, Switching};
-pub use dsn_telemetry::{
-    PacketTracer, Telemetry, TelemetryConfig, TelemetryReport, TraceEvent, TraceRecord,
-};
+pub use dsn_telemetry::{Telemetry, TelemetryConfig, TelemetryReport};
 pub use engine::{ReservedBytes, Simulator};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, RetryPolicy, SalvagePolicy};
 pub use flow::{FlowArrivals, FlowSizeDist, StagedSpec};
 pub use inject::Injector;
 pub use routing::{AdaptiveEscape, DsnAlgorithmic, MinimalAdaptiveDsn, SimRouting, UpDownRouting};
 pub use stats::{FlowClassStats, RunStats};
-pub use sweep::{
-    find_saturation, find_saturation_cached, load_sweep, load_sweep_cached, paper_load_grid,
-    SweepResult,
-};
+pub use sweep::{find_saturation_cached, load_sweep_cached, paper_load_grid, SweepResult};
 pub use traffic::TrafficPattern;
 pub use workload::Workload;

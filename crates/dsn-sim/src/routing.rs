@@ -43,12 +43,13 @@ pub struct RouteState {
 const DETOUR: u8 = 1 << 3;
 
 impl RouteState {
-    fn fresh() -> Self {
-        RouteState {
-            ud_phase: UdPhase::Up,
-            alg: 0,
-        }
-    }
+    /// The state every packet starts in, whatever its scheme or endpoints:
+    /// up*/down* phase up, and `alg = 0`, the PRE-WORK start state of the
+    /// DSN-V automaton.
+    pub const START: RouteState = RouteState {
+        ud_phase: UdPhase::Up,
+        alg: 0,
+    };
 }
 
 /// A candidate output for the current hop: directed channel plus VC.
@@ -60,9 +61,6 @@ pub type Candidate = (usize, u8);
 pub trait SimRouting: Send + Sync {
     /// Human-readable name for reports.
     fn name(&self) -> String;
-
-    /// Initial per-packet state.
-    fn init(&self, src: NodeId, dest: NodeId) -> RouteState;
 
     /// Produce candidates in preference order for a packet at switch
     /// `cur` heading to switch `dest`. Never called with `cur == dest`
@@ -170,10 +168,6 @@ impl SimRouting for AdaptiveEscape {
         AdaptiveEscape::key_for(self.vcs)
     }
 
-    fn init(&self, _src: NodeId, _dest: NodeId) -> RouteState {
-        RouteState::fresh()
-    }
-
     fn candidates(&self, cur: NodeId, dest: NodeId, state: &RouteState, out: &mut Vec<Candidate>) {
         // Adaptive minimal candidates on VCs 1..V, then the escape on VC 0
         // honoring the packet's current up*/down* phase.
@@ -229,10 +223,6 @@ impl UpDownRouting {
 impl SimRouting for UpDownRouting {
     fn name(&self) -> String {
         format!("up*/down*({}vc)", self.vcs)
-    }
-
-    fn init(&self, _src: NodeId, _dest: NodeId) -> RouteState {
-        RouteState::fresh()
     }
 
     fn candidates(&self, cur: NodeId, dest: NodeId, state: &RouteState, out: &mut Vec<Candidate>) {
@@ -298,10 +288,6 @@ impl MinimalAdaptiveDsn {
 impl SimRouting for MinimalAdaptiveDsn {
     fn name(&self) -> String {
         format!("minimal-adaptive+dsnv-escape({}vc)", self.vcs)
-    }
-
-    fn init(&self, _src: NodeId, _dest: NodeId) -> RouteState {
-        RouteState::fresh()
     }
 
     fn candidates(&self, cur: NodeId, dest: NodeId, state: &RouteState, out: &mut Vec<Candidate>) {
@@ -505,11 +491,6 @@ impl SimRouting for DsnAlgorithmic {
         }
     }
 
-    fn init(&self, _src: NodeId, _dest: NodeId) -> RouteState {
-        // alg = 0 is the PRE-WORK start state of the automaton.
-        RouteState::fresh()
-    }
-
     fn candidates(&self, cur: NodeId, dest: NodeId, state: &RouteState, out: &mut Vec<Candidate>) {
         if let Some(alg) = self.automaton_bits(state.alg) {
             let (ch, class, _) = self.automaton_hop(cur, dest, alg);
@@ -611,7 +592,7 @@ mod tests {
         let mut out = Vec::new();
         for (cur, dest) in [(0usize, 32usize), (10, 11), (63, 0)] {
             out.clear();
-            let st = r.init(cur, dest);
+            let st = RouteState::START;
             r.candidates(cur, dest, &st, &mut out);
             assert!(!out.is_empty(), "{cur}->{dest}");
             // escape candidate (vc 0) must be present
@@ -634,7 +615,7 @@ mod tests {
         let mut out = Vec::new();
         for (s, t) in [(0usize, 50usize), (99, 3), (42, 41)] {
             let mut cur = s;
-            let mut st = r.init(s, t);
+            let mut st = RouteState::START;
             let mut hops = 0;
             while cur != t {
                 out.clear();
@@ -655,7 +636,7 @@ mod tests {
         let mut out = Vec::new();
         for (s, t) in [(5usize, 60usize), (63, 0)] {
             let mut cur = s;
-            let mut st = r.init(s, t);
+            let mut st = RouteState::START;
             let mut hops = 0;
             while cur != t {
                 out.clear();
@@ -677,7 +658,7 @@ mod tests {
         let mut out = Vec::new();
         for (s, t) in [(0usize, 50usize), (99, 1), (13, 14)] {
             let mut cur = s;
-            let mut st = r.init(s, t);
+            let mut st = RouteState::START;
             let mut hops = 0;
             while cur != t {
                 out.clear();
@@ -705,7 +686,7 @@ mod tests {
         let mut out = Vec::new();
         for (s, t) in [(0usize, 70usize), (125, 3)] {
             let mut cur = s;
-            let mut st = r.init(s, t);
+            let mut st = RouteState::START;
             let mut hops = 0;
             while cur != t {
                 out.clear();
@@ -722,7 +703,7 @@ mod tests {
     /// Follow the first candidate from `s` until `t`, returning the
     /// `(channel, vc)` hops taken.
     fn walk(r: &dyn SimRouting, g: &Graph, s: NodeId, t: NodeId) -> Vec<Candidate> {
-        let mut st = r.init(s, t);
+        let mut st = RouteState::START;
         let (mut cur, mut hops, mut out) = (s, Vec::new(), Vec::new());
         while cur != t {
             out.clear();

@@ -2,22 +2,19 @@
 //! (fanned out over the vendored rayon's workers) and produce the
 //! latency-vs-accepted-traffic curves of the paper's Figure 10.
 //!
-//! Every sweep point of one invocation shares a single routing instance:
-//! `make_routing` is called **exactly once** per sweep (the schemes are
-//! immutable during a run, and fault rebuilds replace the `Arc` per
-//! simulation), built before the fan-out so no rayon worker pays for its
-//! port-mask tables. The `_cached` variants additionally pull
-//! the scheme from a shared [`RoutingCache`], which deduplicates builds
-//! across *separate* sweeps of the same topology — and across the fault
-//! rebuilds inside degraded sweeps.
+//! Every sweep point of one invocation shares a single routing instance,
+//! pulled from a [`RoutingCache`] before the fan-out so no rayon worker
+//! pays for its port-mask tables: `make_routing` runs at most once per
+//! `(topology, scheme)` in the cache's life (the schemes are immutable
+//! during a run). The cache also deduplicates builds across *separate*
+//! sweeps of the same topology, and across the fault rebuilds inside
+//! degraded sweeps. A caller with nothing to share passes a fresh cache.
 //!
 //! Sweeps parallelize *across* points: each simulation is single-threaded,
 //! so independent load points and probes are what fill the workers. Each
 //! sweep and search has one code path for every worker count: one worker
-//! runs the same fan-out inline on the calling thread. The entry points
-//! without a [`Parallelism`] argument run under the caller's scope
-//! ([`Parallelism::run`]); the `_cached` ones open the scope they are
-//! given.
+//! runs the same fan-out inline on the calling thread, and both entry
+//! points open the [`Parallelism`] scope they are given.
 
 use crate::cache::RoutingCache;
 use crate::config::SimConfig;
@@ -81,53 +78,13 @@ impl SweepResult {
     }
 }
 
-/// Prepare one shared routing instance for a sweep: build (or fetch from
-/// the cache) once — *before* the parallel fan-out, so workers share it
-/// instead of racing to build it.
-fn sweep_routing(
-    graph: &Arc<Graph>,
-    cache: Option<(&Arc<RoutingCache>, &str)>,
-    make_routing: impl FnOnce() -> Arc<dyn SimRouting>,
-) -> Arc<dyn SimRouting> {
-    match cache {
-        Some((cache, key)) => cache.get_or_build(graph, key, make_routing),
-        None => make_routing(),
-    }
-}
-
 /// Run a load sweep: one simulation per offered load (Gbit/s/host), fanned
-/// out over the workers. `make_routing` is called exactly once — every
-/// point shares the immutable routing tables. Each point is seeded as
-/// `seed ^ offered.to_bits()`, so the curve is identical no matter how
-/// many points run concurrently.
-pub fn load_sweep(
-    label: impl Into<String>,
-    graph: Arc<Graph>,
-    cfg: &SimConfig,
-    make_routing: impl FnOnce() -> Arc<dyn SimRouting>,
-    pattern: &TrafficPattern,
-    offered_gbps: &[f64],
-    seed: u64,
-) -> SweepResult {
-    let routing = sweep_routing(&graph, None, make_routing);
-    run_sweep_points(
-        label.into(),
-        graph,
-        cfg,
-        routing,
-        None,
-        pattern,
-        offered_gbps,
-        seed,
-    )
-}
-
-/// [`load_sweep`] against a shared [`RoutingCache`], with its fan-out
-/// under `par`: the scheme for
-/// `(graph, scheme_key)` is fetched from (or built into) `cache`, and the
+/// out over `par`'s workers. The scheme for `(graph, scheme_key)` is
+/// fetched from (or built into) `cache` once, before the fan-out, and the
 /// cache is threaded into every simulation so fault rebuilds reaching the
-/// same survivor state are also built only once across the sweep. Produces
-/// bit-identical [`RunStats`] to the uncached sweep.
+/// same survivor state are also built only once across the sweep. Each
+/// point is seeded as `seed ^ offered.to_bits()`, so the curve is
+/// identical no matter how many points run concurrently.
 #[allow(clippy::too_many_arguments)]
 pub fn load_sweep_cached(
     label: impl Into<String>,
@@ -141,14 +98,14 @@ pub fn load_sweep_cached(
     seed: u64,
     par: &Parallelism,
 ) -> SweepResult {
-    let routing = sweep_routing(&graph, Some((cache, scheme_key)), make_routing);
+    let routing = cache.get_or_build(&graph, scheme_key, make_routing);
     par.run(|| {
         run_sweep_points(
             label.into(),
             graph,
             cfg,
             routing,
-            Some(cache),
+            cache,
             pattern,
             offered_gbps,
             seed,
@@ -162,24 +119,22 @@ fn run_sweep_points(
     graph: Arc<Graph>,
     cfg: &SimConfig,
     routing: Arc<dyn SimRouting>,
-    cache: Option<&Arc<RoutingCache>>,
+    cache: &Arc<RoutingCache>,
     pattern: &TrafficPattern,
     offered_gbps: &[f64],
     seed: u64,
 ) -> SweepResult {
     let run_point = |gbps: f64| -> SweepPoint {
         let rate = cfg.packets_per_cycle_for_gbps(gbps);
-        let mut sim = Simulator::new(
+        let sim = Simulator::new(
             graph.clone(),
             cfg.clone(),
             routing.clone(),
             pattern.clone(),
             rate,
             seed ^ gbps.to_bits(),
-        );
-        if let Some(cache) = cache {
-            sim = sim.with_routing_cache(cache.clone());
-        }
+        )
+        .with_routing_cache(cache.clone());
         SweepPoint {
             offered_gbps: gbps,
             stats: sim.run(),
@@ -196,7 +151,7 @@ fn run_sweep_points(
     }
 }
 
-/// Interior probe loads per refinement round of [`find_saturation`]:
+/// Interior probe loads per refinement round of [`find_saturation_cached`]:
 /// the bracket shrinks by `SECTION_PROBES + 1` per round, and all probes
 /// of a round are independent simulations that can run concurrently.
 const SECTION_PROBES: usize = 4;
@@ -214,25 +169,8 @@ const SECTION_PROBES: usize = 4;
 /// simulates them as one fan-out, narrowing to the gap around the lowest
 /// saturated probe. Every probe is seeded as `seed ^ load.to_bits()`, and
 /// the bracketing decision depends only on the probe verdicts, so the
-/// result is identical for every worker count.
-#[allow(clippy::too_many_arguments)]
-pub fn find_saturation(
-    graph: Arc<Graph>,
-    cfg: &SimConfig,
-    make_routing: impl FnOnce() -> Arc<dyn SimRouting>,
-    pattern: &TrafficPattern,
-    lo: f64,
-    hi: f64,
-    tol: f64,
-    seed: u64,
-) -> f64 {
-    let routing = sweep_routing(&graph, None, make_routing);
-    saturation_search(graph, cfg, routing, None, pattern, lo, hi, tol, seed)
-}
-
-/// [`find_saturation`] against a shared [`RoutingCache`], with its
-/// fan-outs under `par`; see
-/// [`load_sweep_cached`] for the caching contract.
+/// result is identical for every worker count. The fan-outs run under
+/// `par`; see [`load_sweep_cached`] for the caching contract.
 #[allow(clippy::too_many_arguments)]
 pub fn find_saturation_cached(
     graph: Arc<Graph>,
@@ -247,8 +185,8 @@ pub fn find_saturation_cached(
     seed: u64,
     par: &Parallelism,
 ) -> f64 {
-    let routing = sweep_routing(&graph, Some((cache, scheme_key)), make_routing);
-    par.run(|| saturation_search(graph, cfg, routing, Some(cache), pattern, lo, hi, tol, seed))
+    let routing = cache.get_or_build(&graph, scheme_key, make_routing);
+    par.run(|| saturation_search(graph, cfg, routing, cache, pattern, lo, hi, tol, seed))
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -256,7 +194,7 @@ fn saturation_search(
     graph: Arc<Graph>,
     cfg: &SimConfig,
     routing: Arc<dyn SimRouting>,
-    cache: Option<&Arc<RoutingCache>>,
+    cache: &Arc<RoutingCache>,
     pattern: &TrafficPattern,
     mut lo: f64,
     mut hi: f64,
@@ -266,18 +204,17 @@ fn saturation_search(
     assert!(lo > 0.0 && hi > lo && tol > 0.0, "invalid search range");
     let probe = |gbps: f64| -> bool {
         let rate = cfg.packets_per_cycle_for_gbps(gbps);
-        let mut sim = Simulator::new(
+        Simulator::new(
             graph.clone(),
             cfg.clone(),
             routing.clone(),
             pattern.clone(),
             rate,
             seed ^ gbps.to_bits(),
-        );
-        if let Some(cache) = cache {
-            sim = sim.with_routing_cache(cache.clone());
-        }
-        sim.run().saturated()
+        )
+        .with_routing_cache(cache.clone())
+        .run()
+        .saturated()
     };
     // Both bracket verdicts at once: the lo verdict is needed in every
     // case that continues.
@@ -339,23 +276,29 @@ mod tests {
     use crate::routing::AdaptiveEscape;
     use dsn_core::ring::Ring;
 
-    #[test]
-    fn sweep_produces_monotone_accepted_until_saturation() {
+    /// A ring-8 sweep on a fresh cache.
+    fn ring_sweep(cfg: &SimConfig, grid: &[f64], seed: u64) -> SweepResult {
         let g = Arc::new(Ring::new(8).unwrap().into_graph());
-        let cfg = SimConfig::test_small();
         let vcs = cfg.vcs;
-        let grid = [0.5, 2.0, 8.0];
-        // test_small has cycle_ns = 1 and 256-bit flits: x Gbps/host ->
-        // x/256 flits per cycle per host... keep loads tiny.
-        let res = load_sweep(
+        load_sweep_cached(
             "ring-8",
             g.clone(),
-            &cfg,
+            cfg,
+            &Arc::new(RoutingCache::new()),
+            &AdaptiveEscape::key_for(vcs),
             || Arc::new(AdaptiveEscape::new(g.clone(), vcs)),
             &TrafficPattern::Uniform,
-            &grid,
-            1,
-        );
+            grid,
+            seed,
+            &Parallelism::auto(),
+        )
+    }
+
+    #[test]
+    fn sweep_produces_monotone_accepted_until_saturation() {
+        // test_small has cycle_ns = 1 and 256-bit flits: x Gbps/host ->
+        // x/256 flits per cycle per host... keep loads tiny.
+        let res = ring_sweep(&SimConfig::test_small(), &[0.5, 2.0, 8.0], 1);
         assert_eq!(res.points.len(), 3);
         assert!(res.points[0].stats.delivered_packets > 0);
         // offered recorded in order
@@ -376,33 +319,25 @@ mod tests {
         let g = Arc::new(Ring::new(8).unwrap().into_graph());
         let cfg = SimConfig::test_small();
         let vcs = cfg.vcs;
-        let sat = find_saturation(
+        let sat = find_saturation_cached(
             g.clone(),
             &cfg,
+            &Arc::new(RoutingCache::new()),
+            &AdaptiveEscape::key_for(vcs),
             || Arc::new(AdaptiveEscape::new(g.clone(), vcs)),
             &TrafficPattern::Uniform,
             1.0,
             200.0,
             10.0,
             3,
+            &Parallelism::auto(),
         );
         assert!((1.0..=200.0).contains(&sat), "saturation {sat}");
     }
 
     #[test]
     fn channel_utilization_reported() {
-        let g = Arc::new(Ring::new(8).unwrap().into_graph());
-        let cfg = SimConfig::test_small();
-        let vcs = cfg.vcs;
-        let res = load_sweep(
-            "ring-8",
-            g.clone(),
-            &cfg,
-            || Arc::new(AdaptiveEscape::new(g.clone(), vcs)),
-            &TrafficPattern::Uniform,
-            &[4.0],
-            9,
-        );
+        let res = ring_sweep(&SimConfig::test_small(), &[4.0], 9);
         let s = &res.points[0].stats;
         assert!(s.mean_channel_utilization > 0.0);
         assert!(s.max_channel_utilization >= s.mean_channel_utilization);
@@ -416,15 +351,7 @@ mod tests {
         let cfg = SimConfig::test_small();
         let vcs = cfg.vcs;
         let grid = [0.5, 2.0, 8.0];
-        let baseline = load_sweep(
-            "ring-8",
-            g.clone(),
-            &cfg,
-            || Arc::new(AdaptiveEscape::new(g.clone(), vcs)),
-            &TrafficPattern::Uniform,
-            &grid,
-            1,
-        );
+        let baseline = ring_sweep(&cfg, &grid, 1);
         let cache = Arc::new(RoutingCache::new());
         let builds = AtomicUsize::new(0);
         let key = AdaptiveEscape::key_for(vcs);
@@ -447,7 +374,7 @@ mod tests {
             for (a, b) in baseline.points.iter().zip(&cached.points) {
                 assert_eq!(
                     a.stats, b.stats,
-                    "cached sweep diverged at {} Gbps (round {round})",
+                    "shared-cache sweep diverged at {} Gbps (round {round})",
                     a.offered_gbps
                 );
             }
@@ -463,18 +390,7 @@ mod tests {
 
     #[test]
     fn saturation_throughput_positive() {
-        let g = Arc::new(Ring::new(8).unwrap().into_graph());
-        let cfg = SimConfig::test_small();
-        let vcs = cfg.vcs;
-        let res = load_sweep(
-            "ring-8",
-            g.clone(),
-            &cfg,
-            || Arc::new(AdaptiveEscape::new(g.clone(), vcs)),
-            &TrafficPattern::Uniform,
-            &[0.5, 1.0],
-            2,
-        );
+        let res = ring_sweep(&SimConfig::test_small(), &[0.5, 1.0], 2);
         assert!(res.saturation_throughput_gbps() > 0.0);
         assert!(res.low_load_latency_ns() > 0.0);
     }

@@ -187,13 +187,6 @@ impl SimRouting for RefPhase {
         format!("reference-phase(minimal={},{}vc)", self.minimal, self.vcs)
     }
 
-    fn init(&self, _src: NodeId, _dest: NodeId) -> RouteState {
-        RouteState {
-            ud_phase: UdPhase::Up,
-            alg: 0,
-        }
-    }
-
     fn candidates(&self, cur: NodeId, dest: NodeId, state: &RouteState, out: &mut Vec<Candidate>) {
         let g = &self.graph;
         let escape_vcs = if self.minimal {
@@ -315,13 +308,6 @@ impl SimRouting for RefDsnv {
         format!("reference-dsnv(lanes={})", self.lanes)
     }
 
-    fn init(&self, _src: NodeId, _dest: NodeId) -> RouteState {
-        RouteState {
-            ud_phase: UdPhase::Up,
-            alg: 0,
-        }
-    }
-
     fn candidates(&self, cur: NodeId, dest: NodeId, state: &RouteState, out: &mut Vec<Candidate>) {
         if let Some(alg) = self.automaton(state.alg) {
             let (ch, class, _) = dsnv_hop(&self.dsn, cur, dest, alg);
@@ -407,13 +393,6 @@ impl RefMinimalDsn {
 impl SimRouting for RefMinimalDsn {
     fn name(&self) -> String {
         format!("reference-minimal-dsn({}vc)", self.vcs)
-    }
-
-    fn init(&self, _src: NodeId, _dest: NodeId) -> RouteState {
-        RouteState {
-            ud_phase: UdPhase::Up,
-            alg: 0,
-        }
     }
 
     fn candidates(&self, cur: NodeId, dest: NodeId, state: &RouteState, out: &mut Vec<Candidate>) {

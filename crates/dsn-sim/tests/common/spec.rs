@@ -570,7 +570,7 @@ impl Spec {
             dest_host: dest,
             dest_sw,
             created: now,
-            route: self.routing.init(src_sw, dest_sw),
+            route: RouteState::START,
             measured: self.in_window(now),
             attempt,
             tag,

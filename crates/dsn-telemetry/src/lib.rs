@@ -22,8 +22,9 @@
 //! calls hooks. When disabled ([`Telemetry::Off`]) every hook is an inlined
 //! variant check; `dsn-sim`'s `telemetry_equivalence` tests pin equal `RunStats` on and off.
 //!
-//! The older per-packet [`trace::PacketTracer`] lives here too (folded in
-//! from the simulator crate, which re-exports it at its root).
+//! The latency decomposition is the simulator's only per-packet record:
+//! a run's per-hop story (queueing, credit stalls, wire time, hence mean
+//! hops) is read from the phase totals it exports.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -31,9 +32,7 @@
 pub mod hist;
 pub mod recorder;
 pub mod report;
-pub mod trace;
 
 pub use hist::{bucket_of, bucket_upper_bound, LogHistogram};
 pub use recorder::{ChannelDesc, Recorder, Telemetry, TelemetryConfig, TelemetryTopo};
 pub use report::{ClassReport, LinkReport, PhaseReport, Series, TelemetryReport, SCHEMA};
-pub use trace::{PacketTracer, TraceEvent, TraceRecord};

@@ -1,32 +1,34 @@
-//! Dissect where a packet's nanoseconds go: source queueing vs network
-//! transit, per topology and load, using the simulator's packet tracer.
-//! Shows *why* DSN beats the torus at low load (fewer hops, same per-hop
-//! pipeline) and what saturation onset looks like (queueing explodes,
-//! transit barely moves).
+//! Dissect where a packet's nanoseconds go, per topology and load, using
+//! the telemetry recorder's exact latency decomposition over every packet
+//! created in the measurement window. Shows *why* DSN beats the torus at
+//! low load (fewer hops, same per-hop pipeline) and what saturation onset
+//! looks like (queueing explodes, wire time barely moves).
 //!
 //! Run: `cargo run --release --example latency_anatomy`
+//! (its output is committed as `results_latency_anatomy.txt`)
 
 use dsn::core::topology::TopologySpec;
 use dsn::sim::{AdaptiveEscape, SimConfig, Simulator, TrafficPattern};
 use std::sync::Arc;
 
 fn main() {
-    let cfg = SimConfig {
+    let mut cfg = SimConfig {
         warmup_cycles: 3_000,
         measure_cycles: 8_000,
         drain_cycles: 8_000,
         ..SimConfig::default()
     };
+    cfg.telemetry = Some(cfg.standard_telemetry(1_000));
 
-    println!("Latency anatomy (mean over traced packets, in ns)");
+    println!("Latency anatomy (mean over delivered measured packets, in ns)");
     println!(
-        "  {:<14} {:>6} {:>10} {:>10} {:>10}",
-        "topology", "load", "queueing", "transit", "total"
+        "  {:<14} {:>6} {:>9} {:>9} {:>9} {:>9} {:>9} {:>7}",
+        "topology", "load", "queueing", "stall", "wire", "ejection", "total", "hops"
     );
     for spec in TopologySpec::paper_trio(64, 0xD5B0_2013) {
         let built = spec.build().expect("topology");
         let graph = Arc::new(built.graph);
-        for gbps in [2.0, 10.0] {
+        for gbps in [0.5, 2.0, 10.0] {
             let routing = Arc::new(AdaptiveEscape::new(graph.clone(), cfg.vcs));
             let rate = cfg.packets_per_cycle_for_gbps(gbps);
             let sim = Simulator::new(
@@ -36,41 +38,36 @@ fn main() {
                 TrafficPattern::Uniform,
                 rate,
                 42,
-            )
-            .with_tracer(16); // every 16th packet
-            let (_stats, trace) = sim.run_traced();
-
-            let mut q_sum = 0u64;
-            let mut t_sum = 0u64;
-            let mut count = 0u64;
-            // Scan traced packets by scanning delivered events.
-            for &(_, p, e) in trace.records() {
-                if matches!(e, dsn::sim::TraceEvent::Delivered { .. }) {
-                    if let Some((q, t, _)) = trace.latency_breakdown(p) {
-                        q_sum += q;
-                        t_sum += t;
-                        count += 1;
-                    }
-                }
-            }
-            if count == 0 {
-                continue;
-            }
-            let q_ns = q_sum as f64 / count as f64 * cfg.cycle_ns;
-            let t_ns = t_sum as f64 / count as f64 * cfg.cycle_ns;
+            );
+            let (_, report) = sim.run_with_telemetry();
+            let report = report.expect("telemetry on");
+            let phase = report
+                .phases
+                .iter()
+                .find(|p| p.name == "measure")
+                .expect("measure phase");
+            let delivered = phase.delivered as f64;
+            let ns = |cycles: u64| cycles as f64 / delivered * cfg.cycle_ns;
             println!(
-                "  {:<14} {:>5.0}G {:>10.0} {:>10.0} {:>10.0}",
+                "  {:<14} {:>5}G {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>7.3}",
                 built.name,
                 gbps,
-                q_ns,
-                t_ns,
-                q_ns + t_ns
+                ns(phase.queueing_cycles),
+                ns(phase.credit_stall_cycles),
+                ns(phase.wire_cycles),
+                ns(phase.ejection_cycles),
+                ns(phase.latency_sum_cycles),
+                phase.wire_cycles as f64 / cfg.link_delay as f64 / delivered,
             );
         }
     }
     println!(
-        "\n(queueing = injection to first VC grant at the source switch;\n \
-         transit = everything after, including per-hop pipelines and\n \
-         serialization; traced every 16th packet)"
+        "\n(queueing = waiting for VC allocation at each switch, header\n \
+         pipeline included; stall = serialization plus switch-allocation and\n \
+         credit stalls; wire = link traversal; ejection = ejection port\n \
+         plus final serialization; the four sum exactly to total.\n \
+         hops = wire cycles / link_delay / delivered packets, a lower bound:\n \
+         a grant further along the route takes part of a hop's wire time\n \
+         when the tail trails its head by more than the header delay)"
     );
 }

@@ -6,10 +6,39 @@
 //! Run: `cargo run --release --example simulate_traffic [uniform|bitrev|neighbor]`
 
 use dsn::core::dsn::Dsn;
+use dsn::core::graph::Graph;
+use dsn::core::parallel::Parallelism;
 use dsn::core::topology::TopologySpec;
-use dsn::sim::sweep::{format_sweep, load_sweep};
-use dsn::sim::{AdaptiveEscape, DsnAlgorithmic, SimConfig, TrafficPattern};
+use dsn::sim::sweep::{format_sweep, load_sweep_cached, SweepResult};
+use dsn::sim::{
+    AdaptiveEscape, DsnAlgorithmic, RoutingCache, SimConfig, SimRouting, TrafficPattern,
+};
 use std::sync::Arc;
+
+/// One load sweep of `routing` on `graph`, fanned out over every core.
+fn sweep(
+    label: &str,
+    graph: Arc<Graph>,
+    cfg: &SimConfig,
+    routing: Arc<dyn SimRouting>,
+    pattern: &TrafficPattern,
+    loads: &[f64],
+    seed: u64,
+) -> SweepResult {
+    let key = routing.scheme_key();
+    load_sweep_cached(
+        label,
+        graph,
+        cfg,
+        &Arc::new(RoutingCache::new()),
+        &key,
+        || routing,
+        pattern,
+        loads,
+        seed,
+        &Parallelism::auto(),
+    )
+}
 
 fn main() {
     let pattern = match std::env::args().nth(1).as_deref() {
@@ -34,44 +63,27 @@ fn main() {
     for spec in TopologySpec::paper_trio(64, 0xD5B0_2013) {
         let built = spec.build().expect("topology");
         let graph = Arc::new(built.graph);
-        let vcs = cfg.vcs;
-        let g2 = graph.clone();
-        let sweep = load_sweep(
-            built.name,
-            graph,
-            &cfg,
-            move || Arc::new(AdaptiveEscape::new(g2.clone(), vcs)),
-            &pattern,
-            &loads,
-            1,
-        );
-        println!("{}", format_sweep(&sweep));
+        let routing = Arc::new(AdaptiveEscape::new(graph.clone(), cfg.vcs));
+        let result = sweep(&built.name, graph, &cfg, routing, &pattern, &loads, 1);
+        println!("{}", format_sweep(&result));
     }
 
     println!("=== routing comparison on DSN-5-64: agnostic vs custom ===\n");
     let dsn = Arc::new(Dsn::new(64, 5).expect("dsn"));
     let graph = Arc::new(dsn.graph().clone());
-    let vcs = cfg.vcs;
-    let g2 = graph.clone();
-    let agnostic = load_sweep(
+    let agnostic = Arc::new(AdaptiveEscape::new(graph.clone(), cfg.vcs));
+    let result = sweep(
         "DSN-5-64 / adaptive",
         graph.clone(),
         &cfg,
-        move || Arc::new(AdaptiveEscape::new(g2.clone(), vcs)),
+        agnostic,
         &pattern,
         &loads,
         2,
     );
-    println!("{}", format_sweep(&agnostic));
-    let dsn2 = dsn.clone();
-    let custom = load_sweep(
-        "DSN-5-64 / custom (3-phase, DSN-V VCs)",
-        graph,
-        &cfg,
-        move || Arc::new(DsnAlgorithmic::new(dsn2.clone())),
-        &pattern,
-        &loads,
-        2,
-    );
-    println!("{}", format_sweep(&custom));
+    println!("{}", format_sweep(&result));
+    let custom = Arc::new(DsnAlgorithmic::new(dsn));
+    let label = "DSN-5-64 / custom (3-phase, DSN-V VCs)";
+    let result = sweep(label, graph, &cfg, custom, &pattern, &loads, 2);
+    println!("{}", format_sweep(&result));
 }

@@ -16,8 +16,8 @@ use dsn::metrics::clustering::avg_clustering;
 use dsn::metrics::{path_stats, path_stats_with};
 use dsn::route::routing_stats;
 use dsn::route::updown::{UdPhase, UpDown};
-use dsn::sim::sweep::{find_saturation, load_sweep};
-use dsn::sim::{AdaptiveEscape, SimConfig, TrafficPattern};
+use dsn::sim::sweep::{find_saturation_cached, load_sweep_cached};
+use dsn::sim::{AdaptiveEscape, RoutingCache, SimConfig, TrafficPattern};
 use std::sync::Arc;
 
 const FORCED_WORKERS: usize = 4;
@@ -80,17 +80,22 @@ fn load_sweep_parallel_matches_serial() {
     let cfg = SimConfig::test_small();
     let vcs = cfg.vcs;
     let grid = [0.5, 2.0, 6.0];
-    let (serial, parallel) = one_and_four(|| {
-        load_sweep(
+    let sweep = |par: Parallelism| {
+        load_sweep_cached(
             "torus-16",
             g.clone(),
             &cfg,
+            &Arc::new(RoutingCache::new()),
+            &AdaptiveEscape::key_for(vcs),
             || Arc::new(AdaptiveEscape::new(g.clone(), vcs)),
             &TrafficPattern::Uniform,
             &grid,
             7,
+            &par,
         )
-    });
+    };
+    let serial = sweep(Parallelism::serial());
+    let parallel = sweep(Parallelism::threads(FORCED_WORKERS));
     assert_eq!(serial.points.len(), parallel.points.len());
     for (s, p) in serial.points.iter().zip(&parallel.points) {
         assert_eq!(s.offered_gbps, p.offered_gbps);
@@ -107,18 +112,23 @@ fn find_saturation_parallel_matches_serial() {
     let g = Arc::new(TopologySpec::Ring { n: 8 }.build().expect("ring").graph);
     let cfg = SimConfig::test_small();
     let vcs = cfg.vcs;
-    let (serial, parallel) = one_and_four(|| {
-        find_saturation(
+    let search = |par: Parallelism| {
+        find_saturation_cached(
             g.clone(),
             &cfg,
+            &Arc::new(RoutingCache::new()),
+            &AdaptiveEscape::key_for(vcs),
             || Arc::new(AdaptiveEscape::new(g.clone(), vcs)),
             &TrafficPattern::Uniform,
             1.0,
             200.0,
             10.0,
             3,
+            &par,
         )
-    });
+    };
+    let serial = search(Parallelism::serial());
+    let parallel = search(Parallelism::threads(FORCED_WORKERS));
     assert_eq!(
         serial.to_bits(),
         parallel.to_bits(),

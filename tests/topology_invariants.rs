@@ -36,8 +36,6 @@ fn arb_spec() -> impl Strategy<Value = TopologySpec> {
         (3u32..9).prop_map(|dim| TopologySpec::Hypercube { dim }),
         (3u32..7).prop_map(|dim| TopologySpec::Ccc { dim }),
         (2usize..4, 2u32..7).prop_map(|(base, dim)| TopologySpec::DeBruijn { base, dim }),
-        (2usize..6, 2u32..4).prop_map(|(k, nflat)| TopologySpec::FlattenedButterfly { k, nflat }),
-        (2usize..7, 1usize..4).prop_map(|(a, h)| TopologySpec::Dragonfly { a, h }),
     ]
 }
 
