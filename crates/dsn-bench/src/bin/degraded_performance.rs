@@ -2,7 +2,7 @@
 //! topologies — statically (random links removed before the run; adaptive +
 //! up*/down* escape recomputed on the survivor graph) or dynamically
 //! (`--faults N`: links die *mid-run* and the simulator reroutes online,
-//! dropping or salvaging in-flight packets and retrying at the hosts) — the
+//! dropping in-flight packets and retrying at the hosts) — the
 //! fault-tolerance angle the paper's related work (Jellyfish, small-world
 //! datacenters) emphasizes.
 //!

@@ -77,8 +77,6 @@ pub struct DegradedRow {
     pub dropped: u64,
     /// Host retransmissions after drops (dynamic mode only).
     pub retried: u64,
-    /// Packets rescued in place from a dying channel (dynamic mode only).
-    pub salvaged: u64,
     /// Drops whose retry budget ran out (dynamic mode only).
     pub abandoned: u64,
     /// Measured packets created after the first fault and delivered.
@@ -100,7 +98,6 @@ impl DegradedRow {
             delivery_ratio: stats.delivery_ratio(),
             dropped: stats.dropped_packets_all_time,
             retried: stats.retried_packets,
-            salvaged: stats.salvaged_packets,
             abandoned: stats.abandoned_packets,
             post_fault_delivered: stats.post_fault_delivered,
             post_fault_avg_latency_cycles: stats.post_fault_avg_latency_cycles,
@@ -118,7 +115,6 @@ impl DegradedRow {
             delivery_ratio: 0.0,
             dropped: 0,
             retried: 0,
-            salvaged: 0,
             abandoned: 0,
             post_fault_delivered: 0,
             post_fault_avg_latency_cycles: 0.0,
@@ -276,7 +272,6 @@ impl DegradedReport {
                     ("delivery_ratio", Json::fixed(r.delivery_ratio, 4)),
                     ("dropped", r.dropped.into()),
                     ("retried", r.retried.into()),
-                    ("salvaged", r.salvaged.into()),
                     ("abandoned", r.abandoned.into()),
                     ("post_fault_delivered", r.post_fault_delivered.into()),
                     (

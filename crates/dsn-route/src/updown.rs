@@ -84,12 +84,12 @@ impl UpDown {
     }
 
     /// Orient links on the *survivor* graph defined by `mask`: a BFS
-    /// forest grown from `root` (when it is up), then from the smallest
-    /// still-unreached up node of each remaining component. The survivor
-    /// graph may be disconnected — unreachable `(state, dest)` pairs keep
-    /// distance `INF` and [`Self::next_hops`] returns no hops for them
-    /// instead of panicking, so the caller (the simulator's online-reroute
-    /// path) can treat them as unroutable.
+    /// forest grown from `root`, then from the smallest still-unreached
+    /// node of each remaining component. The survivor graph may be
+    /// disconnected — unreachable `(state, dest)` pairs keep distance
+    /// `INF` and [`Self::next_hops`] returns no hops for them instead of
+    /// panicking, so the caller (the simulator's online-reroute path) can
+    /// treat them as unroutable.
     ///
     /// # Panics
     /// Panics if `root` is out of range.
@@ -101,7 +101,7 @@ impl UpDown {
         seeds.push(root);
         seeds.extend(0..n);
         for s in seeds {
-            if depth[s] != INF || !mask.node_up(s) {
+            if depth[s] != INF {
                 continue;
             }
             let sub = bfs_depth(g, s, Some(mask));
@@ -475,8 +475,8 @@ mod tests {
     fn masked_avoids_dead_edges_and_stays_legal() {
         let g = Dsn::new(64, 5).unwrap().into_graph();
         let mut mask = dsn_core::EdgeMask::fully_alive(&g);
-        mask.set_edge_admin(&g, 0, false);
-        mask.set_edge_admin(&g, 17, false);
+        mask.set_edge(0, false);
+        mask.set_edge(17, false);
         let ud = UpDown::new_masked(&g, 0, &mask);
         for (s, t) in [(0usize, 32usize), (5, 60), (63, 1)] {
             let mut v = s;
@@ -505,8 +505,8 @@ mod tests {
         // (and no panic).
         let g = Ring::new(6).unwrap().into_graph();
         let mut mask = dsn_core::EdgeMask::fully_alive(&g);
-        mask.set_edge_admin(&g, 0, false);
-        mask.set_edge_admin(&g, 3, false);
+        mask.set_edge(0, false);
+        mask.set_edge(3, false);
         let ud = UpDown::new_masked(&g, 0, &mask);
         assert_eq!(ud.distance(1, 4), INF);
         assert!(ud.next_hops(&g, 1, UdPhase::Up, 4).is_empty());

@@ -172,7 +172,7 @@ mod tests {
 
         // a degraded epoch rebuild is cached separately from pristine
         let mut mask = EdgeMask::fully_alive(&g1);
-        mask.set_edge_admin(&g1, 0, false);
+        mask.set_edge(0, false);
         let d1 = cache.rebuild(&g1, &r1, &mask).expect("rebuild supported");
         let d2 = cache.rebuild(&g1, &r1, &mask).expect("rebuild supported");
         assert!(Arc::ptr_eq(&d1, &d2), "same survivor state is a hit");

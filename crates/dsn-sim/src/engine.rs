@@ -278,11 +278,6 @@ impl SourceQueue {
         removed
     }
 
-    /// Queued packet ids, front to back.
-    fn packets(&self) -> impl Iterator<Item = u32> + '_ {
-        self.ids.iter().copied()
-    }
-
     /// Reserve room for `more` packets beyond the current length.
     fn reserve(&mut self, more: usize) {
         self.ids.reserve(more);
@@ -801,8 +796,10 @@ impl Simulator {
     /// or a closed batch such as an all-to-all exchange).
     ///
     /// # Panics
-    /// Panics when `cfg` fails [`SimConfig::validate`] or when `routing`
-    /// emits VCs beyond `cfg.vcs` ([`SimRouting::vcs`]).
+    /// Panics when `cfg` fails [`SimConfig::validate`], when `routing`
+    /// emits VCs beyond `cfg.vcs` ([`SimRouting::vcs`]), or when a closed
+    /// batch names a host outside the network or sends a packet to its
+    /// own source.
     pub fn with_workload(
         graph: Arc<Graph>,
         cfg: SimConfig,
@@ -836,6 +833,16 @@ impl Simulator {
                 None,
             ),
             Workload::Closed { packets } => {
+                for &(src, dest) in &packets {
+                    assert!(
+                        src < hosts && dest < hosts,
+                        "closed batch packet ({src}, {dest}) names a host outside 0..{hosts}"
+                    );
+                    assert_ne!(
+                        src, dest,
+                        "closed batch packet ({src}, {dest}) is a self-send"
+                    );
+                }
                 let total = packets.len() as u64;
                 (None, Injector::new(seed, hosts, 0.0), packets, Some(total))
             }
@@ -1184,7 +1191,6 @@ impl Simulator {
             Some(f) => {
                 stats.dropped_packets = f.dropped_measured;
                 stats.dropped_packets_all_time = f.dropped_all;
-                stats.salvaged_packets = f.salvaged;
                 stats.retried_packets = f.retried;
                 stats.abandoned_packets = f.abandoned;
                 (f.dropped_all, f.retries.len() as u64)
@@ -1461,16 +1467,6 @@ impl Simulator {
         }
     }
 
-    /// Visit the slab id of every packet held by buffer `iv`, once each,
-    /// front to back (fault paths).
-    pub(crate) fn buf_for_each_packet(&self, iv: usize, f: impl FnMut(u32)) {
-        if iv < self.net_ivs {
-            self.net_rings.packets(iv).for_each(f);
-        } else {
-            self.source_queue(iv).packets().for_each(f);
-        }
-    }
-
     /// Drop packet `pkt` from buffer `iv`, preserving the order of the
     /// others; returns how many of its flits were resident (fault paths):
     /// the arrived, unsent ones of a partly sent front, all
@@ -1681,13 +1677,6 @@ impl Simulator {
         debug_assert!(now >= self.ivc[iv].ready);
         let pkt_idx = head.packet;
         let dest_sw = self.packets.get(pkt_idx).dest_sw as usize;
-        if let Some(f) = &self.fault {
-            // A dead local or destination switch makes the packet unroutable
-            // outright (it can never be delivered while the switch is down).
-            if !f.mask.node_up(node) || !f.mask.node_up(dest_sw) {
-                return AllocOutcome::Unroutable;
-            }
-        }
         if dest_sw == node {
             // Eject: always grantable (sink arbitrated per cycle).
             let port = self.packets.get(pkt_idx).dest_host as usize % self.cfg.hosts_per_switch;
@@ -2046,6 +2035,25 @@ mod tests {
         Simulator::new(g, cfg, routing, TrafficPattern::Uniform, 0.01, 1);
     }
 
+    fn closed_batch_sim(packets: Vec<(usize, usize)>) -> Simulator {
+        let g = Arc::new(Ring::new(8).unwrap().into_graph());
+        let cfg = SimConfig::test_small();
+        let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
+        Simulator::with_workload(g, cfg, routing, Workload::Closed { packets }, 1)
+    }
+
+    #[test]
+    #[should_panic(expected = "closed batch packet (2, 2) is a self-send")]
+    fn rejects_closed_batch_self_send() {
+        closed_batch_sim(vec![(0, 1), (2, 2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "closed batch packet (1, 99) names a host outside 0..")]
+    fn rejects_closed_batch_host_out_of_range() {
+        closed_batch_sim(vec![(0, 1), (1, 99)]);
+    }
+
     #[test]
     fn wormhole_mode_delivers_at_low_load() {
         let g = Arc::new(Ring::new(8).unwrap().into_graph());
@@ -2241,7 +2249,7 @@ mod tests {
         // cursor.
         assert_eq!(q.remove_packet(4, pf), 2);
         assert_eq!(q.front(), Some(Flit { packet: 3, seq: 1 }));
-        assert_eq!(q.packets().collect::<Vec<_>>(), [3, 6]);
+        assert_eq!(q.ids, [3, 6]);
         // A fault retry is a fresh enqueue: it joins the back, even when
         // the recycled slab id matches the purged one.
         q.push_packet(4);

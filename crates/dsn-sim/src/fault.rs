@@ -1,23 +1,26 @@
 //! Runtime fault injection with online reroute.
 //!
-//! A [`FaultPlan`] scripts link/switch down/up events at given cycles —
+//! A [`FaultPlan`] scripts link down/up events at given cycles —
 //! hand-written ([`FaultPlan::single_link`], [`FaultPlan::burst`],
 //! [`FaultPlan::flap`]) or seeded-random ([`FaultPlan::random_links`],
-//! [`FaultPlan::random_connected`]). The plan executes as *phase 0* of a
-//! cycle, before credit returns:
+//! [`FaultPlan::random_connected`]). Switches do not fail on their own; a
+//! switch whose links are all down is cut off. The plan executes as
+//! *phase 0* of a cycle, before credit returns:
 //!
 //! 1. the [`EdgeMask`] marks the affected channels dead;
-//! 2. packets straddling a dying channel are dropped everywhere — buffers,
-//!    wire, allocations — with their credits handed straight back (credit
+//! 2. packets straddling a dying channel (holding one of its output VCs
+//!    or with flits on its wire) are dropped everywhere — buffers, wire,
+//!    allocations — with their credits handed straight back (credit
 //!    conservation is maintained continuously, so a later `LinkUp` revives
-//!    the channel with no fixup), or *salvaged* in place when they have not
-//!    yet sent a single flit and [`SalvagePolicy::Salvage`] is configured;
+//!    the channel with no fixup);
 //! 3. routing is rebuilt on the survivor graph
 //!    ([`crate::routing::SimRouting::rebuild`]): up*/down* recomputes its
 //!    forest via `dsn-route`; DSN custom routing keeps every packet on its
 //!    automaton until the next channel is dead, then detours greedily,
 //!    ring links first;
-//! 4. dropped packets may be re-sent by their source host after a timeout
+//! 4. a head whose every candidate channel is dead is dropped as
+//!    unroutable;
+//! 5. dropped packets may be re-sent by their source host after a timeout
 //!    with exponential backoff ([`RetryPolicy`]).
 //!
 //! Every mutation goes through the helpers in `engine.rs`;
@@ -31,42 +34,9 @@ use crate::engine::{
 };
 use dsn_core::fault::{is_connected_masked, EdgeMask};
 use dsn_core::graph::Graph;
-use dsn_core::{EdgeId, NodeId};
+use dsn_core::EdgeId;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// What happens to an in-flight packet caught on a dying channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SalvagePolicy {
-    /// Drop the whole packet everywhere (buffers, wire, allocations); the
-    /// source host may re-send it under the [`RetryPolicy`].
-    #[default]
-    Drop,
-    /// A packet that holds the dying channel but has not yet sent a single
-    /// flit on it keeps its buffered flits and re-routes from where it
-    /// sits; packets already mid-stream are dropped as under
-    /// [`SalvagePolicy::Drop`].
-    Salvage,
-}
-
-impl SalvagePolicy {
-    /// Parse a CLI value (`drop` | `salvage`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "drop" => Some(SalvagePolicy::Drop),
-            "salvage" => Some(SalvagePolicy::Salvage),
-            _ => None,
-        }
-    }
-
-    /// Stable display name (`drop` | `salvage`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            SalvagePolicy::Drop => "drop",
-            SalvagePolicy::Salvage => "salvage",
-        }
-    }
-}
 
 /// Host-side reaction to a dropped packet: re-send after a timeout with
 /// exponential backoff, up to a retry budget.
@@ -111,15 +81,10 @@ impl RetryPolicy {
 /// One scripted fault action.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// The link itself fails (administratively down).
+    /// The link fails.
     LinkDown(EdgeId),
-    /// The link is repaired (still dead while an endpoint switch is down).
+    /// The link is repaired.
     LinkUp(EdgeId),
-    /// The switch fails: every incident link dies and every packet resident
-    /// at the switch is dropped.
-    SwitchDown(NodeId),
-    /// The switch is repaired (admin-down incident links stay dead).
-    SwitchUp(NodeId),
 }
 
 /// A [`FaultKind`] scheduled at a cycle.
@@ -131,15 +96,13 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
-/// A scripted fault schedule plus the policies governing its effects. Part
-/// of [`crate::SimConfig`]; an empty plan (the default) makes the fault
-/// machinery zero-cost.
+/// A scripted fault schedule plus the host retry policy for the packets
+/// it drops. Part of [`crate::SimConfig`]; an empty plan (the default)
+/// makes the fault machinery zero-cost.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// The scheduled events; executed in `(cycle, list order)`.
     pub events: Vec<FaultEvent>,
-    /// In-flight packet policy on channel death.
-    pub salvage: SalvagePolicy,
     /// Host-side retry loop for dropped packets.
     pub retry: RetryPolicy,
 }
@@ -253,26 +216,20 @@ impl FaultPlan {
             if !mask.edge_alive(e) {
                 continue;
             }
-            mask.set_edge_admin(g, e, false);
+            mask.set_edge(e, false);
             if is_connected_masked(g, &mask) {
                 events.push(FaultEvent {
                     cycle: first_cycle + events.len() as u64 * spacing,
                     kind: FaultKind::LinkDown(e),
                 });
             } else {
-                mask.set_edge_admin(g, e, true);
+                mask.set_edge(e, true);
             }
         }
         FaultPlan {
             events,
             ..FaultPlan::default()
         }
-    }
-
-    /// Builder: set the salvage policy.
-    pub fn with_salvage(mut self, salvage: SalvagePolicy) -> Self {
-        self.salvage = salvage;
-        self
     }
 
     /// Builder: set the retry policy.
@@ -311,11 +268,6 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// identity (`(due, fifo_seq)` is unique, so the tag never decides order).
 type RetryEntry = (u64, u64, u32, u32, u32, crate::engine::PacketTag);
 
-/// A channel-death victim: `(uid, slab index, salvage position)` —
-/// position is Some only for zero-sent owners (their seq-0 flit still
-/// heads the buffer).
-type Victim = (u32, u32, Option<(usize, usize)>);
-
 /// Per-run fault state hanging off the simulator (`Simulator::fault`,
 /// `None` when the plan is empty), driven through
 /// [`Simulator::process_faults`].
@@ -327,7 +279,6 @@ pub(crate) struct FaultRuntime {
     cursor: usize,
     /// Live view of the topology.
     pub(crate) mask: EdgeMask,
-    salvage: SalvagePolicy,
     retry: RetryPolicy,
     /// Pending re-sends: min-heap on `(due_cycle, fifo_seq)` with payload
     /// `(src_host, dest_host, attempt)`.
@@ -335,19 +286,15 @@ pub(crate) struct FaultRuntime {
     retry_seq: u64,
     pub(crate) dropped_all: u64,
     pub(crate) dropped_measured: u64,
-    pub(crate) salvaged: u64,
     pub(crate) retried: u64,
     pub(crate) abandoned: u64,
-    // Reusable scratch for the drop/salvage paths below (an arena, so a
+    // Reusable scratch for the drop paths below (an arena, so a
     // fault-churn steady state stops allocating once the buffers reach
     // their high-water marks). Each is `mem::take`n for the duration of
     // one helper call and returned cleared.
-    /// Channel-death victim list ([`Simulator::kill_channel`]).
-    victims: Vec<Victim>,
-    /// Switch-death victim list ([`Simulator::purge_switch_residents`]).
-    sw_victims: Vec<(u32, u32)>,
-    /// Input units of a dead switch.
-    units: Vec<usize>,
+    /// Channel-death victim list as `(uid, slab index)`
+    /// ([`Simulator::kill_channel`]).
+    victims: Vec<(u32, u32)>,
     /// Packets with flits on a dying wire.
     wire_pkts: Vec<u32>,
     /// `(channel, vc)` credits to refund for purged wire flits.
@@ -357,14 +304,8 @@ pub(crate) struct FaultRuntime {
 impl FaultRuntime {
     pub(crate) fn new(g: &Graph, plan: &FaultPlan) -> Self {
         for ev in &plan.events {
-            match ev.kind {
-                FaultKind::LinkDown(e) | FaultKind::LinkUp(e) => {
-                    assert!(e < g.edge_count(), "fault edge {e} out of range");
-                }
-                FaultKind::SwitchDown(v) | FaultKind::SwitchUp(v) => {
-                    assert!(v < g.node_count(), "fault switch {v} out of range");
-                }
-            }
+            let (FaultKind::LinkDown(e) | FaultKind::LinkUp(e)) = ev.kind;
+            assert!(e < g.edge_count(), "fault edge {e} out of range");
         }
         let mut events = plan.events.clone();
         events.sort_by_key(|e| e.cycle); // stable: same-cycle plan order kept
@@ -372,18 +313,14 @@ impl FaultRuntime {
             events,
             cursor: 0,
             mask: EdgeMask::fully_alive(g),
-            salvage: plan.salvage,
             retry: plan.retry,
             retries: BinaryHeap::new(),
             retry_seq: 0,
             dropped_all: 0,
             dropped_measured: 0,
-            salvaged: 0,
             retried: 0,
             abandoned: 0,
             victims: Vec::new(),
-            sw_victims: Vec::new(),
-            units: Vec::new(),
             wire_pkts: Vec::new(),
             wire_credits: Vec::new(),
         }
@@ -415,7 +352,6 @@ impl Simulator {
         if !due {
             return;
         }
-        let g = self.graph.clone();
         loop {
             let ev = {
                 let f = self.fault.as_mut().expect("fault runtime");
@@ -426,55 +362,23 @@ impl Simulator {
                 f.cursor += 1;
                 ev
             };
+            let mask = &mut self.fault.as_mut().expect("fault runtime").mask;
             match ev.kind {
                 FaultKind::LinkDown(e) => {
-                    let died = self
-                        .fault
-                        .as_mut()
-                        .expect("fault runtime")
-                        .mask
-                        .set_edge_admin(&g, e, false);
-                    if died {
-                        self.kill_edge(e, now);
+                    if mask.set_edge(e, false) {
+                        self.kill_channel(2 * e, now);
+                        self.kill_channel(2 * e + 1, now);
                     }
                 }
                 FaultKind::LinkUp(e) => {
-                    self.fault
-                        .as_mut()
-                        .expect("fault runtime")
-                        .mask
-                        .set_edge_admin(&g, e, true);
-                }
-                FaultKind::SwitchDown(v) => {
-                    let dead = self
-                        .fault
-                        .as_mut()
-                        .expect("fault runtime")
-                        .mask
-                        .set_node_up(&g, v, false);
-                    for e in dead {
-                        self.kill_edge(e, now);
-                    }
-                    self.purge_switch_residents(v, now);
-                }
-                FaultKind::SwitchUp(v) => {
-                    self.fault
-                        .as_mut()
-                        .expect("fault runtime")
-                        .mask
-                        .set_node_up(&g, v, true);
+                    mask.set_edge(e, true);
                 }
             }
         }
         self.rebuild_routing();
-        // Mask changes, purges and the rebuild alter candidate sets without
+        // Mask changes, drops and the rebuild alter candidate sets without
         // a credit transition: wake every switch (these events are rare).
         self.node_dirty.fill(u64::MAX);
-    }
-
-    fn kill_edge(&mut self, e: EdgeId, now: u64) {
-        self.kill_channel(2 * e, now);
-        self.kill_channel(2 * e + 1, now);
     }
 
     /// A directed channel died: every packet holding one of its output VCs
@@ -494,53 +398,22 @@ impl Simulator {
             let iv = i * self.nvc + v as usize;
             debug_assert_ne!(self.ivc[iv].alloc, ALLOC_NONE);
             let pkt = self.ivc[iv].alloc_pkt;
-            let zero_sent = self
-                .buf_front(iv)
-                .is_some_and(|f| f.packet == pkt && f.seq == 0);
-            victims.push((
-                self.packets.get(pkt).uid,
-                pkt,
-                zero_sent.then_some((i, v as usize)),
-            ));
+            victims.push((self.packets.get(pkt).uid, pkt));
         }
-        self.wire_packets(ch, &mut wire_pkts);
+        self.ev.wire_packets_on(ch, &mut wire_pkts);
         for &pkt in &wire_pkts {
-            victims.push((self.packets.get(pkt).uid, pkt, None));
+            victims.push((self.packets.get(pkt).uid, pkt));
         }
-        victims.sort_unstable_by_key(|&(uid, _, _)| uid);
-        victims.dedup_by_key(|&mut (uid, _, _)| uid);
-        let salvage = self.fault.as_ref().expect("fault runtime").salvage == SalvagePolicy::Salvage;
-        for &(_, pkt, pos) in &victims {
-            match pos {
-                Some((i, v)) if salvage => self.salvage_packet(i, v, now),
-                _ => self.fault_drop_packet(pkt, now),
-            }
+        victims.sort_unstable_by_key(|&(uid, _)| uid);
+        victims.dedup_by_key(|&mut (uid, _)| uid);
+        for &(_, pkt) in &victims {
+            self.fault_drop_packet(pkt, now);
         }
         victims.clear();
         wire_pkts.clear();
         let f = self.fault.as_mut().expect("fault runtime");
         f.victims = victims;
         f.wire_pkts = wire_pkts;
-    }
-
-    /// Slab indices of packets with flits currently on channel `ch`,
-    /// written into `out` (cleared first).
-    fn wire_packets(&self, ch: usize, out: &mut Vec<u32>) {
-        self.ev.wire_packets_on(ch, out);
-    }
-
-    /// A zero-sent victim keeps its flits and re-routes in place: release
-    /// the dead allocation and re-arm the header so the (rebuilt) routing
-    /// is consulted afresh on the survivor graph.
-    fn salvage_packet(&mut self, i: usize, v: usize, now: u64) {
-        let iv = i * self.nvc + v;
-        let alloc = std::mem::replace(&mut self.ivc[iv].alloc, ALLOC_NONE);
-        let Some(OutRef::Net { channel, vc }) = decode_alloc(alloc) else {
-            panic!("salvage victim must hold a network allocation");
-        };
-        self.release_output_vc(channel, vc, owner_pack(i, v as u8));
-        self.arm_header(i, v, now);
-        self.fault.as_mut().expect("fault runtime").salvaged += 1;
     }
 
     /// Drop one packet everywhere and account for it: counters, telemetry
@@ -632,48 +505,6 @@ impl Simulator {
         wire.clear();
         self.fault.as_mut().expect("fault runtime").wire_credits = wire;
         self.packets.retire(pkt);
-    }
-
-    /// A switch died: drop every packet resident at it — buffered in its
-    /// network or injection inputs, or holding an ejection grant. (Packets
-    /// streaming over its links were already killed via the incident
-    /// edges.)
-    fn purge_switch_residents(&mut self, sw: NodeId, now: u64) {
-        let rt = self.fault.as_mut().expect("fault runtime");
-        let mut units = std::mem::take(&mut rt.units);
-        let mut victims = std::mem::take(&mut rt.sw_victims);
-        units.clear();
-        victims.clear();
-        units.extend(
-            self.graph
-                .neighbors(sw)
-                .map(|(u, e)| self.graph.channel_id(e, u)),
-        );
-        for h in 0..self.cfg.hosts_per_switch {
-            units.push(self.injection_input(sw * self.cfg.hosts_per_switch + h));
-        }
-        for &i in &units {
-            for v in 0..self.vc_count(i) {
-                let iv = i * self.nvc + v;
-                if self.ivc[iv].alloc != ALLOC_NONE {
-                    let pkt = self.ivc[iv].alloc_pkt;
-                    victims.push((self.packets.get(pkt).uid, pkt));
-                }
-                self.buf_for_each_packet(iv, |pkt| {
-                    victims.push((self.packets.get(pkt).uid, pkt));
-                });
-            }
-        }
-        victims.sort_unstable_by_key(|&(uid, _)| uid);
-        victims.dedup_by_key(|&mut (uid, _)| uid);
-        for &(_, pkt) in &victims {
-            self.fault_drop_packet(pkt, now);
-        }
-        units.clear();
-        victims.clear();
-        let rt = self.fault.as_mut().expect("fault runtime");
-        rt.units = units;
-        rt.sw_victims = victims;
     }
 
     /// Phase 3 (after the batch, before regular host injections): re-send
@@ -777,7 +608,7 @@ mod tests {
             let FaultKind::LinkDown(e) = ev.kind else {
                 panic!("unexpected {:?}", ev.kind)
             };
-            mask.set_edge_admin(&g, e, false);
+            mask.set_edge(e, false);
             assert!(
                 is_connected_masked(&g, &mask),
                 "survivor disconnected after killing edge {e}"
@@ -788,11 +619,5 @@ mod tests {
     #[test]
     fn retry_policy_disabled_by_default() {
         assert_eq!(FaultPlan::none().retry, RetryPolicy::disabled());
-        assert_eq!(FaultPlan::none().salvage, SalvagePolicy::Drop);
-        assert_eq!(
-            SalvagePolicy::parse("salvage"),
-            Some(SalvagePolicy::Salvage)
-        );
-        assert_eq!(SalvagePolicy::parse("bogus"), None);
     }
 }

@@ -4,15 +4,15 @@
 //! The paper's Figure 10 methodology drives every host with an open-loop
 //! Bernoulli packet process. Datacenter evaluations of small-world
 //! topologies judge a network on *flow-completion time* instead: hosts
-//! start multi-packet flows whose sizes follow heavy-tailed distributions
-//! (web-search- and Hadoop-style byte CDFs), arrivals are Poisson or
-//! ON-OFF bursty, and collective phases impose *stage dependencies* (a
-//! host may send stage `k + 1` only after its stage-`k` receives land).
+//! start multi-packet flows whose sizes follow a heavy-tailed web-search
+//! byte CDF, arrivals are Poisson, and collective phases impose *stage
+//! dependencies* (a host may send stage `k + 1` only after its stage-`k`
+//! receives land).
 //!
 //! Three building blocks live here:
 //!
-//! * [`FlowSizeDist`] / [`FlowArrivals`] — pluggable flow-size and
-//!   inter-arrival samplers with analytic moments for oracle tests;
+//! * [`FlowSizeDist`] / [`FlowArrivals`] — flow-size and inter-arrival
+//!   samplers, the sizes with analytic moments for oracle tests;
 //! * [`FlowSource`] — the per-host open-loop flow state
 //!   machine ([`Workload::Flows`](crate::workload::Workload) and
 //!   [`Workload::Incast`](crate::workload::Workload)): flows queue in a
@@ -20,8 +20,8 @@
 //!   (`packet_flits` cycles, the NIC line rate), through the same
 //!   calendar-heap injection path as the Bernoulli injector;
 //! * [`StagedSpec`] / [`StagedState`] — dependency-staged
-//!   closed collectives (ring and recursive-doubling allreduce, pipelined
-//!   all-to-all) generalizing the cycle-0 `Closed` batch.
+//!   closed collectives (the recursive-doubling allreduce) generalizing
+//!   the cycle-0 `Closed` batch.
 //!
 //! **Determinism.** Every random draw comes from a per-host `SmallRng`
 //! seeded by a SplitMix64 mix of the run seed and the host index (salted
@@ -41,23 +41,14 @@ use std::collections::VecDeque;
 /// streams are decorrelated from the Bernoulli injector streams.
 const FLOW_SEED_SALT: u64 = 0xB10C_F10E_5EED_CAFE;
 
-/// Flow-size distribution. `Fixed` and `Pareto` are parameterized
-/// directly in packets; `ByteCdf` is a piecewise-linear CDF over flow
-/// size in **bytes** (the format datacenter traces are published in),
-/// converted to whole packets at sampling time using the configured
-/// packet size.
+/// Flow-size distribution. `Fixed` is given directly in packets;
+/// `ByteCdf` is a piecewise-linear CDF over flow size in **bytes** (the
+/// format datacenter traces are published in), converted to whole
+/// packets at sampling time using the configured packet size.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FlowSizeDist {
     /// Every flow is exactly this many packets (oracle tests).
     Fixed(u32),
-    /// Pareto over packets: `P(X > x) = (scale / x)^shape` for
-    /// `x >= scale`. Heavy-tailed; the mean is finite for `shape > 1`.
-    Pareto {
-        /// Minimum flow size in packets (`x_m`), >= 1.
-        scale: f64,
-        /// Tail index (`alpha`), > 1 so the mean exists.
-        shape: f64,
-    },
     /// Piecewise-linear CDF over flow size in bytes: `(bytes, cum_prob)`
     /// points, strictly increasing in both coordinates, ending at
     /// probability 1; an implicit `(0, 0)` anchors the first segment.
@@ -82,20 +73,6 @@ impl FlowSizeDist {
         ])
     }
 
-    /// A Hadoop-style flow-size CDF (data-mining workload shape): most
-    /// flows tiny, a very heavy tail out to ~1 GB.
-    pub fn hadoop() -> Self {
-        FlowSizeDist::ByteCdf(vec![
-            (1_000.0, 0.20),
-            (10_000.0, 0.40),
-            (100_000.0, 0.57),
-            (1_000_000.0, 0.65),
-            (10_000_000.0, 0.80),
-            (100_000_000.0, 0.92),
-            (1_000_000_000.0, 1.00),
-        ])
-    }
-
     /// Sanity-check the parameters.
     ///
     /// # Panics
@@ -103,10 +80,6 @@ impl FlowSizeDist {
     pub fn validate(&self) {
         match self {
             FlowSizeDist::Fixed(n) => assert!(*n >= 1, "fixed flow size must be >= 1 packet"),
-            FlowSizeDist::Pareto { scale, shape } => {
-                assert!(*scale >= 1.0, "Pareto scale must be >= 1 packet");
-                assert!(*shape > 1.0, "Pareto shape must be > 1 (finite mean)");
-            }
             FlowSizeDist::ByteCdf(points) => {
                 assert!(!points.is_empty(), "byte CDF needs at least one point");
                 let mut prev = (0.0f64, 0.0f64);
@@ -123,16 +96,12 @@ impl FlowSizeDist {
     }
 
     /// One raw sample in the distribution's native unit (packets for
-    /// `Fixed` / `Pareto`, bytes for `ByteCdf`) by inverse-transform
+    /// `Fixed`, bytes for `ByteCdf`) by inverse-transform
     /// sampling; compare against [`FlowSizeDist::mean`] /
     /// [`FlowSizeDist::quantile`] in convergence tests.
     fn sample_raw(&self, rng: &mut SmallRng) -> f64 {
         match self {
             FlowSizeDist::Fixed(n) => *n as f64,
-            FlowSizeDist::Pareto { scale, shape } => {
-                let u: f64 = rng.gen_f64(); // [0, 1)
-                scale / (1.0 - u).powf(1.0 / shape)
-            }
             FlowSizeDist::ByteCdf(points) => {
                 let u: f64 = rng.gen_f64();
                 let (mut b0, mut p0) = (0.0f64, 0.0f64);
@@ -149,7 +118,7 @@ impl FlowSizeDist {
     }
 
     /// One flow size in whole packets (>= 1). `bytes_per_packet` converts
-    /// `ByteCdf` samples; `Fixed` / `Pareto` are already in packets.
+    /// `ByteCdf` samples; `Fixed` is already in packets.
     pub(crate) fn sample_packets(&self, bytes_per_packet: f64, rng: &mut SmallRng) -> u32 {
         let raw = self.sample_raw(rng);
         let packets = match self {
@@ -163,7 +132,6 @@ impl FlowSizeDist {
     pub fn mean(&self) -> f64 {
         match self {
             FlowSizeDist::Fixed(n) => *n as f64,
-            FlowSizeDist::Pareto { scale, shape } => scale * shape / (shape - 1.0),
             FlowSizeDist::ByteCdf(points) => {
                 let (mut b0, mut p0) = (0.0f64, 0.0f64);
                 let mut mean = 0.0;
@@ -182,7 +150,6 @@ impl FlowSizeDist {
         assert!((0.0..1.0).contains(&q), "quantile needs 0 <= q < 1");
         match self {
             FlowSizeDist::Fixed(n) => *n as f64,
-            FlowSizeDist::Pareto { scale, shape } => scale / (1.0 - q).powf(1.0 / shape),
             FlowSizeDist::ByteCdf(points) => {
                 let (mut b0, mut p0) = (0.0f64, 0.0f64);
                 for &(b1, p1) in points {
@@ -214,63 +181,25 @@ pub enum FlowArrivals {
         /// Flow-arrival probability per host per cycle, in `(0, 1]`.
         flows_per_cycle: f64,
     },
-    /// ON-OFF bursty arrivals: within a burst, flows arrive at `on_rate`;
-    /// after a geometric number of flows (mean `mean_burst`) the host
-    /// goes quiet and the next flow arrives at `off_rate` instead.
-    OnOff {
-        /// Arrival probability per cycle within a burst, in `(0, 1]`.
-        on_rate: f64,
-        /// Arrival probability per cycle between bursts, in `(0, 1]`.
-        off_rate: f64,
-        /// Mean flows per burst, >= 1.
-        mean_burst: f64,
-    },
 }
 
 impl FlowArrivals {
     /// Sanity-check the parameters.
     ///
     /// # Panics
-    /// Panics on out-of-range rates or burst length.
+    /// Panics on an out-of-range rate.
     pub fn validate(&self) {
-        match self {
-            FlowArrivals::Poisson { flows_per_cycle } => {
-                assert!(
-                    *flows_per_cycle > 0.0 && *flows_per_cycle <= 1.0,
-                    "Poisson flow rate must be in (0, 1]"
-                );
-            }
-            FlowArrivals::OnOff {
-                on_rate,
-                off_rate,
-                mean_burst,
-            } => {
-                assert!(
-                    *on_rate > 0.0 && *on_rate <= 1.0 && *off_rate > 0.0 && *off_rate <= 1.0,
-                    "ON-OFF rates must be in (0, 1]"
-                );
-                assert!(*mean_burst >= 1.0, "mean burst must be >= 1 flow");
-            }
-        }
+        let FlowArrivals::Poisson { flows_per_cycle } = self;
+        assert!(
+            *flows_per_cycle > 0.0 && *flows_per_cycle <= 1.0,
+            "Poisson flow rate must be in (0, 1]"
+        );
     }
 
-    /// One inter-arrival gap (>= 1 cycles). Draw order is fixed (burst
-    /// coin, then gap) so the per-host streams replay identically.
+    /// One inter-arrival gap (>= 1 cycles).
     fn gap(&self, rng: &mut SmallRng) -> u64 {
-        match self {
-            FlowArrivals::Poisson { flows_per_cycle } => {
-                gap(rng, *flows_per_cycle).expect("validated rate > 0")
-            }
-            FlowArrivals::OnOff {
-                on_rate,
-                off_rate,
-                mean_burst,
-            } => {
-                let burst_ends = rng.gen_f64() * *mean_burst < 1.0;
-                let rate = if burst_ends { *off_rate } else { *on_rate };
-                gap(rng, rate).expect("validated rate > 0")
-            }
-        }
+        let FlowArrivals::Poisson { flows_per_cycle } = self;
+        gap(rng, *flows_per_cycle).expect("validated rate > 0")
     }
 }
 
@@ -597,16 +526,6 @@ impl StagedSpec {
         }
     }
 
-    /// Ring allreduce: `2 (N - 1)` stages (reduce-scatter then allgather),
-    /// each host passing one `msg_packets`-packet chunk to its clockwise
-    /// neighbor per stage.
-    pub fn ring_allreduce(hosts: usize, msg_packets: u32) -> Self {
-        let stages = 2 * (hosts as u32 - 1);
-        Self::from_dests("ring_allreduce", hosts, stages, msg_packets, |h, _| {
-            (h + 1) % hosts
-        })
-    }
-
     /// Recursive-doubling allreduce: `log2 N` stages, stage `s` pairing
     /// host `h` with `h XOR 2^s`. `hosts` must be a power of two.
     pub fn recursive_doubling_allreduce(hosts: usize, msg_packets: u32) -> Self {
@@ -621,20 +540,6 @@ impl StagedSpec {
             stages,
             msg_packets,
             |h, s| h ^ (1usize << s),
-        )
-    }
-
-    /// Pipelined all-to-all: `N - 1` stages, stage `s` sending host `h`'s
-    /// chunk to `(h + s + 1) mod N` — each stage is a perfect matching, so
-    /// the exchange streams through the network instead of bursting.
-    pub fn pipelined_all_to_all(hosts: usize, msg_packets: u32) -> Self {
-        let stages = hosts as u32 - 1;
-        Self::from_dests(
-            "pipelined_all_to_all",
-            hosts,
-            stages,
-            msg_packets,
-            |h, s| (h + s as usize + 1) % hosts,
         )
     }
 
@@ -759,15 +664,7 @@ mod tests {
 
     #[test]
     fn samples_are_seed_deterministic() {
-        for d in [
-            FlowSizeDist::Fixed(7),
-            FlowSizeDist::Pareto {
-                scale: 2.0,
-                shape: 2.5,
-            },
-            FlowSizeDist::websearch(),
-            FlowSizeDist::hadoop(),
-        ] {
+        for d in [FlowSizeDist::Fixed(7), FlowSizeDist::websearch()] {
             assert_eq!(d.samples(42, 100), d.samples(42, 100));
             if !matches!(d, FlowSizeDist::Fixed(_)) {
                 assert_ne!(d.samples(42, 100), d.samples(43, 100));
@@ -844,33 +741,25 @@ mod tests {
     }
 
     #[test]
-    fn staged_specs_have_the_expected_shape() {
-        let ring = StagedSpec::ring_allreduce(8, 3);
-        assert_eq!(ring.stages(), 14);
-        assert_eq!(ring.total_packets(), 8 * 14 * 3);
+    fn staged_spec_has_the_expected_shape() {
         let rd = StagedSpec::recursive_doubling_allreduce(8, 2);
         assert_eq!(rd.stages(), 3);
         assert_eq!(rd.total_packets(), 8 * 3 * 2);
-        let a2a = StagedSpec::pipelined_all_to_all(5, 1);
-        assert_eq!(a2a.stages(), 4);
-        assert_eq!(a2a.total_packets(), 5 * 4);
-        // Every (host, stage) of each collective expects exactly one
-        // message's worth of packets.
-        for spec in [&ring, &rd, &a2a] {
-            for h in 0..spec.hosts() {
-                for s in 0..spec.stages() {
-                    assert_eq!(spec.expected(h, s), spec.msg_packets());
-                }
+        // Every (host, stage) expects exactly one message's worth of
+        // packets.
+        for h in 0..rd.hosts() {
+            for s in 0..rd.stages() {
+                assert_eq!(rd.expected(h, s), rd.msg_packets());
             }
         }
     }
 
     #[test]
     fn staged_state_releases_in_dependency_order() {
-        let spec = StagedSpec::ring_allreduce(4, 1);
+        let spec = StagedSpec::recursive_doubling_allreduce(4, 1);
         let mut st = StagedState::new(spec);
         let mut out = Vec::new();
-        // Stage 0 releases unconditionally.
+        // Stage 0 releases unconditionally: host 0 pairs with host 1.
         st.collect_releases(0, &mut out);
         assert_eq!(out, vec![(1, 0)]);
         out.clear();
@@ -878,7 +767,8 @@ mod tests {
         st.collect_releases(0, &mut out);
         assert!(out.is_empty());
         assert!(st.on_recv(0, 0), "expectation met exactly once");
+        // Stage 1 pairs host 0 with host 2.
         st.collect_releases(0, &mut out);
-        assert_eq!(out, vec![(1, 1)]);
+        assert_eq!(out, vec![(2, 1)]);
     }
 }

@@ -55,7 +55,7 @@ pub use cache::RoutingCache;
 pub use config::{SimConfig, Switching};
 pub use dsn_telemetry::{Telemetry, TelemetryConfig, TelemetryReport};
 pub use engine::{ReservedBytes, Simulator};
-pub use fault::{FaultEvent, FaultKind, FaultPlan, RetryPolicy, SalvagePolicy};
+pub use fault::{FaultEvent, FaultKind, FaultPlan, RetryPolicy};
 pub use flow::{FlowArrivals, FlowSizeDist, StagedSpec};
 pub use inject::Injector;
 pub use routing::{AdaptiveEscape, DsnAlgorithmic, MinimalAdaptiveDsn, SimRouting, UpDownRouting};

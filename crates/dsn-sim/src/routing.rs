@@ -751,7 +751,7 @@ mod tests {
         let g = Arc::new(dsn.graph().clone());
         let dead = 3;
         let mut mask = EdgeMask::fully_alive(&g);
-        mask.set_edge_admin(&g, dead, false);
+        mask.set_edge(dead, false);
         let r = DsnAlgorithmic::new(dsn.clone())
             .with_lanes(2)
             .rebuild(&g, &mask)
@@ -801,11 +801,11 @@ mod tests {
         );
         let arc = Arc::new(g.clone());
         let mut mask = EdgeMask::fully_alive(&arc);
-        mask.set_edge_admin(&arc, 3, false);
+        mask.set_edge(3, false);
         let rebuilt = DsnAlgorithmic::new(dsn.clone())
             .rebuild(&arc, &mask)
             .unwrap();
-        let detour = n * n + n * d * 4 + n + (2 * e + n);
+        let detour = n * n + n * d * 4 + n + e;
         assert_eq!(rebuilt.table_bytes(), luts + detour);
     }
 }

@@ -340,8 +340,9 @@ pub struct RunStats {
     pub dropped_packets: u64,
     /// All packets dropped by faults over the whole run.
     pub dropped_packets_all_time: u64,
-    /// Head packets rescued from a dying channel by re-arming at their
-    /// current switch instead of being dropped ([`crate::SalvagePolicy`]).
+    /// Always 0: a packet caught on a dying channel is dropped, never
+    /// rescued in place. Kept so existing consumers of `RunStats` (and
+    /// their digests) keep their shape.
     pub salvaged_packets: u64,
     /// Retransmissions injected by source hosts after fault drops.
     pub retried_packets: u64,

@@ -1,10 +1,15 @@
 //! Synthetic traffic patterns (Section VII.A of the paper, following Dally
-//! & Towles): *uniform random*, *bit reversal*, and *neighboring* (90% of
-//! packets to 2-D-array neighbors, 10% uniform), plus the usual extras
-//! (transpose, hotspot, fixed permutation) for wider experiments.
+//! & Towles): *uniform random*, *bit reversal* and *neighboring* (90% of
+//! packets to 2-D-array neighbors, 10% uniform), plus *tornado*, the
+//! adversarial pattern for rings and tori that the routing comparison
+//! runs.
 
 use rand::rngs::SmallRng;
 use rand::Rng;
+
+/// Share of neighboring-pattern packets sent to a 2-D-array neighbor
+/// (the paper's 90%).
+const NEIGHBORING_LOCAL: f64 = 0.9;
 
 /// Destination-selection pattern over `hosts` endpoints.
 #[derive(Debug, Clone, PartialEq)]
@@ -14,73 +19,18 @@ pub enum TrafficPattern {
     /// `dest = bit_reverse(src)` over `ceil(log2 hosts)` bits; self-sends
     /// fall back to uniform.
     BitReversal,
-    /// With probability `local`, send to one of the four neighbors of the
-    /// source in a 2-D array layout of all hosts; otherwise uniform
-    /// (paper: `local = 0.9`).
-    Neighboring {
-        /// Fraction of packets sent to array neighbors.
-        local: f64,
-    },
-    /// Matrix transpose: on a `side x side` host array, `(r, c) -> (c, r)`.
-    Transpose,
-    /// A fraction of traffic targets one hot host, rest uniform.
-    Hotspot {
-        /// The hot destination.
-        hot: usize,
-        /// Fraction of packets aimed at it.
-        fraction: f64,
-    },
-    /// Fixed random permutation (seeded elsewhere): `dest = perm[src]`.
-    Permutation(Vec<usize>),
+    /// With probability 0.9, send to one of the four neighbors of the
+    /// source in a 2-D array layout of all hosts; otherwise uniform.
+    Neighboring,
     /// Tornado: `dest = (src + ceil(hosts/2) - 1) mod hosts` — the classic
     /// adversarial pattern for rings and tori (Dally & Towles).
     Tornado,
-    /// Perfect shuffle: `dest = rotate_left_1(src)` over `log2(hosts)`
-    /// bits; requires a power-of-two host count (falls back to uniform
-    /// otherwise or on self-sends).
-    Shuffle,
-    /// Zipf-like hot-host mix: destination host `d` is drawn with
-    /// probability proportional to `(d + 1)^-skew`, so low-numbered hosts
-    /// are hot (host 0 hottest) — the skewed destination popularity of
-    /// datacenter object stores. Build with [`TrafficPattern::zipf`];
-    /// self-sends fall back to uniform.
-    Zipf {
-        /// Normalized cumulative distribution over host ids (last entry
-        /// is 1.0). Precomputed so a pick costs one draw + binary search.
-        cdf: Vec<f64>,
-    },
 }
 
 impl TrafficPattern {
     /// The paper's neighboring pattern (90% local).
     pub fn neighboring_paper() -> Self {
-        TrafficPattern::Neighboring { local: 0.9 }
-    }
-
-    /// Build a [`TrafficPattern::Zipf`] over `hosts` endpoints with the
-    /// given skew exponent (`0.0` = uniform popularity, `~1.0` = classic
-    /// Zipf, larger = hotter head).
-    ///
-    /// # Panics
-    /// Panics if `hosts < 2` or `skew` is not finite and non-negative.
-    pub fn zipf(hosts: usize, skew: f64) -> Self {
-        assert!(hosts >= 2, "need at least two hosts");
-        assert!(
-            skew.is_finite() && skew >= 0.0,
-            "skew must be finite and >= 0"
-        );
-        let mut cdf = Vec::with_capacity(hosts);
-        let mut acc = 0.0f64;
-        for d in 0..hosts {
-            acc += ((d + 1) as f64).powf(-skew);
-            cdf.push(acc);
-        }
-        let total = acc;
-        for c in &mut cdf {
-            *c /= total;
-        }
-        *cdf.last_mut().expect("hosts >= 2") = 1.0;
-        TrafficPattern::Zipf { cdf }
+        TrafficPattern::Neighboring
     }
 
     /// Pick a destination host for a packet from `src`, never equal to
@@ -101,71 +51,16 @@ impl TrafficPattern {
                 }
                 d
             }
-            TrafficPattern::Neighboring { local } => {
-                if rng.gen_bool(local.clamp(0.0, 1.0)) {
+            TrafficPattern::Neighboring => {
+                if rng.gen_bool(NEIGHBORING_LOCAL) {
                     array_neighbor(src, hosts, rng)
                 } else {
                     uniform_other(src, hosts, rng)
                 }
             }
-            TrafficPattern::Transpose => {
-                let side = (hosts as f64).sqrt() as usize;
-                if side * side == hosts {
-                    let (r, c) = (src / side, src % side);
-                    let d = c * side + r;
-                    if d == src {
-                        uniform_other(src, hosts, rng)
-                    } else {
-                        d
-                    }
-                } else {
-                    uniform_other(src, hosts, rng)
-                }
-            }
-            TrafficPattern::Hotspot { hot, fraction } => {
-                if *hot != src && rng.gen_bool(fraction.clamp(0.0, 1.0)) {
-                    *hot
-                } else {
-                    uniform_other(src, hosts, rng)
-                }
-            }
-            TrafficPattern::Permutation(perm) => {
-                let d = perm[src];
-                if d == src || d >= hosts {
-                    uniform_other(src, hosts, rng)
-                } else {
-                    d
-                }
-            }
             TrafficPattern::Tornado => {
                 let d = (src + hosts.div_ceil(2) - 1) % hosts;
                 if d == src {
-                    uniform_other(src, hosts, rng)
-                } else {
-                    d
-                }
-            }
-            TrafficPattern::Shuffle => {
-                if hosts.is_power_of_two() {
-                    let bits = hosts.trailing_zeros();
-                    let top = (src >> (bits - 1)) & 1;
-                    let d = ((src << 1) | top) & (hosts - 1);
-                    if d == src {
-                        uniform_other(src, hosts, rng)
-                    } else {
-                        d
-                    }
-                } else {
-                    uniform_other(src, hosts, rng)
-                }
-            }
-            TrafficPattern::Zipf { cdf } => {
-                // One uniform draw inverted through the CDF; a stale
-                // pattern (built for a different host count) or a
-                // self-send falls back to uniform.
-                let r = rng.gen_f64();
-                let d = cdf.partition_point(|&c| c <= r);
-                if d >= hosts || d == src {
                     uniform_other(src, hosts, rng)
                 } else {
                     d
@@ -182,13 +77,8 @@ impl TrafficPattern {
         match self {
             TrafficPattern::Uniform => "uniform",
             TrafficPattern::BitReversal => "bit-reversal",
-            TrafficPattern::Neighboring { .. } => "neighboring",
-            TrafficPattern::Transpose => "transpose",
-            TrafficPattern::Hotspot { .. } => "hotspot",
-            TrafficPattern::Permutation(_) => "permutation",
+            TrafficPattern::Neighboring => "neighboring",
             TrafficPattern::Tornado => "tornado",
-            TrafficPattern::Shuffle => "shuffle",
-            TrafficPattern::Zipf { .. } => "zipf",
         }
     }
 }
@@ -294,41 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_exact() {
-        let mut r = rng();
-        // 16 hosts = 4x4: (1,2)=6 -> (2,1)=9
-        assert_eq!(TrafficPattern::Transpose.pick(6, 16, &mut r), 9);
-        // diagonal falls back
-        assert_ne!(TrafficPattern::Transpose.pick(5, 16, &mut r), 5);
-    }
-
-    #[test]
-    fn hotspot_concentrates() {
-        let mut r = rng();
-        let pat = TrafficPattern::Hotspot {
-            hot: 7,
-            fraction: 0.5,
-        };
-        let mut hits = 0;
-        for _ in 0..2000 {
-            if pat.pick(0, 64, &mut r) == 7 {
-                hits += 1;
-            }
-        }
-        let frac = hits as f64 / 2000.0;
-        assert!((0.4..0.6).contains(&frac), "hotspot fraction {frac}");
-    }
-
-    #[test]
-    fn permutation_followed() {
-        let mut r = rng();
-        let perm: Vec<usize> = (0..8).map(|i| (i + 3) % 8).collect();
-        let pat = TrafficPattern::Permutation(perm);
-        assert_eq!(pat.pick(0, 8, &mut r), 3);
-        assert_eq!(pat.pick(6, 8, &mut r), 1);
-    }
-
-    #[test]
     fn tornado_is_half_rotation() {
         let mut r = rng();
         // hosts = 16: dest = src + 7 mod 16
@@ -337,77 +192,9 @@ mod tests {
     }
 
     #[test]
-    fn shuffle_rotates_bits() {
-        let mut r = rng();
-        // hosts = 8 (3 bits): 0b011 -> 0b110
-        assert_eq!(TrafficPattern::Shuffle.pick(0b011, 8, &mut r), 0b110);
-        // 0b100 -> 0b001
-        assert_eq!(TrafficPattern::Shuffle.pick(0b100, 8, &mut r), 0b001);
-        // fixed points (0, 7) fall back to uniform, never self
-        assert_ne!(TrafficPattern::Shuffle.pick(0, 8, &mut r), 0);
-        assert_ne!(TrafficPattern::Shuffle.pick(7, 8, &mut r), 7);
-    }
-
-    #[test]
     fn names_stable() {
         assert_eq!(TrafficPattern::Uniform.name(), "uniform");
         assert_eq!(TrafficPattern::neighboring_paper().name(), "neighboring");
-        assert_eq!(TrafficPattern::zipf(8, 1.2).name(), "zipf");
-    }
-
-    #[test]
-    fn zipf_head_is_hot_and_ranked() {
-        let mut r = rng();
-        let pat = TrafficPattern::zipf(64, 1.2);
-        let mut counts = [0usize; 64];
-        let n = 20_000;
-        for _ in 0..n {
-            counts[pat.pick(63, 64, &mut r)] += 1;
-        }
-        // host 0 strictly hottest, and the head dominates the tail
-        assert!(counts[0] > counts[1]);
-        assert!(counts[1] > counts[8]);
-        let head: usize = counts[..8].iter().sum();
-        assert!(
-            head * 2 > n,
-            "head of 8/64 hosts drew only {head} of {n} picks"
-        );
-        // never self, covers a decent slice of the tail
-        assert_eq!(counts[63], 0);
-    }
-
-    #[test]
-    fn zipf_skew_zero_is_near_uniform() {
-        let mut r = rng();
-        let pat = TrafficPattern::zipf(16, 0.0);
-        let mut counts = [0usize; 16];
-        for _ in 0..16_000 {
-            counts[pat.pick(0, 16, &mut r)] += 1;
-        }
-        assert_eq!(counts[0], 0, "self-sends must fall back elsewhere");
-        let (min, max) = (
-            counts[1..].iter().min().unwrap(),
-            counts[1..].iter().max().unwrap(),
-        );
-        assert!(
-            max < &(min * 2),
-            "skew 0 should be near-uniform: {counts:?}"
-        );
-    }
-
-    #[test]
-    fn zipf_deterministic_given_rng() {
-        let pat = TrafficPattern::zipf(32, 1.0);
-        let mut a = SmallRng::seed_from_u64(77);
-        let mut b = SmallRng::seed_from_u64(77);
-        let xs: Vec<usize> = (0..100).map(|_| pat.pick(5, 32, &mut a)).collect();
-        let ys: Vec<usize> = (0..100).map(|_| pat.pick(5, 32, &mut b)).collect();
-        assert_eq!(xs, ys);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least two hosts")]
-    fn zipf_rejects_tiny() {
-        TrafficPattern::zipf(1, 1.0);
+        assert_eq!(TrafficPattern::Tornado.name(), "tornado");
     }
 }

@@ -50,8 +50,8 @@ pub enum Workload {
         /// Cycles between wave starts.
         wave_period: u64,
     },
-    /// A dependency-staged closed collective (ring / recursive-doubling
-    /// allreduce, pipelined all-to-all): stage `k + 1` of a host releases
+    /// A dependency-staged closed collective (the recursive-doubling
+    /// allreduce): stage `k + 1` of a host releases
     /// only when its stage-`k` receives complete. Generalizes `Closed`,
     /// whose whole batch releases at cycle 0.
     Staged(StagedSpec),

@@ -26,8 +26,8 @@ use dsn_sim::flow::{FlowSource, StagedState};
 use dsn_sim::routing::{Candidate, RouteState};
 use dsn_sim::stats::StatsCollector;
 use dsn_sim::{
-    FaultKind, FaultPlan, Injector, RetryPolicy, RunStats, SalvagePolicy, SimConfig, SimRouting,
-    Switching, TelemetryReport, TrafficPattern, Workload,
+    FaultKind, FaultPlan, Injector, RetryPolicy, RunStats, SimConfig, SimRouting, Switching,
+    TelemetryReport, TrafficPattern, Workload,
 };
 use dsn_telemetry::{ChannelDesc, Telemetry, TelemetryTopo};
 use std::collections::VecDeque;
@@ -126,12 +126,10 @@ struct Faults {
     events: Vec<(u64, FaultKind)>,
     next: usize,
     mask: EdgeMask,
-    salvage: bool,
     retry: RetryPolicy,
     /// Pending re-sends in drop order.
     retries: Vec<Retry>,
     dropped_measured: u64,
-    salvaged: u64,
     retried: u64,
     abandoned: u64,
 }
@@ -602,8 +600,8 @@ impl Spec {
 
     /// Route the head of `(i, v)`: eject at its destination switch, else
     /// take the first candidate output VC that is free with enough
-    /// credits. A head with no live candidate on a faulted run, or at or
-    /// bound for a dead switch, is dropped as unroutable.
+    /// credits. A head with no live candidate on a faulted run is dropped
+    /// as unroutable.
     fn allocate(&mut self, i: usize, v: usize, now: u64) {
         let iv = i * self.nvc + v;
         let pkt = self.queue[iv][0].pkt;
@@ -612,12 +610,6 @@ impl Spec {
             let p = self.packet(pkt);
             (p.dest_sw, p.dest_host, p.route)
         };
-        if let Some(f) = &self.faults {
-            if !f.mask.node_up(node) || !f.mask.node_up(dest_sw) {
-                self.drop_packet(pkt, now);
-                return;
-            }
-        }
         if dest_sw == node {
             let port = dest_host % self.cfg.hosts_per_switch;
             self.grant[iv] = Grant::Eject { pkt, port };
@@ -796,23 +788,13 @@ impl Spec {
             f.next += 1;
             match kind {
                 FaultKind::LinkDown(e) => {
-                    if f.mask.set_edge_admin(&graph, e, false) {
+                    if f.mask.set_edge(e, false) {
                         self.kill_channel(2 * e, now);
                         self.kill_channel(2 * e + 1, now);
                     }
                 }
                 FaultKind::LinkUp(e) => {
-                    f.mask.set_edge_admin(&graph, e, true);
-                }
-                FaultKind::SwitchDown(sw) => {
-                    for e in f.mask.set_node_up(&graph, sw, false) {
-                        self.kill_channel(2 * e, now);
-                        self.kill_channel(2 * e + 1, now);
-                    }
-                    self.kill_switch(sw, now);
-                }
-                FaultKind::SwitchUp(sw) => {
-                    f.mask.set_node_up(&graph, sw, true);
+                    f.mask.set_edge(e, true);
                 }
             }
         }
@@ -827,63 +809,17 @@ impl Spec {
     }
 
     /// Channel `ch` died. Its victims — packets holding one of its output
-    /// VCs or with flits on its wire — are handled in creation order: a
-    /// holder that has sent nothing yet is salvaged under the salvage
-    /// policy, every other victim is dropped.
+    /// VCs or with flits on its wire — are dropped in creation order.
     fn kill_channel(&mut self, ch: usize, now: u64) {
-        let mut victims: Vec<(u32, Option<usize>)> = Vec::new();
+        let mut victims: Vec<u32> = Vec::new();
         for vc in 0..self.nvc {
             if let Some(iv) = self.owner[ch * self.nvc + vc] {
-                let pkt = self.grant[iv].pkt().unwrap();
-                let unsent = self.queue[iv]
-                    .front()
-                    .is_some_and(|f| f.pkt == pkt && f.seq == 0);
-                victims.push((pkt, unsent.then_some(iv)));
+                victims.push(self.grant[iv].pkt().unwrap());
             }
         }
         for &(_, c, _, flit) in &self.wire {
             if c == ch {
-                victims.push((flit.pkt, None));
-            }
-        }
-        victims.sort_by_key(|&(pkt, _)| pkt);
-        victims.dedup_by_key(|&mut (pkt, _)| pkt);
-        let salvage = self.faults.as_ref().unwrap().salvage;
-        for (pkt, holder) in victims {
-            match holder {
-                Some(iv) if salvage => self.salvage(iv, now),
-                _ => self.drop_packet(pkt, now),
-            }
-        }
-    }
-
-    /// A salvaged head gives its dead output VC back and routes afresh.
-    fn salvage(&mut self, iv: usize, now: u64) {
-        let Grant::Net { ch, vc, .. } = self.grant[iv] else {
-            panic!("a salvaged head holds a network grant");
-        };
-        self.grant[iv] = Grant::None;
-        self.owner[ch * self.nvc + vc] = None;
-        self.ready[iv] = Some(now + self.hd);
-        self.faults.as_mut().unwrap().salvaged += 1;
-    }
-
-    /// Switch `sw` died (its links already did): drop every packet
-    /// buffered at or granted by one of its inputs, in creation order.
-    fn kill_switch(&mut self, sw: usize, now: u64) {
-        let hps = self.cfg.hosts_per_switch;
-        let mut inputs: Vec<usize> = self
-            .graph
-            .neighbors(sw)
-            .map(|(u, e)| self.graph.channel_id(e, u))
-            .collect();
-        inputs.extend((0..hps).map(|h| self.channels + sw * hps + h));
-        let mut victims = Vec::new();
-        for i in inputs {
-            for v in 0..self.vcs_of(i) {
-                let iv = i * self.nvc + v;
-                victims.extend(self.grant[iv].pkt());
-                victims.extend(self.queue[iv].iter().map(|f| f.pkt));
+                victims.push(flit.pkt);
             }
         }
         victims.sort_unstable();
@@ -980,7 +916,6 @@ impl Spec {
         if let Some(f) = &self.faults {
             stats.dropped_packets = f.dropped_measured;
             stats.dropped_packets_all_time = self.dropped;
-            stats.salvaged_packets = f.salvaged;
             stats.retried_packets = f.retried;
             stats.abandoned_packets = f.abandoned;
             retries_pending = f.retries.len();
@@ -1008,11 +943,9 @@ impl Faults {
             events,
             next: 0,
             mask: EdgeMask::fully_alive(graph),
-            salvage: plan.salvage == SalvagePolicy::Salvage,
             retry: plan.retry,
             retries: Vec::new(),
             dropped_measured: 0,
-            salvaged: 0,
             retried: 0,
             abandoned: 0,
         }

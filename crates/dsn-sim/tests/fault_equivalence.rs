@@ -1,17 +1,18 @@
 //! Bit-equivalence gate for the fault-injection subsystem: under every
 //! fault schedule shape (single link, correlated burst, flapping link,
-//! switch death), every salvage policy and every retry policy, the
-//! engine must reproduce the spec simulator's `RunStats` (`common/spec.rs`)
-//! *exactly* — drop/salvage/retry counters and post-fault latency floats
+//! a switch cut off by all its links) and every retry policy, the engine
+//! must reproduce the spec simulator's `RunStats` (`common/spec.rs`)
+//! *exactly* — drop/retry counters and post-fault latency floats
 //! included. The comparison is `assert_eq!` on the whole struct, so any
 //! new `RunStats` field is automatically covered.
 
 use dsn_core::dln::Dln;
 use dsn_core::dsn::Dsn;
+use dsn_core::graph::Graph;
 use dsn_core::torus::Torus;
 use dsn_sim::{
-    AdaptiveEscape, DsnAlgorithmic, FaultKind, FaultPlan, RetryPolicy, RoutingCache, SalvagePolicy,
-    SimConfig, SimRouting, Simulator, Switching, TrafficPattern, UpDownRouting, Workload,
+    AdaptiveEscape, DsnAlgorithmic, FaultKind, FaultPlan, RetryPolicy, RoutingCache, SimConfig,
+    SimRouting, Simulator, Switching, TrafficPattern, UpDownRouting, Workload,
 };
 use std::sync::Arc;
 
@@ -40,25 +41,23 @@ fn open(rate: f64) -> Workload {
 // ---------------------------------------------------------------------
 
 #[test]
-fn single_link_dsn_adaptive_both_policies() {
+fn single_link_dsn_adaptive() {
     let g = Arc::new(Dsn::new(64, 5).unwrap().into_graph());
     let cfg0 = cfg();
     let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg0.vcs));
-    for policy in [SalvagePolicy::Drop, SalvagePolicy::Salvage] {
-        let cfg = SimConfig {
-            fault_plan: FaultPlan::single_link(5, 900).with_salvage(policy),
-            ..cfg0.clone()
-        };
-        let stats = assert_engine_matches_spec(
-            g.clone(),
-            cfg,
-            routing.clone(),
-            open(0.02),
-            42,
-            &format!("dsn64 adaptive single-link salvage={}", policy.name()),
-        );
-        assert!(stats.delivered_packets > 0);
-    }
+    let cfg = SimConfig {
+        fault_plan: FaultPlan::single_link(5, 900),
+        ..cfg0
+    };
+    let stats = assert_engine_matches_spec(
+        g,
+        cfg,
+        routing,
+        open(0.02),
+        42,
+        "dsn64 adaptive single-link",
+    );
+    assert!(stats.delivered_packets > 0);
 }
 
 #[test]
@@ -98,10 +97,10 @@ fn single_link_dsn_custom_routing() {
 }
 
 #[test]
-fn single_link_torus_updown_salvage() {
+fn single_link_torus_updown() {
     let g = Arc::new(Torus::new(&[4, 4]).unwrap().into_graph());
     let cfg = SimConfig {
-        fault_plan: FaultPlan::single_link(2, 700).with_salvage(SalvagePolicy::Salvage),
+        fault_plan: FaultPlan::single_link(2, 700),
         ..cfg()
     };
     let routing = Arc::new(UpDownRouting::new(g.clone(), cfg.vcs));
@@ -139,27 +138,18 @@ fn single_link_dln_adaptive() {
 // ---------------------------------------------------------------------
 
 #[test]
-fn burst_dsn_adaptive_both_policies() {
+fn burst_dsn_adaptive() {
     let g = Arc::new(Dsn::new(64, 5).unwrap().into_graph());
     let cfg0 = cfg();
     let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg0.vcs));
-    for policy in [SalvagePolicy::Drop, SalvagePolicy::Salvage] {
-        let cfg = SimConfig {
-            fault_plan: FaultPlan::burst(&[4, 11, 30, 57], 850)
-                .with_salvage(policy)
-                .with_retry(RetryPolicy::new(2, 120, 60)),
-            ..cfg0.clone()
-        };
-        let stats = assert_engine_matches_spec(
-            g.clone(),
-            cfg,
-            routing.clone(),
-            open(0.025),
-            23,
-            &format!("dsn64 adaptive burst salvage={}", policy.name()),
-        );
-        assert!(stats.delivered_packets > 0);
-    }
+    let cfg = SimConfig {
+        fault_plan: FaultPlan::burst(&[4, 11, 30, 57], 850)
+            .with_retry(RetryPolicy::new(2, 120, 60)),
+        ..cfg0
+    };
+    let stats =
+        assert_engine_matches_spec(g, cfg, routing, open(0.025), 23, "dsn64 adaptive burst");
+    assert!(stats.delivered_packets > 0);
 }
 
 #[test]
@@ -258,7 +248,7 @@ fn flapping_links_purge_partial_packets_in_tight_buffers() {
 fn flap_torus_adaptive() {
     let g = Arc::new(Torus::new(&[4, 4]).unwrap().into_graph());
     let cfg = SimConfig {
-        fault_plan: FaultPlan::flap(1, 500, 300, 4).with_salvage(SalvagePolicy::Salvage),
+        fault_plan: FaultPlan::flap(1, 500, 300, 4),
         ..cfg()
     };
     let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
@@ -266,18 +256,30 @@ fn flap_torus_adaptive() {
 }
 
 // ---------------------------------------------------------------------
-// Switch death, seeded-random schedules, and closed workloads.
+// Cut-off switches, seeded-random schedules, and closed workloads.
 // ---------------------------------------------------------------------
 
+/// Append one event of `kind` per incident link of switch `sw` at
+/// `cycle`: `LinkDown` cuts the switch off, `LinkUp` brings it back.
+fn all_links_of(
+    plan: FaultPlan,
+    g: &Graph,
+    sw: usize,
+    cycle: u64,
+    kind: fn(usize) -> FaultKind,
+) -> FaultPlan {
+    g.neighbors(sw)
+        .fold(plan, |plan, (_, e)| plan.with_event(cycle, kind(e)))
+}
+
 #[test]
-fn switch_down_and_recovery_dsn_adaptive() {
+fn switch_cut_off_and_rejoined_dsn_adaptive() {
     let g = Arc::new(Dsn::new(64, 5).unwrap().into_graph());
     let cfg0 = cfg();
     let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg0.vcs));
+    let plan = all_links_of(FaultPlan::none(), &g, 10, 700, FaultKind::LinkDown);
     let cfg = SimConfig {
-        fault_plan: FaultPlan::none()
-            .with_event(700, FaultKind::SwitchDown(10))
-            .with_event(1_900, FaultKind::SwitchUp(10))
+        fault_plan: all_links_of(plan, &g, 10, 1_900, FaultKind::LinkUp)
             .with_retry(RetryPolicy::new(3, 150, 80)),
         ..cfg0
     };
@@ -287,31 +289,29 @@ fn switch_down_and_recovery_dsn_adaptive() {
         routing,
         open(0.02),
         37,
-        "dsn64 adaptive switch bounce",
+        "dsn64 adaptive switch cut off and rejoined",
     );
     assert!(
         stats.dropped_packets_all_time > 0,
-        "a dying switch at load must drop residents"
+        "a switch cut off at load must drop packets"
     );
 }
 
-/// Switch deaths at load, with retries, under both escape styles. A dying
-/// switch's purge and every later unroutable drop free output VCs and hand
-/// credits back mid-cycle, so the engine's allocation walk must keep the
-/// wake-up marks set while it runs, and a purge's VC release must wake
-/// its switch. The seeds are ones where a walk that clears those marks, or
-/// a purge that releases without waking, diverges from the spec.
-/// One test per switching mode, so they run in parallel.
-fn switch_deaths_at_load(switching: Switching) {
+/// Switches cut off at load, with retries, under both escape styles.
+/// Packets stranded at a cut-off switch, or bound for one, become
+/// unroutable; each such drop frees output VCs and hands credits back
+/// mid-cycle, so the engine's allocation walk must keep the wake-up marks
+/// set while it runs. One test per switching mode, so they run in
+/// parallel.
+fn switches_cut_off_at_load(switching: Switching) {
     let g = Arc::new(Dsn::new(64, 5).unwrap().into_graph());
+    let plan = all_links_of(FaultPlan::none(), &g, 3, 700, FaultKind::LinkDown);
+    let plan = all_links_of(plan, &g, 30, 1_500, FaultKind::LinkDown);
+    let plan = all_links_of(plan, &g, 3, 2_100, FaultKind::LinkUp);
     let cfg = SimConfig {
         switching,
         drain_cycles: 1_000,
-        fault_plan: FaultPlan::none()
-            .with_event(700, FaultKind::SwitchDown(3))
-            .with_event(1_500, FaultKind::SwitchDown(30))
-            .with_event(2_100, FaultKind::SwitchUp(3))
-            .with_retry(RetryPolicy::new(3, 150, 80)),
+        fault_plan: plan.with_retry(RetryPolicy::new(3, 150, 80)),
         ..cfg()
     };
     let routings: [(&str, Arc<dyn SimRouting>); 2] = [
@@ -333,7 +333,7 @@ fn switch_deaths_at_load(switching: Switching) {
                     routing.clone(),
                     open(rate),
                     seed,
-                    &format!("dsn64 {switching:?} {name} switch deaths rate={rate} seed={seed}"),
+                    &format!("dsn64 {switching:?} {name} switches cut off rate={rate} seed={seed}"),
                 );
             }
         }
@@ -341,13 +341,13 @@ fn switch_deaths_at_load(switching: Switching) {
 }
 
 #[test]
-fn switch_deaths_at_load_vct() {
-    switch_deaths_at_load(Switching::VirtualCutThrough);
+fn switches_cut_off_at_load_vct() {
+    switches_cut_off_at_load(Switching::VirtualCutThrough);
 }
 
 #[test]
-fn switch_deaths_at_load_wormhole() {
-    switch_deaths_at_load(Switching::Wormhole);
+fn switches_cut_off_at_load_wormhole() {
+    switches_cut_off_at_load(Switching::Wormhole);
 }
 
 #[test]
@@ -393,8 +393,8 @@ fn closed_batch_under_single_link() {
 }
 
 /// CI smoke: a 30k-cycle faulted spec-vs-event check on a paper-sized DSN
-/// with a seeded connectivity-preserving schedule, salvage and retries all
-/// on — one named test so the workflow can run exactly this gate.
+/// with a seeded connectivity-preserving schedule and retries on — one
+/// named test so the workflow can run exactly this gate.
 #[test]
 fn smoke_30k_faulted_spec_vs_event() {
     let g = Arc::new(Dsn::new(64, 5).unwrap().into_graph());
@@ -405,7 +405,6 @@ fn smoke_30k_faulted_spec_vs_event() {
         ..SimConfig::default()
     };
     cfg.fault_plan = FaultPlan::random_connected(&g, 2024, 4, 8_000, 3_000)
-        .with_salvage(SalvagePolicy::Salvage)
         .with_retry(RetryPolicy::new(3, 500, 250));
     let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
     let rate = cfg.packets_per_cycle_for_gbps(1.0);

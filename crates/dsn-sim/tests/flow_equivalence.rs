@@ -1,6 +1,6 @@
 //! Bit-equivalence and accounting gates for the flow-level workload
-//! layer (heavy-tailed open-loop flows, synchronized incast waves,
-//! dependency-staged collectives): the engine must produce the spec
+//! layer (web-search Poisson flows, synchronized incast waves, the
+//! recursive-doubling staged allreduce): the engine must produce the spec
 //! simulator's `RunStats` (`common/spec.rs`) bit for bit on every
 //! workload class, with telemetry on the two must export byte-identical
 //! artifacts (the per-class `"fct"` section included), the size-CDF
@@ -62,72 +62,6 @@ fn websearch_poisson_flows_match_spec() {
 }
 
 #[test]
-fn zipf_hot_host_flows_match_spec() {
-    // The skewed hot-host destination mix: host 0 is the hot sink, so
-    // the engine and the spec must agree while one corner of the network
-    // carries most of the load.
-    let g = small_dsn();
-    let cfg = cfg();
-    let hosts = g.node_count() * cfg.hosts_per_switch;
-    let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
-    let workload = Workload::Flows {
-        pattern: TrafficPattern::zipf(hosts, 1.2),
-        sizes: FlowSizeDist::websearch(),
-        arrivals: FlowArrivals::Poisson {
-            flows_per_cycle: 0.002,
-        },
-    };
-    let stats =
-        assert_engine_matches_spec(g, cfg, routing, workload, 47, "dsn16 zipf hot-host flows");
-    assert!(stats.flows_started > 0, "window must see flow starts");
-    assert!(stats.flows_completed > 0, "some flows must complete");
-}
-
-#[test]
-fn hadoop_onoff_flows_match_spec() {
-    let g = small_dsn();
-    let cfg = cfg();
-    let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
-    let workload = Workload::Flows {
-        pattern: TrafficPattern::Uniform,
-        sizes: FlowSizeDist::hadoop(),
-        arrivals: FlowArrivals::OnOff {
-            on_rate: 0.01,
-            off_rate: 0.0005,
-            mean_burst: 4.0,
-        },
-    };
-    let stats =
-        assert_engine_matches_spec(g, cfg, routing, workload, 43, "dsn16 hadoop on-off flows");
-    assert!(stats.flows_started_all_time > 0);
-}
-
-#[test]
-fn pareto_flows_match_spec() {
-    let g = small_dsn();
-    let cfg = cfg();
-    let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
-    let workload = Workload::Flows {
-        pattern: TrafficPattern::Transpose,
-        sizes: FlowSizeDist::Pareto {
-            scale: 1.0,
-            shape: 1.5,
-        },
-        arrivals: FlowArrivals::Poisson {
-            flows_per_cycle: 0.003,
-        },
-    };
-    assert_engine_matches_spec(
-        g,
-        cfg,
-        routing,
-        workload,
-        47,
-        "dsn16 pareto transpose flows",
-    );
-}
-
-#[test]
 fn incast_matches_spec() {
     let g = small_dsn();
     let cfg = cfg();
@@ -139,31 +73,6 @@ fn incast_matches_spec() {
     };
     let stats = assert_engine_matches_spec(g, cfg, routing, workload, 53, "dsn16 incast 8-to-1");
     assert!(stats.flows_completed > 0, "incast waves must complete");
-}
-
-#[test]
-fn staged_ring_allreduce_matches_spec() {
-    let g = small_dsn();
-    let mut cfg = cfg();
-    cfg.warmup_cycles = 0;
-    cfg.drain_cycles = 120_000; // ring has 2(N-1) serial stages
-    let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
-    let hosts = 16 * cfg.hosts_per_switch;
-    let spec = StagedSpec::ring_allreduce(hosts, 2);
-    let total = spec.total_packets();
-    let stats = assert_engine_matches_spec(
-        g,
-        cfg,
-        routing,
-        Workload::Staged(spec),
-        59,
-        "dsn16 ring allreduce",
-    );
-    assert!(stats.completion_cycle.is_some(), "collective must finish");
-    assert_eq!(
-        stats.total_packets_all_time, total,
-        "staged run must inject exactly the spec's packets"
-    );
 }
 
 #[test]
@@ -186,26 +95,6 @@ fn staged_recursive_doubling_matches_spec() {
     );
     assert!(stats.completion_cycle.is_some(), "collective must finish");
     assert_eq!(stats.total_packets_all_time, total);
-}
-
-#[test]
-fn staged_all_to_all_matches_spec() {
-    let g = small_dsn();
-    let mut cfg = cfg();
-    cfg.warmup_cycles = 0;
-    cfg.drain_cycles = 120_000;
-    let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
-    let hosts = 16 * cfg.hosts_per_switch;
-    let spec = StagedSpec::pipelined_all_to_all(hosts, 1);
-    let stats = assert_engine_matches_spec(
-        g,
-        cfg,
-        routing,
-        Workload::Staged(spec),
-        67,
-        "dsn16 pipelined all-to-all",
-    );
-    assert!(stats.completion_cycle.is_some(), "collective must finish");
 }
 
 /// Flow workloads under a link-flap plan with retries: the engine must
@@ -414,24 +303,6 @@ fn assert_converges(dist: FlowSizeDist, label: &str, tol: f64) {
 #[test]
 fn websearch_cdf_converges() {
     assert_converges(FlowSizeDist::websearch(), "websearch", 0.03);
-}
-
-#[test]
-fn hadoop_cdf_converges() {
-    assert_converges(FlowSizeDist::hadoop(), "hadoop", 0.05);
-}
-
-#[test]
-fn pareto_converges() {
-    // shape 2.5 keeps the variance finite so the mean converges at this n.
-    assert_converges(
-        FlowSizeDist::Pareto {
-            scale: 10.0,
-            shape: 2.5,
-        },
-        "pareto",
-        0.05,
-    );
 }
 
 #[test]

@@ -96,7 +96,7 @@ fn dsn_adaptive_escape_low_and_high_load() {
 }
 
 #[test]
-fn dsn_updown_transpose() {
+fn dsn_updown_tornado() {
     // Pure phase scheme: both escape masks (Up / Down) are exercised,
     // including the empty ones of unreachable Down-phase states.
     let g = Arc::new(Dsn::new(64, 5).unwrap().into_graph());
@@ -106,9 +106,9 @@ fn dsn_updown_transpose() {
         cfg.clone(),
         Arc::new(UpDownRouting::new(g.clone(), cfg.vcs)),
         RefPhase::updown(g, cfg.vcs),
-        open(TrafficPattern::Transpose, 0.004),
+        open(TrafficPattern::Tornado, 0.004),
         7,
-        "dsn64 up*/down* transpose",
+        "dsn64 up*/down* tornado",
     );
 }
 
@@ -128,7 +128,7 @@ fn dln_adaptive_uniform() {
 }
 
 #[test]
-fn torus_updown_transpose() {
+fn torus_updown_tornado() {
     let g = Arc::new(Torus::new(&[4, 4]).unwrap().into_graph());
     let cfg = cfg();
     assert_masks_match_reference(
@@ -136,9 +136,9 @@ fn torus_updown_transpose() {
         cfg.clone(),
         Arc::new(UpDownRouting::new(g.clone(), cfg.vcs)),
         RefPhase::updown(g, cfg.vcs),
-        open(TrafficPattern::Transpose, 0.006),
+        open(TrafficPattern::Tornado, 0.006),
         13,
-        "torus4x4 up*/down* transpose",
+        "torus4x4 up*/down* tornado",
     );
 }
 

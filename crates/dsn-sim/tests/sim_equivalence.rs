@@ -55,7 +55,7 @@ fn dsn_adaptive_uniform_low_and_high_load() {
 }
 
 #[test]
-fn dsn_updown_transpose() {
+fn dsn_updown_tornado() {
     // DSN-6-128: p = 7, so x = 6 is the densest shortcut set.
     let g = Arc::new(Dsn::new(128, 6).unwrap().into_graph());
     let cfg = cfg();
@@ -64,9 +64,9 @@ fn dsn_updown_transpose() {
         g,
         cfg,
         routing,
-        open(TrafficPattern::Transpose, 0.004),
+        open(TrafficPattern::Tornado, 0.004),
         7,
-        "dsn128-x6 up*/down* transpose",
+        "dsn128-x6 up*/down* tornado",
     );
 }
 
@@ -88,12 +88,12 @@ fn dsn_custom_routing_uniform() {
 }
 
 #[test]
-fn torus_updown_uniform_and_transpose() {
+fn torus_updown_uniform_and_tornado() {
     let g = Arc::new(Torus::new(&[4, 4]).unwrap().into_graph());
     let cfg = cfg();
     for (pattern, label) in [
         (TrafficPattern::Uniform, "uniform"),
-        (TrafficPattern::Transpose, "transpose"),
+        (TrafficPattern::Tornado, "tornado"),
     ] {
         let routing = Arc::new(UpDownRouting::new(g.clone(), cfg.vcs));
         assert_engine_matches_spec(

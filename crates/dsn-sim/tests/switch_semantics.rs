@@ -1,7 +1,7 @@
 //! Integration tests pinning router-level semantics: hop accounting
-//! through the telemetry recorder's wire time, the per-hop pipeline and
-//! the cut-through serialization of a lone packet's exact zero-load
-//! latency, and virtual cut-through atomicity.
+//! through the telemetry recorder's hop count and wire time, the per-hop
+//! pipeline and the cut-through serialization of a lone packet's exact
+//! zero-load latency, and virtual cut-through atomicity.
 
 use dsn_core::dsn::Dsn;
 use dsn_core::ring::Ring;
@@ -50,12 +50,13 @@ fn lone_packet_latency(cfg: &SimConfig, hops: usize) -> u64 {
 fn hop_count_matches_route_length_on_deterministic_routing() {
     // Under deterministic DSN custom routing every packet of a closed
     // batch follows its three-phase route, so the batch sends
-    // `packet_flits` flits per route hop. The recorder charges a hop's
-    // link traversal as wire time, from the tail's send to its arrival. A
-    // VC grant further along the route can land inside that window (when
-    // the tail trails its head by more than the header delay) and take
-    // part of it, so wire time is at most `link_delay` per hop, and
-    // exactly that when the header delay outlasts every such lag.
+    // `packet_flits` flits per route hop, and the recorder counts exactly
+    // the route's hops, whatever the header delay. It charges a hop's link
+    // traversal as wire time, from the tail's send to its arrival. A VC
+    // grant further along the route can land inside that window (when the
+    // tail trails its head by more than the header delay) and take part of
+    // it, so wire time is at most `link_delay` per hop, and exactly that
+    // when the header delay outlasts every such lag.
     let dsn = Arc::new(Dsn::new(32, 4).unwrap());
     let g = Arc::new(dsn.graph().clone());
     let batch = Workload::all_to_all(32);
@@ -86,6 +87,8 @@ fn hop_count_matches_route_length_on_deterministic_routing() {
             cfg.packet_flits as u64 * route_hops,
             "header delay {header_delay}"
         );
+        let hops: u64 = report.phases.iter().map(|p| p.hops).sum();
+        assert_eq!(hops, route_hops, "header delay {header_delay}");
         let wire: u64 = report.phases.iter().map(|p| p.wire_cycles).sum();
         if header_delay == 3 {
             assert!(wire < cfg.link_delay * route_hops, "{wire} wire cycles");

@@ -165,7 +165,7 @@ fn dsn_adaptive_uniform_telemetry_matches() {
 }
 
 #[test]
-fn dsn_updown_transpose_telemetry_matches() {
+fn dsn_updown_tornado_telemetry_matches() {
     let g = Arc::new(Dsn::new(128, 6).unwrap().into_graph());
     let cfg = cfg_on();
     let routing = Arc::new(UpDownRouting::new(g.clone(), cfg.vcs));
@@ -173,11 +173,11 @@ fn dsn_updown_transpose_telemetry_matches() {
         g,
         cfg,
         routing,
-        open(TrafficPattern::Transpose, 0.004),
+        open(TrafficPattern::Tornado, 0.004),
         7,
-        "dsn128-x6 up*/down* transpose",
+        "dsn128-x6 up*/down* tornado",
     );
-    assert_reconciles(&stats, &rep, "dsn128-x6 up*/down* transpose");
+    assert_reconciles(&stats, &rep, "dsn128-x6 up*/down* tornado");
 }
 
 #[test]

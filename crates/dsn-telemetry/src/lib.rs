@@ -13,7 +13,7 @@
 //! * **Latency decomposition** — each delivered packet's latency split
 //!   exactly into queueing / credit-stall / wire / ejection cycles by gap
 //!   attribution ([`recorder`] module docs);
-//! * **Exporters** — stable-schema JSON (`"dsn-telemetry/v2"`), long-format
+//! * **Exporters** — stable-schema JSON (`"dsn-telemetry/v3"`), long-format
 //!   CSV time series, and a terminal link-utilization heatmap keyed by ring
 //!   position ([`report::TelemetryReport`]).
 //!
@@ -23,8 +23,8 @@
 //! variant check; `dsn-sim`'s `telemetry_equivalence` tests pin equal `RunStats` on and off.
 //!
 //! The latency decomposition is the simulator's only per-packet record:
-//! a run's per-hop story (queueing, credit stalls, wire time, hence mean
-//! hops) is read from the phase totals it exports.
+//! a run's per-hop story (queueing, credit stalls, wire time and the exact
+//! hop count) is read from the phase totals it exports.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -256,6 +256,8 @@ struct PacketSlot {
     queueing: u64,
     credit_stall: u64,
     wire: u64,
+    /// Network hops so far: tail arrivals off a wire.
+    hops: u32,
     phase: u8,
     class: u8,
     active: bool,
@@ -269,6 +271,7 @@ struct Cell {
     credit_stall: u64,
     wire: u64,
     ejection: u64,
+    hops: u64,
 }
 
 /// The enabled telemetry sink. Construct through [`Telemetry::on`]; turn
@@ -383,6 +386,7 @@ impl Recorder {
             queueing: 0,
             credit_stall: 0,
             wire: 0,
+            hops: 0,
             phase,
             class,
             active: true,
@@ -439,6 +443,7 @@ impl Recorder {
             debug_assert!(p.active, "tail arrival for inactive packet slot {slot}");
             p.wire += now - p.last;
             p.last = now;
+            p.hops += 1;
         }
     }
 
@@ -465,13 +470,14 @@ impl Recorder {
                 "decomposition must sum to the packet's latency"
             );
             let (phase, class) = (p.phase as usize, p.class as usize);
-            let (q, cs, w) = (p.queueing, p.credit_stall, p.wire);
+            let (q, cs, w, hops) = (p.queueing, p.credit_stall, p.wire, p.hops);
             let cell = &mut self.cells[phase * self.classes + class];
             cell.hist.record(total);
             cell.queueing += q;
             cell.credit_stall += cs;
             cell.wire += w;
             cell.ejection += ejection;
+            cell.hops += hops as u64;
             self.delivered_per_phase[phase] += 1;
         }
     }
@@ -522,6 +528,7 @@ impl Recorder {
                     credit_stall_cycles: cells.iter().map(|c| c.credit_stall).sum(),
                     wire_cycles: cells.iter().map(|c| c.wire).sum(),
                     ejection_cycles: cells.iter().map(|c| c.ejection).sum(),
+                    hops: cells.iter().map(|c| c.hops).sum(),
                     classes: cells
                         .iter()
                         .enumerate()
@@ -645,6 +652,7 @@ mod tests {
         assert_eq!(p.wire_cycles, 2);
         assert_eq!(p.ejection_cycles, 6);
         assert_eq!(p.latency_sum_cycles, 20);
+        assert_eq!(p.hops, 1, "one tail arrival is one hop");
         // src 0 -> dst 4 on an 8-ring: distance 4, class 3.
         assert_eq!(p.classes[0].class, 3);
     }

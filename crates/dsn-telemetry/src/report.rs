@@ -4,7 +4,7 @@
 //! deterministic for a given simulation — with three exporters:
 //!
 //! * [`TelemetryReport::to_json`] — stable-schema JSON
-//!   (`"dsn-telemetry/v2"`, fixed key order, golden-file pinned);
+//!   (`"dsn-telemetry/v3"`, fixed key order, golden-file pinned);
 //! * [`TelemetryReport::to_csv`] — long-format windowed time series
 //!   (`metric,window,index,value`);
 //! * [`TelemetryReport::heatmap`] — a terminal link-utilization heatmap
@@ -57,6 +57,8 @@ pub struct PhaseReport {
     pub wire_cycles: u64,
     /// Cycles delivered packets spent in ejection.
     pub ejection_cycles: u64,
+    /// Network hops of delivered packets (links their tails crossed).
+    pub hops: u64,
     /// Per-distance-class latency histograms (empty classes omitted).
     pub classes: Vec<ClassReport>,
 }
@@ -146,8 +148,9 @@ pub struct TelemetryReport {
 
 /// Schema tag embedded in every [`TelemetryReport::to_json`] export; bump
 /// the version suffix on any breaking change to key order or formatting
-/// (v2 added the per-flow-class `"fct"` section).
-pub const SCHEMA: &str = "dsn-telemetry/v2";
+/// (v2 added the per-flow-class `"fct"` section, v3 the per-phase
+/// `"hops"` count).
+pub const SCHEMA: &str = "dsn-telemetry/v3";
 
 impl TelemetryReport {
     /// Per-channel utilization over the measurement window, computed with
@@ -178,7 +181,7 @@ impl TelemetryReport {
             .fold(0.0f64, f64::max)
     }
 
-    /// Serialize as stable-schema JSON (`"dsn-telemetry/v2"`).
+    /// Serialize as stable-schema JSON (`"dsn-telemetry/v3"`).
     ///
     /// Key order, spacing, and number formatting are fixed; the output is
     /// byte-for-byte deterministic for a given run and pinned by the
@@ -233,6 +236,7 @@ impl TelemetryReport {
                 "      \"ejection_cycles\": {},\n",
                 p.ejection_cycles
             ));
+            s.push_str(&format!("      \"hops\": {},\n", p.hops));
             s.push_str("      \"classes\": [\n");
             for (ci, c) in p.classes.iter().enumerate() {
                 s.push_str(&format!(
@@ -440,6 +444,7 @@ mod tests {
                 credit_stall_cycles: 12,
                 wire_cycles: 6,
                 ejection_cycles: 2,
+                hops: 3,
                 classes: vec![ClassReport {
                     class: 1,
                     count: 2,
@@ -503,7 +508,7 @@ mod tests {
     #[test]
     fn json_is_stable_and_tagged() {
         let j = tiny_report().to_json();
-        assert!(j.starts_with("{\n  \"schema\": \"dsn-telemetry/v2\",\n"));
+        assert!(j.starts_with("{\n  \"schema\": \"dsn-telemetry/v3\",\n"));
         assert!(j.contains("\"rows\": [[0, [[0, 3], [1, 1]]], [2, [[0, 7]]]]"));
         assert!(j.contains(
             "{\"class\": 2, \"count\": 3, \"p50\": 40, \"p99\": 64, \"max\": 61, \

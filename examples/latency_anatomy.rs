@@ -57,7 +57,7 @@ fn main() {
                 ns(phase.wire_cycles),
                 ns(phase.ejection_cycles),
                 ns(phase.latency_sum_cycles),
-                phase.wire_cycles as f64 / cfg.link_delay as f64 / delivered,
+                phase.hops as f64 / delivered,
             );
         }
     }
@@ -66,8 +66,6 @@ fn main() {
          pipeline included; stall = serialization plus switch-allocation and\n \
          credit stalls; wire = link traversal; ejection = ejection port\n \
          plus final serialization; the four sum exactly to total.\n \
-         hops = wire cycles / link_delay / delivered packets, a lower bound:\n \
-         a grant further along the route takes part of a hop's wire time\n \
-         when the tail trails its head by more than the header delay)"
+         hops = links crossed per delivered packet, counted exactly)"
     );
 }

@@ -6,7 +6,7 @@
 use dsn::core::fault::{components_masked, is_connected_masked, survivor_graph, EdgeMask};
 use dsn::core::graph::{Graph, LinkKind};
 use dsn::metrics::{edge_connectivity, edge_disjoint_paths};
-use dsn::sim::{AdaptiveEscape, FaultKind, FaultPlan, SimConfig, SimRouting, Simulator, Workload};
+use dsn::sim::{AdaptiveEscape, FaultPlan, SimConfig, SimRouting, Simulator, Workload};
 use std::sync::Arc;
 
 /// A ring of `n` switches — the one-edge-per-cut backbone whose min-cuts
@@ -44,7 +44,7 @@ fn run_batch(g: &Arc<Graph>, plan: FaultPlan, workload: Workload) -> dsn::sim::R
 fn masked(g: &Graph, dead: &[usize]) -> EdgeMask {
     let mut m = EdgeMask::fully_alive(g);
     for &e in dead {
-        m.set_edge_admin(g, e, false);
+        m.set_edge(e, false);
     }
     m
 }
@@ -137,24 +137,24 @@ fn min_cut_partitions_delivery_exactly() {
     }
 }
 
-/// A switch death mid-ring: the survivor components from the node mask
-/// drive delivery exactly, same as edge cuts.
+/// A switch cut off mid-ring by both of its links: the survivor
+/// components drive delivery exactly, same as any other edge cut.
 #[test]
-fn switch_death_matches_node_masked_components() {
+fn isolated_switch_matches_masked_components() {
     let n = 9;
     let g = Arc::new(ring(n));
-    let mut mask = EdgeMask::fully_alive(&g);
-    mask.set_node_up(&g, 4, false);
-    let labels = components_masked(&g, &mask);
-    // Hosts on a dead switch can neither send nor receive; every pair
-    // touching switch 4 drops, the rest (a path of 8 switches) delivers.
+    let links: Vec<usize> = g.neighbors(4).map(|(_, e)| e).collect();
+    let labels = components_masked(&g, &masked(&g, &links));
+    // Hosts on the isolated switch can neither send nor receive; every
+    // pair touching switch 4 drops, the rest (a path of 8 switches)
+    // delivers.
+    assert_eq!(labels[4], 4, "switch 4 is its own component");
     let alive: Vec<usize> = (0..n).filter(|&v| v != 4).collect();
     assert!(alive
         .iter()
         .all(|&a| alive.iter().all(|&b| labels[a] == labels[b])));
 
-    let plan = FaultPlan::none().with_event(0, FaultKind::SwitchDown(4));
-    let stats = run_batch(&g, plan, Workload::all_to_all(n));
+    let stats = run_batch(&g, FaultPlan::burst(&links, 0), Workload::all_to_all(n));
     let expected = (alive.len() * (alive.len() - 1)) as u64;
     assert_eq!(stats.delivered_packets, expected);
     assert_eq!(
