@@ -12,6 +12,17 @@
 //! are precomputed per destination over that state graph (parallel over
 //! destinations), and next hops are enumerated on demand from the current
 //! phase — which is exactly what a switch's routing logic needs.
+//!
+//! [`UpDown`] holds that n × 2n `u32` matrix (33.5 MB at 2046 switches).
+//! Its users are analysis — [`crate::load::updown_loads`], the up*/down*
+//! path statistics — and the simulator's test oracle, which derives its
+//! reference hops from [`UpDown::next_hops`]. The simulator itself builds
+//! no `UpDown`: it takes [`forest_depth`] and [`is_up`] and fills its
+//! port-mask tables with a bit-parallel BFS over blocks of 64
+//! destinations (`dsn-sim`'s `masks.rs`), which holds six `u64` words
+//! per node. The per-destination queue BFS here stays as it is
+//! on purpose: it is the independent reference that kernel is checked
+//! against, so the two share only the orientation.
 
 use dsn_core::fault::EdgeMask;
 use dsn_core::graph::Graph;
@@ -63,15 +74,8 @@ impl UpDown {
     /// # Panics
     /// Panics if the graph is disconnected or `root` is out of range.
     pub fn new(g: &Graph, root: NodeId) -> Self {
-        let n = g.node_count();
-        assert!(root < n, "root out of range");
-        let depth = bfs_depth(g, root, None);
-        assert!(
-            depth.iter().all(|&d| d != INF),
-            "up*/down* requires a connected graph"
-        );
-
-        let dist: Vec<Vec<u32>> = (0..n)
+        let depth = forest_depth(g, root, None);
+        let dist: Vec<Vec<u32>> = (0..g.node_count())
             .into_par_iter()
             .map(|t| legal_distances(g, &depth, t, None))
             .collect();
@@ -83,9 +87,8 @@ impl UpDown {
         }
     }
 
-    /// Orient links on the *survivor* graph defined by `mask`: a BFS
-    /// forest grown from `root`, then from the smallest still-unreached
-    /// node of each remaining component. The survivor graph may be
+    /// Orient links on the *survivor* graph defined by `mask`: the BFS
+    /// forest of [`forest_depth`]. The survivor graph may be
     /// disconnected — unreachable `(state, dest)` pairs keep distance
     /// `INF` and [`Self::next_hops`] returns no hops for them instead of
     /// panicking, so the caller (the simulator's online-reroute path) can
@@ -94,24 +97,8 @@ impl UpDown {
     /// # Panics
     /// Panics if `root` is out of range.
     pub fn new_masked(g: &Graph, root: NodeId, mask: &EdgeMask) -> Self {
-        let n = g.node_count();
-        assert!(root < n, "root out of range");
-        let mut depth = vec![INF; n];
-        let mut seeds: Vec<NodeId> = Vec::with_capacity(1 + n);
-        seeds.push(root);
-        seeds.extend(0..n);
-        for s in seeds {
-            if depth[s] != INF {
-                continue;
-            }
-            let sub = bfs_depth(g, s, Some(mask));
-            for v in 0..n {
-                if sub[v] != INF && depth[v] == INF {
-                    depth[v] = sub[v];
-                }
-            }
-        }
-        let dist: Vec<Vec<u32>> = (0..n)
+        let depth = forest_depth(g, root, Some(mask));
+        let dist: Vec<Vec<u32>> = (0..g.node_count())
             .into_par_iter()
             .map(|t| legal_distances(g, &depth, t, Some(mask)))
             .collect();
@@ -270,25 +257,45 @@ impl UpDown {
     }
 }
 
-/// `true` when moving `from -> to` goes up (toward the root).
+/// `true` when moving `from -> to` goes up (toward the root): `to` is
+/// shallower in `depth` (a [`forest_depth`] result), or as deep with the
+/// smaller id.
 #[inline]
-fn is_up(depth: &[u32], from: NodeId, to: NodeId) -> bool {
+pub fn is_up(depth: &[u32], from: NodeId, to: NodeId) -> bool {
     depth[to] < depth[from] || (depth[to] == depth[from] && to < from)
 }
 
-fn bfs_depth(g: &Graph, root: NodeId, mask: Option<&EdgeMask>) -> Vec<u32> {
-    let mut depth = vec![INF; g.node_count()];
+/// BFS depth of every node in the up*/down* forest: grown from `root`,
+/// then from the smallest still-unreached node of each remaining
+/// component, over the links `mask` keeps (every link when `None`).
+///
+/// # Panics
+/// Panics if `root` is out of range, or if `mask` is `None` and the graph
+/// is disconnected: the strict, unmasked orientation needs one tree.
+pub fn forest_depth(g: &Graph, root: NodeId, mask: Option<&EdgeMask>) -> Vec<u32> {
+    let n = g.node_count();
+    assert!(root < n, "root out of range");
+    let mut depth = vec![INF; n];
     let mut q = VecDeque::new();
-    depth[root] = 0;
-    q.push_back(root);
-    while let Some(v) = q.pop_front() {
-        for (u, e) in g.neighbors(v) {
-            if mask.is_some_and(|m| !m.edge_alive(e)) {
-                continue;
-            }
-            if depth[u] == INF {
-                depth[u] = depth[v] + 1;
-                q.push_back(u);
+    for seed in std::iter::once(root).chain(0..n) {
+        if depth[seed] != INF {
+            continue;
+        }
+        assert!(
+            seed == root || mask.is_some(),
+            "up*/down* requires a connected graph"
+        );
+        depth[seed] = 0;
+        q.push_back(seed);
+        while let Some(v) = q.pop_front() {
+            for (u, e) in g.neighbors(v) {
+                if mask.is_some_and(|m| !m.edge_alive(e)) {
+                    continue;
+                }
+                if depth[u] == INF {
+                    depth[u] = depth[v] + 1;
+                    q.push_back(u);
+                }
             }
         }
     }

@@ -63,3 +63,7 @@ pub use stats::{FlowClassStats, RunStats};
 pub use sweep::{find_saturation_cached, load_sweep_cached, paper_load_grid, SweepResult};
 pub use traffic::TrafficPattern;
 pub use workload::Workload;
+
+#[cfg(test)]
+#[path = "../tests/common/table_reference.rs"]
+mod table_reference;

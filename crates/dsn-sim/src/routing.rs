@@ -13,15 +13,16 @@
 //! [`RouteState`] is two bytes: no scheme keeps a per-packet path. The
 //! per-`(switch, destination)` state a scheme needs — minimal sets and
 //! up*/down* escape hops — is one byte-per-mask port-mask table built in
-//! the constructor (`masks.rs`); the distance tables and the up*/down*
-//! forest it is built from are dropped afterwards.
+//! the constructor (`masks.rs`) by a bit-parallel BFS; the up*/down*
+//! forest depths it is built from are dropped afterwards, and no distance
+//! table is ever built.
 
 use crate::masks::{PortMasks, UpMoves};
 use dsn_core::fault::EdgeMask;
 use dsn_core::graph::{Graph, LinkKind};
 use dsn_core::NodeId;
 use dsn_route::dsn_routing::{dsnv_step, DsnvState};
-use dsn_route::updown::{UdPhase, UpDown};
+use dsn_route::updown::{forest_depth, UdPhase};
 use dsn_route::RouteStep;
 use std::sync::Arc;
 
@@ -117,14 +118,14 @@ struct PhaseTables {
 impl PhaseTables {
     /// Grow the up*/down* forest from `root` (over the survivors when
     /// `survivors` is set), tabulate it, and drop it.
+    ///
+    /// # Panics
+    /// Panics if `survivors` is `None` and the graph is disconnected.
     fn build(graph: &Graph, root: NodeId, survivors: Option<&EdgeMask>, minimal: bool) -> Self {
-        let updown = match survivors {
-            None => UpDown::new(graph, root),
-            Some(mask) => UpDown::new_masked(graph, root, mask),
-        };
+        let depth = forest_depth(graph, root, survivors);
         PhaseTables {
-            masks: PortMasks::build(graph, survivors, minimal, Some(&updown)),
-            up_moves: UpMoves::new(graph, &updown),
+            masks: PortMasks::build(graph, survivors, minimal, Some(&depth)),
+            up_moves: UpMoves::new(graph, &depth),
             root,
         }
     }
@@ -715,6 +716,27 @@ mod tests {
             assert!(hops.len() <= 4 * g.node_count(), "{s}->{t}: runaway walk");
         }
         hops
+    }
+
+    /// Two disjoint rings of 4.
+    fn two_rings() -> Arc<Graph> {
+        let mut g = Graph::new(8);
+        for v in 0..8 {
+            g.add_edge(v, v / 4 * 4 + (v + 1) % 4, LinkKind::Ring);
+        }
+        Arc::new(g)
+    }
+
+    #[test]
+    #[should_panic(expected = "connected")]
+    fn adaptive_escape_rejects_a_disconnected_graph() {
+        AdaptiveEscape::new(two_rings(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "connected")]
+    fn updown_routing_rejects_a_disconnected_graph() {
+        UpDownRouting::new(two_rings(), 1);
     }
 
     #[test]
